@@ -5,7 +5,8 @@ Reports are required to be byte-reproducible, so BLAS backends are pinned to
 a single thread unless the user configured them explicitly before importing
 this package (multithreaded reductions are not run-to-run deterministic).
 Coarse parallelism is available instead through CALABI_LAB_THREADS, which
-fans out independent trials and aggregates them in a fixed order.
+runs the 12 independent checks of ``verify`` on a thread pool (the trials
+inside each check stay sequential) and returns their records in a fixed order.
 """
 
 import os as _os

@@ -217,12 +217,12 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
             expect_su = (2 * p * q + k * (n + 1 - k) - (p - q) ** 2 / n) * prim.norm_sq()
             worst = max(worst, abs(su2 - expect_su) / max(1.0, abs(expect_su)))
             u2 = wz.norm_phi_g(prim, "u")
-            om2 = float(np.sum(np.abs(om.act_dense(prim.to_dense())) ** 2))
+            om2 = float(wz._batched_norms(om.matrix[None], prim.to_dense()[None])[0, 0])
             worst = max(worst, abs(u2 - (om2 / n + su2)) / max(1.0, u2))
             # |L phi|^2 <= (p+q) |L|_u^2 |phi|^2 for L in u(n)
             cmat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             L = EndoC.from_lambda11(conv, cmat)
-            lhs = float(np.sum(np.abs(L.act_dense(prim.to_dense())) ** 2))
+            lhs = float(wz._batched_norms(L.matrix[None], prim.to_dense()[None])[0, 0])
             bound = k * L.norm_u_sq() * prim.norm_sq()
             worst = max(worst, max(lhs - bound, 0.0) / max(1.0, bound))
     return _record("norm_identities", "insertion-hat-su-norm-identities", worst, TOL_DIRECT)

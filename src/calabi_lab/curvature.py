@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .frames import FrameConvention, lambda11_basis_labels, sym2_basis_labels
-from .spectral import Spectrum, eigensystem
+from .spectral import Spectrum, eigensystem, require_finite
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -157,6 +157,7 @@ def validate_tensor(components: np.ndarray, convention: FrameConvention,
     d = convention.dim
     if r.shape != (d,) * 4:
         raise SymmetryViolation("shape", r.shape, float("nan"))
+    require_finite(r, "curvature tensor")
     scale = max(1.0, float(np.max(np.abs(r))))
     residuals: dict[str, float] = {}
 
@@ -276,6 +277,7 @@ def tensor_from_calabi(matrix: np.ndarray | CurvatureOperatorMatrix,
     m = n * (n + 1) // 2
     if h.shape != (m, m):
         raise NotHermitian(f"expected a {m}x{m} matrix for n={n}, got {h.shape}")
+    require_finite(h, "Calabi matrix")
     scale = max(1.0, float(np.max(np.abs(h))))
     if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
         raise NotHermitian("Calabi matrix must be Hermitian")

@@ -151,11 +151,6 @@ def dense_conj(arr: np.ndarray, conv: FrameConvention, k: int | None = None) -> 
     return out
 
 
-def hermitian_pairing(a: np.ndarray, b: np.ndarray) -> complex:
-    """``g(a, conj b)``; valid on components in the e-frame or the Z-frame."""
-    return complex(np.sum(a * b.conj()))
-
-
 def derivation_action(mat: np.ndarray, arr: np.ndarray, k: int | None = None) -> np.ndarray:
     """Derivation action of the endomorphism ``mat`` (same frame as ``arr``)."""
     k = arr.ndim if k is None else k
@@ -163,6 +158,64 @@ def derivation_action(mat: np.ndarray, arr: np.ndarray, k: int | None = None) ->
     for slot in range(arr.ndim - k, arr.ndim):
         out -= np.moveaxis(np.tensordot(arr, mat, axes=(slot, 0)), -1, slot)
     return out
+
+
+@lru_cache(maxsize=None)
+def _exterior_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index table of Lambda^k over d frame vectors.
+
+    Returns ``(subsets, flat, pos, sign)``: the sorted k-subsets J of
+    ``0..d-1`` as an ``(N, k)`` array with ``N = C(d, k)``; the flat position
+    of each J in a dense ``(d,)*k`` tensor; and, for each J, slot s and
+    replacement index C, the position ``pos[J, s, C]`` of
+    ``sorted(J with J_s -> C)`` with the sign of that sort, which is 0 when C
+    repeats another index of J.
+    """
+    subsets = list(itertools.combinations(range(d), k))
+    where = {key: i for i, key in enumerate(subsets)}
+    pos = np.zeros((len(subsets), k, d), dtype=np.intp)
+    sign = np.zeros((len(subsets), k, d))
+    for i, key in enumerate(subsets):
+        for s, old in enumerate(key):
+            rest = key[:s] + key[s + 1:]
+            for c in range(d):
+                if c in rest:
+                    continue
+                # sorting moves c past the entries of J strictly between J_s and c
+                lo, hi = min(old, c), max(old, c)
+                crossed = sum(1 for j in rest if lo < j < hi)
+                pos[i, s, c] = where[tuple(sorted(rest + (c,)))]
+                sign[i, s, c] = -1.0 if crossed % 2 else 1.0
+    subset_arr = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
+    flat = np.ravel_multi_index(subset_arr.T, (d,) * k) if k else np.zeros(1, dtype=np.intp)
+    table = (subset_arr, flat, pos, sign)
+    for arr in table:  # shared by every caller through the cache
+        arr.flags.writeable = False
+    return table
+
+
+def derivation_coords(mats: np.ndarray, dense_stack: np.ndarray) -> np.ndarray:
+    """Derivation action of a stack of endomorphisms on a stack of k-forms, in
+    orthonormal exterior coordinates.
+
+    ``mats`` has shape ``(m, d, d)`` and ``dense_stack`` shape ``(B,) + (d,)*k``;
+    both are written in one frame, either one.  Precondition: the forms are
+    alternating, since only their sorted components ``x_J = sqrt(k!) T[J]``
+    are read.  Returns the ``(m, B, N)`` coordinates
+    ``(L x)_J = -sum_{s,C} L[C, J_s] sign x[pos]`` over the sorted k-subsets J
+    (see ``_exterior_table``).  Their squared sum is the tensor norm of the
+    dense action, and their dot products are its Hermitian pairings.
+    """
+    m, d = mats.shape[:2]
+    b, k = dense_stack.shape[0], dense_stack.ndim - 1
+    subsets, flat, pos, sign = _exterior_table(d, k)
+    count = len(flat)
+    x = math.sqrt(math.factorial(k)) * dense_stack.reshape(b, -1)[:, flat]
+    # one batched product per J over the pairs (s, C): L[C, J_s] against sign x[pos]
+    rows = (d * np.arange(d) + subsets[:, :, None]).reshape(count, k * d)
+    coef = np.ascontiguousarray(mats.reshape(m, d * d).T)[rows]
+    src = (x.T[pos] * sign[..., None]).reshape(count, k * d, b)
+    return -np.matmul(coef.transpose(0, 2, 1), src).transpose(1, 2, 0)
 
 
 def alternate(arr: np.ndarray) -> np.ndarray:
@@ -178,11 +231,6 @@ def wedge_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wedge of two alternating tensors, normalized so v ^ w = v@w - w@v."""
     k, l = a.ndim, b.ndim
     return alternate(np.multiply.outer(a, b)) / (math.factorial(k) * math.factorial(l))
-
-
-def interior_product(vec: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """iota_X phi = phi(X, ., .., .)."""
-    return np.tensordot(vec, arr, axes=(0, 0))
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -350,14 +398,6 @@ class FormPQ:
 
     def norm_sq(self) -> float:
         return float(sum(abs(v) ** 2 for v in self.coeffs.values()))
-
-    def inner(self, other: "FormPQ") -> complex:
-        """Hermitian inner product g(self, conj other)."""
-        if (self.p, self.q) != (other.p, other.q):
-            return 0.0
-        small, big = sorted((self.coeffs, other.coeffs), key=len)
-        return complex(sum(self.coeffs.get(k, 0.0) * np.conj(other.coeffs.get(k, 0.0))
-                           for k in small))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(v) <= tol for v in self.coeffs.values())
@@ -576,13 +616,6 @@ def sym2_element(conv: FrameConvention, coords: np.ndarray) -> EndoC:
             hat[a - 1, b - 1] += c / math.sqrt(2.0)
             hat[b - 1, a - 1] += c / math.sqrt(2.0)
     return EndoC.from_sym_hat(conv, hat)
-
-
-def sym2_coords(conv: FrameConvention, endo: EndoC) -> np.ndarray:
-    """Coordinates of a sym^2 V^{1,0} element in the unit basis."""
-    hat = endo.hat
-    return np.array([hat[a - 1, a - 1] if a == b else math.sqrt(2.0) * hat[a - 1, b - 1]
-                     for a, b in sym2_basis_labels(conv.n)], dtype=complex)
 
 
 @lru_cache(maxsize=None)

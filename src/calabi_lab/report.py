@@ -64,7 +64,7 @@ def _plain(obj: Any) -> Any:
 
 
 def to_json(env: dict) -> str:
-    return json.dumps(_plain(env), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(_plain(env), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 CSV_COLUMNS = ["name", "anchor", "status", "residual", "value"]
@@ -82,7 +82,7 @@ def to_csv(env: dict) -> str:
             r.get("anchor", ""),
             r.get("status", ""),
             repr(float(r["residual"])) if r.get("residual") is not None else "",
-            json.dumps(_plain(values), sort_keys=True, separators=(",", ":")),
+            json.dumps(_plain(values), sort_keys=True, separators=(",", ":"), allow_nan=False),
         ])
     return out.getvalue()
 

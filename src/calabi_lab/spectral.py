@@ -85,17 +85,30 @@ class WeightBound:
 # cyclic Jacobi for Hermitian matrices
 # ---------------------------------------------------------------------------
 
+def require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise ValueError when arr holds a NaN or an infinite entry."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries (NaN or infinity)")
+
+
 def eigensystem(H: np.ndarray, source: str = "", max_sweeps: int = MAX_SWEEPS) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations."""
+    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+
+    The rotations run on H / max|H|, so that no norm overflows or underflows
+    at any finite scale; the eigenvalues are scaled back at the end.
+    """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {H.shape}")
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * scale:
+    require_finite(H, "matrix")
+    peak = float(np.max(np.abs(H)))
+    if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * max(1.0, peak):
         raise NotHermitian("matrix is not Hermitian within tolerance")
 
     m = H.shape[0]
-    A = 0.5 * (H + H.conj().T)
+    unit = peak if peak > 0.0 else 1.0
+    A = H / unit
+    A = 0.5 * (A + A.conj().T)
     V = np.eye(m, dtype=complex)
     norm = np.linalg.norm(A)
     threshold = OFFDIAG_FACTOR * max(norm, 1e-300)
@@ -114,7 +127,7 @@ def eigensystem(H: np.ndarray, source: str = "", max_sweeps: int = MAX_SWEEPS) -
             raise ConvergenceFailure(
                 f"Jacobi did not reach off-diagonal norm {threshold:g} in {max_sweeps} sweeps")
 
-    vals = np.real(np.diag(A)).copy()
+    vals = unit * np.real(np.diag(A))
     vecs = _phase_fix(V)
     order = _deterministic_order(vals, vecs)
     return Spectrum(vals[order], np.ascontiguousarray(vecs[:, order]), source)

@@ -25,7 +25,7 @@ from .frames import (
     RealForm,
     alternate,
     dense_z_to_e,
-    derivation_action,
+    derivation_coords,
     lambda2_10_basis_endos,
     lambda11_element,
     lefschetz_adjoint,
@@ -117,21 +117,6 @@ def ricl_pairing(t: AlgebraicCurvatureTensor, psi: FormPQ | RealForm) -> complex
 # eigenvalue routes
 # ---------------------------------------------------------------------------
 
-def _batched_action(mats: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """Derivation action of a stack of endomorphisms on one dense tensor."""
-    k = dense.ndim
-    slot = [_LETTERS[i] for i in range(k)]
-    base = "".join(slot)
-    out = np.zeros((mats.shape[0],) + dense.shape, dtype=complex)
-    for s in range(k):
-        # (L phi)_{.. C ..} = - sum_D L[D, C] phi_{.. D ..}
-        src = base.replace(slot[s], "y")
-        term = np.einsum(f"xyw,{src}->x{base.replace(slot[s], 'w')}", mats, dense,
-                         optimize=True)
-        out -= term
-    return out
-
-
 def _sym2_eigen_endos(conv: FrameConvention, spec: Spectrum) -> np.ndarray:
     """Eigen-elements of a Calabi matrix as a stack of endomorphism matrices."""
     mats = []
@@ -151,9 +136,7 @@ def ricl_via_calabi(spec: Spectrum, psi: FormPQ | RealForm) -> float:
         raise ValueError("spectrum dimension does not match sym^2 V^{1,0}")
     if spec.eigenvectors is None:
         raise ValueError("eigenvectors required")
-    mats = _sym2_eigen_endos(conv, spec)
-    acted = _batched_action(mats, psi.to_dense())
-    norms = np.sum(np.abs(acted.reshape(spec.size, -1)) ** 2, axis=1)
+    norms = _batched_norms(_sym2_eigen_endos(conv, spec), psi.to_dense()[None])[:, 0]
     return float(2.0 * np.dot(spec.eigenvalues, norms))
 
 
@@ -165,27 +148,13 @@ def ricl_via_kaehler_su(lam: float, su_spec: Spectrum, su_endos: np.ndarray,
     """
     conv = phi.convention
     first = lam * (phi.p - phi.q) ** 2 / conv.n * phi.norm_sq()
-    acted = _batched_action(su_endos, phi.to_dense())
-    norms = np.sum(np.abs(acted.reshape(su_spec.size, -1)) ** 2, axis=1)
+    norms = _batched_norms(su_endos, phi.to_dense()[None])[:, 0]
     return float(first + np.dot(su_spec.eigenvalues, norms))
 
 
 def _batched_norms(mats: np.ndarray, dense_stack: np.ndarray) -> np.ndarray:
     """|Xi_m psi_b|^2 for a stack of endomorphisms and a stack of dense forms."""
-    m = mats.shape[0]
-    b = dense_stack.shape[0]
-    k = dense_stack.ndim - 1
-    slot = [_LETTERS[i] for i in range(k)]
-    base = "".join(slot)
-    norms = np.zeros((m, b))
-    for i in range(m):
-        acted = np.zeros_like(dense_stack)
-        for s in range(k):
-            src = "z" + base.replace(slot[s], "y")
-            acted -= np.einsum(f"yw,{src}->z{base.replace(slot[s], 'w')}",
-                               mats[i], dense_stack, optimize=True)
-        norms[i] = np.sum(np.abs(acted.reshape(b, -1)) ** 2, axis=1)
-    return norms
+    return np.sum(np.abs(derivation_coords(mats, dense_stack)) ** 2, axis=2)
 
 
 def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention,
@@ -222,7 +191,8 @@ def su_eigen_endos(conv: FrameConvention, ksu_spec: Spectrum) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhiG:
-    """The family {Xi_a phi} over a recorded unitary basis of an algebra."""
+    """The family {Xi_a phi} over a recorded unitary basis of an algebra;
+    ``parts`` holds the (m, N) orthonormal exterior coordinates of Xi_a phi."""
 
     tag: str
     parts: np.ndarray
@@ -319,17 +289,12 @@ def phi_g(phi: FormPQ | RealForm | np.ndarray, tag: str,
         if tag in _REAL_FRAME_TAGS:
             dense = dense_z_to_e(dense, conv)
     mats = family_mats(conv.n, tag)
-    if mats.shape[0] == 0:
-        return PhiG(tag, np.zeros((0,) + dense.shape, dtype=complex), _FAMILY_NOTES[tag])
-    return PhiG(tag, _batched_action(mats, dense), _FAMILY_NOTES[tag])
+    return PhiG(tag, derivation_coords(mats, dense[None])[:, 0], _FAMILY_NOTES[tag])
 
 
 def norm_phi_g_batch(tag: str, conv: FrameConvention, dense_stack: np.ndarray) -> np.ndarray:
     """|psi_b^g|^2 for a stack of dense forms (in the algebra's frame)."""
-    mats = family_mats(conv.n, tag)
-    if mats.shape[0] == 0:
-        return np.zeros(dense_stack.shape[0])
-    return np.sum(_batched_norms(mats, dense_stack), axis=0)
+    return np.sum(_batched_norms(family_mats(conv.n, tag), dense_stack), axis=0)
 
 
 def norm_phi_g(phi: FormPQ | RealForm | np.ndarray, tag: str,
@@ -433,8 +398,7 @@ def estimate_bound(s: EndoC, psi: RealForm, tol: float = 1e-10) -> EstimateResul
     """|S psi|^2 against (1/2 + min(p,q,sqrt(pq)/2)) |S|^2 |psi|^2, and the
     |psi^{sym2 V^{1,0}}|^2-phrased variant when psi is primitive."""
     p, q = psi.p, psi.q
-    dense = psi.to_dense()
-    lhs = float(np.sum(np.abs(s.act_dense(dense)) ** 2))
+    lhs = float(_batched_norms(s.matrix[None], psi.to_dense()[None])[0, 0])
     s_norm = s.norm_sq()
     bound = (0.5 + _min_constant(p, q)) * s_norm * psi.norm_sq()
 
@@ -523,7 +487,7 @@ def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
     best = 0.0
     for _ in range(restarts):
         psi = random_primitive_real(conv, p, q, rng)
-        acted = _batched_action(mats, psi.to_dense()).reshape(m, -1)
+        acted = derivation_coords(mats, psi.to_dense()[None])[:, 0]
         # |S psi|^2 = vdot(c, gram @ c) for S = sum_mu c_mu u_mu
         gram = (acted.conj() @ acted.T) / psi.norm_sq()
         c = rng.normal(size=m) + 1j * rng.normal(size=m)

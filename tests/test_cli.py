@@ -178,6 +178,34 @@ def test_file_input_bad_schema(tmp_path, capsys):
     assert main(["spectrum", "--space", f"file:{path}"]) == 2
 
 
+def test_certify_file_with_huge_entries_grants_no_false_verdict(tmp_path):
+    # eigenvalues -6.2e159, 1, 1.6e160; the (1,1) partial sum is the negative one
+    s = 1e160
+    tri = [[s, 0.0], [s, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "calabi", "n": 2, "hermitian": tri}))
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--space", f"file:{path}", "--format", "json",
+                 "--out", str(out)]) == 0
+    records = {r["name"]: r for r in json.loads(out.read_text())["records"]}
+    h = np.array([[s, s, 0.0], [s, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    np.testing.assert_allclose(records["summary"]["values"]["eigenvalues"],
+                               np.linalg.eigvalsh(h), rtol=1e-12)
+    assert records["verdict[1,1]"]["values"]["status"] == "not-certified"
+
+
+@pytest.mark.parametrize("entry", ["NaN", "1e999"])
+def test_file_input_non_finite_is_rejected(tmp_path, capsys, entry):
+    # 1e999 is a valid JSON number that parses to infinity
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "calabi", "n": 1, "hermitian": [[%s, 0]]}' % entry)
+    for cmd in ("certify", "spectrum"):
+        assert main([cmd, "--space", f"file:{path}", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err
+        assert captured.out == ""
+
+
 def test_csv_format_columns(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["thresholds", "--n", "2", "--format", "csv", "--out", str(out)]) == 0

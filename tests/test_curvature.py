@@ -92,6 +92,20 @@ def test_tensor_from_calabi_rejects_bad_input():
         tensor_from_calabi(np.eye(4), conv)  # wrong dimension
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_rejected(bad):
+    conv = FrameConvention(2)
+    h = np.eye(3, dtype=complex)
+    h[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        tensor_from_calabi(h, conv)
+    r = chsc(2, 1.0).components.copy()
+    r[0, 1, 0, 1] = r[1, 0, 1, 0] = bad
+    r[1, 0, 0, 1] = r[0, 1, 1, 0] = -bad
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_tensor(r, conv)
+
+
 def test_product_calabi_kernel_on_mixed_block():
     # two P^1 factors: the mixed generator Z_1 (.) Z_2 is in the kernel
     from calabi_lab.model_spaces import product

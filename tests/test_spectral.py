@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calabi_lab.spectral import (
     ConvergenceFailure,
@@ -57,6 +59,34 @@ def test_eigensystem_rejects_non_hermitian():
         eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
         eigensystem(np.zeros((2, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 6), exponent=st.integers(-300, 300), seed=st.integers(0, 2 ** 32 - 1),
+       with_unit_diagonal=st.booleans())
+def test_eigensystem_matches_eigvalsh_at_every_scale(m, exponent, seed, with_unit_diagonal):
+    """Jacobi against LAPACK over scales 1e-300..1e300, also with a unit
+    diagonal under entries of that scale (mixed magnitudes)."""
+    h = 10.0 ** exponent * random_hermitian(np.random.default_rng(seed), m)
+    if with_unit_diagonal:
+        h = h + np.eye(m)
+    got = eigensystem(h).eigenvalues
+    want = np.linalg.eigvalsh(h)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-10 * float(np.max(np.abs(h)))
+
+
+def test_eigensystem_overflow_regression():
+    # the Frobenius norm of this matrix overflows at s = 1e160
+    s = 1e160
+    h = np.array([[s, s, 0.0], [s, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    np.testing.assert_allclose(eigensystem(h).eigenvalues, np.linalg.eigvalsh(h), rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigensystem_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        eigensystem(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_eigensystem_convergence_cap():

@@ -20,6 +20,8 @@ from calabi_lab.frames import (
     RealForm,
     dense_conj,
     dense_z_to_e,
+    derivation_action,
+    derivation_coords,
     multi_indices,
 )
 from calabi_lab.model_spaces import chsc, random_kaehler, random_kaehler_einstein
@@ -32,6 +34,7 @@ from calabi_lab.weitzenboeck import (
     check_ricl_r2_split,
     estimate_bound,
     estimate_sampling,
+    family_mats,
     normal_form,
     norm_phi_g,
     phi_g,
@@ -105,20 +108,58 @@ def test_curvature_term_matches_bruteforce():
     assert worst < 1e-9
 
 
+def _kernel_test_forms(conv, k, rng):
+    """A pure (p,q)-form of random bidegree, its real part (p,q)+(q,p) and a
+    mixed-bidegree k-form, in the Z frame."""
+    pure = [random_form(conv, p, k - p, rng) for p in range(k + 1)
+            if p <= conv.n and k - p <= conv.n]
+    phi = pure[rng.integers(len(pure))]
+    mixed = sum(f.to_dense() for f in pure)
+    return np.array([phi.to_dense(), RealForm.symmetrize(phi).to_dense(), mixed])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_derivation_coords_match_dense_action(n):
+    """Per-form norms and Gram matrices of the derivation action in exterior
+    coordinates against the dense reference, for every family and random
+    endomorphisms, in the Z frame and in the real frame."""
+    rng = np.random.default_rng(1000 + n)
+    conv = FrameConvention(n)
+    d = conv.dim
+    for k in range(min(d, 5) + 1):
+        stack_z = _kernel_test_forms(conv, k, rng)
+        stack_e = dense_z_to_e(stack_z, conv, k)
+        random_z = np.array([EndoC(conv, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                             .matrix for _ in range(2)])
+        cases = [(family_mats(n, tag), stack_z) for tag in ("sym2_10", "lambda2_10", "u", "su")]
+        cases += [(family_mats(n, tag), stack_e) for tag in ("gl", "so", "sym2_real")]
+        cases += [(random_z, stack_z), (random_z, stack_e), (rng.normal(size=(2, d, d)), stack_e)]
+        for mats, stack in cases:
+            got = derivation_coords(mats, stack).transpose(1, 0, 2)  # (form, m, N)
+            ref = np.array([derivation_action(m, stack, k) for m in mats]).reshape(
+                len(mats), len(stack), d ** k).transpose(1, 0, 2)
+            gram = got.conj() @ got.transpose(0, 2, 1)
+            gram_ref = ref.conj() @ ref.transpose(0, 2, 1)
+            scale = max(1.0, float(np.max(np.abs(gram_ref), initial=0.0)))
+            assert np.max(np.abs(gram - gram_ref), initial=0.0) <= 1e-12 * scale
+            norms = np.sum(np.abs(got) ** 2, axis=2)
+            norms_ref = np.sum(np.abs(ref) ** 2, axis=2)
+            assert np.max(np.abs(norms - norms_ref), initial=0.0) <= 1e-12 * scale
+
+
 def test_curvature_term_on_mixed_degree_real_forms():
     rng = np.random.default_rng(3)
     conv = FrameConvention(2)
     t = random_kaehler(2, 9)
     spec = calabi_from_tensor(t).spectrum()
-    from calabi_lab.weitzenboeck import _batched_action, _sym2_eigen_endos
+    from calabi_lab.weitzenboeck import _batched_norms, _sym2_eigen_endos
 
     dense = random_form(conv, 2, 0, rng).to_dense() + random_form(conv, 1, 1, rng).to_dense()
     dense = dense + dense_conj(dense, conv)
     de = dense_z_to_e(dense, conv)
     bf = float(np.real(np.sum(ricl_bruteforce(t, de) * de.conj())))
-    acted = _batched_action(_sym2_eigen_endos(conv, spec), dense)
-    ec = 2.0 * float(np.dot(spec.eigenvalues,
-                            np.sum(np.abs(acted.reshape(spec.size, -1)) ** 2, axis=1)))
+    norms = _batched_norms(_sym2_eigen_endos(conv, spec), dense[None])[:, 0]
+    ec = 2.0 * float(np.dot(spec.eigenvalues, norms))
     assert abs(bf - ec) < 1e-9 * max(1.0, abs(bf))
 
 
