@@ -17,7 +17,8 @@ Spaces are described by a small grammar::
     product:[A;B;...]   product of the bracketed factor descriptors
     file:PATH           json input (see schemas/input.schema.json)
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error,
+or a numerical failure (any ``CalabiLabError``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from . import certify as ct
 from . import curvature as cv
 from . import model_spaces as ms
 from .checks import run_verify_suite, stress_probe
+from .errors import CalabiLabError
 from .frames import FrameConvention
 from .report import make_envelope, to_csv, to_json, to_table, validate_report
 from .spectral import eigensystem, k_test
@@ -40,7 +42,7 @@ from .spectral import eigensystem, k_test
 USAGE_ERROR = 2
 
 
-class SpaceParseError(ValueError):
+class SpaceParseError(CalabiLabError, ValueError):
     def __init__(self, text: str, pos: int, message: str):
         self.pos = pos
         super().__init__(f"cannot parse space descriptor at position {pos}: {message} "
@@ -310,6 +312,17 @@ def cmd_certify(args) -> dict:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="calabi-lab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -322,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the identity suite")
     pv.add_argument("--n", type=int, default=3)
-    pv.add_argument("--trials", type=int, default=50)
+    pv.add_argument("--trials", type=_positive_int, default=50)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--max-degree", type=int, default=4, dest="max_degree")
+    pv.add_argument("--max-degree", type=_positive_int, default=4, dest="max_degree")
     pv.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
                     help="multiply every check tolerance by this factor")
     pv.add_argument("--stress", action="store_true",
@@ -362,8 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         env = args.fn(args)
-    except (SpaceParseError, ValueError, OSError, cv.NotKaehler, cv.NotEinstein,
-            cv.NotHermitian, cv.SymmetryViolation) as exc:
+    except (CalabiLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -29,8 +29,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import CalabiLabError
 from .frames import FrameConvention, lambda11_basis_labels, sym2_basis_labels
-from .spectral import Spectrum, eigensystem, require_finite
+from .spectral import NotHermitian, Spectrum, eigensystem, require_finite
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -73,7 +74,7 @@ def _bug_active() -> bool:
     return _SIGN_BUG or os.environ.get("CALABI_LAB_INJECT_SIGN_BUG", "") == "1"
 
 
-class SymmetryViolation(ValueError):
+class SymmetryViolation(CalabiLabError, ValueError):
     def __init__(self, identity: str, index: tuple[int, ...], residual: float):
         self.identity = identity
         self.index = index
@@ -81,15 +82,11 @@ class SymmetryViolation(ValueError):
         super().__init__(f"{identity} violated at {index}: residual {residual:.3e}")
 
 
-class NotKaehler(ValueError):
+class NotKaehler(CalabiLabError, ValueError):
     pass
 
 
-class NotHermitian(ValueError):
-    pass
-
-
-class NotEinstein(ValueError):
+class NotEinstein(CalabiLabError, ValueError):
     pass
 
 

@@ -34,6 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import CalabiLabError
+
 __all__ = [
     "FrameConvention",
     "MultiIndexK",
@@ -52,7 +54,7 @@ __all__ = [
 ]
 
 
-class FrameError(ValueError):
+class FrameError(CalabiLabError, ValueError):
     """Raised for dimension or arity mismatches in frame operations."""
 
 

@@ -22,6 +22,7 @@ from .curvature import (
     tensor_from_calabi,
     validate_tensor,
 )
+from .errors import CalabiLabError
 from .frames import FrameConvention, sym2_basis_labels
 from .spectral import PositivityReport, Spectrum, k_test
 
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 
-class EinsteinProjectionError(RuntimeError):
+class EinsteinProjectionError(CalabiLabError, RuntimeError):
     pass
 
 

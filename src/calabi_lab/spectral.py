@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import CalabiLabError
+
 __all__ = [
     "Spectrum",
     "PositivityReport",
@@ -32,11 +34,11 @@ OFFDIAG_FACTOR = 1e-13
 MAX_SWEEPS = 100
 
 
-class NotHermitian(ValueError):
+class NotHermitian(CalabiLabError, ValueError):
     pass
 
 
-class ConvergenceFailure(RuntimeError):
+class ConvergenceFailure(CalabiLabError, RuntimeError):
     pass
 
 

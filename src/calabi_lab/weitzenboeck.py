@@ -1,23 +1,27 @@
 """The Lichnerowicz curvature term on forms, computed several independent
 ways, together with the derivation-family norms and the eigenvalue estimates.
 
-The trusted oracle is ``ricl_bruteforce``: a direct summation of
-``Ric_L(phi)(x_1..x_k) = sum_s sum_j (R(x_s, e_j) phi)(x_1, .., e_j, .., x_k)``
-over the real frame, with no reference to any operator eigenstructure.  The
-eigenvalue routes (via the Calabi operator, via the restricted Kaehler
-operator for Einstein tensors) are checked against it.
+The trusted oracle is ``ricl_bruteforce``: the Weitzenboeck term
+``Ric_L = -sum Ric_ad e^a iota_d - sum R_ajcd e^a e^c iota_d iota_j``
+(``Ric_ad = sum_j R_ajjd``) summed literally over the real frame on
+orthonormal exterior coordinates, through the module's own creation and
+annihilation operators.  It makes no reference to any operator eigenstructure
+and shares no kernel with the Z-frame derivation action of the eigenvalue
+routes (via the Calabi operator, via the restricted Kaehler operator for
+Einstein tensors), which are checked against it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import string
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .curvature import AlgebraicCurvatureTensor, RicciData
+from .errors import CalabiLabError
 from .frames import (
     EndoC,
     FormPQ,
@@ -41,6 +45,7 @@ __all__ = [
     "PhiG",
     "EstimateResult",
     "NotSymmetric",
+    "SamplingFailure",
     "ricl_bruteforce",
     "ricl_pairing",
     "ricl_via_calabi",
@@ -59,7 +64,11 @@ __all__ = [
 ]
 
 
-class NotSymmetric(ValueError):
+class NotSymmetric(CalabiLabError, ValueError):
+    pass
+
+
+class SamplingFailure(CalabiLabError, RuntimeError):
     pass
 
 
@@ -67,38 +76,86 @@ class NotSymmetric(ValueError):
 # brute-force Ric_L over the real frame
 # ---------------------------------------------------------------------------
 
-_LETTERS = string.ascii_lowercase
+@lru_cache(maxsize=None)
+def _annihilation_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Interior products on the orthonormal monomials of Lambda^k, k >= 1,
+    over d real frame vectors.
+
+    Returns ``(flat, removed, rest, sign)``: the flat position of each sorted
+    k-subset J in a dense ``(d,)*k`` tensor, and for each J and slot s the
+    removed index ``removed[J, s] = J_s``, the position ``rest[J, s]`` of
+    ``J minus J_s`` among the sorted (k-1)-subsets, and ``sign[J, s] = (-1)^s``,
+    so that ``iota(e_{J_s}) e^J = (-1)^s e^{J minus J_s}``.
+    """
+    subsets = list(itertools.combinations(range(d), k))
+    where = {key: i for i, key in enumerate(itertools.combinations(range(d), k - 1))}
+    removed = np.array(subsets, dtype=np.intp)
+    rest = np.array([[where[key[:s] + key[s + 1:]] for s in range(k)] for key in subsets],
+                    dtype=np.intp)
+    sign = np.tile((-1.0) ** np.arange(k), (len(subsets), 1))
+    flat = np.ravel_multi_index(removed.T, (d,) * k)
+    table = (flat, removed, rest, sign)
+    for arr in table:  # shared by every caller through the cache
+        arr.flags.writeable = False
+    return table
+
+
+def _annihilate(x: np.ndarray, d: int, k: int) -> np.ndarray:
+    """``(B, N_k)`` coordinates to the ``(B, d, N_{k-1})`` stack of iota(e_c) x."""
+    _, removed, rest, sign = _annihilation_table(d, k)
+    out = np.zeros((x.shape[0], d, math.comb(d, k - 1)), dtype=x.dtype)
+    out[:, removed, rest] = x[:, :, None] * sign
+    return out
+
+
+def _create(y: np.ndarray, d: int, k: int) -> np.ndarray:
+    """``sum_a e^a ^ y_a`` from a ``(B, d, N_{k-1})`` stack: the transposed
+    scatter of ``_annihilate``, returning ``(B, N_k)`` coordinates."""
+    _, removed, rest, sign = _annihilation_table(d, k)
+    return np.sum(y[:, removed, rest] * sign, axis=2)
+
+
+def _exterior_coords(dense_stack: np.ndarray) -> np.ndarray:
+    """Orthonormal exterior coordinates ``x_J = sqrt(k!) T[J]`` of a stack of
+    alternating k-tensors over the real frame, shape ``(B, C(d, k))``."""
+    b, k = dense_stack.shape[0], dense_stack.ndim - 1
+    if k == 0:
+        return dense_stack.reshape(b, 1)
+    flat = _annihilation_table(dense_stack.shape[1], k)[0]
+    return math.sqrt(math.factorial(k)) * dense_stack.reshape(b, -1)[:, flat]
 
 
 def ricl_bruteforce(t: AlgebraicCurvatureTensor, dense_e: np.ndarray,
                     batched: bool = False) -> np.ndarray:
-    """Ric_L(phi) on components over the real frame.
+    """Ric_L(phi) as a literal sum over the real frame, in orthonormal
+    exterior coordinates:
+    ``Ric_L = -sum_{a,d} Ric_ad e^a iota_d - sum_{a,j,c,d} R_ajcd e^a e^c iota_d iota_j``
+    with ``Ric_ad = sum_j R_ajjd``.
 
     dense_e holds the covariant components of a k-form over e_1..e_{2n}
-    (complex allowed), optionally with one leading batch axis.
+    (complex allowed), optionally with one leading batch axis.  Precondition:
+    the components are alternating, since only the sorted ones are read.
+    Returns the ``(C(2n, k),)`` coordinates over the sorted index sets J, or
+    ``(B, C(2n, k))`` when batched; they pair with ``x_J = sqrt(k!) T[J]``.
     """
     r = t.components
+    d = r.shape[0]
     arr = np.asarray(dense_e, dtype=complex)
     if not batched:
         arr = arr[None]
-    k = arr.ndim - 1
-    out = np.zeros_like(arr)
+    b, k = arr.shape[0], arr.ndim - 1
+    x = _exterior_coords(arr)
     if k == 0:
+        out = np.zeros_like(x)
         return out if batched else out[0]
-    slot = [_LETTERS[12 + i] for i in range(k)]  # m, n, o, ... clear of a/c/d/j/z
-    base = "z" + "".join(slot)
-    for s in range(k):
-        for tt in range(k):
-            if tt == s:
-                # argument substituted at slot s is acted on itself
-                rc = np.einsum("ajjd->ad", r)
-                src = base.replace(slot[s], "d")
-                term = np.einsum(f"ad,{src}->{base.replace(slot[s], 'a')}", rc, arr)
-            else:
-                src = base.replace(slot[s], "j").replace(slot[tt], "d")
-                dst = base.replace(slot[s], "a").replace(slot[tt], "c")
-                term = np.einsum(f"ajcd,{src}->{dst}", r, arr, optimize=True)
-            out -= term
+    once = _annihilate(x, d, k)  # [b, j, J minus j]
+    # e^a-coefficients: sum_d Ric_ad iota_d x, plus sum_c e^c of sum_{j,d} R_ajcd iota_d iota_j x
+    coef = np.trace(r, axis1=1, axis2=2) @ once
+    if k >= 2:
+        twice = _annihilate(once.reshape(b * d, -1), d, k - 1)  # [b*j, d, ...]
+        pair = r.transpose(0, 2, 1, 3).reshape(d * d, d * d) @ twice.reshape(b, d * d, -1)
+        coef = coef + _create(pair.reshape(b * d, d, -1), d, k - 1).reshape(b, d, -1)
+    out = -_create(coef, d, k)
     return out if batched else out[0]
 
 
@@ -109,8 +166,7 @@ def _form_dense_e(psi: FormPQ | RealForm) -> np.ndarray:
 def ricl_pairing(t: AlgebraicCurvatureTensor, psi: FormPQ | RealForm) -> complex:
     """g(Ric_L(psi), conj psi) by the brute-force oracle (real for real psi)."""
     de = _form_dense_e(psi)
-    out = ricl_bruteforce(t, de)
-    return complex(np.sum(out * de.conj()))
+    return complex(np.sum(ricl_bruteforce(t, de) * _exterior_coords(de[None])[0].conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +224,7 @@ def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention,
 def ricl_pairing_batch(t: AlgebraicCurvatureTensor, dense_e_stack: np.ndarray) -> np.ndarray:
     """Vectorized brute-force g(Ric_L psi, conj psi) over stacked e-frame forms."""
     out = ricl_bruteforce(t, dense_e_stack, batched=True)
-    b = dense_e_stack.shape[0]
-    return np.real(np.sum(out.reshape(b, -1) * dense_e_stack.reshape(b, -1).conj(), axis=1))
+    return np.real(np.sum(out * _exterior_coords(dense_e_stack).conj(), axis=1))
 
 
 def su_eigen_endos(conv: FrameConvention, ksu_spec: Spectrum) -> np.ndarray:
@@ -353,7 +408,7 @@ def check_ricl_r2_split(t: AlgebraicCurvatureTensor, dense_e: np.ndarray,
     conv = t.convention
     p = dense_e.ndim
     ric = ric or ricci_of(t)
-    ricl = float(np.real(np.sum(ricl_bruteforce(t, dense_e) * dense_e.conj())))
+    ricl = float(ricl_pairing_batch(t, dense_e[None])[0])
 
     fam_s2 = phi_g(dense_e, "sym2_real", conv)
     r2_s2 = _pairing_value(_r2_pair_matrix(t.components, _real_sym2_mats(conv.dim)),
@@ -443,8 +498,6 @@ def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: in
 
 def achievability_form(conv: FrameConvention, p: int, q: int) -> RealForm:
     """Re(sum_K Z^K) over the (p,q)-multi-indices with I cup J = {1..p+q}."""
-    import itertools
-
     k = p + q
     if k > conv.n:
         raise ValueError("achievability family needs n >= p + q")
@@ -541,7 +594,7 @@ def random_primitive_real(conv: FrameConvention, p: int, q: int,
         real = RealForm.symmetrize(phi)
         if real.norm_sq() > 1e-8:
             return real
-    raise RuntimeError(f"no nonzero primitive ({p},{q})-form found at n={conv.n}")
+    raise SamplingFailure(f"no nonzero primitive ({p},{q})-form found at n={conv.n}")
 
 
 def random_real_pform(conv: FrameConvention, p: int, rng: np.random.Generator) -> np.ndarray:

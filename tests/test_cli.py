@@ -1,5 +1,6 @@
 """CLI: space grammar, commands, formats, exit codes, determinism."""
 
+import functools
 import json
 import os
 import subprocess
@@ -128,6 +129,54 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
+                                        ("--max-degree", "0"), ("--max-degree", "-1")])
+def test_verify_rejects_counts_below_one(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+
+
+def test_package_errors_share_one_base():
+    from calabi_lab import cli, curvature, frames, model_spaces, spectral, weitzenboeck
+    from calabi_lab.errors import CalabiLabError
+
+    assert curvature.NotHermitian is spectral.NotHermitian
+    for exc in (curvature.SymmetryViolation, curvature.NotKaehler, curvature.NotEinstein,
+                spectral.NotHermitian, spectral.ConvergenceFailure, frames.FrameError,
+                cli.SpaceParseError, model_spaces.EinsteinProjectionError,
+                weitzenboeck.NotSymmetric, weitzenboeck.SamplingFailure):
+        assert issubclass(exc, CalabiLabError)
+
+
+def _assert_usage_error(argv, capsys, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_certify_reports_eigensolver_convergence_failure(tmp_path, monkeypatch, capsys):
+    from calabi_lab import cli
+    from calabi_lab.spectral import eigensystem
+
+    monkeypatch.setattr(cli, "eigensystem", functools.partial(eigensystem, max_sweeps=0))
+    tri = [[2.0, 0.0], [0.5, 0.25], [0.0, 0.0], [1.0, 0.0], [0.0, 0.1], [1.5, 0.0]]
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps({"kind": "calabi", "n": 2, "hermitian": tri}))
+    _assert_usage_error(["certify", "--space", f"file:{path}"], capsys, "Jacobi did not reach")
+
+
+def test_certify_reports_einstein_projection_error(monkeypatch, capsys):
+    from calabi_lab import model_spaces as ms
+
+    monkeypatch.setattr(ms, "random_kaehler_einstein", functools.partial(
+        ms.random_kaehler_einstein, tol=0.0, max_iter=1))
+    _assert_usage_error(["certify", "--space", "randomke:n=3,seed=9", "--mode", "ke"],
+                        capsys, "traceless Ricci residual")
 
 
 def test_file_input_calabi(tmp_path):

@@ -1,6 +1,7 @@
 """The Lichnerowicz curvature term and the action estimates."""
 
 import math
+import string
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from calabi_lab.frames import (
 from calabi_lab.model_spaces import chsc, random_kaehler, random_kaehler_einstein
 from calabi_lab.weitzenboeck import (
     NotSymmetric,
+    _exterior_coords,
     achievability_endo,
     achievability_form,
     achievability_ratio,
@@ -49,6 +51,33 @@ from calabi_lab.weitzenboeck import (
 )
 
 RNG = np.random.default_rng(99)
+
+_LETTERS = string.ascii_lowercase
+
+
+def dense_ricl(t, dense_e):
+    """Reference Ric_L(phi) on dense components over the real frame:
+    ``Ric_L(phi)(x_1..x_k) = sum_s sum_j (R(x_s, e_j) phi)(x_1, .., e_j, .., x_k)``
+    summed with einsum over every pair of slots, for a stack of forms."""
+    r = t.components
+    arr = np.asarray(dense_e, dtype=complex)
+    k = arr.ndim - 1
+    out = np.zeros_like(arr)
+    slot = [_LETTERS[12 + i] for i in range(k)]  # m, n, o, ... clear of a/c/d/j/z
+    base = "z" + "".join(slot)
+    for s in range(k):
+        for tt in range(k):
+            if tt == s:
+                # argument substituted at slot s is acted on itself
+                rc = np.einsum("ajjd->ad", r)
+                src = base.replace(slot[s], "d")
+                term = np.einsum(f"ad,{src}->{base.replace(slot[s], 'a')}", rc, arr)
+            else:
+                src = base.replace(slot[s], "j").replace(slot[tt], "d")
+                dst = base.replace(slot[s], "a").replace(slot[tt], "c")
+                term = np.einsum(f"ajcd,{src}->{dst}", r, arr, optimize=True)
+            out -= term
+    return out
 
 
 def random_form(conv, p, q, rng=RNG):
@@ -157,10 +186,30 @@ def test_curvature_term_on_mixed_degree_real_forms():
     dense = random_form(conv, 2, 0, rng).to_dense() + random_form(conv, 1, 1, rng).to_dense()
     dense = dense + dense_conj(dense, conv)
     de = dense_z_to_e(dense, conv)
-    bf = float(np.real(np.sum(ricl_bruteforce(t, de) * de.conj())))
+    bf = float(np.real(np.sum(ricl_bruteforce(t, de) * _exterior_coords(de[None])[0].conj())))
     norms = _batched_norms(_sym2_eigen_endos(conv, spec), dense[None])[:, 0]
     ec = 2.0 * float(np.dot(spec.eigenvalues, norms))
     assert abs(bf - ec) < 1e-9 * max(1.0, abs(bf))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ricl_bruteforce_matches_dense_frame_sum(n):
+    """The full Ric_L(psi) of the exterior-coordinate oracle against the dense
+    einsum frame sum, on Kaehler and general Riemannian tensors and on
+    complex, real and mixed-bidegree forms of every degree k <= min(2n, 5)."""
+    rng = np.random.default_rng(2000 + n)
+    conv = FrameConvention(n)
+    tensors = [random_kaehler(n, 40 + n), random_riemannian(conv, 60 + n)]
+    for k in range(min(conv.dim, 5) + 1):
+        stack_e = dense_z_to_e(_kernel_test_forms(conv, k, rng), conv, k)
+        for t in tensors:
+            got = ricl_bruteforce(t, stack_e, batched=True)
+            assert got.shape == (len(stack_e), math.comb(conv.dim, k))
+            ref = _exterior_coords(dense_ricl(t, stack_e))
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+            single = np.array([ricl_bruteforce(t, form) for form in stack_e])
+            assert np.max(np.abs(single - ref)) <= 1e-12 * scale
 
 
 def test_chsc_curvature_term_closed_form():
