@@ -22,7 +22,6 @@ from .frames import (
     FormPQ,
     FrameConvention,
     RealForm,
-    dense_z_to_e,
     kaehler_bivector,
     lefschetz_adjoint,
     multi_indices,
@@ -170,15 +169,13 @@ def check_curvature_term(n: int, trials: int, seed: int, max_degree: int = 4) ->
     for (p, q) in pairs:
         for _ in range(3):
             forms[p + q].append(wz.random_primitive_real(conv, p, q, rng))
-    stacks = {k: np.array([f.to_dense() for f in fs]) for k, fs in forms.items()}
     worst = 0.0
     for _ in range(trials):
         t = ms.random_kaehler(n, int(rng.integers(2 ** 31)))
         spec = cv.calabi_from_tensor(t).spectrum()
-        for k, stack_z in stacks.items():
-            stack_e = dense_z_to_e(stack_z, conv, k)
-            bf = wz.ricl_pairing_batch(t, stack_e)
-            ec = wz.ricl_via_calabi_batch(spec, conv, stack_z)
+        for same_degree in forms.values():
+            bf = wz.ricl_pairing_batch(t, same_degree)
+            ec = wz.ricl_via_calabi_batch(spec, conv, same_degree)
             worst = max(worst, float(np.max(np.abs(bf - ec) / np.maximum(1.0, np.abs(bf)))))
     return _record("curvature_term_via_calabi", "curvature-term-via-calabi-eigenvalues",
                    worst, TOL_EIGEN, trials=trials)
@@ -186,7 +183,14 @@ def check_curvature_term(n: int, trials: int, seed: int, max_degree: int = 4) ->
 
 def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     """Insertion-norm identity, the hat-norm identity with and without the
-    Lefschetz correction, the su-norm identity, and the u-decomposition."""
+    Lefschetz correction, the su-norm identity, and the u-decomposition.
+
+    The insertion norm ``sum_{a,b} |iota(conj Z_b) iota(Z_a) phi|^2`` goes
+    through the oracle's annihilation operator on the Z-frame coordinates:
+    it maps x_J to ``(-1)^s x_J`` at ``J minus J_s``, which is sqrt(k) times
+    the coordinates of the interior product, so applying it twice carries
+    the factor k(k-1) of the identity.
+    """
     rng = _rng(seed, 7)
     conv = FrameConvention(n)
     om = kaehler_bivector(conv)
@@ -197,10 +201,10 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
         for _ in range(count):
             phi = FormPQ(conv, p, q, {key: complex(rng.standard_normal(), rng.standard_normal())
                                       for key in multi_indices(n, p, q)})
-            dz = phi.to_dense()
             if k >= 2:
-                ins = k * (k - 1) * float(np.sum(np.abs(
-                    dz[np.ix_(range(n, 2 * n), range(n))]) ** 2))
+                once = wz._annihilate(phi.coords("z")[None], 2 * n, k)
+                twice = wz._annihilate(once[0], 2 * n, k - 1)  # [first removed, second]
+                ins = float(np.sum(np.abs(twice[n:, :n]) ** 2))
                 target = p * q * phi.norm_sq()
                 worst = max(worst, abs(ins - target) / max(1.0, target))
             psi = RealForm.symmetrize(phi)
@@ -217,12 +221,12 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
             expect_su = (2 * p * q + k * (n + 1 - k) - (p - q) ** 2 / n) * prim.norm_sq()
             worst = max(worst, abs(su2 - expect_su) / max(1.0, abs(expect_su)))
             u2 = wz.norm_phi_g(prim, "u")
-            om2 = float(wz._batched_norms(om.matrix[None], prim.to_dense()[None])[0, 0])
+            om2 = float(wz._batched_norms(om.matrix[None], prim)[0, 0])
             worst = max(worst, abs(u2 - (om2 / n + su2)) / max(1.0, u2))
             # |L phi|^2 <= (p+q) |L|_u^2 |phi|^2 for L in u(n)
             cmat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             L = EndoC.from_lambda11(conv, cmat)
-            lhs = float(wz._batched_norms(L.matrix[None], prim.to_dense()[None])[0, 0])
+            lhs = float(wz._batched_norms(L.matrix[None], prim)[0, 0])
             bound = k * L.norm_u_sq() * prim.norm_sq()
             worst = max(worst, max(lhs - bound, 0.0) / max(1.0, bound))
     return _record("norm_identities", "insertion-hat-su-norm-identities", worst, TOL_DIRECT)

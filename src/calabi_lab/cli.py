@@ -18,7 +18,9 @@ Spaces are described by a small grammar::
     file:PATH           json input (see schemas/input.schema.json)
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error,
-or a numerical failure (any ``CalabiLabError``).
+or a numerical failure (any ``CalabiLabError``).  A complex dimension above
+``MAX_N`` (``MAX_VERIFY_N`` for ``verify``) is a config error, refused before
+any work.
 """
 
 from __future__ import annotations
@@ -40,6 +42,25 @@ from .report import make_envelope, to_csv, to_json, to_table, validate_report
 from .spectral import eigensystem, k_test
 
 USAGE_ERROR = 2
+
+# Largest complex dimension accepted.  At n = 16 the dense real curvature
+# tensor (2n)^4 is 8.4 MB and one Jacobi solve of the 136 x 136 Calabi matrix
+# takes 2.7 s (n = 24: 42 MB, 15 s, 627 MB peak) on a 2-vCPU VM.
+MAX_N = 16
+# Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
+# whatever --max-degree is: C(14, 7) = 3432 coordinates at n = 7, where
+# verify at full degree takes 32 s and 470 MB peak (--trials 2); at n = 8,
+# C(16, 8) = 12870 and the (4,4) primitive projector alone is 384 MB.
+MAX_VERIFY_N = 7
+
+
+class SizeLimitError(CalabiLabError, ValueError):
+    pass
+
+
+def _require_size(n: int, limit: int = MAX_N) -> None:
+    if n > limit:
+        raise SizeLimitError(f"complex dimension n={n} is above the limit {limit}")
 
 
 class SpaceParseError(CalabiLabError, ValueError):
@@ -80,7 +101,9 @@ def parse_space(text: str, offset: int = 0) -> ms.SpaceDescriptor | dict:
         factors.append(parse_space(inner[start:], offset + start))
         if any(isinstance(f, dict) for f in factors):
             raise SpaceParseError(text, offset, "file: descriptors cannot be product factors")
-        return ms.SpaceDescriptor("product", factors=tuple(factors))
+        desc = ms.SpaceDescriptor("product", factors=tuple(factors))
+        _require_size(desc.complex_dim)
+        return desc
 
     params: dict[str, float] = {}
     if rest:
@@ -107,6 +130,7 @@ def parse_space(text: str, offset: int = 0) -> ms.SpaceDescriptor | dict:
         raise SpaceParseError(text, offset, f"unknown parameters {sorted(params)}")
     desc = ms.SpaceDescriptor(variants[head], n=n, c=c, seed=seed)
     desc.validate()
+    _require_size(n)
     return desc
 
 
@@ -118,6 +142,7 @@ def _load_input_file(path: str) -> dict:
         raise ValueError(f"input file kind must be 'calabi' or 'components', got {kind!r}")
     if not isinstance(data.get("n"), int) or data["n"] < 1:
         raise ValueError("input file needs an integer n >= 1")
+    _require_size(data["n"])
     return data
 
 
@@ -177,18 +202,20 @@ def _space_to_spectrum(space) -> tuple[int, np.ndarray, str]:
 def cmd_verify(args) -> dict:
     import contextlib
 
+    _require_size(args.n, MAX_VERIFY_N)
+    max_degree = args.n if args.max_degree is None else args.max_degree
     bug = cv.inject_sign_bug() if args.inject_sign_bug else contextlib.nullcontext()
     with bug:
-        records = run_verify_suite(args.n, args.trials, args.seed, max_degree=args.max_degree)
+        records = run_verify_suite(args.n, args.trials, args.seed, max_degree=max_degree)
         if args.stress:
-            records.append(stress_probe(args.n, args.seed, max_degree=args.max_degree))
+            records.append(stress_probe(args.n, args.seed, max_degree=max_degree))
     if args.tol_scale != 1.0:
         for r in records:
             if r.get("residual") is not None and r.get("tolerance") is not None:
                 r["tolerance"] = r["tolerance"] * args.tol_scale
                 r["status"] = "pass" if r["residual"] <= r["tolerance"] else "fail"
     config = {"n": args.n, "trials": args.trials, "seed": args.seed,
-              "max_degree": args.max_degree, "tol_scale": args.tol_scale,
+              "max_degree": max_degree, "tol_scale": args.tol_scale,
               "stress": bool(args.stress),
               "inject_sign_bug": bool(args.inject_sign_bug)}
     return make_envelope("verify", config, records)
@@ -337,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, default=3)
     pv.add_argument("--trials", type=_positive_int, default=50)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--max-degree", type=_positive_int, default=4, dest="max_degree")
+    pv.add_argument("--max-degree", type=_positive_int, default=None, dest="max_degree",
+                    help="highest form degree p+q checked (default n)")
     pv.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
                     help="multiply every check tolerance by this factor")
     pv.add_argument("--stress", action="store_true",

@@ -15,10 +15,14 @@ relies on:
   component dot product in either frame;
 * wedge products are alternating sums over all permutations without a
   normalizing factor, so ``|e_1 ^ ... ^ e_k|^2 = k!``;
-* a (p,q)-form is stored either densely (components over the Z-frame) or
-  sparsely as coefficients over the unit-norm generators ``Z^K``; the
-  generator for multi-index ``K = (I, J)`` equals the wedge monomial in
-  the canonical interleaved order divided by ``sqrt((p+q)!)``.
+* a (p,q)-form is stored as coefficients over the unit-norm generators
+  ``Z^K``; the generator for multi-index ``K = (I, J)`` equals the wedge
+  monomial in the canonical interleaved order divided by ``sqrt((p+q)!)``;
+* computations read a k-form through its orthonormal exterior coordinates
+  ``x_J = sqrt(k!) T[J]`` over the sorted k-subsets J of frame indices, in
+  the Z-frame or the real frame, built straight from the coefficients.
+  Dense ``(2n)^k`` components (``to_dense``) are the boundary to
+  multilinear evaluation and to tests.
 
 Endomorphisms act on covariant tensors as derivations,
 ``(L T)(x_1, .., x_k) = - sum_i T(x_1, .., L x_i, .., x_k)``.
@@ -162,62 +166,150 @@ def derivation_action(mat: np.ndarray, arr: np.ndarray, k: int | None = None) ->
     return out
 
 
+def _subset_rank(d: int, subsets: np.ndarray) -> np.ndarray:
+    """Position of each sorted k-subset of ``0..d-1`` (last axis) in the order
+    of ``itertools.combinations(range(d), k)``.
+
+    The subsets before J agree with it up to some slot i and hold a smaller
+    index there; summing their count over i gives
+    ``sum_i C(d - 1 - J_{i-1}, k - i) - C(d - J_i, k - i)`` with ``J_{-1} = -1``.
+    """
+    k = subsets.shape[-1]
+    binom = np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(d + 1)],
+                     dtype=np.intp)
+    prev = np.concatenate([np.full(subsets.shape[:-1] + (1,), -1, dtype=np.intp),
+                           subsets[..., :-1]], axis=-1)
+    width = k - np.arange(k)
+    return np.sum(binom[d - 1 - prev, width] - binom[d - subsets, width], axis=-1)
+
+
+def _subsets(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted k-subsets of ``0..d-1`` in combinations order, ``(C(d, k), k)``,
+    and their ``(C(d, k), d)`` membership mask."""
+    count = math.comb(d, k)
+    subsets = np.array(list(itertools.combinations(range(d), k)), dtype=np.intp).reshape(count, k)
+    occupied = np.zeros((count, d), dtype=bool)
+    np.put_along_axis(occupied, subsets, True, axis=1)
+    return subsets, occupied
+
+
+# entries of the largest gathered operand in derivation_coords (64 MB complex)
+_KERNEL_BLOCK = 1 << 22
+
+
 @lru_cache(maxsize=None)
-def _exterior_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _exterior_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index table of Lambda^k over d frame vectors.
 
-    Returns ``(subsets, flat, pos, sign)``: the sorted k-subsets J of
-    ``0..d-1`` as an ``(N, k)`` array with ``N = C(d, k)``; the flat position
-    of each J in a dense ``(d,)*k`` tensor; and, for each J, slot s and
+    Returns ``(subsets, pos, sign)``: the sorted k-subsets J of ``0..d-1`` as
+    an ``(N, k)`` array with ``N = C(d, k)``; and, for each J, slot s and
     replacement index C, the position ``pos[J, s, C]`` of
     ``sorted(J with J_s -> C)`` with the sign of that sort, which is 0 when C
     repeats another index of J.
     """
-    subsets = list(itertools.combinations(range(d), k))
-    where = {key: i for i, key in enumerate(subsets)}
-    pos = np.zeros((len(subsets), k, d), dtype=np.intp)
-    sign = np.zeros((len(subsets), k, d))
-    for i, key in enumerate(subsets):
-        for s, old in enumerate(key):
-            rest = key[:s] + key[s + 1:]
-            for c in range(d):
-                if c in rest:
-                    continue
-                # sorting moves c past the entries of J strictly between J_s and c
-                lo, hi = min(old, c), max(old, c)
-                crossed = sum(1 for j in rest if lo < j < hi)
-                pos[i, s, c] = where[tuple(sorted(rest + (c,)))]
-                sign[i, s, c] = -1.0 if crossed % 2 else 1.0
-    subset_arr = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
-    flat = np.ravel_multi_index(subset_arr.T, (d,) * k) if k else np.zeros(1, dtype=np.intp)
-    table = (subset_arr, flat, pos, sign)
+    subsets, occupied = _subsets(d, k)
+    count = len(subsets)
+    below = np.concatenate([np.zeros((count, 1), dtype=np.intp),
+                            np.cumsum(occupied, axis=1)], axis=1)  # #{j in J: j < c}
+    pos = np.zeros((count, k, d), dtype=np.intp)
+    sign = np.zeros((count, k, d))
+    replacement = np.arange(d)
+    for s in range(k):
+        old = subsets[:, s:s + 1]
+        new = np.repeat(subsets[:, None, :], d, axis=1)
+        new[:, :, s] = replacement
+        # sorting moves C past the entries of J strictly between J_s and C
+        lo, hi = np.minimum(old, replacement), np.maximum(old, replacement)
+        crossed = np.take_along_axis(below, hi, axis=1) - np.take_along_axis(below, lo + 1, axis=1)
+        repeats = occupied & (replacement != old)
+        pos[:, s] = np.where(repeats, 0, _subset_rank(d, np.sort(new, axis=2)))
+        sign[:, s] = np.where(repeats, 0.0, np.where(np.maximum(crossed, 0) % 2, -1.0, 1.0))
+    table = (subsets, pos, sign)
     for arr in table:  # shared by every caller through the cache
         arr.flags.writeable = False
     return table
 
 
-def derivation_coords(mats: np.ndarray, dense_stack: np.ndarray) -> np.ndarray:
+def derivation_coords(mats: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """Derivation action of a stack of endomorphisms on a stack of k-forms, in
     orthonormal exterior coordinates.
 
-    ``mats`` has shape ``(m, d, d)`` and ``dense_stack`` shape ``(B,) + (d,)*k``;
-    both are written in one frame, either one.  Precondition: the forms are
-    alternating, since only their sorted components ``x_J = sqrt(k!) T[J]``
-    are read.  Returns the ``(m, B, N)`` coordinates
-    ``(L x)_J = -sum_{s,C} L[C, J_s] sign x[pos]`` over the sorted k-subsets J
+    ``mats`` has shape ``(m, d, d)`` and ``x`` holds the ``(B, C(d, k))``
+    coordinates ``x_J = sqrt(k!) T[J]`` of the forms over the sorted
+    k-subsets J; both are written in one frame, either one.  Returns the
+    ``(m, B, N)`` coordinates ``(L x)_J = -sum_{s,C} L[C, J_s] sign x[pos]``
     (see ``_exterior_table``).  Their squared sum is the tensor norm of the
-    dense action, and their dot products are its Hermitian pairings.
+    action, and their dot products are its Hermitian pairings.
     """
     m, d = mats.shape[:2]
-    b, k = dense_stack.shape[0], dense_stack.ndim - 1
-    subsets, flat, pos, sign = _exterior_table(d, k)
-    count = len(flat)
-    x = math.sqrt(math.factorial(k)) * dense_stack.reshape(b, -1)[:, flat]
-    # one batched product per J over the pairs (s, C): L[C, J_s] against sign x[pos]
-    rows = (d * np.arange(d) + subsets[:, :, None]).reshape(count, k * d)
-    coef = np.ascontiguousarray(mats.reshape(m, d * d).T)[rows]
-    src = (x.T[pos] * sign[..., None]).reshape(count, k * d, b)
-    return -np.matmul(coef.transpose(0, 2, 1), src).transpose(1, 2, 0)
+    b = x.shape[0]
+    subsets, pos, sign = _exterior_table(d, k)
+    count = len(subsets)
+    flat = np.ascontiguousarray(mats.reshape(m, d * d).T)
+    xt = np.asarray(x).T
+    out = np.empty((m, b, count), dtype=np.result_type(mats, x, 1.0))
+    # one batched product per J over the pairs (s, C): L[C, J_s] against
+    # sign x[pos], in blocks of J that keep the gathered operands near
+    # _KERNEL_BLOCK entries
+    step = max(1, _KERNEL_BLOCK // max(1, k * d * max(m, b)))
+    for lo in range(0, count, step):
+        block = slice(lo, lo + step)
+        size = min(step, count - lo)
+        rows = (d * np.arange(d) + subsets[block, :, None]).reshape(size, k * d)
+        src = (xt[pos[block]] * sign[block, ..., None]).reshape(size, k * d, b)
+        out[:, :, block] = -np.matmul(flat[rows].transpose(0, 2, 1), src).transpose(1, 2, 0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pair_mixing(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame change of Lambda^k, factored over the pairs {a, a+n}.
+
+    ``conj(P)`` mixes the complexified frame indices a and a+n only among
+    each other, through the block ``[[s, s], [i s, -i s]]`` (s = 1/sqrt2), so
+    its k-th exterior power is the product over a of the maps that change
+    pair a alone.  For pair a and a sorted k-subset J that holds exactly one
+    of a, a+n, the image keeps J or swaps that index for the other one; the
+    swap moves it past the indices of J strictly between a and a+n, which
+    gives the sort sign.  Returns ``(partner, stay, cross)``, each
+    ``(n, C(2n, k))``: pair a maps coordinates by
+    ``y_J = stay[a, J] x_J + cross[a, J] x_{partner[a, J]}``.
+    """
+    d = 2 * n
+    subsets, occupied = _subsets(d, k)
+    s = 1.0 / math.sqrt(2.0)
+    partner = np.tile(np.arange(len(subsets)), (n, 1))
+    stay = np.ones((n, len(subsets)), dtype=complex)
+    cross = np.zeros((n, len(subsets)), dtype=complex)
+    for a in range(n):
+        low, high = occupied[:, a], occupied[:, a + n]
+        crossed = np.sum(occupied[:, a + 1:a + n], axis=1)
+        sort_sign = np.where(crossed % 2, -1.0, 1.0)
+        stay[a, low & high] = -1.0j  # det of the block
+        stay[a, low & ~high] = s
+        stay[a, high & ~low] = -1.0j * s
+        cross[a, low & ~high] = s * sort_sign[low & ~high]
+        cross[a, high & ~low] = 1.0j * s * sort_sign[high & ~low]
+        single = low ^ high
+        swapped = np.sort(np.where(subsets[single] % n == a,
+                                   subsets[single] + np.where(low[single], n, -n)[:, None],
+                                   subsets[single]), axis=1)
+        partner[a, single] = _subset_rank(d, swapped)
+    table = (partner, stay, cross)
+    for arr in table:  # shared by every caller through the cache
+        arr.flags.writeable = False
+    return table
+
+
+def coords_z_to_e(x: np.ndarray, conv: FrameConvention, k: int) -> np.ndarray:
+    """Real-frame exterior coordinates from Z-frame ones, for a ``(B, C(2n, k))``
+    stack: the coordinate form of ``dense_z_to_e``, applied one pair of frame
+    indices at a time (see ``_pair_mixing``)."""
+    partner, stay, cross = _pair_mixing(conv.n, k)
+    y = np.asarray(x, dtype=complex)
+    for a in range(conv.n):
+        y = stay[a] * y + cross[a] * y[:, partner[a]]
+    return y
 
 
 def alternate(arr: np.ndarray) -> np.ndarray:
@@ -292,6 +384,10 @@ class MultiIndexK:
     def overlap(self) -> int:
         return len(set(self.I) & set(self.J))
 
+    def base(self, n: int) -> tuple[int, ...]:
+        """The complexified frame indices (0-based, increasing) of Z^K."""
+        return tuple(i - 1 for i in self.I) + tuple(n + j - 1 for j in self.J)
+
 
 @lru_cache(maxsize=None)
 def multi_indices(n: int, p: int, q: int) -> tuple[MultiIndexK, ...]:
@@ -313,7 +409,7 @@ def generator_dense_basis(n: int, p: int, q: int) -> np.ndarray:
     out = np.zeros((len(keys),) + (2 * n,) * k, dtype=complex)
     norm = 1.0 / math.sqrt(math.factorial(k)) if k else 1.0
     for row, key in enumerate(keys):
-        base = tuple(i - 1 for i in key.I) + tuple(n + j - 1 for j in key.J)
+        base = key.base(n)
         amp = key.interleave_sign() * norm
         if k == 0:
             out[row] = amp
@@ -323,14 +419,44 @@ def generator_dense_basis(n: int, p: int, q: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _z_layout(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z-frame exterior coordinates of the generators: Z^K has the single
+    coordinate ``interleave_sign(K)`` at the position of ``K.base(n)`` among
+    the sorted (p+q)-subsets of ``0..2n-1``.  Returns ``(position, sign)``."""
+    keys = multi_indices(n, p, q)
+    bases = np.array([key.base(n) for key in keys], dtype=np.intp).reshape(len(keys), p + q)
+    table = (_subset_rank(2 * n, bases),
+             np.array([key.interleave_sign() for key in keys], dtype=float))
+    for arr in table:  # shared by every caller through the cache
+        arr.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _conjugation(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugation (p,q) -> (q,p) on coefficient vectors: the (q,p)
+    coefficient of (J, I) is ``(-1)^|I cap J|`` times the conjugate of the
+    (p,q) coefficient of (I, J).  Returns ``(source, sign)`` over the (q,p)
+    multi-indices."""
+    where = {key: i for i, key in enumerate(multi_indices(n, p, q))}
+    keys = multi_indices(n, q, p)
+    table = (np.array([where[MultiIndexK(key.J, key.I)] for key in keys], dtype=np.intp),
+             np.array([-1.0 if key.overlap() % 2 else 1.0 for key in keys]))
+    for arr in table:  # shared by every caller through the cache
+        arr.flags.writeable = False
+    return table
+
+
 class FormPQ:
     """A (p,q)-form as coefficients over the unit-norm generators Z^K.
 
+    The coefficients are held as one vector over ``multi_indices(n, p, q)``.
     Generators are orthonormal for the Hermitian pairing, so
-    ``|phi|^2 = sum_K |phi_K|^2``.  Instances are treated as immutable.
+    ``|phi|^2 = sum_K |phi_K|^2``.  Instances are immutable.
     """
 
-    __slots__ = ("convention", "p", "q", "coeffs", "_dense")
+    __slots__ = ("convention", "p", "q", "_vec", "_dense", "_coords")
 
     def __init__(self, convention: FrameConvention, p: int, q: int,
                  coeffs: dict[MultiIndexK, complex] | None = None):
@@ -340,13 +466,20 @@ class FormPQ:
         self.convention = convention
         self.p = p
         self.q = q
-        self.coeffs = {}
-        for key, val in (coeffs or {}).items():
-            if (key.p, key.q) != (p, q):
-                raise FrameError(f"multi-index {key} has wrong bidegree for ({p},{q})")
-            if val != 0:
-                self.coeffs[key] = complex(val)
+        keys = multi_indices(n, p, q)
+        vec = np.zeros(len(keys), dtype=complex)
+        if coeffs:
+            where = {key: i for i, key in enumerate(keys)}
+            for key, val in coeffs.items():
+                if (key.p, key.q) != (p, q):
+                    raise FrameError(f"multi-index {key} has wrong bidegree for ({p},{q})")
+                if key not in where:
+                    raise FrameError(f"multi-index {key} out of range for n={n}")
+                vec[where[key]] = val
+        vec.flags.writeable = False
+        self._vec = vec
         self._dense = None
+        self._coords = {}
 
     @property
     def degree(self) -> int:
@@ -361,48 +494,76 @@ class FormPQ:
         key = MultiIndexK(tuple(I), tuple(J))
         return cls(convention, key.p, key.q, {key: 1.0})
 
-    def coefficient_vector(self) -> np.ndarray:
+    @property
+    def coeffs(self) -> dict[MultiIndexK, complex]:
+        """The nonzero coefficients by multi-index."""
         keys = multi_indices(self.convention.n, self.p, self.q)
-        return np.array([self.coeffs.get(k, 0.0) for k in keys], dtype=complex)
+        return {key: complex(v) for key, v in zip(keys, self._vec) if v != 0}
+
+    def coefficient_vector(self) -> np.ndarray:
+        """Coefficients over ``multi_indices(n, p, q)``; read-only."""
+        return self._vec
 
     @classmethod
     def from_coefficient_vector(cls, convention: FrameConvention, p: int, q: int,
                                 vec: np.ndarray) -> "FormPQ":
-        keys = multi_indices(convention.n, p, q)
-        if len(vec) != len(keys):
+        form = cls(convention, p, q)
+        vec = np.array(vec, dtype=complex)
+        if vec.shape != form._vec.shape:
             raise FrameError("coefficient vector has wrong length")
-        return cls(convention, p, q, {k: v for k, v in zip(keys, vec) if v != 0})
+        vec.flags.writeable = False
+        form._vec = vec
+        return form
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "FormPQ") -> "FormPQ":
         if (self.p, self.q) != (other.p, other.q):
             raise FrameError("cannot add forms of different bidegree")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return FormPQ(self.convention, self.p, self.q, out)
+        return FormPQ.from_coefficient_vector(self.convention, self.p, self.q,
+                                              self._vec + other._vec)
 
     def __sub__(self, other: "FormPQ") -> "FormPQ":
         return self + other.scaled(-1.0)
 
     def scaled(self, c: complex) -> "FormPQ":
-        return FormPQ(self.convention, self.p, self.q,
-                      {k: c * v for k, v in self.coeffs.items()})
+        return FormPQ.from_coefficient_vector(self.convention, self.p, self.q, c * self._vec)
 
     def conjugate(self) -> "FormPQ":
         """conj(phi) as a (q,p)-form: coeff (J,I) = (-1)^|I cap J| conj(coeff (I,J))."""
-        out: dict[MultiIndexK, complex] = {}
-        for k, v in self.coeffs.items():
-            sign = -1 if k.overlap() % 2 else 1
-            out[MultiIndexK(k.J, k.I)] = sign * np.conj(v)
-        return FormPQ(self.convention, self.q, self.p, out)
+        source, sign = _conjugation(self.convention.n, self.p, self.q)
+        return FormPQ.from_coefficient_vector(self.convention, self.q, self.p,
+                                              sign * self._vec[source].conj())
 
     def norm_sq(self) -> float:
-        return float(sum(abs(v) ** 2 for v in self.coeffs.values()))
+        return float(np.sum(np.abs(self._vec) ** 2))
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self.coeffs.values())
+        return bool(np.all(np.abs(self._vec) <= tol))
+
+    # -- coordinates ------------------------------------------------------------
+
+    def coords(self, frame: str = "z") -> np.ndarray:
+        """Orthonormal exterior coordinates ``x_J = sqrt(k!) T[J]`` over the
+        sorted k-subsets J of the Z-frame (``"z"``) or the real frame
+        (``"e"``), shape ``(C(2n, k),)``; read-only.
+
+        The Z-frame coordinates are a signed scatter of the coefficients (see
+        ``_z_layout``) and the real-frame ones follow by ``coords_z_to_e``.
+        """
+        if frame not in self._coords:
+            n, k = self.convention.n, self.degree
+            if frame == "z":
+                pos, sign = _z_layout(n, self.p, self.q)
+                x = np.zeros(math.comb(2 * n, k), dtype=complex)
+                x[pos] = sign * self._vec
+            elif frame == "e":
+                x = coords_z_to_e(self.coords("z")[None], self.convention, k)[0]
+            else:
+                raise FrameError(f"frame must be 'z' or 'e', got {frame!r}")
+            x.flags.writeable = False
+            self._coords[frame] = x
+        return self._coords[frame]
 
     # -- dense conversion -----------------------------------------------------
 
@@ -410,8 +571,7 @@ class FormPQ:
         """Covariant components over the Z-frame, shape (2n,)*(p+q)."""
         if self._dense is None:
             basis = generator_dense_basis(self.convention.n, self.p, self.q)
-            vec = self.coefficient_vector()
-            self._dense = np.tensordot(vec, basis, axes=(0, 0))
+            self._dense = np.tensordot(self._vec, basis, axes=(0, 0))
         return self._dense
 
     @classmethod
@@ -422,16 +582,13 @@ class FormPQ:
         if dense.ndim != k:
             raise FrameError("dense array rank does not match bidegree")
         root = math.sqrt(math.factorial(k)) if k else 1.0
-        coeffs = {}
-        for key in multi_indices(convention.n, p, q):
-            base = tuple(i - 1 for i in key.I) + tuple(convention.n + j - 1 for j in key.J)
-            val = root * key.interleave_sign() * (dense[base] if k else complex(dense))
-            if val != 0:
-                coeffs[key] = val
-        return cls(convention, p, q, coeffs)
+        vec = [root * key.interleave_sign() * (dense[key.base(convention.n)] if k else complex(dense))
+               for key in multi_indices(convention.n, p, q)]
+        return cls.from_coefficient_vector(convention, p, q, vec)
 
     def __repr__(self) -> str:
-        return f"FormPQ(n={self.convention.n}, p={self.p}, q={self.q}, terms={len(self.coeffs)})"
+        terms = np.count_nonzero(self._vec)
+        return f"FormPQ(n={self.convention.n}, p={self.p}, q={self.q}, terms={terms})"
 
 
 def split_bidegrees(dense: np.ndarray, conv: FrameConvention) -> dict[tuple[int, int], FormPQ]:
@@ -443,7 +600,7 @@ def split_bidegrees(dense: np.ndarray, conv: FrameConvention) -> dict[tuple[int,
         if q > conv.n:
             continue
         part = FormPQ.from_dense(conv, p, q, dense)
-        if part.coeffs:
+        if not part.is_zero():
             out[(p, q)] = part
     return out
 
@@ -460,7 +617,7 @@ class RealForm:
     form must itself be self-conjugate.
     """
 
-    __slots__ = ("phi", "_dense")
+    __slots__ = ("phi", "_dense", "_coords")
 
     def __init__(self, phi: FormPQ, tol: float = 1e-12):
         if phi.p == phi.q:
@@ -470,6 +627,7 @@ class RealForm:
                 raise FrameError("a (p,p) real form must be self-conjugate")
         self.phi = phi
         self._dense = None
+        self._coords = {}
 
     @classmethod
     def symmetrize(cls, phi: FormPQ) -> "RealForm":
@@ -498,6 +656,17 @@ class RealForm:
         if self.p == self.q:
             return self.phi.norm_sq()
         return 2.0 * self.phi.norm_sq()
+
+    def coords(self, frame: str = "z") -> np.ndarray:
+        """Orthonormal exterior coordinates of phi + conj(phi) (of phi when
+        p = q), as ``FormPQ.coords``."""
+        if frame not in self._coords:
+            x = self.phi.coords(frame)
+            if self.p != self.q:
+                x = x + self.phi.conjugate().coords(frame)
+                x.flags.writeable = False
+            self._coords[frame] = x
+        return self._coords[frame]
 
     def to_dense(self) -> np.ndarray:
         if self._dense is None:
@@ -709,27 +878,35 @@ def lefschetz_adjoint(phi: FormPQ) -> FormPQ:
     """Formal adjoint of the Lefschetz map,
     (Lambda phi)(v_1..v_{k-2}) = -i k(k-1) sum_a phi(Z_a, conj Z_a, v_1, ..)."""
     conv = phi.convention
-    k = phi.degree
     if phi.p < 1 or phi.q < 1:
         return FormPQ.zero(conv, max(phi.p - 1, 0), max(phi.q - 1, 0))
-    dense = phi.to_dense()
-    idx = np.arange(conv.n)
-    out = -1.0j * k * (k - 1) * dense[idx, idx + conv.n].sum(axis=0)
-    return FormPQ.from_dense(conv, phi.p - 1, phi.q - 1, out)
+    vec = _lefschetz_matrix(conv.n, phi.p, phi.q) @ phi.coefficient_vector()
+    return FormPQ.from_coefficient_vector(conv, phi.p - 1, phi.q - 1, vec)
 
 
 @lru_cache(maxsize=None)
 def _lefschetz_matrix(n: int, p: int, q: int) -> np.ndarray:
-    """Matrix of the adjoint Lefschetz map on generator coefficients."""
-    conv = FrameConvention(n)
+    """Matrix of the adjoint Lefschetz map on generator coefficients, p, q >= 1.
+
+    Z^K with K = (I, J) has the coordinate ``s(K) = interleave_sign(K)`` at
+    ``K.base(n)``, so the contraction with (Z_a, conj Z_a) leaves, for each
+    a in I and J, ``-i sqrt(k(k-1)) s(K) s(K') sign(perm) Z^K'`` with
+    ``K' = (I - a, J - a)`` and perm the sort of ``(a, n+a) + base(K')``
+    into ``base(K)``.
+    """
     src = multi_indices(n, p, q)
-    dst = multi_indices(n, p - 1, q - 1)
-    dst_pos = {k: i for i, k in enumerate(dst)}
-    mat = np.zeros((len(dst), len(src)), dtype=complex)
+    dst_pos = {key: i for i, key in enumerate(multi_indices(n, p - 1, q - 1))}
+    k = p + q
+    scale = -1.0j * math.sqrt(k * (k - 1))
+    mat = np.zeros((len(dst_pos), len(src)), dtype=complex)
     for col, key in enumerate(src):
-        img = lefschetz_adjoint(FormPQ(conv, p, q, {key: 1.0}))
-        for k2, v in img.coeffs.items():
-            mat[dst_pos[k2], col] = v
+        for a in set(key.I) & set(key.J):
+            rest = MultiIndexK(tuple(i for i in key.I if i != a), tuple(j for j in key.J if j != a))
+            # a - 1 and n + a - 1 pass every index of base(K') below them
+            crossed = sum(1 for b in rest.base(n) if b < a - 1) + sum(
+                1 for b in rest.base(n) if b < n + a - 1)
+            sign = key.interleave_sign() * rest.interleave_sign() * (-1) ** crossed
+            mat[dst_pos[rest], col] = scale * sign
     return mat
 
 

@@ -243,7 +243,7 @@ def random_kaehler_einstein(n: int, seed: int, tol: float = 1e-10,
                             require_kaehler=True)
     else:
         raise EinsteinProjectionError(
-            f"traceless Ricci residual {resid:.3e} after {max_iter} iterations")
+            f"traceless Ricci residual above {tol:g} after {max_iter} iterations")
     ric = ricci(t)
     if not ric.is_einstein:
         raise EinsteinProjectionError("projection finished but Einstein check failed")

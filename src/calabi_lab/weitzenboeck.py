@@ -9,6 +9,10 @@ annihilation operators.  It makes no reference to any operator eigenstructure
 and shares no kernel with the Z-frame derivation action of the eigenvalue
 routes (via the Calabi operator, via the restricted Kaehler operator for
 Einstein tensors), which are checked against it.
+
+Forms enter the public functions as ``FormPQ`` / ``RealForm`` objects, which
+supply their exterior coordinates in either frame, or as dense alternating
+components, which are gathered into coordinates once at entry.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .frames import (
     FrameConvention,
     RealForm,
     alternate,
-    dense_z_to_e,
     derivation_coords,
     lambda2_10_basis_endos,
     lambda11_element,
@@ -117,7 +120,9 @@ def _create(y: np.ndarray, d: int, k: int) -> np.ndarray:
 
 def _exterior_coords(dense_stack: np.ndarray) -> np.ndarray:
     """Orthonormal exterior coordinates ``x_J = sqrt(k!) T[J]`` of a stack of
-    alternating k-tensors over the real frame, shape ``(B, C(d, k))``."""
+    alternating k-tensors ``(B,) + (d,)*k`` in one frame, shape ``(B, C(d, k))``.
+    Precondition: the tensors are alternating, since only the sorted
+    components are read."""
     b, k = dense_stack.shape[0], dense_stack.ndim - 1
     if k == 0:
         return dense_stack.reshape(b, 1)
@@ -125,29 +130,38 @@ def _exterior_coords(dense_stack: np.ndarray) -> np.ndarray:
     return math.sqrt(math.factorial(k)) * dense_stack.reshape(b, -1)[:, flat]
 
 
-def ricl_bruteforce(t: AlgebraicCurvatureTensor, dense_e: np.ndarray,
-                    batched: bool = False) -> np.ndarray:
+def _coords(forms, frame: str, batched: bool) -> tuple[np.ndarray, int]:
+    """``(B, N)`` exterior coordinates in ``frame`` ("z" or "e") and the degree
+    k of: a ``FormPQ`` or ``RealForm`` (B = 1); a sequence of them of one
+    degree; or dense alternating components in that frame, one form or, when
+    ``batched``, a stack with a leading batch axis."""
+    if isinstance(forms, (FormPQ, RealForm)):
+        return forms.coords(frame)[None], forms.degree
+    if isinstance(forms, np.ndarray):
+        arr = np.asarray(forms, dtype=complex)
+        if not batched:
+            arr = arr[None]
+        return _exterior_coords(arr), arr.ndim - 1
+    return np.array([f.coords(frame) for f in forms]), forms[0].degree
+
+
+def ricl_bruteforce(t: AlgebraicCurvatureTensor, x: np.ndarray, k: int) -> np.ndarray:
     """Ric_L(phi) as a literal sum over the real frame, in orthonormal
     exterior coordinates:
     ``Ric_L = -sum_{a,d} Ric_ad e^a iota_d - sum_{a,j,c,d} R_ajcd e^a e^c iota_d iota_j``
     with ``Ric_ad = sum_j R_ajjd``.
 
-    dense_e holds the covariant components of a k-form over e_1..e_{2n}
-    (complex allowed), optionally with one leading batch axis.  Precondition:
-    the components are alternating, since only the sorted ones are read.
-    Returns the ``(C(2n, k),)`` coordinates over the sorted index sets J, or
-    ``(B, C(2n, k))`` when batched; they pair with ``x_J = sqrt(k!) T[J]``.
+    ``x`` holds the ``(B, C(2n, k))`` real-frame coordinates
+    ``x_J = sqrt(k!) T[J]`` of a stack of k-forms (complex allowed) over the
+    sorted index sets J.  Returns the coordinates of ``Ric_L`` of each form,
+    same shape.
     """
     r = t.components
     d = r.shape[0]
-    arr = np.asarray(dense_e, dtype=complex)
-    if not batched:
-        arr = arr[None]
-    b, k = arr.shape[0], arr.ndim - 1
-    x = _exterior_coords(arr)
+    x = np.asarray(x, dtype=complex)
+    b = x.shape[0]
     if k == 0:
-        out = np.zeros_like(x)
-        return out if batched else out[0]
+        return np.zeros_like(x)
     once = _annihilate(x, d, k)  # [b, j, J minus j]
     # e^a-coefficients: sum_d Ric_ad iota_d x, plus sum_c e^c of sum_{j,d} R_ajcd iota_d iota_j x
     coef = np.trace(r, axis1=1, axis2=2) @ once
@@ -155,18 +169,14 @@ def ricl_bruteforce(t: AlgebraicCurvatureTensor, dense_e: np.ndarray,
         twice = _annihilate(once.reshape(b * d, -1), d, k - 1)  # [b*j, d, ...]
         pair = r.transpose(0, 2, 1, 3).reshape(d * d, d * d) @ twice.reshape(b, d * d, -1)
         coef = coef + _create(pair.reshape(b * d, d, -1), d, k - 1).reshape(b, d, -1)
-    out = -_create(coef, d, k)
-    return out if batched else out[0]
+    return -_create(coef, d, k)
 
 
-def _form_dense_e(psi: FormPQ | RealForm) -> np.ndarray:
-    return dense_z_to_e(psi.to_dense(), psi.convention)
-
-
-def ricl_pairing(t: AlgebraicCurvatureTensor, psi: FormPQ | RealForm) -> complex:
-    """g(Ric_L(psi), conj psi) by the brute-force oracle (real for real psi)."""
-    de = _form_dense_e(psi)
-    return complex(np.sum(ricl_bruteforce(t, de) * _exterior_coords(de[None])[0].conj()))
+def ricl_pairing(t: AlgebraicCurvatureTensor, psi: FormPQ | RealForm | np.ndarray) -> complex:
+    """g(Ric_L(psi), conj psi) by the brute-force oracle (real for real psi);
+    a dense psi holds components over the real frame."""
+    x, k = _coords(psi, "e", batched=False)
+    return complex(np.sum(ricl_bruteforce(t, x, k) * x.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +202,7 @@ def ricl_via_calabi(spec: Spectrum, psi: FormPQ | RealForm) -> float:
         raise ValueError("spectrum dimension does not match sym^2 V^{1,0}")
     if spec.eigenvectors is None:
         raise ValueError("eigenvectors required")
-    norms = _batched_norms(_sym2_eigen_endos(conv, spec), psi.to_dense()[None])[:, 0]
+    norms = _batched_norms(_sym2_eigen_endos(conv, spec), psi)[:, 0]
     return float(2.0 * np.dot(spec.eigenvalues, norms))
 
 
@@ -204,27 +214,30 @@ def ricl_via_kaehler_su(lam: float, su_spec: Spectrum, su_endos: np.ndarray,
     """
     conv = phi.convention
     first = lam * (phi.p - phi.q) ** 2 / conv.n * phi.norm_sq()
-    norms = _batched_norms(su_endos, phi.to_dense()[None])[:, 0]
+    norms = _batched_norms(su_endos, phi)[:, 0]
     return float(first + np.dot(su_spec.eigenvalues, norms))
 
 
-def _batched_norms(mats: np.ndarray, dense_stack: np.ndarray) -> np.ndarray:
-    """|Xi_m psi_b|^2 for a stack of endomorphisms and a stack of dense forms."""
-    return np.sum(np.abs(derivation_coords(mats, dense_stack)) ** 2, axis=2)
+def _batched_norms(mats: np.ndarray, forms, frame: str = "z") -> np.ndarray:
+    """|Xi_m psi_b|^2, shape (m, B), for a stack of endomorphisms written in
+    ``frame`` and forms as ``_coords`` takes them (a dense stack in that frame)."""
+    x, k = _coords(forms, frame, batched=True)
+    return np.sum(np.abs(derivation_coords(mats, x, k)) ** 2, axis=2)
 
 
-def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention,
-                          dense_stack: np.ndarray) -> np.ndarray:
-    """Vectorized 2 sum sigma_nu |Sigma_nu psi|^2 over a stack of Z-frame forms."""
+def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention, forms) -> np.ndarray:
+    """Vectorized 2 sum sigma_nu |Sigma_nu psi|^2 over a sequence of forms or a
+    stack of dense Z-frame forms."""
     mats = _sym2_eigen_endos(conv, spec)
-    norms = _batched_norms(mats, dense_stack)
+    norms = _batched_norms(mats, forms)
     return 2.0 * (spec.eigenvalues @ norms)
 
 
-def ricl_pairing_batch(t: AlgebraicCurvatureTensor, dense_e_stack: np.ndarray) -> np.ndarray:
-    """Vectorized brute-force g(Ric_L psi, conj psi) over stacked e-frame forms."""
-    out = ricl_bruteforce(t, dense_e_stack, batched=True)
-    return np.real(np.sum(out * _exterior_coords(dense_e_stack).conj(), axis=1))
+def ricl_pairing_batch(t: AlgebraicCurvatureTensor, forms) -> np.ndarray:
+    """Vectorized brute-force g(Ric_L psi, conj psi) over a sequence of forms or
+    a stack of dense real-frame forms."""
+    x, k = _coords(forms, "e", batched=True)
+    return np.real(np.sum(ricl_bruteforce(t, x, k) * x.conj(), axis=1))
 
 
 def su_eigen_endos(conv: FrameConvention, ksu_spec: Spectrum) -> np.ndarray:
@@ -305,6 +318,10 @@ _FAMILY_NOTES = {
 _REAL_FRAME_TAGS = ("gl", "so", "sym2_real")
 
 
+def _frame_of(tag: str) -> str:
+    return "e" if tag in _REAL_FRAME_TAGS else "z"
+
+
 @lru_cache(maxsize=None)
 def family_mats(n: int, tag: str) -> np.ndarray:
     """Stacked endomorphism matrices of the unitary basis of the tagged algebra."""
@@ -331,25 +348,24 @@ def phi_g(phi: FormPQ | RealForm | np.ndarray, tag: str,
           conv: FrameConvention | None = None) -> PhiG:
     """Derivation family of phi over the unitary basis of the tagged algebra.
 
-    Real-frame algebras (gl, so, sym2_real) expect dense components over the
-    real frame; the complex algebras act on the Z-frame representation.
+    The real-frame algebras (gl, so, sym2_real) act on real-frame coordinates
+    and the complex algebras on Z-frame ones; dense input holds components in
+    the algebra's frame.
     """
     if isinstance(phi, np.ndarray):
         if conv is None:
             raise ValueError("dense input requires the frame convention")
-        dense = np.asarray(phi, dtype=complex)
     else:
         conv = phi.convention
-        dense = phi.to_dense()
-        if tag in _REAL_FRAME_TAGS:
-            dense = dense_z_to_e(dense, conv)
     mats = family_mats(conv.n, tag)
-    return PhiG(tag, derivation_coords(mats, dense[None])[:, 0], _FAMILY_NOTES[tag])
+    x, k = _coords(phi, _frame_of(tag), batched=False)
+    return PhiG(tag, derivation_coords(mats, x, k)[:, 0], _FAMILY_NOTES[tag])
 
 
-def norm_phi_g_batch(tag: str, conv: FrameConvention, dense_stack: np.ndarray) -> np.ndarray:
-    """|psi_b^g|^2 for a stack of dense forms (in the algebra's frame)."""
-    return np.sum(_batched_norms(family_mats(conv.n, tag), dense_stack), axis=0)
+def norm_phi_g_batch(tag: str, conv: FrameConvention, forms) -> np.ndarray:
+    """|psi_b^g|^2 for a sequence of forms or a stack of dense forms (in the
+    algebra's frame)."""
+    return np.sum(_batched_norms(family_mats(conv.n, tag), forms, _frame_of(tag)), axis=0)
 
 
 def norm_phi_g(phi: FormPQ | RealForm | np.ndarray, tag: str,
@@ -453,7 +469,7 @@ def estimate_bound(s: EndoC, psi: RealForm, tol: float = 1e-10) -> EstimateResul
     """|S psi|^2 against (1/2 + min(p,q,sqrt(pq)/2)) |S|^2 |psi|^2, and the
     |psi^{sym2 V^{1,0}}|^2-phrased variant when psi is primitive."""
     p, q = psi.p, psi.q
-    lhs = float(_batched_norms(s.matrix[None], psi.to_dense()[None])[0, 0])
+    lhs = float(_batched_norms(s.matrix[None], psi)[0, 0])
     s_norm = s.norm_sq()
     bound = (0.5 + _min_constant(p, q)) * s_norm * psi.norm_sq()
 
@@ -479,14 +495,13 @@ def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: in
     max_ratio = 0.0
     for _ in range(n_psi):
         psi = random_primitive_real(conv, p, q, rng)
-        dense = psi.to_dense()
         psi_norm = psi.norm_sq()
         hat_norm = norm_phi_g(psi, "sym2_10")
         hats = rng.normal(size=(n_s, n, n)) + 1j * rng.normal(size=(n_s, n, n))
         hats = (hats + hats.transpose(0, 2, 1)) / 2.0
         mats = np.zeros((n_s, conv.dim, conv.dim), dtype=complex)
         mats[:, :n, n:] = hats
-        norms = _batched_norms(mats, dense[None])[:, 0]
+        norms = _batched_norms(mats, psi)[:, 0]
         s_norms = np.sum(np.abs(hats.reshape(n_s, -1)) ** 2, axis=1)
         bound = (0.5 + cmin) * s_norms * psi_norm
         bound_prim = (2.0 + 4.0 * cmin) / denom * s_norms * hat_norm
@@ -540,7 +555,7 @@ def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
     best = 0.0
     for _ in range(restarts):
         psi = random_primitive_real(conv, p, q, rng)
-        acted = derivation_coords(mats, psi.to_dense()[None])[:, 0]
+        acted = derivation_coords(mats, psi.coords("z")[None], psi.degree)[:, 0]
         # |S psi|^2 = vdot(c, gram @ c) for S = sum_mu c_mu u_mu
         gram = (acted.conj() @ acted.T) / psi.norm_sq()
         c = rng.normal(size=m) + 1j * rng.normal(size=m)
@@ -587,10 +602,12 @@ def random_primitive_real(conv: FrameConvention, p: int, q: int,
     """
     from .frames import multi_indices
 
-    keys = multi_indices(conv.n, p, q)
+    size = len(multi_indices(conv.n, p, q))
     for _ in range(16):
-        coeffs = {k: complex(rng.standard_normal(), rng.standard_normal()) for k in keys}
-        phi = project_primitive(FormPQ(conv, p, q, coeffs))
+        # (re, im) pairs in generator order: the scalar draws, in one call
+        raw = rng.standard_normal((size, 2))
+        phi = project_primitive(FormPQ.from_coefficient_vector(
+            conv, p, q, raw[:, 0] + 1j * raw[:, 1]))
         real = RealForm.symmetrize(phi)
         if real.norm_sq() > 1e-8:
             return real

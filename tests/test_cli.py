@@ -147,7 +147,7 @@ def test_package_errors_share_one_base():
     assert curvature.NotHermitian is spectral.NotHermitian
     for exc in (curvature.SymmetryViolation, curvature.NotKaehler, curvature.NotEinstein,
                 spectral.NotHermitian, spectral.ConvergenceFailure, frames.FrameError,
-                cli.SpaceParseError, model_spaces.EinsteinProjectionError,
+                cli.SpaceParseError, cli.SizeLimitError, model_spaces.EinsteinProjectionError,
                 weitzenboeck.NotSymmetric, weitzenboeck.SamplingFailure):
         assert issubclass(exc, CalabiLabError)
 
@@ -177,6 +177,53 @@ def test_certify_reports_einstein_projection_error(monkeypatch, capsys):
         ms.random_kaehler_einstein, tol=0.0, max_iter=1))
     _assert_usage_error(["certify", "--space", "randomke:n=3,seed=9", "--mode", "ke"],
                         capsys, "traceless Ricci residual")
+
+
+def _refuse_work(monkeypatch):
+    """Make every path that builds or solves something fail the test."""
+    from calabi_lab import cli
+    from calabi_lab import model_spaces as ms
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    for owner, name in ((cli, "run_verify_suite"), (cli, "eigensystem"), (ms, "build"),
+                        (cli, "_calabi_matrix_from_input"), (cli, "_tensor_from_input")):
+        monkeypatch.setattr(owner, name, never)
+
+
+def test_verify_refuses_n_above_limit(monkeypatch, capsys):
+    from calabi_lab.cli import MAX_VERIFY_N
+
+    _refuse_work(monkeypatch)
+    _assert_usage_error(["verify", "--n", str(MAX_VERIFY_N + 1), "--max-degree", "1"],
+                        capsys, f"n={MAX_VERIFY_N + 1} is above the limit {MAX_VERIFY_N}")
+
+
+@pytest.mark.parametrize("command", ["certify", "spectrum"])
+def test_space_refuses_n_above_limit(command, monkeypatch, capsys):
+    from calabi_lab.cli import MAX_N
+
+    _refuse_work(monkeypatch)
+    _assert_usage_error([command, "--space", f"random:n={MAX_N + 1},seed=1"],
+                        capsys, f"n={MAX_N + 1} is above the limit {MAX_N}")
+    # a product is limited by its total dimension
+    half = MAX_N // 2 + 1
+    _assert_usage_error([command, "--space", f"product:[chsc:n={half};quadric:n={half}]"],
+                        capsys, f"n={2 * half} is above the limit {MAX_N}")
+
+
+@pytest.mark.parametrize("kind", ["calabi", "components"])
+def test_file_input_refuses_n_above_limit(kind, tmp_path, monkeypatch, capsys):
+    from calabi_lab.cli import MAX_N
+
+    _refuse_work(monkeypatch)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": kind, "n": MAX_N + 1, "hermitian": [], "entries": []}))
+    for argv in (["certify", "--space", f"file:{path}"],
+                 ["certify", "--space", f"file:{path}", "--mode", "ke"],
+                 ["spectrum", "--space", f"file:{path}"]):
+        _assert_usage_error(argv, capsys, f"n={MAX_N + 1} is above the limit {MAX_N}")
 
 
 def test_file_input_calabi(tmp_path):
@@ -330,3 +377,11 @@ def test_verify_tol_scale(tmp_path):
     assert code == 1
     env = json.loads(out.read_text())
     assert env["passed"] is False
+
+
+def test_verify_max_degree_defaults_to_n(tmp_path):
+    out = tmp_path / "v.json"
+    for argv, expect in ((["--n", "3"], 3), (["--n", "3", "--max-degree", "1"], 1)):
+        assert main(["verify", *argv, "--trials", "1", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["max_degree"] == expect

@@ -5,6 +5,7 @@ import pytest
 
 from calabi_lab.curvature import calabi_from_tensor, ricci
 from calabi_lab.model_spaces import (
+    EinsteinProjectionError,
     SpaceDescriptor,
     build,
     chsc,
@@ -116,3 +117,9 @@ def test_random_ke_determinism():
     a = random_kaehler_einstein(2, 9)
     b = random_kaehler_einstein(2, 9)
     assert np.array_equal(a.components, b.components)
+
+
+def test_random_ke_without_iterations_raises_projection_error():
+    # a random tensor is not Einstein, and no projection step is allowed
+    with pytest.raises(EinsteinProjectionError, match="after 0 iterations"):
+        random_kaehler_einstein(2, 9, max_iter=0)

@@ -164,7 +164,7 @@ def test_derivation_coords_match_dense_action(n):
         cases += [(family_mats(n, tag), stack_e) for tag in ("gl", "so", "sym2_real")]
         cases += [(random_z, stack_z), (random_z, stack_e), (rng.normal(size=(2, d, d)), stack_e)]
         for mats, stack in cases:
-            got = derivation_coords(mats, stack).transpose(1, 0, 2)  # (form, m, N)
+            got = derivation_coords(mats, _exterior_coords(stack), k).transpose(1, 0, 2)
             ref = np.array([derivation_action(m, stack, k) for m in mats]).reshape(
                 len(mats), len(stack), d ** k).transpose(1, 0, 2)
             gram = got.conj() @ got.transpose(0, 2, 1)
@@ -176,6 +176,22 @@ def test_derivation_coords_match_dense_action(n):
             assert np.max(np.abs(norms - norms_ref), initial=0.0) <= 1e-12 * scale
 
 
+def test_derivation_coords_in_blocks_match_one_block(monkeypatch):
+    """Blocks of the sorted subsets, down to one subset per block, give the
+    same coordinates as the whole table at once."""
+    from calabi_lab import frames
+
+    rng = np.random.default_rng(77)
+    mats = family_mats(3, "u")
+    for k in (0, 1, 3, 6):
+        x = rng.normal(size=(2, math.comb(6, k))) + 1j * rng.normal(size=(2, math.comb(6, k)))
+        whole = derivation_coords(mats, x, k)
+        for block in (1, 5 * k * 6 * len(mats)):
+            monkeypatch.setattr(frames, "_KERNEL_BLOCK", block)
+            assert np.array_equal(derivation_coords(mats, x, k), whole)
+        monkeypatch.undo()
+
+
 def test_curvature_term_on_mixed_degree_real_forms():
     rng = np.random.default_rng(3)
     conv = FrameConvention(2)
@@ -185,8 +201,8 @@ def test_curvature_term_on_mixed_degree_real_forms():
 
     dense = random_form(conv, 2, 0, rng).to_dense() + random_form(conv, 1, 1, rng).to_dense()
     dense = dense + dense_conj(dense, conv)
-    de = dense_z_to_e(dense, conv)
-    bf = float(np.real(np.sum(ricl_bruteforce(t, de) * _exterior_coords(de[None])[0].conj())))
+    x = _exterior_coords(dense_z_to_e(dense, conv)[None])
+    bf = float(np.real(np.sum(ricl_bruteforce(t, x, 2) * x.conj())))
     norms = _batched_norms(_sym2_eigen_endos(conv, spec), dense[None])[:, 0]
     ec = 2.0 * float(np.dot(spec.eigenvalues, norms))
     assert abs(bf - ec) < 1e-9 * max(1.0, abs(bf))
@@ -203,12 +219,13 @@ def test_ricl_bruteforce_matches_dense_frame_sum(n):
     for k in range(min(conv.dim, 5) + 1):
         stack_e = dense_z_to_e(_kernel_test_forms(conv, k, rng), conv, k)
         for t in tensors:
-            got = ricl_bruteforce(t, stack_e, batched=True)
+            x = _exterior_coords(stack_e)
+            got = ricl_bruteforce(t, x, k)
             assert got.shape == (len(stack_e), math.comb(conv.dim, k))
             ref = _exterior_coords(dense_ricl(t, stack_e))
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale
-            single = np.array([ricl_bruteforce(t, form) for form in stack_e])
+            single = np.array([ricl_bruteforce(t, row[None], k)[0] for row in x])
             assert np.max(np.abs(single - ref)) <= 1e-12 * scale
 
 
