@@ -44,8 +44,9 @@ from .spectral import eigensystem, k_test
 USAGE_ERROR = 2
 
 # Largest complex dimension accepted.  At n = 16 the dense real curvature
-# tensor (2n)^4 is 8.4 MB and one Jacobi solve of the 136 x 136 Calabi matrix
-# takes 2.7 s (n = 24: 42 MB, 15 s, 627 MB peak) on a 2-vCPU VM.
+# tensor (2n)^4 is 8.4 MB, one eigh solve of the 136 x 136 Calabi matrix takes
+# 7 ms and certify --mode ke peaks at 330 MB (n = 24: 42 MB and 33 ms, but
+# building a random tensor peaks at 613 MB) on a 2-vCPU VM.
 MAX_N = 16
 # Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
 # whatever --max-degree is: C(14, 7) = 3432 coordinates at n = 7, where
@@ -306,6 +307,9 @@ def cmd_certify(args) -> dict:
             t = ms.build(space)
             label = space.variant
         n = t.convention.n
+        if n < 2:
+            raise SizeLimitError(f"--mode ke needs complex dimension n >= 2, got n={n}: "
+                                 f"su({n}) is zero-dimensional, so there is no spectrum to test")
         ric = cv.ricci(t)
         ksu = cv.restrict_su(cv.kaehler_operator(t), ric)
         cert = ct.certify_ke(ksu.spectrum(), n, eps=eps)

@@ -869,11 +869,6 @@ def endo_act(L: EndoC, phi: FormPQ) -> dict[tuple[int, int], FormPQ]:
     return split_bidegrees(L.act_dense(phi.to_dense()), phi.convention)
 
 
-def endo_act_single(L: EndoC, phi: FormPQ, p: int, q: int) -> FormPQ:
-    """Derivation action when the output bidegree is known (e.g. S in sym^2 V^{1,0})."""
-    return FormPQ.from_dense(phi.convention, p, q, L.act_dense(phi.to_dense()))
-
-
 def lefschetz_adjoint(phi: FormPQ) -> FormPQ:
     """Formal adjoint of the Lefschetz map,
     (Lambda phi)(v_1..v_{k-2}) = -i k(k-1) sum_a phi(Z_a, conj Z_a, v_1, ..)."""

@@ -1,10 +1,10 @@
 """Hermitian eigendecomposition, fractional k-positivity tests, and the
 weight principle for weighted eigenvalue sums.
 
-The eigensolver is a self-contained cyclic Jacobi iteration for Hermitian
-matrices (off-diagonal norm threshold 1e-13 * ||H||_F, cap 100 sweeps), with
-a deterministic ordering: ascending eigenvalue, columns phase-fixed so the
-largest-magnitude entry is real positive, ties broken lexicographically.
+The eigensolver is LAPACK's Hermitian driver (numpy.linalg.eigh) on the
+matrix prescaled by max|H|.  Eigenvalues come out ascending, and each
+eigenvector column is phase-fixed so its largest-magnitude entry is real
+positive; with BLAS pinned to one thread the output is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-10
-OFFDIAG_FACTOR = 1e-13
-MAX_SWEEPS = 100
 
 
 class NotHermitian(CalabiLabError, ValueError):
@@ -53,13 +51,6 @@ class Spectrum:
     @property
     def size(self) -> int:
         return len(self.eigenvalues)
-
-    def scaled(self, c: float) -> "Spectrum":
-        vals = self.eigenvalues * c
-        vecs = self.eigenvectors
-        if c < 0:
-            vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
-        return Spectrum(vals, vecs, self.source)
 
 
 @dataclass(frozen=True)
@@ -84,7 +75,7 @@ class WeightBound:
 
 
 # ---------------------------------------------------------------------------
-# cyclic Jacobi for Hermitian matrices
+# Hermitian eigendecomposition
 # ---------------------------------------------------------------------------
 
 def require_finite(arr: np.ndarray, what: str) -> None:
@@ -93,11 +84,11 @@ def require_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has non-finite entries (NaN or infinity)")
 
 
-def eigensystem(H: np.ndarray, source: str = "", max_sweeps: int = MAX_SWEEPS) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eigensystem(H: np.ndarray, source: str = "") -> Spectrum:
+    """Full eigendecomposition of a Hermitian matrix by LAPACK (numpy eigh).
 
-    The rotations run on H / max|H|, so that no norm overflows or underflows
-    at any finite scale; the eigenvalues are scaled back at the end.
+    The solve runs on H / max|H|, so that no norm overflows or underflows at
+    any finite scale; the eigenvalues are scaled back at the end.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -107,74 +98,14 @@ def eigensystem(H: np.ndarray, source: str = "", max_sweeps: int = MAX_SWEEPS) -
     if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * max(1.0, peak):
         raise NotHermitian("matrix is not Hermitian within tolerance")
 
-    m = H.shape[0]
     unit = peak if peak > 0.0 else 1.0
     A = H / unit
     A = 0.5 * (A + A.conj().T)
-    V = np.eye(m, dtype=complex)
-    norm = np.linalg.norm(A)
-    threshold = OFFDIAG_FACTOR * max(norm, 1e-300)
-
-    for _ in range(max_sweeps):
-        if _offdiag_norm(A) <= threshold:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if abs(apq) <= threshold / max(m, 1):
-                    continue
-                _rotate(A, V, p, q)
-    else:
-        if _offdiag_norm(A) > threshold:
-            raise ConvergenceFailure(
-                f"Jacobi did not reach off-diagonal norm {threshold:g} in {max_sweeps} sweeps")
-
-    vals = unit * np.real(np.diag(A))
-    vecs = _phase_fix(V)
-    order = _deterministic_order(vals, vecs)
-    return Spectrum(vals[order], np.ascontiguousarray(vecs[:, order]), source)
-
-
-def _offdiag_norm(A: np.ndarray) -> float:
-    off = A - np.diag(np.diag(A))
-    return float(np.linalg.norm(off))
-
-
-def _rotate(A: np.ndarray, V: np.ndarray, p: int, q: int) -> None:
-    """One complex Jacobi rotation zeroing A[p, q] in place.
-
-    Factoring the phase of A[p, q] into diag(1, conj(phase)) reduces the
-    2x2 block to the real symmetric [[a_pp, |a_pq|], [|a_pq|, a_qq]]; the
-    small-angle root of t^2 - 2 tau t - 1 = 0 with tau = (a_qq - a_pp)/2|a_pq|
-    then zeroes the pivot.
-    """
-    apq = A[p, q]
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (A[q, q].real - A[p, p].real) / (2.0 * mag)
-    if tau == 0.0:
-        t = 1.0
-    else:
-        # small-magnitude root of t^2 - 2 tau t - 1 = 0, cancellation-free form
-        t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.hypot(1.0, t)
-    s = t * c
-
-    # U = [[c, -s], [conj(phase) s, conj(phase) c]] acting on columns (p, q)
-    colp, colq = A[:, p].copy(), A[:, q].copy()
-    A[:, p] = c * colp + np.conj(phase) * s * colq
-    A[:, q] = -s * colp + np.conj(phase) * c * colq
-    rowp, rowq = A[p, :].copy(), A[q, :].copy()
-    A[p, :] = c * rowp + phase * s * rowq
-    A[q, :] = -s * rowp + phase * c * rowq
-    A[p, q] = 0.0
-    A[q, p] = 0.0
-    A[p, p] = A[p, p].real
-    A[q, q] = A[q, q].real
-
-    colp, colq = V[:, p].copy(), V[:, q].copy()
-    V[:, p] = c * colp + np.conj(phase) * s * colq
-    V[:, q] = -s * colp + np.conj(phase) * c * colq
+    try:
+        vals, vecs = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Hermitian eigensolve did not converge (LAPACK: {exc})") from None
+    return Spectrum(unit * vals, _phase_fix(vecs), source)
 
 
 def _phase_fix(V: np.ndarray) -> np.ndarray:
@@ -185,17 +116,6 @@ def _phase_fix(V: np.ndarray) -> np.ndarray:
         if abs(col[i]) > 0:
             out[:, j] = col * (np.conj(col[i]) / abs(col[i]))
     return out
-
-
-def _deterministic_order(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    # exact eigenvalue is the primary key (so the output is truly ascending);
-    # bitwise ties are broken lexicographically by the phase-fixed vectors
-    keys = []
-    for r in range(vecs.shape[0] - 1, -1, -1):
-        keys.append(np.round(vecs[r, :].imag, 9))
-        keys.append(np.round(vecs[r, :].real, 9))
-    keys.append(vals)
-    return np.lexsort(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +191,7 @@ def weight_principle(s: Spectrum | Sequence[float], weights: Sequence[float],
 # Takagi factorization of complex symmetric matrices
 # ---------------------------------------------------------------------------
 
-def takagi(A: np.ndarray, tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
+def takagi(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorization A = W diag(rho) W^T, rho >= 0 descending, W unitary.
 
     Reduces to the real symmetric eigenproblem of [[X, Y], [Y, -X]] where

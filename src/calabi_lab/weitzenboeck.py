@@ -200,8 +200,6 @@ def ricl_via_calabi(spec: Spectrum, psi: FormPQ | RealForm) -> float:
     conv = psi.convention
     if spec.size != conv.n * (conv.n + 1) // 2:
         raise ValueError("spectrum dimension does not match sym^2 V^{1,0}")
-    if spec.eigenvectors is None:
-        raise ValueError("eigenvectors required")
     norms = _batched_norms(_sym2_eigen_endos(conv, spec), psi)[:, 0]
     return float(2.0 * np.dot(spec.eigenvalues, norms))
 

@@ -160,14 +160,14 @@ def _assert_usage_error(argv, capsys, message):
 
 
 def test_certify_reports_eigensolver_convergence_failure(tmp_path, monkeypatch, capsys):
-    from calabi_lab import cli
-    from calabi_lab.spectral import eigensystem
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(cli, "eigensystem", functools.partial(eigensystem, max_sweeps=0))
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     tri = [[2.0, 0.0], [0.5, 0.25], [0.0, 0.0], [1.0, 0.0], [0.0, 0.1], [1.5, 0.0]]
     path = tmp_path / "cal.json"
     path.write_text(json.dumps({"kind": "calabi", "n": 2, "hermitian": tri}))
-    _assert_usage_error(["certify", "--space", f"file:{path}"], capsys, "Jacobi did not reach")
+    _assert_usage_error(["certify", "--space", f"file:{path}"], capsys, "eigensolve did not converge")
 
 
 def test_certify_reports_einstein_projection_error(monkeypatch, capsys):
@@ -177,6 +177,12 @@ def test_certify_reports_einstein_projection_error(monkeypatch, capsys):
         ms.random_kaehler_einstein, tol=0.0, max_iter=1))
     _assert_usage_error(["certify", "--space", "randomke:n=3,seed=9", "--mode", "ke"],
                         capsys, "traceless Ricci residual")
+
+
+@pytest.mark.parametrize("space", ["chsc:n=1", "flat:k=1"])
+def test_certify_ke_refuses_n_below_two(space, capsys):
+    _assert_usage_error(["certify", "--space", space, "--mode", "ke"], capsys,
+                        "su(1) is zero-dimensional")
 
 
 def _refuse_work(monkeypatch):

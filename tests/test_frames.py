@@ -20,7 +20,6 @@ from calabi_lab.frames import (
     _lefschetz_matrix,
     _perm_sign,
     endo_act,
-    endo_act_single,
     evaluate_form,
     kaehler_bivector,
     lefschetz_adjoint,
