@@ -220,13 +220,15 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
             su2 = wz.norm_phi_g(prim, "su")
             expect_su = (2 * p * q + k * (n + 1 - k) - (p - q) ** 2 / n) * prim.norm_sq()
             worst = max(worst, abs(su2 - expect_su) / max(1.0, abs(expect_su)))
-            u2 = wz.norm_phi_g(prim, "u")
+            u_fam = wz.phi_g(prim, "u")
+            u2 = u_fam.norm_sq()
             om2 = float(wz._batched_norms(om.matrix[None], prim)[0, 0])
             worst = max(worst, abs(u2 - (om2 / n + su2)) / max(1.0, u2))
-            # |L phi|^2 <= (p+q) |L|_u^2 |phi|^2 for L in u(n)
+            # |L phi|^2 <= (p+q) |L|_u^2 |phi|^2 for L in u(n); L is
+            # sum_ab cmat[a, b] Z_a ^ conj(Z_b), so L phi mixes the u actions
             cmat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             L = EndoC.from_lambda11(conv, cmat)
-            lhs = float(wz._batched_norms(L.matrix[None], prim)[0, 0])
+            lhs = float(np.sum(np.abs(cmat.reshape(-1) @ u_fam.parts) ** 2))
             bound = k * L.norm_u_sq() * prim.norm_sq()
             worst = max(worst, max(lhs - bound, 0.0) / max(1.0, bound))
     return _record("norm_identities", "insertion-hat-su-norm-identities", worst, TOL_DIRECT)

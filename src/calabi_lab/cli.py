@@ -50,8 +50,10 @@ USAGE_ERROR = 2
 MAX_N = 16
 # Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
 # whatever --max-degree is: C(14, 7) = 3432 coordinates at n = 7, where
-# verify at full degree takes 32 s and 470 MB peak (--trials 2); at n = 8,
-# C(16, 8) = 12870 and the (4,4) primitive projector alone is 384 MB.
+# verify at full degree takes 4.4 s and 349 MB peak (--trials 2, 2-vCPU VM).
+# That peak is the brute-force oracle on the degree-7 forms (tracemalloc:
+# 254 MB for 12 forms); its twice-annihilated stack holds d^2 C(d, k-2)
+# entries per form, which at n = 8, k = 8 is 33 MB per form.
 MAX_VERIFY_N = 7
 
 

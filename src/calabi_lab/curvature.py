@@ -403,15 +403,16 @@ def random_riemannian(convention: FrameConvention, seed) -> AlgebraicCurvatureTe
     """
     rng = np.random.default_rng(seed)
     d = convention.dim
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    m = rng.normal(size=(len(pairs), len(pairs)))
+    i, j = np.triu_indices(d, 1)
+    m = rng.normal(size=(len(i), len(i)))
     m = 0.5 * (m + m.T)
+    # r[i, j, k, l] = m[mu, nu] for the pairs nu = (i, j), mu = (k, l), i < j,
+    # k < l, and antisymmetric in each pair
+    i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
     r = np.zeros((d,) * 4)
-    for nu, (i, j) in enumerate(pairs):
-        for mu, (k, l) in enumerate(pairs):
-            val = m[mu, nu]
-            for (a, b, sa) in ((i, j, 1.0), (j, i, -1.0)):
-                for (c, e, sc) in ((k, l, 1.0), (l, k, -1.0)):
-                    r[a, b, c, e] = sa * sc * val
+    r[i, j, k, l] = m.T
+    r[j, i, k, l] = -m.T
+    r[i, j, l, k] = -m.T
+    r[j, i, l, k] = m.T
     bianchi_part = (r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)) / 3.0
     return validate_tensor(r - bianchi_part, convention)

@@ -193,38 +193,34 @@ def _subsets(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return subsets, occupied
 
 
-# entries of the largest gathered operand in derivation_coords (64 MB complex)
-_KERNEL_BLOCK = 1 << 22
-
-
 @lru_cache(maxsize=None)
 def _exterior_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index table of Lambda^k over d frame vectors.
+    """Index table of Lambda^k over d frame vectors, k >= 1, by frame index.
 
-    Returns ``(subsets, pos, sign)``: the sorted k-subsets J of ``0..d-1`` as
-    an ``(N, k)`` array with ``N = C(d, k)``; and, for each J, slot s and
-    replacement index C, the position ``pos[J, s, C]`` of
-    ``sorted(J with J_s -> C)`` with the sign of that sort, which is 0 when C
+    Returns ``(holders, pos, sign)``: for each index A, the positions
+    ``holders[A]`` of the ``M = C(d-1, k-1)`` sorted k-subsets J that contain
+    A, increasing, as a ``(d, M)`` array; and for the i-th of them and each
+    replacement index C, the position ``pos[A, i, C]`` of
+    ``sorted(J with A -> C)`` with the sign of that sort, which is 0 when C
     repeats another index of J.
     """
     subsets, occupied = _subsets(d, k)
-    count = len(subsets)
-    below = np.concatenate([np.zeros((count, 1), dtype=np.intp),
+    below = np.concatenate([np.zeros((len(subsets), 1), dtype=np.intp),
                             np.cumsum(occupied, axis=1)], axis=1)  # #{j in J: j < c}
-    pos = np.zeros((count, k, d), dtype=np.intp)
-    sign = np.zeros((count, k, d))
-    replacement = np.arange(d)
-    for s in range(k):
-        old = subsets[:, s:s + 1]
-        new = np.repeat(subsets[:, None, :], d, axis=1)
-        new[:, :, s] = replacement
-        # sorting moves C past the entries of J strictly between J_s and C
-        lo, hi = np.minimum(old, replacement), np.maximum(old, replacement)
-        crossed = np.take_along_axis(below, hi, axis=1) - np.take_along_axis(below, lo + 1, axis=1)
-        repeats = occupied & (replacement != old)
-        pos[:, s] = np.where(repeats, 0, _subset_rank(d, np.sort(new, axis=2)))
-        sign[:, s] = np.where(repeats, 0.0, np.where(np.maximum(crossed, 0) % 2, -1.0, 1.0))
-    table = (subsets, pos, sign)
+    index, holders = np.nonzero(occupied.T)  # grouped by A, J increasing
+    held = subsets[holders]
+    pos = np.zeros((len(holders), d), dtype=np.intp)
+    sign = np.zeros((len(holders), d))
+    for c in range(d):
+        # sorting moves C past the entries of J strictly between A and C
+        lo, hi = np.minimum(index, c), np.maximum(index, c)
+        crossed = below[holders, hi] - below[holders, lo + 1]
+        repeats = occupied[holders, c] & (index != c)
+        new = np.sort(np.where(held == index[:, None], c, held), axis=1)
+        pos[:, c] = np.where(repeats, 0, _subset_rank(d, new))
+        sign[:, c] = np.where(repeats, 0.0, np.where(np.maximum(crossed, 0) % 2, -1.0, 1.0))
+    m = math.comb(d - 1, k - 1)
+    table = (holders.reshape(d, m), pos.reshape(d, m, d), sign.reshape(d, m, d))
     for arr in table:  # shared by every caller through the cache
         arr.flags.writeable = False
     return table
@@ -237,28 +233,31 @@ def derivation_coords(mats: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     ``mats`` has shape ``(m, d, d)`` and ``x`` holds the ``(B, C(d, k))``
     coordinates ``x_J = sqrt(k!) T[J]`` of the forms over the sorted
     k-subsets J; both are written in one frame, either one.  Returns the
-    ``(m, B, N)`` coordinates ``(L x)_J = -sum_{s,C} L[C, J_s] sign x[pos]``
+    ``(m, B, N)`` coordinates ``(L x)_J = -sum_{A in J, C} L[C, A] sign x[pos]``
     (see ``_exterior_table``).  Their squared sum is the tensor norm of the
     action, and their dot products are its Hermitian pairings.
+
+    The work runs over the nonzero entries ``L[C, A]`` of the stack, each
+    against the ``C(d-1, k-1)`` subsets J that contain A, so a stack of
+    sparse basis elements costs a few gathers per entry; act with a basis and
+    mix the results rather than pass dense elements.
     """
     m, d = mats.shape[:2]
     b = x.shape[0]
-    subsets, pos, sign = _exterior_table(d, k)
-    count = len(subsets)
-    flat = np.ascontiguousarray(mats.reshape(m, d * d).T)
-    xt = np.asarray(x).T
-    out = np.empty((m, b, count), dtype=np.result_type(mats, x, 1.0))
-    # one batched product per J over the pairs (s, C): L[C, J_s] against
-    # sign x[pos], in blocks of J that keep the gathered operands near
-    # _KERNEL_BLOCK entries
-    step = max(1, _KERNEL_BLOCK // max(1, k * d * max(m, b)))
-    for lo in range(0, count, step):
-        block = slice(lo, lo + step)
-        size = min(step, count - lo)
-        rows = (d * np.arange(d) + subsets[block, :, None]).reshape(size, k * d)
-        src = (xt[pos[block]] * sign[block, ..., None]).reshape(size, k * d, b)
-        out[:, :, block] = -np.matmul(flat[rows].transpose(0, 2, 1), src).transpose(1, 2, 0)
-    return out
+    count = math.comb(d, k)
+    dtype = np.result_type(mats, x, 1.0)
+    if k == 0:
+        return np.zeros((m, b, count), dtype=dtype)
+    holders, pos, sign = _exterior_table(d, k)
+    mu, c, a = np.nonzero(mats)
+    # entry (mu, C, A) sends -L[C, A] sign x[pos] to (mu, J) for every J holding A
+    src = np.asarray(x)[:, pos[a, :, c]] * (-mats[mu, c, a][:, None] * sign[a, :, c])
+    dst = ((mu[:, None] * b + np.arange(b)[:, None, None]) * count + holders[a]).ravel()
+    size = m * b * count
+    out = np.bincount(dst, src.real.ravel(), size)
+    if np.iscomplexobj(src):
+        out = out + 1j * np.bincount(dst, src.imag.ravel(), size)
+    return out.reshape(m, b, count).astype(dtype, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -905,20 +904,31 @@ def _lefschetz_matrix(n: int, p: int, q: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def _primitive_projector(n: int, p: int, q: int) -> np.ndarray:
-    """Orthogonal projector onto ker(Lambda) in generator coordinates."""
-    dim = len(multi_indices(n, p, q))
+def _primitive_part(n: int, p: int, q: int, coeffs: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of (p,q) generator coefficients (last axis) onto
+    ker(Lambda), for p + q = k <= n.
+
+    On these coefficients Lambda* Lambda has the eigenvalue
+    ``k(k-1) r (n-k+r+1)`` on the piece L^r P^{p-r,q-r} of the Lefschetz
+    decomposition, r = 0..min(p,q); the product of the factors
+    ``I - Lambda* Lambda / eigenvalue`` over r >= 1 keeps the r = 0 piece,
+    ker(Lambda), alone.
+    """
     if p < 1 or q < 1:
-        return np.eye(dim)
+        return coeffs
     lam = _lefschetz_matrix(n, p, q)
-    return np.eye(dim) - np.linalg.pinv(lam, rcond=1e-12) @ lam
+    k = p + q
+    for r in range(1, min(p, q) + 1):
+        # Lambda* Lambda on each row c is conj(conj(c Lambda^T) Lambda)
+        gram_c = ((coeffs @ lam.T).conj() @ lam).conj()
+        coeffs = coeffs - gram_c / (k * (k - 1) * r * (n - k + r + 1))
+    return coeffs
 
 
 def project_primitive(phi: FormPQ) -> FormPQ:
     """Orthogonal projection onto the primitive (ker Lambda) subspace."""
-    if phi.degree > phi.convention.n:
+    n = phi.convention.n
+    if phi.degree > n:
         raise FrameError("primitive projection requires p + q <= n")
-    proj = _primitive_projector(phi.convention.n, phi.p, phi.q)
     return FormPQ.from_coefficient_vector(
-        phi.convention, phi.p, phi.q, proj @ phi.coefficient_vector())
+        phi.convention, phi.p, phi.q, _primitive_part(n, phi.p, phi.q, phi.coefficient_vector()))

@@ -93,6 +93,8 @@ def eigensystem(H: np.ndarray, source: str = "") -> Spectrum:
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {H.shape}")
+    if H.size == 0:
+        raise NotHermitian("expected a nonempty matrix, got the empty 0 x 0 matrix")
     require_finite(H, "matrix")
     peak = float(np.max(np.abs(H)))
     if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * max(1.0, peak):

@@ -39,6 +39,7 @@ from .frames import (
     project_primitive,
     su_basis_endos,
     sym2_basis_endos,
+    sym2_basis_labels,
     sym2_element,
     u_basis_endos,
 )
@@ -200,7 +201,7 @@ def ricl_via_calabi(spec: Spectrum, psi: FormPQ | RealForm) -> float:
     conv = psi.convention
     if spec.size != conv.n * (conv.n + 1) // 2:
         raise ValueError("spectrum dimension does not match sym^2 V^{1,0}")
-    norms = _batched_norms(_sym2_eigen_endos(conv, spec), psi)[:, 0]
+    norms = _mixed_norms(conv, "sym2_10", spec.eigenvectors, psi)[:, 0]
     return float(2.0 * np.dot(spec.eigenvalues, norms))
 
 
@@ -209,10 +210,20 @@ def ricl_via_kaehler_su(lam: float, su_spec: Spectrum, su_endos: np.ndarray,
     """Curvature term of an Einstein tensor on a primitive (p,q)-form via the
     restricted Kaehler operator:
     g(Ric_L phi, conj phi) = lam (p-q)^2 / n |phi|^2 + sum_a lam_a |Xi_a phi|^2.
+
+    The eigen-elements ``su_endos`` (as ``su_eigen_endos`` returns them) must
+    lie in u(n): their coordinates over the unitary basis mix its actions.
     """
     conv = phi.convention
-    first = lam * (phi.p - phi.q) ** 2 / conv.n * phi.norm_sq()
-    norms = _batched_norms(su_endos, phi)[:, 0]
+    n = conv.n
+    su_endos = np.asarray(su_endos)
+    # Z_a ^ conj(Z_b) has -1 at [a, b]: L = sum_ab -L[a, b] Z_a ^ conj(Z_b) on u(n)
+    mix = -su_endos[:, :n, :n].reshape(-1, n * n).T
+    off = np.tensordot(mix, family_mats(n, "u"), axes=(0, 0)) - su_endos
+    if np.max(np.abs(off), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(su_endos), initial=0.0)):
+        raise ValueError("su_endos must be elements of u(n)")
+    first = lam * (phi.p - phi.q) ** 2 / n * phi.norm_sq()
+    norms = _mixed_norms(conv, "u", mix, phi)[:, 0]
     return float(first + np.dot(su_spec.eigenvalues, norms))
 
 
@@ -223,12 +234,21 @@ def _batched_norms(mats: np.ndarray, forms, frame: str = "z") -> np.ndarray:
     return np.sum(np.abs(derivation_coords(mats, x, k)) ** 2, axis=2)
 
 
+def _mixed_norms(conv: FrameConvention, tag: str, mix: np.ndarray, forms) -> np.ndarray:
+    """|Xi_nu psi_b|^2, shape (m', B), for the elements
+    ``Xi_nu = sum_mu mix[mu, nu] u_mu`` over the unitary basis u_mu of a
+    Z-frame algebra, and forms as ``_coords`` takes them.  The sparse basis
+    acts once and its actions are mixed, which costs far less than acting
+    with the dense elements."""
+    x, k = _coords(forms, "z", batched=True)
+    acted = derivation_coords(family_mats(conv.n, tag), x, k)
+    return np.sum(np.abs(np.tensordot(mix, acted, axes=(0, 0))) ** 2, axis=2)
+
+
 def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention, forms) -> np.ndarray:
     """Vectorized 2 sum sigma_nu |Sigma_nu psi|^2 over a sequence of forms or a
     stack of dense Z-frame forms."""
-    mats = _sym2_eigen_endos(conv, spec)
-    norms = _batched_norms(mats, forms)
-    return 2.0 * (spec.eigenvalues @ norms)
+    return 2.0 * (spec.eigenvalues @ _mixed_norms(conv, "sym2_10", spec.eigenvectors, forms))
 
 
 def ricl_pairing_batch(t: AlgebraicCurvatureTensor, forms) -> np.ndarray:
@@ -481,6 +501,17 @@ def estimate_bound(s: EndoC, psi: RealForm, tol: float = 1e-10) -> EstimateResul
     return EstimateResult(lhs, bound, bound_prim, lhs <= bound + tol * scale)
 
 
+def _sym2_scores(parts: np.ndarray, hats: np.ndarray) -> np.ndarray:
+    """|S psi|^2 for the sym^2 V^{1,0} elements S with hat matrices ``hats``
+    (n_s, n, n), from the actions ``parts`` of the unit basis on psi (the
+    ``PhiG.parts`` of the sym2_10 family): ``c* G c`` over the unit-basis
+    coordinates c of S, against the Gram matrix G of those actions."""
+    gram = parts.conj() @ parts.T
+    a, b = np.array(sym2_basis_labels(hats.shape[1])).T - 1
+    c = hats[:, a, b] * np.where(a == b, 1.0, math.sqrt(2.0))
+    return np.real(np.sum(c.conj() * (c @ gram.T), axis=1))
+
+
 def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: int,
                       rng: np.random.Generator, tol: float = 1e-10) -> dict:
     """Random-pair stress test of the main estimate: n_psi primitive real forms
@@ -494,12 +525,11 @@ def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: in
     for _ in range(n_psi):
         psi = random_primitive_real(conv, p, q, rng)
         psi_norm = psi.norm_sq()
-        hat_norm = norm_phi_g(psi, "sym2_10")
+        fam = phi_g(psi, "sym2_10")
+        hat_norm = fam.norm_sq()
         hats = rng.normal(size=(n_s, n, n)) + 1j * rng.normal(size=(n_s, n, n))
         hats = (hats + hats.transpose(0, 2, 1)) / 2.0
-        mats = np.zeros((n_s, conv.dim, conv.dim), dtype=complex)
-        mats[:, :n, n:] = hats
-        norms = _batched_norms(mats, psi)[:, 0]
+        norms = _sym2_scores(fam.parts, hats)
         s_norms = np.sum(np.abs(hats.reshape(n_s, -1)) ** 2, axis=1)
         bound = (0.5 + cmin) * s_norms * psi_norm
         bound_prim = (2.0 + 4.0 * cmin) / denom * s_norms * hat_norm

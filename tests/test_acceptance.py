@@ -26,7 +26,7 @@ from calabi_lab.frames import (
     kaehler_bivector,
     multi_indices,
 )
-from calabi_lab.frames import _lefschetz_matrix, _primitive_projector
+from calabi_lab.frames import _lefschetz_matrix, _primitive_part
 
 
 def _report(cid: str, ok: bool, detail: str) -> None:
@@ -147,8 +147,7 @@ def test_criterion_3_norm_formulas():
         worst = max(worst, float(np.max(np.abs(hat - expect) / np.maximum(1.0, np.abs(expect)))))
 
         # primitive forms for the su-norm identity and the u-decomposition
-        proj = _primitive_projector(n, p, q)
-        prim = _dense_stack(conv, p, q, coeffs @ proj.T)
+        prim = _dense_stack(conv, p, q, _primitive_part(n, p, q, coeffs))
         prim_sq = np.sum(np.abs(prim.reshape(count, -1)) ** 2, axis=1)
         su = wz.norm_phi_g_batch("su", conv, prim)
         expect_su = (2 * p * q + k * (n + 1 - k) - (p - q) ** 2 / n) * prim_sq
@@ -292,8 +291,7 @@ def _soundness_sweep(t, cert, conv, rng, forms_per_pair=1000, spot_checks=20):
             continue
         if p + q > conv.n or q > p:
             continue
-        proj = _primitive_projector(conv.n, p, q)
-        coeffs = _coeff_stack(rng, conv.n, p, q, forms_per_pair) @ proj.T
+        coeffs = _primitive_part(conv.n, p, q, _coeff_stack(rng, conv.n, p, q, forms_per_pair))
         dense = _dense_stack(conv, p, q, coeffs)
         psi = dense + dense_conj(dense, conv, k=p + q)
         norms = wz._batched_norms(mats, psi)

@@ -243,6 +243,31 @@ def test_random_riemannian_is_not_kaehler():
     assert not t.kaehler_validated
 
 
+def _random_riemannian_loop(conv, seed):
+    """Reference: the pair-by-pair loop that random_riemannian vectorizes."""
+    rng = np.random.default_rng(seed)
+    d = conv.dim
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    m = rng.normal(size=(len(pairs), len(pairs)))
+    m = 0.5 * (m + m.T)
+    r = np.zeros((d,) * 4)
+    for nu, (i, j) in enumerate(pairs):
+        for mu, (k, l) in enumerate(pairs):
+            val = m[mu, nu]
+            for (a, b, sa) in ((i, j, 1.0), (j, i, -1.0)):
+                for (c, e, sc) in ((k, l, 1.0), (l, k, -1.0)):
+                    r[a, b, c, e] = sa * sc * val
+    return r - (r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)) / 3.0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_random_riemannian_matches_loop(n):
+    conv = FrameConvention(n)
+    for seed in range(3):
+        assert np.array_equal(random_riemannian(conv, seed).components,
+                              _random_riemannian_loop(conv, seed))
+
+
 def test_sign_bug_hook_changes_matrix_only_under_flag():
     t = chsc(2, 1.0)
     clean = calabi_from_tensor(t).matrix

@@ -19,6 +19,7 @@ from calabi_lab.frames import (
     dense_z_to_e,
     _lefschetz_matrix,
     _perm_sign,
+    _primitive_part,
     endo_act,
     evaluate_form,
     kaehler_bivector,
@@ -199,6 +200,46 @@ def test_project_primitive():
         project_primitive(random_form(conv, 2, 1))
 
 
+def _pinv_projector(n, p, q):
+    """Reference projector onto ker(Lambda): I - pinv(Lambda) Lambda."""
+    lam = _lefschetz_matrix(n, p, q)
+    return np.eye(lam.shape[1]) - np.linalg.pinv(lam, rcond=1e-12) @ lam
+
+
+def _mixed_bidegrees(n):
+    return [(p, q) for p in range(1, n + 1) for q in range(1, n + 1) if p + q <= n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lefschetz_eigenvalues_closed_form(n):
+    """Lambda* Lambda on (p,q) coefficients has the eigenvalue
+    k(k-1) r(n-k+r+1) on the Lefschetz piece L^r P^{p-r,q-r}, whose dimension
+    is dim Lambda^{p-r,q-r} - dim Lambda^{p-r-1,q-r-1}, r = 0..min(p,q)."""
+    for (p, q) in _mixed_bidegrees(n):
+        k = p + q
+        lam = _lefschetz_matrix(n, p, q)
+        gram = lam.conj().T @ lam
+        assert not np.any(gram.imag)  # Lambda is i times a real matrix
+        got = np.linalg.eigvalsh(gram.real)
+        dim = [len(multi_indices(n, p - r, q - r)) for r in range(min(p, q) + 2)]
+        want = np.concatenate([np.full(dim[r] - dim[r + 1], float(k * (k - 1) * r * (n - k + r + 1)))
+                               for r in range(min(p, q) + 1)])
+        assert np.max(np.abs(got - np.sort(want))) <= 1e-12 * np.max(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_primitive_part_matches_pinv_projector(n):
+    rng = np.random.default_rng(500 + n)
+    for (p, q) in _mixed_bidegrees(n):
+        size = len(multi_indices(n, p, q))
+        coeffs = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+        ref = coeffs @ _pinv_projector(n, p, q).T
+        tol = 1e-12 * np.max(np.abs(coeffs))
+        assert np.max(np.abs(_primitive_part(n, p, q, coeffs) - ref)) <= tol
+        phi = FormPQ.from_coefficient_vector(FrameConvention(n), p, q, coeffs[0])
+        assert np.max(np.abs(project_primitive(phi).coefficient_vector() - ref[0])) <= tol
+
+
 def test_real_form_norms():
     conv = FrameConvention(2)
     phi = random_form(conv, 2, 0)
@@ -364,3 +405,26 @@ def test_verify_builds_no_dense_form(monkeypatch):
     elapsed = time.perf_counter() - start
     assert [r["status"] for r in records] == ["pass"] * len(records)
     assert elapsed < 1.0
+
+
+def test_verify_feeds_the_kernel_sparse_stacks(monkeypatch):
+    """Dense elements (eigen-elements, sampled S, random L in u(n)) are mixed
+    from the actions of a sparse basis and never reach the derivation-action
+    kernel: during verify every matrix passed to it has at most 2n nonzero
+    entries."""
+    from calabi_lab import frames, weitzenboeck
+    from calabi_lab.checks import run_verify_suite
+
+    n = 3
+    most = []
+    kernel = frames.derivation_coords
+
+    def counted(mats, x, k):
+        most.append(int(np.max(np.count_nonzero(mats.reshape(len(mats), -1), axis=1), initial=0)))
+        return kernel(mats, x, k)
+
+    monkeypatch.setattr(frames, "derivation_coords", counted)
+    monkeypatch.setattr(weitzenboeck, "derivation_coords", counted)
+    records = run_verify_suite(n, 2, 1, max_degree=3)
+    assert [r["status"] for r in records] == ["pass"] * len(records)
+    assert most and max(most) <= 2 * n

@@ -59,6 +59,8 @@ def test_eigensystem_rejects_non_hermitian():
         eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
         eigensystem(np.zeros((2, 3)))
+    with pytest.raises(NotHermitian, match="empty 0 x 0"):
+        eigensystem(np.zeros((0, 0)))
 
 
 @settings(max_examples=150, deadline=None)

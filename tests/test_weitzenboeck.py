@@ -29,6 +29,8 @@ from calabi_lab.model_spaces import chsc, random_kaehler, random_kaehler_einstei
 from calabi_lab.weitzenboeck import (
     NotSymmetric,
     _exterior_coords,
+    _sym2_eigen_endos,
+    _sym2_scores,
     achievability_endo,
     achievability_form,
     achievability_ratio,
@@ -45,6 +47,7 @@ from calabi_lab.weitzenboeck import (
     ricl_bruteforce,
     ricl_pairing,
     ricl_via_calabi,
+    ricl_via_calabi_batch,
     ricl_via_kaehler_su,
     stress_search,
     su_eigen_endos,
@@ -151,7 +154,9 @@ def _kernel_test_forms(conv, k, rng):
 def test_derivation_coords_match_dense_action(n):
     """Per-form norms and Gram matrices of the derivation action in exterior
     coordinates against the dense reference, for every family and random
-    endomorphisms, in the Z frame and in the real frame."""
+    endomorphisms, in the Z frame and in the real frame, in degrees
+    0..min(2n, 5); and in the degrees 0 and 2n, where Lambda^k has one
+    coordinate and L acts by 0 and by -tr(L)."""
     rng = np.random.default_rng(1000 + n)
     conv = FrameConvention(n)
     d = conv.dim
@@ -174,22 +179,15 @@ def test_derivation_coords_match_dense_action(n):
             norms = np.sum(np.abs(got) ** 2, axis=2)
             norms_ref = np.sum(np.abs(ref) ** 2, axis=2)
             assert np.max(np.abs(norms - norms_ref), initial=0.0) <= 1e-12 * scale
-
-
-def test_derivation_coords_in_blocks_match_one_block(monkeypatch):
-    """Blocks of the sorted subsets, down to one subset per block, give the
-    same coordinates as the whole table at once."""
-    from calabi_lab import frames
-
-    rng = np.random.default_rng(77)
-    mats = family_mats(3, "u")
-    for k in (0, 1, 3, 6):
-        x = rng.normal(size=(2, math.comb(6, k))) + 1j * rng.normal(size=(2, math.comb(6, k)))
-        whole = derivation_coords(mats, x, k)
-        for block in (1, 5 * k * 6 * len(mats)):
-            monkeypatch.setattr(frames, "_KERNEL_BLOCK", block)
-            assert np.array_equal(derivation_coords(mats, x, k), whole)
-        monkeypatch.undo()
+    x = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+    for mats, _ in cases:
+        zero = derivation_coords(mats, x, 0)
+        assert zero.shape == (len(mats), 3, 1) and not np.any(zero)
+        got = derivation_coords(mats, x, d)
+        ref = -np.trace(mats, axis1=1, axis2=2)[:, None, None] * x
+        assert got.shape == ref.shape
+        scale = max(1.0, np.max(np.abs(ref), initial=0.0))
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
 
 
 def test_curvature_term_on_mixed_degree_real_forms():
@@ -227,6 +225,74 @@ def test_ricl_bruteforce_matches_dense_frame_sum(n):
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale
             single = np.array([ricl_bruteforce(t, row[None], k)[0] for row in x])
             assert np.max(np.abs(single - ref)) <= 1e-12 * scale
+
+
+def _primitive_pairs(n):
+    return [(p, q) for p in range(n + 1) for q in range(p + 1) if 1 <= p + q <= n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_eigen_routes_match_dense_eigen_elements(n):
+    """The eigen-routes mix the actions of the unit basis by the eigenvector
+    coordinates; the direct action of the dense eigen-element stacks gives
+    the same curvature terms to 1e-12 relative."""
+    rng = np.random.default_rng(700 + n)
+    conv = FrameConvention(n)
+    spec = calabi_from_tensor(random_kaehler(n, 70 + n)).spectrum()
+    sym2_mats = _sym2_eigen_endos(conv, spec)
+    te = random_kaehler_einstein(n, 80 + n)
+    lam = ricci(te).einstein_lambda
+    su_spec = restrict_su(kaehler_operator(te), ricci(te)).spectrum()
+    su_mats = su_eigen_endos(conv, su_spec)
+    for (p, q) in _primitive_pairs(n):
+        k = p + q
+        forms = [random_primitive_real(conv, p, q, rng) for _ in range(3)]
+        norms = np.sum(np.abs(derivation_coords(
+            sym2_mats, np.array([f.coords("z") for f in forms]), k)) ** 2, axis=2)
+        want = 2.0 * (spec.eigenvalues @ norms)
+        scale = max(1.0, 2.0 * float(np.max(np.abs(spec.eigenvalues) @ norms)))
+        assert np.max(np.abs(ricl_via_calabi_batch(spec, conv, forms) - want)) <= 1e-12 * scale
+        single = np.array([ricl_via_calabi(spec, f) for f in forms])
+        assert np.max(np.abs(single - want)) <= 1e-12 * scale
+
+        phi = forms[0].phi
+        su_norms = np.sum(np.abs(derivation_coords(su_mats, phi.coords("z")[None], k)) ** 2,
+                          axis=2)[:, 0]
+        first = lam * (p - q) ** 2 / n * phi.norm_sq()
+        want_ke = first + su_spec.eigenvalues @ su_norms
+        scale_ke = max(1.0, abs(first) + np.abs(su_spec.eigenvalues) @ su_norms)
+        got_ke = ricl_via_kaehler_su(lam, su_spec, su_mats, phi)
+        assert abs(got_ke - want_ke) <= 1e-12 * scale_ke
+    with pytest.raises(ValueError, match=r"u\(n\)"):
+        ricl_via_kaehler_su(lam, su_spec, sym2_mats[: su_spec.size], phi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sym2_gram_scores_match_direct_action(n):
+    """|S psi|^2 as c* G c against the Gram matrix of the unit-basis actions,
+    per sampled S, against the direct action of S, to 1e-12 relative; and
+    estimate_sampling's figures against a replay of its samples scored
+    directly."""
+    conv = FrameConvention(n)
+    for (p, q) in _primitive_pairs(n):
+        rng = np.random.default_rng([800, n, p, q])
+        out = estimate_sampling(conv, p, q, n_psi=2, n_s=20, rng=rng)
+        replay = np.random.default_rng([800, n, p, q])
+        ratio = 0.0
+        for _ in range(2):
+            psi = random_primitive_real(conv, p, q, replay)
+            hats = replay.normal(size=(20, n, n)) + 1j * replay.normal(size=(20, n, n))
+            hats = (hats + hats.transpose(0, 2, 1)) / 2.0
+            mats = np.array([EndoC.from_sym_hat(conv, h).matrix for h in hats])
+            direct = np.sum(np.abs(derivation_coords(mats, psi.coords("z")[None], p + q)) ** 2,
+                            axis=(1, 2))
+            got = _sym2_scores(phi_g(psi, "sym2_10").parts, hats)
+            assert np.max(np.abs(got - direct) / direct) <= 1e-12
+            s_norms = np.sum(np.abs(hats.reshape(20, -1)) ** 2, axis=1)
+            ratio = max(ratio, float(np.max(direct / (
+                (0.5 + min(p, q, math.sqrt(p * q) / 2.0)) * s_norms * psi.norm_sq()))))
+        assert out["violations"] == 0
+        assert abs(out["max_ratio"] - ratio) <= 1e-12 * ratio
 
 
 def test_chsc_curvature_term_closed_form():
