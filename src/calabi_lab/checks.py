@@ -111,7 +111,8 @@ def check_kaehler_structure(n: int, trials: int, seed: int) -> dict:
                     float(np.max(np.abs(q - q.transpose(0, 3, 2, 1)))) / scale)
         # eigen-expansion of R(Z_a, conj Z_b)
         spec = cv.calabi_from_tensor(t).spectrum()
-        mats = wz._sym2_eigen_endos(conv, spec)
+        # eigen-elements: the unit sym^2 basis mixed by the eigenvector coordinates
+        mats = np.tensordot(spec.eigenvectors, wz.family_mats(n, "sym2_10"), axes=(0, 0))
         bar = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
         for a in range(n):
             for b in range(n):
@@ -137,8 +138,8 @@ def check_r2_gl(n: int, trials: int, seed: int) -> dict:
         for p in (1, 2, 3):
             if p > conv.dim:
                 continue
-            de = wz.random_real_pform(conv, p, rng)
-            worst = max(worst, wz.check_r2_gl_identity(t, de)["residual"])
+            x = wz.random_real_pform(conv, p, rng)
+            worst = max(worst, wz.check_r2_gl_identity(t, x, p)["residual"])
     return _record("r2_gl_contraction", "tensor-square-operator-gl-contraction",
                    worst, TOL_DIRECT)
 
@@ -152,8 +153,8 @@ def check_ricl_split(n: int, trials: int, seed: int) -> dict:
         for p in (1, 2, 3):
             if p > conv.dim:
                 continue
-            de = wz.random_real_pform(conv, p, rng)
-            out = wz.check_ricl_r2_split(t, de)
+            x = wz.random_real_pform(conv, p, rng)
+            out = wz.check_ricl_r2_split(t, x, p)
             worst = max(worst, out["residual_split"], out["residual_translation"])
     return _record("ricl_r2_split", "lichnerowicz-term-splitting-and-translation",
                    worst, TOL_EIGEN)
@@ -221,14 +222,14 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
             expect_su = (2 * p * q + k * (n + 1 - k) - (p - q) ** 2 / n) * prim.norm_sq()
             worst = max(worst, abs(su2 - expect_su) / max(1.0, abs(expect_su)))
             u_fam = wz.phi_g(prim, "u")
-            u2 = u_fam.norm_sq()
+            u2 = float(np.sum(np.abs(u_fam) ** 2))
             om2 = float(wz._batched_norms(om.matrix[None], prim)[0, 0])
             worst = max(worst, abs(u2 - (om2 / n + su2)) / max(1.0, u2))
             # |L phi|^2 <= (p+q) |L|_u^2 |phi|^2 for L in u(n); L is
             # sum_ab cmat[a, b] Z_a ^ conj(Z_b), so L phi mixes the u actions
             cmat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             L = EndoC.from_lambda11(conv, cmat)
-            lhs = float(np.sum(np.abs(cmat.reshape(-1) @ u_fam.parts) ** 2))
+            lhs = float(np.sum(np.abs(cmat.reshape(-1) @ u_fam) ** 2))
             bound = k * L.norm_u_sq() * prim.norm_sq()
             worst = max(worst, max(lhs - bound, 0.0) / max(1.0, bound))
     return _record("norm_identities", "insertion-hat-su-norm-identities", worst, TOL_DIRECT)
@@ -293,11 +294,10 @@ def check_einstein_identities(n: int, trials: int, seed: int, max_degree: int = 
         ksu = cv.restrict_su(k_op, ric)
         worst = max(worst, abs(float(np.trace(ksu.matrix).real) - (n - 1) * lam) / scale)
         spec = ksu.spectrum()
-        endos = wz.su_eigen_endos(conv, spec)
         for (p, q) in _pairs(n, max_degree):
             phi = wz.random_primitive_real(conv, p, q, rng).phi
             bf = wz.ricl_pairing(t, phi).real
-            ke = wz.ricl_via_kaehler_su(lam, spec, endos, phi)
+            ke = wz.ricl_via_kaehler_su(lam, spec, phi)
             worst = max(worst, abs(bf - ke) / max(1.0, abs(bf)))
         # (n,0)-forms: curvature term = (scal/2) |phi|^2
         top = FormPQ.generator(conv, tuple(range(1, n + 1)), ())
@@ -342,10 +342,11 @@ def check_model_spaces(n: int, trials: int, seed: int) -> dict:
 
 
 def stress_probe(n: int, seed: int, max_degree: int = 4) -> dict:
-    """Info record: best |S psi|^2 / (|S|^2 |psi|^2) found by the projected
-    gradient ascent (500 iterations, step 0.05, 16 restarts), per bidegree,
-    next to the attained constant of the equality family and the proven cap.
-    Nothing is asserted about optimality."""
+    """Info record: best |S psi|^2 / (|S|^2 |psi|^2) per bidegree, the exact
+    maximum over S (the top eigenvalue of the Gram matrix of the sym^2 basis
+    actions) for each of 16 random primitive psi, next to the attained
+    constant of the equality family and the proven cap.  The maximum over psi
+    is not sought, so nothing is asserted about optimality."""
     conv = FrameConvention(n)
     table = {}
     for (p, q) in _pairs(n, max_degree):

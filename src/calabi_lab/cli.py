@@ -375,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
                     help="multiply every check tolerance by this factor")
     pv.add_argument("--stress", action="store_true",
-                    help="append the estimate-tightness gradient-ascent probe")
+                    help="append the estimate-tightness probe (exact maximum over S "
+                         "for 16 random primitive forms per bidegree)")
     pv.add_argument("--inject-sign-bug", action="store_true", help=argparse.SUPPRESS)
     common(pv)
     pv.set_defaults(fn=cmd_verify)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -68,10 +67,6 @@ def inject_sign_bug():
         yield
     finally:
         _SIGN_BUG = False
-
-
-def _bug_active() -> bool:
-    return _SIGN_BUG or os.environ.get("CALABI_LAB_INJECT_SIGN_BUG", "") == "1"
 
 
 class SymmetryViolation(CalabiLabError, ValueError):
@@ -244,7 +239,7 @@ def _sym2_pair_index(n: int) -> np.ndarray:
     return pid
 
 
-def calabi_from_tensor(t: AlgebraicCurvatureTensor, tol: float = DEFAULT_TOL) -> CurvatureOperatorMatrix:
+def calabi_from_tensor(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
     """Calabi operator matrix in the unit basis {Z_a(.)Z_b/sqrt2 (a<b), Z_a(x)Z_a}."""
     if not t.kaehler_validated:
         raise NotKaehler("calabi_from_tensor requires a validated Kaehler tensor")
@@ -258,7 +253,7 @@ def calabi_from_tensor(t: AlgebraicCurvatureTensor, tol: float = DEFAULT_TOL) ->
         for mu, (cc, dd) in enumerate(labels):
             h[mu, nu] = 4.0 * rz[a - 1, n + cc - 1, n + dd - 1, b - 1] / (
                 c[a - 1, b - 1] * c[cc - 1, dd - 1])
-    if _bug_active():
+    if _SIGN_BUG:
         h[0, 0] = -h[0, 0]
     return CurvatureOperatorMatrix("calabi", h, labels,
                                    "Z_a(.)Z_b/sqrt2 for a<b, Z_a(x)Z_a on the diagonal")
@@ -335,8 +330,7 @@ def su_complement(n: int) -> np.ndarray:
     return q[:, 1:m]
 
 
-def restrict_su(k_op: CurvatureOperatorMatrix, ric: RicciData,
-                tol: float = DEFAULT_TOL) -> CurvatureOperatorMatrix:
+def restrict_su(k_op: CurvatureOperatorMatrix, ric: RicciData) -> CurvatureOperatorMatrix:
     """Restriction of the Kaehler operator to the complement of the Kaehler form.
 
     Requires an Einstein tensor; the Kaehler direction is then an eigenvector

@@ -776,30 +776,10 @@ def sym2_basis_endos(conv: FrameConvention) -> list[EndoC]:
     return out
 
 
-def sym2_element(conv: FrameConvention, coords: np.ndarray) -> EndoC:
-    """sym^2 V^{1,0} element from coordinates in the unit basis."""
-    hat = np.zeros((conv.n, conv.n), dtype=complex)
-    for (a, b), c in zip(sym2_basis_labels(conv.n), coords):
-        if a == b:
-            hat[a - 1, a - 1] += c
-        else:
-            hat[a - 1, b - 1] += c / math.sqrt(2.0)
-            hat[b - 1, a - 1] += c / math.sqrt(2.0)
-    return EndoC.from_sym_hat(conv, hat)
-
-
 @lru_cache(maxsize=None)
 def lambda11_basis_labels(n: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (a, b), 1-based, ordering the Lambda^{1,1} basis Z_a ^ conj(Z_b)/sqrt2."""
     return tuple((a, b) for a in range(1, n + 1) for b in range(1, n + 1))
-
-
-def lambda11_element(conv: FrameConvention, coords: np.ndarray, scale: float = 1.0) -> EndoC:
-    """Lambda^{1,1} element sum_nu coords_nu Z_a ^ conj(Z_b)/sqrt2, times scale."""
-    c = np.zeros((conv.n, conv.n), dtype=complex)
-    for (a, b), x in zip(lambda11_basis_labels(conv.n), coords):
-        c[a - 1, b - 1] += x / math.sqrt(2.0) * scale
-    return EndoC.from_lambda11(conv, c)
 
 
 def lambda2_10_basis_endos(conv: FrameConvention) -> list[EndoC]:

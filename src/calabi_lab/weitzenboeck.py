@@ -11,8 +11,11 @@ routes (via the Calabi operator, via the restricted Kaehler operator for
 Einstein tensors), which are checked against it.
 
 Forms enter the public functions as ``FormPQ`` / ``RealForm`` objects, which
-supply their exterior coordinates in either frame, or as dense alternating
-components, which are gathered into coordinates once at entry.
+supply their exterior coordinates in either frame.  The general-Riemannian
+checks take the real-frame coordinates of ``random_real_pform`` directly.
+Dense alternating components are accepted only as stacks with a leading
+batch axis, by the batched routes, and are gathered into coordinates once at
+entry.
 """
 
 from __future__ import annotations
@@ -24,29 +27,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import AlgebraicCurvatureTensor, RicciData
+from .curvature import AlgebraicCurvatureTensor, ricci, su_complement
 from .errors import CalabiLabError
 from .frames import (
     EndoC,
     FormPQ,
     FrameConvention,
     RealForm,
-    alternate,
     derivation_coords,
     lambda2_10_basis_endos,
-    lambda11_element,
     lefschetz_adjoint,
     project_primitive,
     su_basis_endos,
     sym2_basis_endos,
     sym2_basis_labels,
-    sym2_element,
     u_basis_endos,
 )
 from .spectral import Spectrum, takagi
 
 __all__ = [
-    "PhiG",
     "EstimateResult",
     "NotSymmetric",
     "SamplingFailure",
@@ -131,18 +130,15 @@ def _exterior_coords(dense_stack: np.ndarray) -> np.ndarray:
     return math.sqrt(math.factorial(k)) * dense_stack.reshape(b, -1)[:, flat]
 
 
-def _coords(forms, frame: str, batched: bool) -> tuple[np.ndarray, int]:
+def _coords(forms, frame: str) -> tuple[np.ndarray, int]:
     """``(B, N)`` exterior coordinates in ``frame`` ("z" or "e") and the degree
     k of: a ``FormPQ`` or ``RealForm`` (B = 1); a sequence of them of one
-    degree; or dense alternating components in that frame, one form or, when
-    ``batched``, a stack with a leading batch axis."""
+    degree; or a stack of dense alternating components in that frame, with a
+    leading batch axis."""
     if isinstance(forms, (FormPQ, RealForm)):
         return forms.coords(frame)[None], forms.degree
     if isinstance(forms, np.ndarray):
-        arr = np.asarray(forms, dtype=complex)
-        if not batched:
-            arr = arr[None]
-        return _exterior_coords(arr), arr.ndim - 1
+        return _exterior_coords(np.asarray(forms, dtype=complex)), forms.ndim - 1
     return np.array([f.coords(frame) for f in forms]), forms[0].degree
 
 
@@ -173,24 +169,15 @@ def ricl_bruteforce(t: AlgebraicCurvatureTensor, x: np.ndarray, k: int) -> np.nd
     return -_create(coef, d, k)
 
 
-def ricl_pairing(t: AlgebraicCurvatureTensor, psi: FormPQ | RealForm | np.ndarray) -> complex:
-    """g(Ric_L(psi), conj psi) by the brute-force oracle (real for real psi);
-    a dense psi holds components over the real frame."""
-    x, k = _coords(psi, "e", batched=False)
+def ricl_pairing(t: AlgebraicCurvatureTensor, psi: FormPQ | RealForm) -> complex:
+    """g(Ric_L(psi), conj psi) by the brute-force oracle (real for real psi)."""
+    x, k = _coords(psi, "e")
     return complex(np.sum(ricl_bruteforce(t, x, k) * x.conj()))
 
 
 # ---------------------------------------------------------------------------
 # eigenvalue routes
 # ---------------------------------------------------------------------------
-
-def _sym2_eigen_endos(conv: FrameConvention, spec: Spectrum) -> np.ndarray:
-    """Eigen-elements of a Calabi matrix as a stack of endomorphism matrices."""
-    mats = []
-    for nu in range(spec.size):
-        mats.append(sym2_element(conv, spec.eigenvectors[:, nu]).matrix)
-    return np.array(mats)
-
 
 def ricl_via_calabi(spec: Spectrum, psi: FormPQ | RealForm) -> float:
     """Curvature term 2 sum_nu sigma_nu |Sigma_nu psi|^2 from a Calabi spectrum.
@@ -205,23 +192,21 @@ def ricl_via_calabi(spec: Spectrum, psi: FormPQ | RealForm) -> float:
     return float(2.0 * np.dot(spec.eigenvalues, norms))
 
 
-def ricl_via_kaehler_su(lam: float, su_spec: Spectrum, su_endos: np.ndarray,
-                        phi: FormPQ) -> float:
+def ricl_via_kaehler_su(lam: float, su_spec: Spectrum, phi: FormPQ) -> float:
     """Curvature term of an Einstein tensor on a primitive (p,q)-form via the
     restricted Kaehler operator:
     g(Ric_L phi, conj phi) = lam (p-q)^2 / n |phi|^2 + sum_a lam_a |Xi_a phi|^2.
 
-    The eigen-elements ``su_endos`` (as ``su_eigen_endos`` returns them) must
-    lie in u(n): their coordinates over the unitary basis mix its actions.
+    ``su_spec`` must be the eigensystem of ``curvature.restrict_su``, whose
+    basis ``su_complement(n)`` is written over the Lambda^{1,1} basis
+    ``Z_a ^ conj(Z_b) / sqrt2``.  The eigen-elements Xi_a are normalized in
+    the half-trace convention (sqrt2 times those unit elements), so the
+    coordinates ``su_complement(n) @ eigenvectors`` are their coordinates
+    over the unitary basis ``Z_a ^ conj(Z_b)`` of u(n), and mix its actions.
     """
     conv = phi.convention
     n = conv.n
-    su_endos = np.asarray(su_endos)
-    # Z_a ^ conj(Z_b) has -1 at [a, b]: L = sum_ab -L[a, b] Z_a ^ conj(Z_b) on u(n)
-    mix = -su_endos[:, :n, :n].reshape(-1, n * n).T
-    off = np.tensordot(mix, family_mats(n, "u"), axes=(0, 0)) - su_endos
-    if np.max(np.abs(off), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(su_endos), initial=0.0)):
-        raise ValueError("su_endos must be elements of u(n)")
+    mix = su_complement(n) @ su_spec.eigenvectors
     first = lam * (phi.p - phi.q) ** 2 / n * phi.norm_sq()
     norms = _mixed_norms(conv, "u", mix, phi)[:, 0]
     return float(first + np.dot(su_spec.eigenvalues, norms))
@@ -230,7 +215,7 @@ def ricl_via_kaehler_su(lam: float, su_spec: Spectrum, su_endos: np.ndarray,
 def _batched_norms(mats: np.ndarray, forms, frame: str = "z") -> np.ndarray:
     """|Xi_m psi_b|^2, shape (m, B), for a stack of endomorphisms written in
     ``frame`` and forms as ``_coords`` takes them (a dense stack in that frame)."""
-    x, k = _coords(forms, frame, batched=True)
+    x, k = _coords(forms, frame)
     return np.sum(np.abs(derivation_coords(mats, x, k)) ** 2, axis=2)
 
 
@@ -240,7 +225,7 @@ def _mixed_norms(conv: FrameConvention, tag: str, mix: np.ndarray, forms) -> np.
     Z-frame algebra, and forms as ``_coords`` takes them.  The sparse basis
     acts once and its actions are mixed, which costs far less than acting
     with the dense elements."""
-    x, k = _coords(forms, "z", batched=True)
+    x, k = _coords(forms, "z")
     acted = derivation_coords(family_mats(conv.n, tag), x, k)
     return np.sum(np.abs(np.tensordot(mix, acted, axes=(0, 0))) ** 2, axis=2)
 
@@ -254,39 +239,13 @@ def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention, forms) -> np.nd
 def ricl_pairing_batch(t: AlgebraicCurvatureTensor, forms) -> np.ndarray:
     """Vectorized brute-force g(Ric_L psi, conj psi) over a sequence of forms or
     a stack of dense real-frame forms."""
-    x, k = _coords(forms, "e", batched=True)
+    x, k = _coords(forms, "e")
     return np.real(np.sum(ricl_bruteforce(t, x, k) * x.conj(), axis=1))
-
-
-def su_eigen_endos(conv: FrameConvention, ksu_spec: Spectrum) -> np.ndarray:
-    """Eigen-elements of the restricted Kaehler operator as endomorphisms,
-    normalized in the half-trace convention (sqrt2 times the tensor unit)."""
-    from .curvature import su_complement
-
-    comp = su_complement(conv.n)
-    mats = []
-    for alpha in range(ksu_spec.size):
-        coords = comp @ ksu_spec.eigenvectors[:, alpha]
-        mats.append(lambda11_element(conv, coords, scale=math.sqrt(2.0)).matrix)
-    return np.array(mats)
 
 
 # ---------------------------------------------------------------------------
 # derivation families phi^g
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhiG:
-    """The family {Xi_a phi} over a recorded unitary basis of an algebra;
-    ``parts`` holds the (m, N) orthonormal exterior coordinates of Xi_a phi."""
-
-    tag: str
-    parts: np.ndarray
-    basis_note: str
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.parts) ** 2))
-
 
 def _real_gl_mats(d: int) -> np.ndarray:
     mats = np.zeros((d * d, d, d))
@@ -323,16 +282,6 @@ def _real_sym2_mats(d: int) -> np.ndarray:
     return np.array(out)
 
 
-_FAMILY_NOTES = {
-    "gl": "e_i (x) e_j over the real frame",
-    "so": "e_i ^ e_j / sqrt2",
-    "sym2_real": "e_i (.) e_j / sqrt2, e_i (x) e_i",
-    "sym2_10": "Z_a (.) Z_b / sqrt2 (a<b), Z_a (x) Z_a",
-    "lambda2_10": "Z_a ^ Z_b / sqrt2 (a<b)",
-    "u": "Z_a ^ conj(Z_b)  (half-trace unitary)",
-    "su": "traceless part of u(n) (half-trace unitary)",
-}
-
 _REAL_FRAME_TAGS = ("gl", "so", "sym2_real")
 
 
@@ -362,22 +311,15 @@ def family_mats(n: int, tag: str) -> np.ndarray:
     return np.array([e.matrix for e in endos])
 
 
-def phi_g(phi: FormPQ | RealForm | np.ndarray, tag: str,
-          conv: FrameConvention | None = None) -> PhiG:
-    """Derivation family of phi over the unitary basis of the tagged algebra.
+def phi_g(phi: FormPQ | RealForm, tag: str) -> np.ndarray:
+    """Derivation family {Xi_a phi} over the unitary basis Xi_a of the tagged
+    algebra, as the (m, N) orthonormal exterior coordinates of the Xi_a phi.
 
     The real-frame algebras (gl, so, sym2_real) act on real-frame coordinates
-    and the complex algebras on Z-frame ones; dense input holds components in
-    the algebra's frame.
+    and the complex algebras on Z-frame ones.
     """
-    if isinstance(phi, np.ndarray):
-        if conv is None:
-            raise ValueError("dense input requires the frame convention")
-    else:
-        conv = phi.convention
-    mats = family_mats(conv.n, tag)
-    x, k = _coords(phi, _frame_of(tag), batched=False)
-    return PhiG(tag, derivation_coords(mats, x, k)[:, 0], _FAMILY_NOTES[tag])
+    mats = family_mats(phi.convention.n, tag)
+    return derivation_coords(mats, phi.coords(_frame_of(tag))[None], phi.degree)[:, 0]
 
 
 def norm_phi_g_batch(tag: str, conv: FrameConvention, forms) -> np.ndarray:
@@ -386,21 +328,24 @@ def norm_phi_g_batch(tag: str, conv: FrameConvention, forms) -> np.ndarray:
     return np.sum(_batched_norms(family_mats(conv.n, tag), forms, _frame_of(tag)), axis=0)
 
 
-def norm_phi_g(phi: FormPQ | RealForm | np.ndarray, tag: str,
-               conv: FrameConvention | None = None) -> float:
-    return phi_g(phi, tag, conv).norm_sq()
+def norm_phi_g(phi: FormPQ | RealForm, tag: str) -> float:
+    return float(np.sum(np.abs(phi_g(phi, tag)) ** 2))
 
 
 # ---------------------------------------------------------------------------
 # general-Riemannian identities
 # ---------------------------------------------------------------------------
 
-def _pairing_value(op_pair: np.ndarray, fam: PhiG, coords: np.ndarray) -> float:
-    """sum_{ab} g(Op Xi_b, Xi_a) <Xi_b phi, Xi_a phi> for a real family."""
-    m = fam.parts.shape[0]
-    flat = fam.parts.reshape(m, -1)
-    gram = (flat @ flat.conj().T).real
-    return float(np.sum(op_pair * gram.T))
+def _pairing_value(pair_matrix, t: AlgebraicCurvatureTensor, tag: str,
+                   x: np.ndarray, p: int) -> float:
+    """sum_{ab} g(Op Xi_b, Xi_a) <Xi_b phi, Xi_a phi> over the unitary basis Xi
+    of the real-frame algebra ``tag``, for the real-frame coordinates x of a
+    p-form phi; ``pair_matrix`` (``_r1_pair_matrix`` or ``_r2_pair_matrix``)
+    gives g(Op Xi_b, Xi_a)."""
+    mats = family_mats(t.convention.n, tag)
+    parts = derivation_coords(mats, x[None], p)[:, 0]
+    gram = (parts @ parts.conj().T).real
+    return float(np.sum(pair_matrix(t.components, mats) * gram.T))
 
 
 def _r2_pair_matrix(r: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -417,48 +362,47 @@ def _r1_pair_matrix(r: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.tensordot(coords, mid, axes=((1, 2), (1, 2)))
 
 
-def check_r2_gl_identity(t: AlgebraicCurvatureTensor, dense_e: np.ndarray) -> dict:
-    """g(R2(phi^gl), phi^gl) = -(p(p-1)/2) sum R_ijkl phi_{ijI} phi_{klI}."""
-    conv = t.convention
-    p = dense_e.ndim
-    fam = phi_g(dense_e, "gl", conv)
-    lhs = _pairing_value(_r2_pair_matrix(t.components, _real_gl_mats(conv.dim)),
-                         fam, None)
-    if p >= 2:
-        mid = np.tensordot(t.components, dense_e, axes=((0, 1), (0, 1)))
-        rhs = -0.5 * p * (p - 1) * float(np.real(np.sum(mid * dense_e.conj())))
-    else:
-        rhs = 0.0
+def _curvature_contraction(r: np.ndarray, x: np.ndarray, p: int) -> float:
+    """``sum R_ijkl <i_j i_i x, i_l i_k x>`` with ``i`` the oracle's
+    ``_annihilate`` on the real-frame coordinates x of a p-form phi.  Each
+    application carries sqrt of the degree it acts on, so this is
+    ``p(p-1) sum R_ijkl phi_{ijI} phi_{klI}`` in dense components."""
+    if p < 2:
+        return 0.0
+    d = r.shape[0]
+    twice = _annihilate(_annihilate(x[None], d, p)[0], d, p - 1)  # [i, j, ...]
+    return float(np.real(np.sum(np.tensordot(r, twice, axes=((0, 1), (0, 1))) * twice.conj())))
+
+
+def _ricci_contraction(ric: np.ndarray, x: np.ndarray, p: int) -> float:
+    """``sum Ric_ij <i_i x, i_j x>`` with ``i`` as in ``_curvature_contraction``:
+    ``p sum Ric_ij phi_{iI} phi_{jI}`` in dense components."""
+    if p < 1:
+        return 0.0
+    once = _annihilate(x[None], ric.shape[0], p)[0]
+    return float(np.real(np.sum((ric @ once) * once.conj())))
+
+
+def check_r2_gl_identity(t: AlgebraicCurvatureTensor, x: np.ndarray, p: int) -> dict:
+    """g(R2(phi^gl), phi^gl) = -(p(p-1)/2) sum R_ijkl phi_{ijI} phi_{klI}, for
+    the real-frame coordinates x of a p-form phi (as ``random_real_pform``
+    returns them)."""
+    lhs = _pairing_value(_r2_pair_matrix, t, "gl", x, p)
+    rhs = -0.5 * _curvature_contraction(t.components, x, p)
     scale = max(1.0, abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs) / scale}
 
 
-def check_ricl_r2_split(t: AlgebraicCurvatureTensor, dense_e: np.ndarray,
-                        ric: RicciData | None = None) -> dict:
+def check_ricl_r2_split(t: AlgebraicCurvatureTensor, x: np.ndarray, p: int) -> dict:
     """(3/2) g(Ric_L phi, phi) = g(R2(phi^S2), phi^S2) + p sum R_ij phi_iI phi_jI,
-    plus the translation g(R1(phi^so), phi^so) = g(Ric_L phi, phi)."""
-    from .curvature import ricci as ricci_of
-
-    conv = t.convention
-    p = dense_e.ndim
-    ric = ric or ricci_of(t)
-    ricl = float(ricl_pairing_batch(t, dense_e[None])[0])
-
-    fam_s2 = phi_g(dense_e, "sym2_real", conv)
-    r2_s2 = _pairing_value(_r2_pair_matrix(t.components, _real_sym2_mats(conv.dim)),
-                           fam_s2, None)
-    if p:
-        contracted = np.tensordot(ric.ricci, dense_e, axes=(0, 0))
-        ric_term = p * float(np.real(np.sum(contracted * dense_e.conj())))
-    else:
-        ric_term = 0.0
+    plus the translation g(R1(phi^so), phi^so) = g(Ric_L phi, phi), for the
+    real-frame coordinates x of a p-form phi."""
+    ricl = float(np.real(np.sum(ricl_bruteforce(t, x[None], p)[0] * x.conj())))
     lhs = 1.5 * ricl
-    rhs = r2_s2 + ric_term
+    rhs = (_pairing_value(_r2_pair_matrix, t, "sym2_real", x, p)
+           + _ricci_contraction(ricci(t).ricci, x, p))
     scale = max(1.0, abs(lhs), abs(rhs))
-
-    fam_so = phi_g(dense_e, "so", conv)
-    r1_so = _pairing_value(_r1_pair_matrix(t.components, _real_so_mats(conv.dim)),
-                           fam_so, None)
+    r1_so = _pairing_value(_r1_pair_matrix, t, "so", x, p)
     scale_so = max(1.0, abs(ricl), abs(r1_so))
     return {
         "ricl": ricl,
@@ -504,7 +448,7 @@ def estimate_bound(s: EndoC, psi: RealForm, tol: float = 1e-10) -> EstimateResul
 def _sym2_scores(parts: np.ndarray, hats: np.ndarray) -> np.ndarray:
     """|S psi|^2 for the sym^2 V^{1,0} elements S with hat matrices ``hats``
     (n_s, n, n), from the actions ``parts`` of the unit basis on psi (the
-    ``PhiG.parts`` of the sym2_10 family): ``c* G c`` over the unit-basis
+    ``phi_g`` of the sym2_10 family): ``c* G c`` over the unit-basis
     coordinates c of S, against the Gram matrix G of those actions."""
     gram = parts.conj() @ parts.T
     a, b = np.array(sym2_basis_labels(hats.shape[1])).T - 1
@@ -525,11 +469,11 @@ def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: in
     for _ in range(n_psi):
         psi = random_primitive_real(conv, p, q, rng)
         psi_norm = psi.norm_sq()
-        fam = phi_g(psi, "sym2_10")
-        hat_norm = fam.norm_sq()
+        parts = phi_g(psi, "sym2_10")
+        hat_norm = float(np.sum(np.abs(parts) ** 2))
         hats = rng.normal(size=(n_s, n, n)) + 1j * rng.normal(size=(n_s, n, n))
         hats = (hats + hats.transpose(0, 2, 1)) / 2.0
-        norms = _sym2_scores(fam.parts, hats)
+        norms = _sym2_scores(parts, hats)
         s_norms = np.sum(np.abs(hats.reshape(n_s, -1)) ** 2, axis=1)
         bound = (0.5 + cmin) * s_norms * psi_norm
         bound_prim = (2.0 + 4.0 * cmin) / denom * s_norms * hat_norm
@@ -567,31 +511,22 @@ def achievability_ratio(p: int, q: int) -> float:
 
 
 def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
-                  iterations: int = 500, step: float = 0.05,
                   restarts: int = 16) -> float:
-    """Projected gradient ascent on |S psi|^2 / (|S|^2 |psi|^2) over unit S,
-    with a fresh random primitive real psi per restart; returns the best
-    ratio found.  Only probes tightness; nothing is asserted about optimality.
+    """Largest |S psi|^2 / (|S|^2 |psi|^2) over sym^2 V^{1,0} elements S, for a
+    fresh random primitive real psi per restart; returns the best ratio over
+    the restarts.  Only probes tightness; the maximum over psi is not sought.
 
-    In the unit sym^2 coordinates c of S the objective is the Hermitian form
-    c* G c with G the Gram matrix of the basis actions on psi, so the ascent
-    runs on G directly.
+    In the unit sym^2 coordinates c of S the ratio is the Rayleigh quotient
+    c* G c / c* c, with G the Gram matrix of the basis actions on the unit
+    psi, so its maximum over S is the top eigenvalue of G.
     """
     rng = np.random.default_rng(seed)
-    m = conv.n * (conv.n + 1) // 2
-    mats = family_mats(conv.n, "sym2_10")
     best = 0.0
     for _ in range(restarts):
         psi = random_primitive_real(conv, p, q, rng)
-        acted = derivation_coords(mats, psi.coords("z")[None], psi.degree)[:, 0]
-        # |S psi|^2 = vdot(c, gram @ c) for S = sum_mu c_mu u_mu
-        gram = (acted.conj() @ acted.T) / psi.norm_sq()
-        c = rng.normal(size=m) + 1j * rng.normal(size=m)
-        for _ in range(iterations):
-            c /= np.linalg.norm(c)
-            c = c + step * 2.0 * (gram @ c)
-        c /= np.linalg.norm(c)
-        best = max(best, float(np.real(np.vdot(c, gram @ c))))
+        parts = phi_g(psi, "sym2_10")
+        gram = (parts.conj() @ parts.T) / psi.norm_sq()
+        best = max(best, float(np.linalg.eigvalsh(gram)[-1]))
     return best
 
 
@@ -643,8 +578,16 @@ def random_primitive_real(conv: FrameConvention, p: int, q: int,
 
 
 def random_real_pform(conv: FrameConvention, p: int, rng: np.random.Generator) -> np.ndarray:
-    """Random real p-form as dense components over the real frame."""
+    """Random real unit p-form as its ``(C(2n, p),)`` orthonormal exterior
+    coordinates over the real frame: the alternation of one Gaussian
+    ``(2n,)*p`` draw, read at the sorted index sets J only, as the sum over
+    the permutations of J of the signed draws, then normalized."""
     raw = rng.standard_normal(size=(conv.dim,) * p)
-    dense = alternate(raw) / math.factorial(max(p, 1))
-    nrm = math.sqrt(float(np.sum(dense ** 2)))
-    return dense / nrm if nrm > 0 else dense
+    subsets = np.array(list(itertools.combinations(range(conv.dim), p)),
+                       dtype=np.intp).reshape(math.comb(conv.dim, p), p)
+    x = np.zeros(len(subsets))
+    for perm in itertools.permutations(range(p)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        x += (-1) ** inversions * raw[tuple(subsets[:, perm].T)]
+    nrm = float(np.linalg.norm(x))
+    return x / nrm if nrm > 0 else x

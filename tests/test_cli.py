@@ -334,20 +334,22 @@ def test_verify_small_and_exit_codes(tmp_path):
 
 def test_verify_json_byte_determinism_across_processes(tmp_path):
     """Identical config gives byte-identical json even across interpreter
-    processes with different hash seeds."""
+    processes with different hash seeds, and with the checks run on the
+    thread pool (CALABI_LAB_THREADS=2) instead of in sequence."""
     outputs = []
-    for seed in ("0", "7"):
+    for seed, threads in (("0", {}), ("7", {}), ("7", {"CALABI_LAB_THREADS": "2"})):
         proc = subprocess.run(
             [sys.executable, "-m", "calabi_lab.cli", "verify", "--n", "2",
              "--trials", "8", "--seed", "11", "--format", "json"],
             capture_output=True, text=True,
             # stripped environment, but the child imports the same package
             env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin:/usr/local/bin",
-                 "PYTHONPATH": os.path.dirname(os.path.dirname(calabi_lab.__file__))},
+                 "PYTHONPATH": os.path.dirname(os.path.dirname(calabi_lab.__file__)),
+                 **threads},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_shipped_schema_files_parse():

@@ -19,8 +19,21 @@ from calabi_lab.curvature import (
     tensor_from_calabi,
     validate_tensor,
 )
-from calabi_lab.frames import FrameConvention, sym2_basis_endos
+from calabi_lab.frames import EndoC, FrameConvention, sym2_basis_endos, sym2_basis_labels
 from calabi_lab.model_spaces import chsc, flat_torus
+
+
+def sym2_element(conv, coords):
+    """Reference: the sym^2 V^{1,0} element with the given coordinates over
+    the unit basis, built entry by entry."""
+    hat = np.zeros((conv.n, conv.n), dtype=complex)
+    for (a, b), c in zip(sym2_basis_labels(conv.n), coords):
+        if a == b:
+            hat[a - 1, a - 1] += c
+        else:
+            hat[a - 1, b - 1] += c / np.sqrt(2.0)
+            hat[b - 1, a - 1] += c / np.sqrt(2.0)
+    return EndoC.from_sym_hat(conv, hat)
 
 
 def round_sphere(conv):
@@ -220,8 +233,6 @@ def test_eigen_expansion_of_mixed_curvature():
     n = 2
     t = tensor_from_calabi(random_hermitian(rng, 3), conv)
     spec = calabi_from_tensor(t).spectrum()
-    from calabi_lab.frames import sym2_element
-
     bar = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
     for a in range(n):
         for b in range(n):

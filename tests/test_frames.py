@@ -389,8 +389,9 @@ def test_lefschetz_matrix_matches_dense_definition(n):
 
 def test_verify_builds_no_dense_form(monkeypatch):
     """verify runs on exterior coordinates alone: with the dense form
-    constructors disabled, every record of the suite still passes."""
-    from calabi_lab import frames
+    constructors, the alternation and the gather of dense stacks into
+    coordinates disabled, every record of the suite still passes."""
+    from calabi_lab import frames, weitzenboeck
     from calabi_lab.checks import run_verify_suite
 
     def dense(*args, **kwargs):
@@ -400,6 +401,8 @@ def test_verify_builds_no_dense_form(monkeypatch):
     monkeypatch.setattr(frames.RealForm, "to_dense", dense)
     monkeypatch.setattr(frames, "dense_z_to_e", dense)
     monkeypatch.setattr(frames, "generator_dense_basis", dense)
+    monkeypatch.setattr(frames, "alternate", dense)
+    monkeypatch.setattr(weitzenboeck, "_exterior_coords", dense)
     start = time.perf_counter()
     records = run_verify_suite(4, 2, 5, max_degree=4)
     elapsed = time.perf_counter() - start
