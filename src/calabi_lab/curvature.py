@@ -128,14 +128,6 @@ class AlgebraicCurvatureTensor:
             self.bianchi_validated, self.kaehler_validated, dict(self.residuals))
 
 
-def _j_matrix(n: int) -> np.ndarray:
-    j = np.zeros((2 * n, 2 * n))
-    for a in range(n):
-        j[a + n, a] = 1.0
-        j[a, a + n] = -1.0
-    return j
-
-
 def validate_tensor(components: np.ndarray, convention: FrameConvention,
                     require_kaehler: bool = False,
                     tol: float = DEFAULT_TOL) -> AlgebraicCurvatureTensor:
@@ -169,11 +161,13 @@ def validate_tensor(components: np.ndarray, convention: FrameConvention,
     residuals["bianchi"] = float(np.max(np.abs(bianchi)))
     bianchi_ok = residuals["bianchi"] <= tol * scale
 
-    jm = _j_matrix(convention.n)
-    t1 = np.tensordot(jm, r, axes=(1, 0))                     # [i, b, k, l]
-    k1 = np.tensordot(jm, t1, axes=(1, 1)).transpose(1, 0, 2, 3) - r
-    t2 = np.tensordot(r, jm, axes=(2, 1))                     # [i, j, d, k]
-    k2 = np.tensordot(t2, jm, axes=(2, 1)) - r                # [i, j, k, l]
+    # J e_a = e_{a+n}, J e_{a+n} = -e_a, applied to both slots of a pair as a
+    # signed index permutation
+    perm = np.roll(np.arange(d), convention.n)
+    sign = np.where(np.arange(d) < convention.n, -1.0, 1.0)
+    signs = np.outer(sign, sign)
+    k1 = signs[:, :, None, None] * r[perm][:, perm] - r
+    k2 = signs * r[:, :, perm][:, :, :, perm] - r
     residuals["kaehler_first_pair"] = float(np.max(np.abs(k1)))
     residuals["kaehler_second_pair"] = float(np.max(np.abs(k2)))
     kaehler_ok = bianchi_ok and max(
@@ -245,14 +239,12 @@ def calabi_from_tensor(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
         raise NotKaehler("calabi_from_tensor requires a validated Kaehler tensor")
     n = t.n
     rz = t.complexified()
-    c = _sym2_norms(n)
     labels = sym2_basis_labels(n)
-    m = len(labels)
-    h = np.zeros((m, m), dtype=complex)
-    for nu, (a, b) in enumerate(labels):
-        for mu, (cc, dd) in enumerate(labels):
-            h[mu, nu] = 4.0 * rz[a - 1, n + cc - 1, n + dd - 1, b - 1] / (
-                c[a - 1, b - 1] * c[cc - 1, dd - 1])
+    # h[mu, nu] = 4 R(Z_a, conj Z_c, conj Z_d, Z_b) / (c_ab c_cd), nu = (a, b), mu = (c, d)
+    a, b = (np.array(labels) - 1).T
+    cab = _sym2_norms(n)[a, b]
+    h = 4.0 * rz[a[None, :], n + a[:, None], n + b[:, None], b[None, :]] / (
+        cab[None, :] * cab[:, None])
     if _SIGN_BUG:
         h[0, 0] = -h[0, 0]
     return CurvatureOperatorMatrix("calabi", h, labels,
@@ -356,19 +348,18 @@ def r1_r2_operators(t: AlgebraicCurvatureTensor) -> tuple[CurvatureOperatorMatri
     """R1 restricted to Lambda^2 V and R2 restricted to sym^2 V, real unit bases."""
     r = t.components
     d = t.convention.dim
-    lam_labels = tuple((i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1))
-    m1 = np.zeros((len(lam_labels), len(lam_labels)))
-    for nu, (i, j) in enumerate(lam_labels):
-        for mu, (k, l) in enumerate(lam_labels):
-            m1[mu, nu] = 2.0 * r[i - 1, j - 1, k - 1, l - 1]
+    # m1[mu, nu] = 2 R(e_i, e_j, e_k, e_l), nu = (i, j), mu = (k, l), i < j, k < l
+    i, j = np.triu_indices(d, 1)
+    lam_labels = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
+    m1 = 2.0 * r[i[None, :], j[None, :], i[:, None], j[:, None]]
 
-    sym_labels = tuple((i, j) for i in range(1, d + 1) for j in range(i, d + 1))
-    cn = np.where(np.eye(d, dtype=bool), 2.0, math.sqrt(2.0))
-    m2 = np.zeros((len(sym_labels), len(sym_labels)))
-    for nu, (i, j) in enumerate(sym_labels):
-        for mu, (k, l) in enumerate(sym_labels):
-            val = 2.0 * (r[i - 1, k - 1, l - 1, j - 1] + r[i - 1, l - 1, k - 1, j - 1])
-            m2[mu, nu] = val / (cn[i - 1, j - 1] * cn[k - 1, l - 1])
+    # m2[mu, nu] = 2 (R(e_i, e_k, e_l, e_j) + R(e_i, e_l, e_k, e_j)) / (cn_ij cn_kl),
+    # nu = (i, j), mu = (k, l), i <= j, k <= l
+    i, j = np.triu_indices(d)
+    sym_labels = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
+    cn = np.where(i == j, 2.0, math.sqrt(2.0))
+    i, j, k, l = i[None, :], j[None, :], i[:, None], j[:, None]
+    m2 = 2.0 * (r[i, k, l, j] + r[i, l, k, j]) / (cn[None, :] * cn[:, None])
     return (
         CurvatureOperatorMatrix("r1_lambda2", m1, lam_labels, "e_i ^ e_j / sqrt2"),
         CurvatureOperatorMatrix("r2_sym2", m2, sym_labels, "e_i(.)e_j/sqrt2, e_i(x)e_i"),

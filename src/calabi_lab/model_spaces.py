@@ -130,32 +130,17 @@ def product(factors: list[AlgebraicCurvatureTensor]) -> AlgebraicCurvatureTensor
 
 def _quadric_raw(n: int) -> AlgebraicCurvatureTensor:
     conv = FrameConvention(n)
-    size = n + 2
-
-    def gen(i: int, alpha: int) -> np.ndarray:
-        x = np.zeros((size, size))
-        x[i, alpha] = 1.0
-        x[alpha, i] = -1.0
-        return x
-
-    # e_a = X_{0, a+2}, J e_a = e_{a+n} = X_{1, a+2}
-    basis = [gen(0, a + 2) for a in range(n)] + [gen(1, a + 2) for a in range(n)]
-    brackets = [[bi @ bj - bj @ bi for bj in basis] for bi in basis]
-
-    def inner(x: np.ndarray, y: np.ndarray) -> float:
-        return -0.5 * float(np.trace(x @ y))
-
     d = conv.dim
-    r = np.zeros((d,) * 4)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                for l in range(k + 1, d):
-                    val = inner(brackets[i][j], brackets[k][l])
-                    r[i, j, k, l] = val
-                    r[j, i, k, l] = -val
-                    r[i, j, l, k] = -val
-                    r[j, i, l, k] = val
+    # e_a = X_{0, a+2}, J e_a = e_{a+n} = X_{1, a+2}, X_{i, alpha} = E_{i, alpha} - E_{alpha, i}
+    a = np.arange(d)
+    rows, cols = a // n, a % n + 2
+    gens = np.zeros((d, n + 2, n + 2))
+    gens[a, rows, cols] = 1.0
+    gens[a, cols, rows] = -1.0
+    prod = np.einsum("iab,jbc->ijac", gens, gens)
+    brackets = prod - prod.transpose(1, 0, 2, 3)
+    # <X, Y> = -tr(XY) / 2; every entry is an exact half-integer
+    r = -0.5 * np.einsum("ijab,klba->ijkl", brackets, brackets)
     return validate_tensor(r, conv)
 
 
@@ -203,22 +188,13 @@ def _ricci_traceless_block(t: AlgebraicCurvatureTensor) -> np.ndarray:
 def _calabi_matrix_from_hermitian(h: np.ndarray) -> np.ndarray:
     """Matrix (unit sym^2 basis) of the operator S -> h Shat + Shat h^T."""
     n = h.shape[0]
-    labels = sym2_basis_labels(n)
-    hats = []
-    for a, b in labels:
-        hat = np.zeros((n, n), dtype=complex)
-        if a == b:
-            hat[a - 1, a - 1] = 1.0
-        else:
-            hat[a - 1, b - 1] = hat[b - 1, a - 1] = 1.0 / math.sqrt(2.0)
-        hats.append(hat)
-    m = len(labels)
-    out = np.zeros((m, m), dtype=complex)
-    for nu in range(m):
-        img = h @ hats[nu] + hats[nu] @ h.T
-        for mu in range(m):
-            out[mu, nu] = np.sum(img * hats[mu].conj())
-    return out
+    idx = np.array(sym2_basis_labels(n)) - 1
+    m = len(idx)
+    hats = np.zeros((m, n, n), dtype=complex)
+    val = np.where(idx[:, 0] == idx[:, 1], 1.0, 1.0 / math.sqrt(2.0))
+    hats[np.arange(m), idx[:, 0], idx[:, 1]] = val
+    hats[np.arange(m), idx[:, 1], idx[:, 0]] = val
+    return np.einsum("mab,nab->mn", hats.conj(), h @ hats + hats @ h.T)
 
 
 def random_kaehler_einstein(n: int, seed: int, tol: float = 1e-10,

@@ -179,13 +179,22 @@ def ricl_pairing(t: AlgebraicCurvatureTensor, psi: FormPQ | RealForm) -> complex
 # eigenvalue routes
 # ---------------------------------------------------------------------------
 
+def _require_source(spec: Spectrum, source: str) -> None:
+    """At n = 2 the Calabi and restricted Kaehler spectra have the same size,
+    so only the recorded source tells them apart."""
+    if spec.source != source:
+        raise ValueError(f"expected a {source!r} spectrum, got source {spec.source!r}")
+
+
 def ricl_via_calabi(spec: Spectrum, psi: FormPQ | RealForm) -> float:
     """Curvature term 2 sum_nu sigma_nu |Sigma_nu psi|^2 from a Calabi spectrum.
 
     ``spec`` must be the eigensystem of the Calabi matrix in the unit
-    sym^2 V^{1,0} basis; the eigen-elements Sigma_nu are then unitary.
+    sym^2 V^{1,0} basis (source ``"calabi"``; any other source raises
+    ValueError); the eigen-elements Sigma_nu are then unitary.
     """
     conv = psi.convention
+    _require_source(spec, "calabi")
     if spec.size != conv.n * (conv.n + 1) // 2:
         raise ValueError("spectrum dimension does not match sym^2 V^{1,0}")
     norms = _mixed_norms(conv, "sym2_10", spec.eigenvectors, psi)[:, 0]
@@ -197,13 +206,15 @@ def ricl_via_kaehler_su(lam: float, su_spec: Spectrum, phi: FormPQ) -> float:
     restricted Kaehler operator:
     g(Ric_L phi, conj phi) = lam (p-q)^2 / n |phi|^2 + sum_a lam_a |Xi_a phi|^2.
 
-    ``su_spec`` must be the eigensystem of ``curvature.restrict_su``, whose
+    ``su_spec`` must be the eigensystem of ``curvature.restrict_su`` (source
+    ``"kaehler_su"``; any other source raises ValueError), whose
     basis ``su_complement(n)`` is written over the Lambda^{1,1} basis
     ``Z_a ^ conj(Z_b) / sqrt2``.  The eigen-elements Xi_a are normalized in
     the half-trace convention (sqrt2 times those unit elements), so the
     coordinates ``su_complement(n) @ eigenvectors`` are their coordinates
     over the unitary basis ``Z_a ^ conj(Z_b)`` of u(n), and mix its actions.
     """
+    _require_source(su_spec, "kaehler_su")
     conv = phi.convention
     n = conv.n
     mix = su_complement(n) @ su_spec.eigenvectors
@@ -233,6 +244,7 @@ def _mixed_norms(conv: FrameConvention, tag: str, mix: np.ndarray, forms) -> np.
 def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention, forms) -> np.ndarray:
     """Vectorized 2 sum sigma_nu |Sigma_nu psi|^2 over a sequence of forms or a
     stack of dense Z-frame forms."""
+    _require_source(spec, "calabi")
     return 2.0 * (spec.eigenvalues @ _mixed_norms(conv, "sym2_10", spec.eigenvectors, forms))
 
 

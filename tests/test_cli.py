@@ -11,8 +11,10 @@ import pytest
 
 import calabi_lab
 from calabi_lab.cli import SpaceParseError, main, parse_space
+from calabi_lab.frames import FrameConvention
 from calabi_lab.model_spaces import SpaceDescriptor
 from calabi_lab.report import validate_report
+from calabi_lab.weitzenboeck import stress_search
 
 
 def test_parse_space_grammar():
@@ -385,6 +387,27 @@ def test_verify_tol_scale(tmp_path):
     assert code == 1
     env = json.loads(out.read_text())
     assert env["passed"] is False
+
+
+def test_verify_stress_within_cap_allows_rounding(tmp_path):
+    """At n = 3 the best ratio for (1,0) and (2,0) attains the cap 0.5 and can
+    land a few ulps above it; within_cap reads that as within the bound,
+    and best_found stays exactly as stress_search computed it."""
+    out = tmp_path / "v.json"
+    assert main(["verify", "--n", "3", "--trials", "5", "--stress", "--format", "json",
+                 "--out", str(out)]) == 0
+    env = json.loads(out.read_text())
+    assert validate_report(env) == []
+    table = next(r for r in env["records"] if r["name"] == "stress_search")["values"]
+    assert set(table) == {"1,0", "1,1", "2,0", "2,1", "3,0"}
+    for key, row in table.items():
+        p, q = map(int, key.split(","))
+        assert row["within_cap"] is True
+        assert row["best_found"] == stress_search(FrameConvention(3), p, q, seed=0)
+        assert row["best_found"] <= row["proven_cap"] * (1.0 + 64 * np.finfo(float).eps)
+    for key in ("1,0", "2,0", "3,0"):
+        assert table[key]["proven_cap"] == 0.5
+        assert abs(table[key]["best_found"] - 0.5) < 1e-12
 
 
 def test_verify_max_degree_defaults_to_n(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calabi_lab.curvature import (
+    DEFAULT_TOL,
     NotEinstein,
     NotHermitian,
     NotKaehler,
@@ -20,7 +21,7 @@ from calabi_lab.curvature import (
     validate_tensor,
 )
 from calabi_lab.frames import EndoC, FrameConvention, sym2_basis_endos, sym2_basis_labels
-from calabi_lab.model_spaces import chsc, flat_torus
+from calabi_lab.model_spaces import chsc, flat_torus, quadric, random_kaehler
 
 
 def sym2_element(conv, coords):
@@ -286,3 +287,101 @@ def test_sign_bug_hook_changes_matrix_only_under_flag():
         bugged = calabi_from_tensor(t).matrix
     assert abs(bugged[0, 0] + clean[0, 0]) < 1e-14
     np.testing.assert_allclose(calabi_from_tensor(t).matrix, clean, atol=0)
+
+
+def _calabi_loop(t):
+    """Reference: the Calabi matrix entry by entry over the sym^2 labels."""
+    n = t.n
+    rz = t.complexified()
+    c = np.full((n, n), np.sqrt(2.0))
+    np.fill_diagonal(c, 2.0)
+    labels = sym2_basis_labels(n)
+    h = np.zeros((len(labels), len(labels)), dtype=complex)
+    for nu, (a, b) in enumerate(labels):
+        for mu, (cc, dd) in enumerate(labels):
+            h[mu, nu] = 4.0 * rz[a - 1, n + cc - 1, n + dd - 1, b - 1] / (
+                c[a - 1, b - 1] * c[cc - 1, dd - 1])
+    return h
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_calabi_from_tensor_matches_loop(n):
+    for t in (random_kaehler(n, 11), quadric(n), chsc(n, 1.5)):
+        assert np.array_equal(calabi_from_tensor(t).matrix, _calabi_loop(t))
+
+
+def _validate_loop(r, conv, tol=DEFAULT_TOL):
+    """Reference: validate_tensor's residuals and flags with J applied as a
+    matrix by tensordot, slot by slot."""
+    n, d = conv.n, conv.dim
+    jm = np.zeros((d, d))
+    for a in range(n):
+        jm[a + n, a] = 1.0
+        jm[a, a + n] = -1.0
+    scale = max(1.0, float(np.max(np.abs(r))))
+    res = {
+        "antisymmetry_first_pair": float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
+        "antisymmetry_second_pair": float(np.max(np.abs(r + r.transpose(0, 1, 3, 2)))),
+        "pair_exchange": float(np.max(np.abs(r - r.transpose(2, 3, 0, 1)))),
+        "bianchi": float(np.max(np.abs(
+            r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)))),
+    }
+    t1 = np.tensordot(jm, r, axes=(1, 0))
+    k1 = np.tensordot(jm, t1, axes=(1, 1)).transpose(1, 0, 2, 3) - r
+    t2 = np.tensordot(r, jm, axes=(2, 1))
+    k2 = np.tensordot(t2, jm, axes=(2, 1)) - r
+    res["kaehler_first_pair"] = float(np.max(np.abs(k1)))
+    res["kaehler_second_pair"] = float(np.max(np.abs(k2)))
+    bianchi_ok = res["bianchi"] <= tol * scale
+    kaehler_ok = bianchi_ok and max(
+        res["kaehler_first_pair"], res["kaehler_second_pair"]) <= tol * scale
+    return res, bianchi_ok, kaehler_ok
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_validate_residuals_match_tensordot(n):
+    conv = FrameConvention(n)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(conv.dim,) * 4)
+    x = x - x.transpose(1, 0, 2, 3)
+    x = x - x.transpose(0, 1, 3, 2)
+    pair_symmetric = x + x.transpose(2, 3, 0, 1)  # Bianchi fails
+    flags = []
+    for r in (random_kaehler(n, 3).components, quadric(n).components,
+              random_riemannian(conv, 4).components, pair_symmetric):
+        t = validate_tensor(r, conv)
+        res, bianchi_ok, kaehler_ok = _validate_loop(r, conv)
+        assert t.residuals == res
+        assert (t.bianchi_validated, t.kaehler_validated) == (bianchi_ok, kaehler_ok)
+        flags.append((bianchi_ok, kaehler_ok, res["kaehler_first_pair"] > 0.1,
+                      res["kaehler_second_pair"] > 0.1))
+    assert flags == [(True, True, False, False), (True, True, False, False),
+                     (True, False, True, True), (False, False, True, True)]
+
+
+def _r1_r2_loop(t):
+    """Reference: the R1 and R2 matrices entry by entry over the real labels."""
+    r = t.components
+    d = t.convention.dim
+    lam = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    m1 = np.zeros((len(lam), len(lam)))
+    for nu, (i, j) in enumerate(lam):
+        for mu, (k, l) in enumerate(lam):
+            m1[mu, nu] = 2.0 * r[i - 1, j - 1, k - 1, l - 1]
+    sym = [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
+    cn = np.where(np.eye(d, dtype=bool), 2.0, np.sqrt(2.0))
+    m2 = np.zeros((len(sym), len(sym)))
+    for nu, (i, j) in enumerate(sym):
+        for mu, (k, l) in enumerate(sym):
+            val = 2.0 * (r[i - 1, k - 1, l - 1, j - 1] + r[i - 1, l - 1, k - 1, j - 1])
+            m2[mu, nu] = val / (cn[i - 1, j - 1] * cn[k - 1, l - 1])
+    return (m1, tuple(lam)), (m2, tuple(sym))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_r1_r2_operators_match_loop(n):
+    conv = FrameConvention(n)
+    for t in (random_riemannian(conv, 5), random_kaehler(n, 6)):
+        for op, (want, labels) in zip(r1_r2_operators(t), _r1_r2_loop(t)):
+            assert np.array_equal(op.matrix, want)
+            assert op.basis_labels == labels

@@ -1,11 +1,17 @@
 """Model geometries: CHSC, the quadric, products, seeded random tensors."""
 
+import math
+
 import numpy as np
 import pytest
 
 from calabi_lab.curvature import calabi_from_tensor, ricci
+from calabi_lab.frames import sym2_basis_labels
 from calabi_lab.model_spaces import (
     EinsteinProjectionError,
+    _calabi_matrix_from_hermitian,
+    _quadric_raw,
+    _ricci_traceless_block,
     SpaceDescriptor,
     build,
     chsc,
@@ -123,3 +129,66 @@ def test_random_ke_without_iterations_raises_projection_error():
     # a random tensor is not Einstein, and no projection step is allowed
     with pytest.raises(EinsteinProjectionError, match="after 0 iterations"):
         random_kaehler_einstein(2, 9, max_iter=0)
+
+
+def _quadric_raw_loop(n):
+    """Reference: <[X, Y], [Z, W]> = -tr([X, Y] [Z, W]) / 2 one index
+    quadruple at a time, the loop that _quadric_raw contracts."""
+    size, d = n + 2, 2 * n
+
+    def gen(i, alpha):
+        x = np.zeros((size, size))
+        x[i, alpha] = 1.0
+        x[alpha, i] = -1.0
+        return x
+
+    basis = [gen(0, a + 2) for a in range(n)] + [gen(1, a + 2) for a in range(n)]
+    brackets = [[bi @ bj - bj @ bi for bj in basis] for bi in basis]
+    r = np.zeros((d,) * 4)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(d):
+                for l in range(k + 1, d):
+                    val = -0.5 * float(np.trace(brackets[i][j] @ brackets[k][l]))
+                    r[i, j, k, l] = val
+                    r[j, i, k, l] = -val
+                    r[i, j, l, k] = -val
+                    r[j, i, l, k] = val
+    return r
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_quadric_raw_matches_loop(n):
+    t = _quadric_raw(n)
+    assert np.array_equal(t.components, _quadric_raw_loop(n))
+    assert t.kaehler_validated and max(t.residuals.values()) == 0.0
+
+
+def _calabi_matrix_from_hermitian_loop(h):
+    """Reference: the matrix of S -> h Shat + Shat h^T, one unit hat at a time."""
+    n = h.shape[0]
+    hats = []
+    for a, b in sym2_basis_labels(n):
+        hat = np.zeros((n, n), dtype=complex)
+        if a == b:
+            hat[a - 1, a - 1] = 1.0
+        else:
+            hat[a - 1, b - 1] = hat[b - 1, a - 1] = 1.0 / math.sqrt(2.0)
+        hats.append(hat)
+    m = len(hats)
+    out = np.zeros((m, m), dtype=complex)
+    for nu in range(m):
+        img = h @ hats[nu] + hats[nu] @ h.T
+        for mu in range(m):
+            out[mu, nu] = np.sum(img * hats[mu].conj())
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_calabi_matrix_from_hermitian_matches_loop(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    # a random Hermitian matrix and the one the Einstein projection first sees
+    for h in (a + a.conj().T, _ricci_traceless_block(random_kaehler(n, 5)).conj()):
+        assert np.array_equal(_calabi_matrix_from_hermitian(h),
+                              _calabi_matrix_from_hermitian_loop(h))

@@ -30,6 +30,7 @@ from calabi_lab.frames import (
     sym2_basis_labels,
 )
 from calabi_lab.model_spaces import chsc, random_kaehler, random_kaehler_einstein
+from calabi_lab.spectral import eigensystem
 from calabi_lab.weitzenboeck import (
     NotSymmetric,
     _curvature_contraction,
@@ -433,6 +434,34 @@ def test_einstein_curvature_term_via_restricted_spectrum():
             bf = ricl_pairing(t, phi).real
             ke = ricl_via_kaehler_su(ric.einstein_lambda, spec, phi)
             assert abs(bf - ke) < 1e-9 * max(1.0, abs(bf))
+
+
+def test_eigen_routes_reject_a_spectrum_of_the_wrong_operator():
+    """At n = 2 the Calabi and restricted Kaehler spectra both have size 3,
+    so only the spectrum's source tells them apart.  Passing the Calabi
+    spectrum to the Kaehler route used to give 11.73 against the oracle's
+    3.487 on this tensor, with no error."""
+    conv = FrameConvention(2)
+    t = random_kaehler_einstein(2, 5)
+    ric = ricci(t)
+    cal = calabi_from_tensor(t).spectrum()
+    su = restrict_su(kaehler_operator(t), ric).spectrum()
+    assert cal.size == su.size == 3
+    phi = random_primitive_real(conv, 1, 1, np.random.default_rng(0)).phi
+    bf = ricl_pairing(t, phi).real
+    with pytest.raises(ValueError, match="kaehler_su"):
+        ricl_via_kaehler_su(ric.einstein_lambda, cal, phi)
+    with pytest.raises(ValueError, match="calabi"):
+        ricl_via_calabi(su, phi)
+    with pytest.raises(ValueError, match="calabi"):
+        ricl_via_calabi_batch(su, conv, [phi])
+    unnamed = eigensystem(calabi_from_tensor(t).matrix)
+    with pytest.raises(ValueError, match="calabi"):
+        ricl_via_calabi(unnamed, phi)
+    named = eigensystem(calabi_from_tensor(t).matrix, source="calabi")
+    for ec in (ricl_via_kaehler_su(ric.einstein_lambda, su, phi),
+               ricl_via_calabi(cal, phi), ricl_via_calabi(named, phi)):
+        assert abs(ec - bf) < 1e-9 * max(1.0, abs(bf))
 
 
 def test_estimate_bound_trivial_and_sampled():
