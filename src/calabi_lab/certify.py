@@ -182,6 +182,9 @@ def _verdict_from_ktest(vals, k: float, eps_scale: float) -> tuple[str, Positivi
 
 
 def _certify(mode: str, spec: Spectrum, n: int, threshold_of, eps: float) -> Certificate:
+    # a negative margin would grant "vanishes" to a negative partial sum
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"strictness margin eps must be finite and >= 0, got {eps!r}")
     vals = spec.eigenvalues
     m = len(vals)
     scale = float(np.max(np.abs(vals))) if m else 0.0

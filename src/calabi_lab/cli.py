@@ -299,15 +299,10 @@ def cmd_certify(args) -> dict:
         n, spec, label = _space_to_spectrum(space)
         cert = ct.certify_calabi(spec, n, eps=eps)
     else:
-        if isinstance(space, dict) and space["kind"] == "calabi":
-            t = cv.tensor_from_calabi(_calabi_matrix_from_input(space), FrameConvention(space["n"]))
-            label = "file:calabi"
-        elif isinstance(space, dict):
-            t = _tensor_from_input(space)
-            label = "file:components"
+        if isinstance(space, dict):
+            t, label = _tensor_from_input(space), f"file:{space['kind']}"
         else:
-            t = ms.build(space)
-            label = space.variant
+            t, label = ms.build(space), space.variant
         n = t.convention.n
         if n < 2:
             raise SizeLimitError(f"--mode ke needs complex dimension n >= 2, got n={n}: "
@@ -345,15 +340,21 @@ def cmd_certify(args) -> dict:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _bounded(kind, domain: str, admits):
+    """argparse type ``kind(text)``, refused unless ``admits`` accepts it;
+    ``domain`` names the accepted values in the message."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not admits(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+        return value
+    return parse
+
+
+_COUNT = _bounded(int, "an integer >= 1", lambda v: v >= 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,11 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the identity suite")
     pv.add_argument("--n", type=int, default=3)
-    pv.add_argument("--trials", type=_positive_int, default=50)
+    pv.add_argument("--trials", type=_COUNT, default=50)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--max-degree", type=_positive_int, default=None, dest="max_degree",
+    pv.add_argument("--max-degree", type=_COUNT, default=None, dest="max_degree",
                     help="highest form degree p+q checked (default n)")
-    pv.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
+    pv.add_argument("--tol-scale", dest="tol_scale", default=1.0,
+                    type=_bounded(float, "a finite number > 0", lambda v: 0 < v < np.inf),
                     help="multiply every check tolerance by this factor")
     pv.add_argument("--stress", action="store_true",
                     help="append the estimate-tightness probe (exact maximum over S "
@@ -398,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mode", choices=("calabi", "ke"), default="calabi")
     pc.add_argument("--p", type=int, default=None, help="restrict verdicts to one p")
     pc.add_argument("--q", type=int, default=None, help="restrict verdicts to one q")
-    pc.add_argument("--eps", type=float, default=None,
+    pc.add_argument("--eps", default=None,
+                    type=_bounded(float, "a finite number >= 0", lambda v: 0 <= v < np.inf),
                     help="strictness margin relative to the spectral radius")
     common(pc)
     pc.set_defaults(fn=cmd_certify)

@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalabiLabError
-from .frames import FrameConvention, lambda11_basis_labels, sym2_basis_labels
+from .frames import (E_BLOCK, Z_BLOCK, FrameConvention, change_pairs, lambda11_basis_labels,
+                     sym2_basis_labels)
 from .spectral import NotHermitian, Spectrum, eigensystem, require_finite
 
 __all__ = [
@@ -107,11 +108,7 @@ class AlgebraicCurvatureTensor:
     def complexified(self) -> np.ndarray:
         """Components over the Z-frame, R(W_A, W_B, W_C, W_D)."""
         if self._complexified is None:
-            from .frames import contract_each_slot
-
-            p = self.convention.frame_change
-            self._complexified = contract_each_slot(
-                self.components.astype(complex), p.T)
+            self._complexified = change_pairs(self.components, [Z_BLOCK] * 4)
         return self._complexified
 
     def endo_zz(self, a: int, b: int) -> np.ndarray:
@@ -137,39 +134,47 @@ def validate_tensor(components: np.ndarray, convention: FrameConvention,
     when a pair symmetry fails; Bianchi and Kaehler failures only clear the
     corresponding flags unless require_kaehler is set.
     """
-    r = np.asarray(components, dtype=float)
-    d = convention.dim
+    # C order, so that the (2, n) splits of the J check below are views
+    r = np.ascontiguousarray(components, dtype=float)
+    d, n = convention.dim, convention.n
     if r.shape != (d,) * 4:
         raise SymmetryViolation("shape", r.shape, float("nan"))
     require_finite(r, "curvature tensor")
-    scale = max(1.0, float(np.max(np.abs(r))))
+    # one work buffer holds each residual tensor in turn, then its absolute value
+    buf = np.abs(r)
+    scale = max(1.0, float(buf.max()))
     residuals: dict[str, float] = {}
 
-    checks = {
-        "antisymmetry_first_pair": r + r.transpose(1, 0, 2, 3),
-        "antisymmetry_second_pair": r + r.transpose(0, 1, 3, 2),
-        "pair_exchange": r - r.transpose(2, 3, 0, 1),
-    }
-    for name, delta in checks.items():
-        worst = float(np.max(np.abs(delta)))
-        residuals[name] = worst
-        if worst > tol * scale:
-            idx = np.unravel_index(int(np.argmax(np.abs(delta))), delta.shape)
-            raise SymmetryViolation(name, tuple(int(i) for i in idx), worst)
+    def worst() -> float:
+        return float(np.abs(buf, out=buf).max())
 
-    bianchi = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)
-    residuals["bianchi"] = float(np.max(np.abs(bianchi)))
+    for name, op, axes in (("antisymmetry_first_pair", np.add, (1, 0, 2, 3)),
+                           ("antisymmetry_second_pair", np.add, (0, 1, 3, 2)),
+                           ("pair_exchange", np.subtract, (2, 3, 0, 1))):
+        op(r, r.transpose(axes), out=buf)
+        residuals[name] = worst()
+        if residuals[name] > tol * scale:
+            idx = np.unravel_index(int(np.argmax(buf)), buf.shape)
+            raise SymmetryViolation(name, tuple(int(i) for i in idx), residuals[name])
+
+    np.add(r, r.transpose(1, 2, 0, 3), out=buf)
+    np.add(buf, r.transpose(2, 0, 1, 3), out=buf)
+    residuals["bianchi"] = worst()
     bianchi_ok = residuals["bianchi"] <= tol * scale
 
-    # J e_a = e_{a+n}, J e_{a+n} = -e_a, applied to both slots of a pair as a
-    # signed index permutation
-    perm = np.roll(np.arange(d), convention.n)
-    sign = np.where(np.arange(d) < convention.n, -1.0, 1.0)
-    signs = np.outer(sign, sign)
-    k1 = signs[:, :, None, None] * r[perm][:, perm] - r
-    k2 = signs * r[:, :, perm][:, :, :, perm] - r
-    residuals["kaehler_first_pair"] = float(np.max(np.abs(k1)))
-    residuals["kaehler_second_pair"] = float(np.max(np.abs(k2)))
+    # J e_a = e_{a+n}, J e_{a+n} = -e_a on both slots of a pair: split each
+    # slot as (2, n), swap its halves and negate where the two slots of the
+    # pair land in different halves
+    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
+    pairs = {
+        "kaehler_first_pair": (r.reshape(2, n, 2, n, d * d), np.s_[::-1, :, ::-1], sign[..., None]),
+        "kaehler_second_pair": (r.reshape(d * d, 2, n, 2, n), np.s_[:, ::-1, :, ::-1], sign),
+    }
+    for name, (view, swap, signs) in pairs.items():
+        out = buf.reshape(view.shape)
+        np.multiply(view[swap], signs, out=out)
+        np.subtract(out, view, out=out)
+        residuals[name] = worst()
     kaehler_ok = bianchi_ok and max(
         residuals["kaehler_first_pair"], residuals["kaehler_second_pair"]) <= tol * scale
 
@@ -238,12 +243,14 @@ def calabi_from_tensor(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
     if not t.kaehler_validated:
         raise NotKaehler("calabi_from_tensor requires a validated Kaehler tensor")
     n = t.n
-    rz = t.complexified()
+    # rz[a, c, d, b] = R(Z_a, conj Z_c, conj Z_d, Z_b)
+    z, zbar = Z_BLOCK[:1], Z_BLOCK[1:]
+    rz = change_pairs(t.components, (z, zbar, zbar, z))
     labels = sym2_basis_labels(n)
     # h[mu, nu] = 4 R(Z_a, conj Z_c, conj Z_d, Z_b) / (c_ab c_cd), nu = (a, b), mu = (c, d)
     a, b = (np.array(labels) - 1).T
     cab = _sym2_norms(n)[a, b]
-    h = 4.0 * rz[a[None, :], n + a[:, None], n + b[:, None], b[None, :]] / (
+    h = 4.0 * rz[a[None, :], a[:, None], b[:, None], b[None, :]] / (
         cab[None, :] * cab[:, None])
     if _SIGN_BUG:
         h[0, 0] = -h[0, 0]
@@ -274,18 +281,12 @@ def tensor_from_calabi(matrix: np.ndarray | CurvatureOperatorMatrix,
     # qm[a,b,c,d] = R(Z_a, conj Z_b, Z_c, conj Z_d)
     qm = -s4.transpose(0, 2, 1, 3)
 
-    d = 2 * n
-    rz = np.zeros((d,) * 4, dtype=complex)
-    u = slice(0, n)
-    v = slice(n, d)
-    rz[u, v, u, v] = qm
-    rz[v, u, u, v] = -qm.transpose(1, 0, 2, 3)
-    rz[u, v, v, u] = -qm.transpose(0, 1, 3, 2)
-    rz[v, u, v, u] = qm.transpose(1, 0, 3, 2)
-
-    from .frames import contract_each_slot
-
-    re = contract_each_slot(rz, convention.frame_change.conj())
+    # the real-frame image of the (Z, conj Z, Z, conj Z) block alone; the
+    # other nonzero blocks of the Z-frame tensor follow by antisymmetry
+    z, zbar = E_BLOCK[:, :1], E_BLOCK[:, 1:]
+    re = change_pairs(qm, (z, zbar, z, zbar))
+    re = re - re.transpose(1, 0, 2, 3)
+    re = re - re.transpose(0, 1, 3, 2)
     if np.max(np.abs(re.imag)) > 1e-10 * scale:
         raise NotHermitian("reconstructed tensor is not real; input matrix malformed")
     return validate_tensor(re.real, convention, require_kaehler=True, tol=tol)
@@ -296,8 +297,9 @@ def kaehler_operator(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
     if not t.kaehler_validated:
         raise NotKaehler("kaehler_operator requires a validated Kaehler tensor")
     n = t.n
-    rz = t.complexified()
-    qm = rz[:n, n:, :n, n:]
+    # qm[a, b, c, d] = R(Z_a, conj Z_b, Z_c, conj Z_d)
+    z, zbar = Z_BLOCK[:1], Z_BLOCK[1:]
+    qm = change_pairs(t.components, (z, zbar, z, zbar))
     mat4 = -qm.transpose(3, 2, 0, 1)
     k = mat4.reshape(n * n, n * n)
     return CurvatureOperatorMatrix("kaehler", k, lambda11_basis_labels(n),

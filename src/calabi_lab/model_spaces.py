@@ -23,7 +23,7 @@ from .curvature import (
     validate_tensor,
 )
 from .errors import CalabiLabError
-from .frames import FrameConvention, sym2_basis_labels
+from .frames import Z_BLOCK, FrameConvention, change_pairs, sym2_basis_labels
 from .spectral import PositivityReport, Spectrum, k_test
 
 __all__ = [
@@ -140,7 +140,7 @@ def _quadric_raw(n: int) -> AlgebraicCurvatureTensor:
     prod = np.einsum("iab,jbc->ijac", gens, gens)
     brackets = prod - prod.transpose(1, 0, 2, 3)
     # <X, Y> = -tr(XY) / 2; every entry is an exact half-integer
-    r = -0.5 * np.einsum("ijab,klba->ijkl", brackets, brackets)
+    r = -0.5 * np.tensordot(brackets, brackets, axes=([2, 3], [3, 2]))
     return validate_tensor(r, conv)
 
 
@@ -177,12 +177,8 @@ def random_kaehler(n: int, seed: int) -> AlgebraicCurvatureTensor:
 
 def _ricci_traceless_block(t: AlgebraicCurvatureTensor) -> np.ndarray:
     """Traceless Hermitian h_ab = Ric(Z_a, conj Z_b) - (scal/2n) delta_ab."""
-    conv = t.convention
-    ric = ricci(t)
-    p = conv.frame_change
-    ric_z = p.T @ ric.ricci @ p
-    h = ric_z[: conv.n, conv.n:]
-    return h - (np.trace(h) / conv.n) * np.eye(conv.n)
+    h = change_pairs(ricci(t).ricci, (Z_BLOCK[:1], Z_BLOCK[1:]))
+    return h - (np.trace(h) / t.n) * np.eye(t.n)
 
 
 def _calabi_matrix_from_hermitian(h: np.ndarray) -> np.ndarray:

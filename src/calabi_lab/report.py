@@ -8,10 +8,13 @@ round-trip float repr, no timestamps, deterministic record order).
 from __future__ import annotations
 
 import csv
+import fractions
 import io
 import json
 import os
 from typing import Any
+
+import numpy as np
 
 from . import __version__
 
@@ -40,31 +43,26 @@ def make_envelope(command: str, config: dict, records: list[dict]) -> dict:
     }
 
 
-def _plain(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays and fractions to json types."""
-    import fractions
-
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+def _json_default(obj: Any) -> Any:
+    """json.dumps hook for the values json cannot encode itself: numpy arrays
+    and scalars, fractions and complex numbers."""
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, fractions.Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj: Any, **kwargs) -> str:
+    return json.dumps(obj, sort_keys=True, default=_json_default, **kwargs)
 
 
 def to_json(env: dict) -> str:
-    return json.dumps(_plain(env), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    return _dumps(env, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 CSV_COLUMNS = ["name", "anchor", "status", "residual", "value"]
@@ -82,7 +80,7 @@ def to_csv(env: dict) -> str:
             r.get("anchor", ""),
             r.get("status", ""),
             repr(float(r["residual"])) if r.get("residual") is not None else "",
-            json.dumps(_plain(values), sort_keys=True, separators=(",", ":"), allow_nan=False),
+            _dumps(values, separators=(",", ":"), allow_nan=False),
         ])
     return out.getvalue()
 
@@ -101,7 +99,7 @@ def to_table(env: dict) -> str:
         vals = r.get("values") or {}
         merged = {**extra, **(vals if isinstance(vals, dict) else {"values": vals})}
         for k, v in merged.items():
-            text = json.dumps(_plain(v), sort_keys=True) if isinstance(v, (dict, list, tuple)) else v
+            text = _dumps(v) if isinstance(v, (dict, list, tuple)) else v
             lines.append(f"        {k}: {text}")
     lines.append("-" * 72)
     lines.append("PASS" if env["passed"] else "FAIL")

@@ -135,3 +135,15 @@ def test_certify_ke_verdict_independent_of_summary():
     rich = np.diag(sorted([-0.5] + [1.0] * (m - 1)))
     cert2 = certify_ke(eigensystem(rich), n)
     assert cert2.verdicts[(3, 0)].status == "vanishes"
+
+
+@pytest.mark.parametrize("eps", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_certify_refuses_a_bad_margin(eps):
+    """A negative margin would grant "vanishes" to negative partial sums (Q4
+    at (1,1), (2,2), (3,3) with eps = -1, against b_4 = 2)."""
+    spec = quadric_spectrum(4)[0]
+    with pytest.raises(ValueError, match="eps"):
+        certify_calabi(spec, 4, eps=eps)
+    with pytest.raises(ValueError, match="eps"):
+        certify_ke(eigensystem(np.eye(8)), 3, eps=eps)
+    assert certify_calabi(spec, 4, eps=0.0).verdicts[(2, 2)].status != "vanishes"

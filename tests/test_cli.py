@@ -416,3 +416,138 @@ def test_verify_max_degree_defaults_to_n(tmp_path):
         assert main(["verify", *argv, "--trials", "1", "--format", "json",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["max_degree"] == expect
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--space", "quadric:n=4", "--eps", "-1"],
+    ["certify", "--space", "quadric:n=4", "--eps", "nan"],
+    ["certify", "--space", "quadric:n=4", "--eps", "inf"],
+    ["certify", "--space", "quadric:n=4", "--mode", "ke", "--eps", "-0.5"],
+    ["verify", "--n", "2", "--trials", "1", "--tol-scale", "nan"],
+    ["verify", "--n", "2", "--trials", "1", "--tol-scale", "-1"],
+    ["verify", "--n", "2", "--trials", "1", "--tol-scale", "0"],
+    ["verify", "--n", "2", "--trials", "1", "--tol-scale", "inf"],
+])
+def test_margins_outside_their_domain_are_usage_errors(argv, capsys):
+    """--eps must be finite and >= 0, --tol-scale finite and > 0: refused by
+    the parser before any work, never a false certificate or a failed suite."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}: must be a finite number" in err
+
+
+def test_margins_at_their_domain_edge_are_accepted(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["certify", "--space", "quadric:n=4", "--eps", "0",
+                 "--format", "json", "--out", str(out)]) == 0
+    verdicts = {(r["values"]["p"], r["values"]["q"]): r["values"]["status"]
+                for r in json.loads(out.read_text())["records"][1:]}
+    assert verdicts[(2, 2)] != "vanishes"
+    assert main(["verify", "--n", "2", "--trials", "1", "--tol-scale", "2.5",
+                 "--format", "json", "--out", str(out)]) == 0
+
+
+def _plain(obj):
+    """Reference: the recursive conversion the serializers used before the
+    json.dumps hook."""
+    from fractions import Fraction
+
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator}
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    return obj
+
+
+def _envelopes(tmp_path):
+    from calabi_lab.cli import build_parser
+
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps({"kind": "calabi", "n": 2,
+                                "hermitian": [[2.0, 0.0], [0.5, 0.25], [0.0, 0.0],
+                                              [1.0, 0.0], [0.0, 0.1], [1.5, 0.0]]}))
+    for argv in (["verify", "--n", "2", "--trials", "2", "--seed", "4", "--stress"],
+                 ["verify", "--n", "3", "--trials", "1", "--tol-scale", "1e-20"],
+                 ["spectrum", "--space", "quadric:n=4"],
+                 ["spectrum", "--space", f"file:{path}"],
+                 ["thresholds", "--n", "5"],
+                 ["certify", "--space", "random:n=3,seed=2"],
+                 ["certify", "--space", "randomke:n=3,seed=2", "--mode", "ke"],
+                 ["certify", "--space", "product:[chsc:n=1;quadric:n=2]", "--p", "1"]):
+        args = build_parser().parse_args(argv)
+        yield args.fn(args)
+
+
+def test_serializers_match_the_plain_reference(tmp_path, monkeypatch):
+    """to_json, to_csv and to_table through the json.dumps hook give the same
+    bytes as the old recursive conversion, for every subcommand."""
+    from calabi_lab import report
+
+    envs = list(_envelopes(tmp_path))
+    got = [(report.to_json(e), report.to_csv(e), report.to_table(e)) for e in envs]
+    monkeypatch.setattr(report, "_dumps",
+                        lambda obj, **kw: json.dumps(_plain(obj), sort_keys=True, **kw))
+    assert got == [(report.to_json(e), report.to_csv(e), report.to_table(e)) for e in envs]
+
+
+def test_serializers_encode_numpy_values():
+    from fractions import Fraction
+
+    from calabi_lab.report import make_envelope, to_csv, to_json, to_table
+
+    values = {"flag": np.bool_(True), "f32": np.float32(0.5), "i8": np.int8(-3),
+              "arr": np.array([[1.0, 2.5]]), "carr": np.array([1 + 2j]),
+              "frac": Fraction(3, 4), "z": 1.5 - 0.5j, "pair": (np.float64(0.1), 2)}
+    env = make_envelope("spectrum", {"space": "x"}, [
+        {"name": "r", "anchor": "a", "status": "info", "residual": None, "values": values}])
+    decoded = json.loads(to_json(env))["records"][0]["values"]
+    assert decoded == {"flag": True, "f32": 0.5, "i8": -3, "arr": [[1.0, 2.5]],
+                       "carr": [{"re": 1.0, "im": 2.0}], "frac": {"num": 3, "den": 4},
+                       "z": {"re": 1.5, "im": -0.5}, "pair": [0.1, 2]}
+    assert '""flag"":true' in to_csv(env)
+    assert "flag: True" in to_table(env)
+    with pytest.raises(TypeError, match="object"):
+        to_json(make_envelope("x", {}, [{"name": "r", "anchor": "a", "status": "info",
+                                         "values": object()}]))
+
+
+def test_certify_and_spectrum_build_no_full_z_frame_tensor(tmp_path, monkeypatch):
+    """certify (both modes) and spectrum read only the operator blocks of the
+    Z-frame tensor: with the full complexification disabled every request
+    still succeeds."""
+    from calabi_lab.curvature import AlgebraicCurvatureTensor
+    from calabi_lab.model_spaces import chsc
+
+    def full(*args, **kwargs):
+        raise AssertionError("full Z-frame tensor built on the certify path")
+
+    monkeypatch.setattr(AlgebraicCurvatureTensor, "complexified", full)
+    calabi = tmp_path / "cal.json"
+    calabi.write_text(json.dumps({"kind": "calabi", "n": 2,
+                                  "hermitian": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                                [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}))
+    r = chsc(2, 1.0).components
+    entries = [[int(i) + 1, int(j) + 1, int(k) + 1, int(l) + 1, float(r[i, j, k, l])]
+               for i, j, k, l in zip(*np.nonzero(np.abs(r) > 1e-14)) if i < j and k < l]
+    comps = tmp_path / "comp.json"
+    comps.write_text(json.dumps({"kind": "components", "n": 2, "entries": entries}))
+    einstein = ["chsc:n=3,c=2", "quadric:n=4", "randomke:n=3,seed=5",
+                "product:[chsc:n=1;chsc:n=1]", f"file:{calabi}", f"file:{comps}"]
+    for space in einstein + ["random:n=3,seed=5", "product:[chsc:n=1;quadric:n=2]"]:
+        for argv in (["certify", "--space", space], ["spectrum", "--space", space]):
+            assert main(argv + ["--format", "json", "--out", str(tmp_path / "o")]) == 0, argv
+    for space in einstein:
+        argv = ["certify", "--space", space, "--mode", "ke"]
+        assert main(argv + ["--format", "json", "--out", str(tmp_path / "o")]) == 0, argv

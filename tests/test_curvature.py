@@ -359,6 +359,53 @@ def test_validate_residuals_match_tensordot(n):
                      (True, False, True, True), (False, False, True, True)]
 
 
+def _first_violation(r, tol=DEFAULT_TOL):
+    """Reference: the pair-symmetry check with one temporary per identity and
+    the worst index from argmax over it."""
+    scale = max(1.0, float(np.max(np.abs(r))))
+    for name, delta in (("antisymmetry_first_pair", r + r.transpose(1, 0, 2, 3)),
+                        ("antisymmetry_second_pair", r + r.transpose(0, 1, 3, 2)),
+                        ("pair_exchange", r - r.transpose(2, 3, 0, 1))):
+        worst = float(np.max(np.abs(delta)))
+        if worst > tol * scale:
+            idx = np.unravel_index(int(np.argmax(np.abs(delta))), delta.shape)
+            return name, tuple(int(i) for i in idx), worst
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_symmetry_violation_names_the_reference_worst_index(n):
+    """Each pair symmetry broken in turn, by perturbations that keep the
+    earlier ones: the identity, worst index and residual match the reference."""
+    conv = FrameConvention(n)
+    d = conv.dim
+    rng = np.random.default_rng(40 + n)
+    base = random_kaehler(n, 5).components
+    seen = set()
+    for trial in range(30):
+        r = base.copy()
+        kind = trial % 3
+        for _ in range(1 + trial % 4):
+            i, j, k, l = (int(x) for x in rng.integers(d, size=4))
+            delta = float(rng.normal()) * 10.0 ** float(rng.integers(-6, 1))
+            e = np.zeros((d,) * 4)
+            e[i, j, k, l] = delta
+            if kind >= 1:  # keep the first pair antisymmetric
+                e = e - e.transpose(1, 0, 2, 3)
+            if kind == 2:  # and the second
+                e = e - e.transpose(0, 1, 3, 2)
+            r += e
+        expected = _first_violation(r)
+        if expected is None:
+            validate_tensor(r, conv)
+            continue
+        with pytest.raises(SymmetryViolation) as err:
+            validate_tensor(r, conv)
+        assert (err.value.identity, err.value.index, err.value.residual) == expected
+        seen.add(expected[0])
+    assert seen == {"antisymmetry_first_pair", "antisymmetry_second_pair", "pair_exchange"}
+
+
 def _r1_r2_loop(t):
     """Reference: the R1 and R2 matrices entry by entry over the real labels."""
     r = t.components

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from calabi_lab.frames import (
+    E_BLOCK,
+    Z_BLOCK,
     EndoC,
     FormPQ,
     FrameConvention,
@@ -20,6 +22,7 @@ from calabi_lab.frames import (
     _lefschetz_matrix,
     _perm_sign,
     _primitive_part,
+    change_pairs,
     endo_act,
     evaluate_form,
     kaehler_bivector,
@@ -431,3 +434,67 @@ def test_verify_feeds_the_kernel_sparse_stacks(monkeypatch):
     records = run_verify_suite(n, 2, 1, max_degree=3)
     assert [r["status"] for r in records] == ["pass"] * len(records)
     assert most and max(most) <= 2 * n
+
+
+def contract_each_slot(arr, mat, k=None):
+    """Reference: ``out[.. i ..] = sum_A mat[i, A] arr[.. A ..]`` on the last
+    k axes, one full ``(2n, 2n)`` tensordot per axis."""
+    k = arr.ndim if k is None else k
+    for slot in range(arr.ndim - k, arr.ndim):
+        arr = np.moveaxis(np.tensordot(arr, mat, axes=(slot, 1)), -1, slot)
+    return arr
+
+
+def _assert_same_change(got, ref):
+    """The pair blocks and the full contraction add the same two products per
+    entry and slot, in an order BLAS chooses: agreement to rounding."""
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_pair_blocks_are_the_frame_change():
+    """Column A of P is W_A in e-coordinates, Z_a = (e_a - i e_{a+n}) / sqrt2;
+    P^T and conj(P) are Z_BLOCK and E_BLOCK on every pair {a, a+n}."""
+    s = 1.0 / math.sqrt(2.0)
+    for n in (1, 2, 5):
+        p = np.zeros((2 * n, 2 * n), dtype=complex)
+        for a in range(n):
+            p[a, a], p[a + n, a] = s, -1.0j * s
+            p[a, a + n], p[a + n, a + n] = s, 1.0j * s
+        np.testing.assert_array_equal(FrameConvention(n).frame_change, p)
+        for block, full in ((Z_BLOCK, p.T), (E_BLOCK, p.conj())):
+            for h in range(2):
+                for g in range(2):
+                    np.testing.assert_array_equal(
+                        full[h * n:(h + 1) * n, g * n:(g + 1) * n], block[h, g] * np.eye(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_change_pairs_matches_contract_each_slot(n):
+    from calabi_lab.model_spaces import random_kaehler
+
+    conv = FrameConvention(n)
+    p = conv.frame_change
+    t = random_kaehler(n, 7)
+    # full tensors, both directions
+    rz = contract_each_slot(t.components.astype(complex), p.T)
+    _assert_same_change(change_pairs(t.components, [Z_BLOCK] * 4), rz)
+    _assert_same_change(t.complexified(), rz)
+    _assert_same_change(change_pairs(rz, [E_BLOCK] * 4), contract_each_slot(rz, p.conj()))
+    # the Calabi block (Z, conj Z, conj Z, Z) and the Kaehler block (Z, conj Z, Z, conj Z)
+    z, zbar = Z_BLOCK[:1], Z_BLOCK[1:]
+    _assert_same_change(change_pairs(t.components, (z, zbar, zbar, z)), rz[:n, n:, n:, :n])
+    _assert_same_change(change_pairs(t.components, (z, zbar, z, zbar)), rz[:n, n:, :n, n:])
+    # single columns fill one half: the (Z, conj Z, Z, conj Z) block alone
+    embedded = np.zeros_like(rz)
+    embedded[:n, n:, :n, n:] = rz[:n, n:, :n, n:]
+    e, ebar = E_BLOCK[:, :1], E_BLOCK[:, 1:]
+    _assert_same_change(change_pairs(rz[:n, n:, :n, n:], (e, ebar, e, ebar)),
+                        contract_each_slot(embedded, p.conj()))
+    # batched stacks keep their leading axes
+    rng = np.random.default_rng(n)
+    for k in (1, 2, 3):
+        stack = rng.normal(size=(3, 2) + (2 * n,) * k) + 1j * rng.normal(size=(3, 2) + (2 * n,) * k)
+        _assert_same_change(dense_z_to_e(stack, conv, k), contract_each_slot(stack, p.conj(), k))
+        _assert_same_change(dense_e_to_z(stack, conv, k), contract_each_slot(stack, p.T, k))
+    assert dense_z_to_e(np.zeros((0, 2 * n, 2 * n)), conv, 2).shape == (0, 2 * n, 2 * n)
