@@ -26,6 +26,7 @@ any work.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -140,13 +141,27 @@ def parse_space(text: str, offset: int = 0) -> ms.SpaceDescriptor | dict:
 def _load_input_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"input file must hold a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind not in ("calabi", "components"):
         raise ValueError(f"input file kind must be 'calabi' or 'components', got {kind!r}")
-    if not isinstance(data.get("n"), int) or data["n"] < 1:
+    if type(data.get("n")) is not int or data["n"] < 1:
         raise ValueError("input file needs an integer n >= 1")
     _require_size(data["n"])
+    key = "hermitian" if kind == "calabi" else "entries"
+    if not isinstance(data.get(key), list):
+        raise ValueError(f"input file of kind {kind!r} needs a list {key!r}, "
+                         f"got {data.get(key)!r}")
     return data
+
+
+def _numbers(row, size: int, what: str) -> list[float]:
+    """The entry ``row`` as ``size`` floats, or ValueError naming it."""
+    if isinstance(row, list) and len(row) == size and all(type(x) in (int, float) for x in row):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            return [float(x) for x in row]
+    raise ValueError(f"{what} must be a list of {size} numbers, got {row!r}")
 
 
 def _tensor_from_input(data: dict) -> cv.AlgebraicCurvatureTensor:
@@ -156,11 +171,12 @@ def _tensor_from_input(data: dict) -> cv.AlgebraicCurvatureTensor:
         return cv.tensor_from_calabi(_calabi_matrix_from_input(data), conv)
     d = 2 * n
     r = np.zeros((d,) * 4)
-    for row in data["entries"]:
-        i, j, k, l, val = row
-        i, j, k, l = (int(i) - 1, int(j) - 1, int(k) - 1, int(l) - 1)
-        if not all(0 <= x < d for x in (i, j, k, l)):
-            raise ValueError(f"component indices out of range in {row}")
+    for pos, row in enumerate(data["entries"]):
+        *idx, val = _numbers(row, 5, f"component entry {pos}")
+        if not all(x.is_integer() and 1 <= x <= d for x in idx):
+            raise ValueError(f"component indices of entry {pos} must be whole numbers "
+                             f"in 1..{d}, got {row!r}")
+        i, j, k, l = (int(x) - 1 for x in idx)
         for (a, b, sa) in ((i, j, 1.0), (j, i, -1.0)):
             for (cc, e, sc) in ((k, l, 1.0), (l, k, -1.0)):
                 r[a, b, cc, e] = sa * sc * val
@@ -176,10 +192,11 @@ def _calabi_matrix_from_input(data: dict) -> np.ndarray:
         raise ValueError(
             f"hermitian upper triangle for n={n} needs {m * (m + 1) // 2} entries, got {len(tri)}")
     h = np.zeros((m, m), dtype=complex)
-    it = iter(tri)
+    it = enumerate(tri)
     for i in range(m):
         for j in range(i, m):
-            re, im = next(it)
+            pos, entry = next(it)
+            re, im = _numbers(entry, 2, f"hermitian entry {pos} ([re, im] of ({i + 1}, {j + 1}))")
             h[i, j] = complex(re, im)
             h[j, i] = complex(re, -im)
     return h
@@ -203,8 +220,6 @@ def _space_to_spectrum(space) -> tuple[int, np.ndarray, str]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> dict:
-    import contextlib
-
     _require_size(args.n, MAX_VERIFY_N)
     max_degree = args.n if args.max_degree is None else args.max_degree
     bug = cv.inject_sign_bug() if args.inject_sign_bug else contextlib.nullcontext()
@@ -263,6 +278,7 @@ def _keep(args, p: int, q: int) -> bool:
 
 
 def cmd_thresholds(args) -> dict:
+    _require_size(args.n)
     tb = ct.thresholds(args.n)
     records = []
     for (p, q) in sorted(tb.upsilons):

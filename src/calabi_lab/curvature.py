@@ -44,6 +44,7 @@ __all__ = [
     "validate_tensor",
     "calabi_from_tensor",
     "tensor_from_calabi",
+    "calabi_block",
     "kaehler_operator",
     "restrict_su",
     "r1_r2_operators",
@@ -110,14 +111,6 @@ class AlgebraicCurvatureTensor:
         if self._complexified is None:
             self._complexified = change_pairs(self.components, [Z_BLOCK] * 4)
         return self._complexified
-
-    def endo_zz(self, a: int, b: int) -> np.ndarray:
-        """R(W_a, W_b) as an endomorphism matrix in the Z-frame (0-based a, b)."""
-        n = self.n
-        rz = self.complexified()
-        bar = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
-        # (R(Wa,Wb) W_C)^D = R(Wa, Wb, W_C, W_{bar D})
-        return rz[a, b][:, bar].T
 
     def scaled(self, c: float) -> "AlgebraicCurvatureTensor":
         return AlgebraicCurvatureTensor(
@@ -227,6 +220,7 @@ def _sym2_norms(n: int) -> np.ndarray:
     """c_ab with Z_a (.) Z_b = c_ab * (unit element); sqrt2 off-diagonal, 2 diagonal."""
     c = np.full((n, n), math.sqrt(2.0))
     np.fill_diagonal(c, 2.0)
+    c.flags.writeable = False
     return c
 
 
@@ -235,6 +229,7 @@ def _sym2_pair_index(n: int) -> np.ndarray:
     pid = np.zeros((n, n), dtype=int)
     for nu, (a, b) in enumerate(sym2_basis_labels(n)):
         pid[a - 1, b - 1] = pid[b - 1, a - 1] = nu
+    pid.flags.writeable = False
     return pid
 
 
@@ -258,11 +253,39 @@ def calabi_from_tensor(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
                                    "Z_a(.)Z_b/sqrt2 for a<b, Z_a(x)Z_a on the diagonal")
 
 
+# R = Re sum_sigma sign(sigma) coef_sigma (x) qm_sigma over the pair swaps
+# sigma in {id, swap slots 1,2} x {id, swap slots 3,4}: qm_sigma is the
+# (Z, conj Z, Z, conj Z) block with its slots permuted by sigma, and coef_sigma
+# the matching product of columns of E_BLOCK, in the layout (h1, h2, h3, h4)
+_SWAP_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))
+_SWAP_COEF = np.stack([
+    sign * np.einsum("i,j,k,l->ijkl", *(E_BLOCK[:, slot] for slot in slots)).reshape(16)
+    for sign, slots in ((1.0, (0, 1, 0, 1)), (-1.0, (1, 0, 0, 1)),
+                        (-1.0, (0, 1, 1, 0)), (1.0, (1, 0, 1, 0)))], axis=1)
+
+
+def calabi_block(h: np.ndarray, n: int) -> np.ndarray:
+    """qm[a, b, c, d] = R(Z_a, conj Z_b, Z_c, conj Z_d) of the Kaehler tensor
+    whose Calabi matrix (unit sym^2 basis) is h; linear in h."""
+    pid = _sym2_pair_index(n)
+    c = _sym2_norms(n)
+    # R(Z_a, conj Z_c, conj Z_d, Z_b) = c_ab c_cd h[(c, d), (a, b)] / 4, and
+    # qm[a, b, c, d] = -R(Z_a, conj Z_b, conj Z_d, Z_c)
+    return -(c[:, None, :, None] * c[None, :, None, :] / 4.0) * h[
+        pid[None, :, None, :], pid[:, None, :, None]]
+
+
 def tensor_from_calabi(matrix: np.ndarray | CurvatureOperatorMatrix,
                        convention: FrameConvention,
                        tol: float = DEFAULT_TOL) -> AlgebraicCurvatureTensor:
     """The unique Kaehler curvature tensor whose Calabi operator is the given
-    Hermitian matrix (the Calabi--Vesentini correspondence)."""
+    Hermitian matrix (the Calabi--Vesentini correspondence).
+
+    The (Z, conj Z, Z, conj Z) block is read off the matrix; its four pair
+    swaps, mapped to the real frame by columns of E_BLOCK, give the whole
+    real tensor as one (16, 4) x (4, n^4) product and one transpose from
+    the layout (h1, h2, h3, h4, a, b, c, d) to (h1, a, h2, b, h3, c, h4, d).
+    """
     h = matrix.matrix if isinstance(matrix, CurvatureOperatorMatrix) else np.asarray(matrix, dtype=complex)
     n = convention.n
     m = n * (n + 1) // 2
@@ -273,23 +296,13 @@ def tensor_from_calabi(matrix: np.ndarray | CurvatureOperatorMatrix,
     if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
         raise NotHermitian("Calabi matrix must be Hermitian")
 
-    pid = _sym2_pair_index(n)
-    c = _sym2_norms(n)
-    # s4[a,b,c,d] = R(Z_a, conj Z_c, conj Z_d, Z_b)
-    hfull = h[pid[:, :, None, None], pid[None, None, :, :]]
-    s4 = c[:, :, None, None] * c[None, None, :, :] * hfull.transpose(2, 3, 0, 1) / 4.0
-    # qm[a,b,c,d] = R(Z_a, conj Z_b, Z_c, conj Z_d)
-    qm = -s4.transpose(0, 2, 1, 3)
-
-    # the real-frame image of the (Z, conj Z, Z, conj Z) block alone; the
-    # other nonzero blocks of the Z-frame tensor follow by antisymmetry
-    z, zbar = E_BLOCK[:, :1], E_BLOCK[:, 1:]
-    re = change_pairs(qm, (z, zbar, z, zbar))
-    re = re - re.transpose(1, 0, 2, 3)
-    re = re - re.transpose(0, 1, 3, 2)
+    qm = calabi_block(h, n)
+    swaps = np.stack([qm.transpose(axes) for axes in _SWAP_AXES]).reshape(4, n ** 4)
+    re = _SWAP_COEF @ swaps
     if np.max(np.abs(re.imag)) > 1e-10 * scale:
         raise NotHermitian("reconstructed tensor is not real; input matrix malformed")
-    return validate_tensor(re.real, convention, require_kaehler=True, tol=tol)
+    re = re.real.reshape((2, 2, 2, 2) + (n,) * 4).transpose(0, 4, 1, 5, 2, 6, 3, 7)
+    return validate_tensor(re.reshape((2 * n,) * 4), convention, require_kaehler=True, tol=tol)
 
 
 def kaehler_operator(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
@@ -315,13 +328,16 @@ def omega_coords(n: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=None)
 def su_complement(n: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the complement of the Kaehler direction."""
+    """Deterministic orthonormal basis of the complement of the Kaehler
+    direction: the last n^2 - 1 columns of one QR of [w | I] (read-only)."""
     w = omega_coords(n)
     m = n * n
-    cols = [w] + [np.eye(m, dtype=complex)[:, j] for j in range(m)]
-    q, _ = np.linalg.qr(np.column_stack(cols))
-    return q[:, 1:m]
+    q, _ = np.linalg.qr(np.column_stack([w, np.eye(m)]))
+    b = q[:, 1:m]
+    b.flags.writeable = False
+    return b
 
 
 def restrict_su(k_op: CurvatureOperatorMatrix, ric: RicciData) -> CurvatureOperatorMatrix:

@@ -17,13 +17,14 @@ import numpy as np
 
 from .curvature import (
     AlgebraicCurvatureTensor,
+    calabi_block,
     calabi_from_tensor,
     ricci,
     tensor_from_calabi,
     validate_tensor,
 )
 from .errors import CalabiLabError
-from .frames import Z_BLOCK, FrameConvention, change_pairs, sym2_basis_labels
+from .frames import FrameConvention, sym2_basis_labels
 from .spectral import PositivityReport, Spectrum, k_test
 
 __all__ = [
@@ -166,19 +167,25 @@ def _rng(seed: int, *stream) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream)]))
 
 
-def random_kaehler(n: int, seed: int) -> AlgebraicCurvatureTensor:
-    """Kaehler tensor from a GUE-style random Hermitian Calabi matrix."""
-    conv = FrameConvention(n)
+def _random_calabi(n: int, seed: int) -> np.ndarray:
+    """GUE-style random Hermitian Calabi matrix of random_kaehler(n, seed)."""
     m = n * (n + 1) // 2
     rng = _rng(seed, n, 0)
     a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    return tensor_from_calabi((a + a.conj().T) / 2.0, conv)
+    return (a + a.conj().T) / 2.0
 
 
-def _ricci_traceless_block(t: AlgebraicCurvatureTensor) -> np.ndarray:
-    """Traceless Hermitian h_ab = Ric(Z_a, conj Z_b) - (scal/2n) delta_ab."""
-    h = change_pairs(ricci(t).ricci, (Z_BLOCK[:1], Z_BLOCK[1:]))
-    return h - (np.trace(h) / t.n) * np.eye(t.n)
+def random_kaehler(n: int, seed: int) -> AlgebraicCurvatureTensor:
+    """Kaehler tensor from a GUE-style random Hermitian Calabi matrix."""
+    return tensor_from_calabi(_random_calabi(n, seed), FrameConvention(n))
+
+
+def _ricci_traceless_from_calabi(h: np.ndarray, n: int) -> np.ndarray:
+    """Traceless Hermitian Ric(Z_a, conj Z_b) - (scal/2n) delta_ab of the
+    Kaehler tensor with Calabi matrix h, where
+    Ric(Z_a, conj Z_b) = -sum_c R(Z_a, conj Z_b, Z_c, conj Z_c)."""
+    ric = -np.einsum("abcc->ab", calabi_block(h, n))
+    return ric - (np.trace(ric) / n) * np.eye(n)
 
 
 def _calabi_matrix_from_hermitian(h: np.ndarray) -> np.ndarray:
@@ -196,27 +203,30 @@ def _calabi_matrix_from_hermitian(h: np.ndarray) -> np.ndarray:
 def random_kaehler_einstein(n: int, seed: int, tol: float = 1e-10,
                             max_iter: int = 200) -> AlgebraicCurvatureTensor:
     """Random Kaehler--Einstein curvature tensor by projecting the traceless
-    Ricci part out through the equivariant family h -> (h Shat + Shat h^T)."""
-    t = random_kaehler(n, seed)
-    conv = t.convention
+    Ricci part out through the equivariant family h -> (h Shat + Shat h^T).
+
+    The Ricci block is linear in the Calabi matrix, so the projection runs on
+    the m x m matrix of random_kaehler(n, seed); the tensor is built and
+    validated once, from the projected matrix.
+    """
+    calabi = _random_calabi(n, seed)
     for _ in range(max_iter):
-        h = _ricci_traceless_block(t)
+        h = _ricci_traceless_from_calabi(calabi, n)
         resid = float(np.max(np.abs(h)))
         if resid <= tol:
             break
         # the Ricci block is a Hermitian form; the derivation action needs the
         # endomorphism convention, which is its conjugate
-        corr = tensor_from_calabi(_calabi_matrix_from_hermitian(h.conj()), conv)
-        hc = _ricci_traceless_block(corr)
+        corr = _calabi_matrix_from_hermitian(h.conj())
+        hc = _ricci_traceless_from_calabi(corr, n)
         alpha = float(np.real(np.sum(hc * h.conj()))) / float(np.sum(np.abs(h) ** 2))
         if abs(alpha) < 1e-12:
             raise EinsteinProjectionError("equivariant correction is degenerate")
-        t = validate_tensor(t.components - corr.components / alpha, conv,
-                            require_kaehler=True)
+        calabi = calabi - corr / alpha
     else:
         raise EinsteinProjectionError(
             f"traceless Ricci residual above {tol:g} after {max_iter} iterations")
-    ric = ricci(t)
-    if not ric.is_einstein:
+    t = tensor_from_calabi(calabi, FrameConvention(n))
+    if not ricci(t).is_einstein:
         raise EinsteinProjectionError("projection finished but Einstein check failed")
     return t

@@ -1,0 +1,96 @@
+"""Identity-suite checks against their loop references, and their
+sensitivity to a wrong spectrum."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from calabi_lab import checks
+from calabi_lab import curvature as cv
+from calabi_lab import model_spaces as ms
+from calabi_lab import weitzenboeck as wz
+from calabi_lab.frames import FrameConvention
+
+
+def _eigen_expansion_loop(spec, n):
+    """Reference: the eigen-expansion of R(Z_a, conj Z_b), one (a, b, nu)
+    at a time."""
+    conv = FrameConvention(n)
+    mats = np.tensordot(spec.eigenvectors, wz.family_mats(n, "sym2_10"), axes=(0, 0))
+    bar = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    out = np.zeros((n, n, 2 * n, 2 * n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            for nu in range(spec.size):
+                sig = mats[nu]
+                sig_c = sig.conj()[np.ix_(bar, bar)]
+                va = sig_c @ conv.z(a + 1)
+                vb = sig @ conv.zbar(b + 1)
+                out[a, b] -= spec.eigenvalues[nu] * (np.outer(vb, va[bar])
+                                                     - np.outer(va, vb[bar]))
+    return out
+
+
+def _kaehler_structure_loop(n, trials, seed):
+    """Reference: check_kaehler_structure's residual with the endomorphisms
+    R(Z_a, conj Z_b) read one (a, b) at a time and the loop expansion."""
+    rng = checks._rng(seed, 3)
+    bar = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    worst = 0.0
+    for _ in range(max(trials // 10, 3)):
+        t = ms.random_kaehler(n, int(rng.integers(2 ** 31)))
+        rz = t.complexified()
+        scale = max(1.0, float(np.max(np.abs(rz))))
+        worst = max(worst, float(np.max(np.abs(rz[:n, :n]))) / scale,
+                    float(np.max(np.abs(rz[:, :, :n, :n]))) / scale)
+        q = rz[:n, n:, :n, n:]
+        worst = max(worst, float(np.max(np.abs(q - q.transpose(2, 1, 0, 3)))) / scale,
+                    float(np.max(np.abs(q - q.transpose(0, 3, 2, 1)))) / scale)
+        rhs = _eigen_expansion_loop(cv.calabi_from_tensor(t).spectrum(), n)
+        for a in range(n):
+            for b in range(n):
+                # (R(Z_a, conj Z_b) W_C)^D = R(Z_a, conj Z_b, W_C, W_{bar D})
+                lhs = rz[a, n + b][:, bar].T
+                worst = max(worst, float(np.max(np.abs(lhs - rhs[a, b]))) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eigen_expansion_matches_loop(n):
+    for seed in (1, 2):
+        spec = cv.calabi_from_tensor(ms.random_kaehler(n, seed)).spectrum()
+        ref = _eigen_expansion_loop(spec, n)
+        got = checks._eigen_expansion(spec, n)
+        assert got.shape == ref.shape
+        scale = max(1.0, float(np.max(np.abs(spec.eigenvalues))))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kaehler_structure_residual_matches_loop(n):
+    rec = checks.check_kaehler_structure(n, 10, 7)
+    ref = _kaehler_structure_loop(n, 10, 7)
+    assert rec["status"] == "pass" and ref <= checks.TOL_EIGEN
+    # the two differ only in rounding; both sit at a few ulps
+    assert abs(rec["residual"] - ref) <= 1e-14
+
+
+def _negate_one_eigenvalue(monkeypatch):
+    spectrum = cv.CurvatureOperatorMatrix.spectrum
+
+    def negated(self):
+        spec = spectrum(self)
+        vals = spec.eigenvalues.copy()
+        vals[-1] = -vals[-1]
+        return dataclasses.replace(spec, eigenvalues=vals)
+
+    monkeypatch.setattr(cv.CurvatureOperatorMatrix, "spectrum", negated)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kaehler_structure_fails_on_a_wrong_spectrum(n, monkeypatch):
+    with cv.inject_sign_bug():
+        assert checks.check_kaehler_structure(n, 10, 7)["status"] == "fail"
+    _negate_one_eigenvalue(monkeypatch)
+    assert checks.check_kaehler_structure(n, 10, 7)["status"] == "fail"

@@ -310,6 +310,39 @@ def test_file_input_non_finite_is_rejected(tmp_path, capsys, entry):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"kind": "calabi", "n": 1, "hermitian": [5]}, "hermitian entry 0"),
+    ({"kind": "calabi", "n": 2}, "needs a list 'hermitian'"),
+    ({"kind": "components", "n": 1, "entries": [[1, 2, 1, None, 1.0]]}, "component entry 0"),
+    ({"kind": "calabi", "n": 1, "hermitian": [["x", 0]]}, "hermitian entry 0"),
+])
+def test_malformed_file_payload_is_a_usage_error(payload, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["spectrum", "--space", f"file:{path}"],
+                 ["certify", "--space", f"file:{path}"],
+                 ["certify", "--space", f"file:{path}", "--mode", "ke"]):
+        _assert_usage_error(argv, capsys, message)
+
+
+@pytest.mark.parametrize("n", [17, 100000])
+def test_thresholds_refuses_n_above_limit(n, monkeypatch, capsys):
+    from calabi_lab import certify as ct
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(ct, "thresholds", never)
+    monkeypatch.setattr(ct, "upsilon_min_holds", never)
+    _assert_usage_error(["thresholds", "--n", str(n)], capsys, f"n={n} is above the limit 16")
+
+
+def test_thresholds_at_the_limit_passes(tmp_path):
+    out = tmp_path / "thr.json"
+    assert main(["thresholds", "--n", "16", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"]
+
+
 def test_csv_format_columns(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["thresholds", "--n", "2", "--format", "csv", "--out", str(out)]) == 0

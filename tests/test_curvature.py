@@ -1,5 +1,7 @@
 """Curvature tensors, induced operators, and the operator correspondence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,12 @@ from calabi_lab.curvature import (
     random_riemannian,
     restrict_su,
     ricci,
+    su_complement,
     tensor_from_calabi,
     validate_tensor,
 )
-from calabi_lab.frames import EndoC, FrameConvention, sym2_basis_endos, sym2_basis_labels
+from calabi_lab.frames import (E_BLOCK, EndoC, FrameConvention, change_pairs, sym2_basis_endos,
+                               sym2_basis_labels)
 from calabi_lab.model_spaces import chsc, flat_torus, quadric, random_kaehler
 
 
@@ -237,7 +241,8 @@ def test_eigen_expansion_of_mixed_curvature():
     bar = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
     for a in range(n):
         for b in range(n):
-            lhs = t.endo_zz(a, n + b)
+            # (R(Z_a, conj Z_b) W_C)^D = R(Z_a, conj Z_b, W_C, W_{bar D})
+            lhs = t.complexified()[a, n + b][:, bar].T
             rhs = np.zeros_like(lhs)
             for nu in range(spec.size):
                 sig = sym2_element(conv, spec.eigenvectors[:, nu])
@@ -432,3 +437,71 @@ def test_r1_r2_operators_match_loop(n):
         for op, (want, labels) in zip(r1_r2_operators(t), _r1_r2_loop(t)):
             assert np.array_equal(op.matrix, want)
             assert op.basis_labels == labels
+
+
+def _tensor_from_calabi_by_frame_change(h, n):
+    """Reference: the (Z, conj Z, Z, conj Z) block filled entry by entry,
+    mapped to the real frame by change_pairs and antisymmetrized in both
+    pairs (the complex array, before the realness check)."""
+    pid = {}
+    for nu, (a, b) in enumerate(sym2_basis_labels(n)):
+        pid[a - 1, b - 1] = pid[b - 1, a - 1] = nu
+
+    def norm(a, b):
+        return 2.0 if a == b else np.sqrt(2.0)
+
+    qm = np.zeros((n,) * 4, dtype=complex)
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        # R(Z_a, conj Z_c, conj Z_d, Z_b) = c_ab c_cd h[(c, d), (a, b)] / 4
+        qm[a, c, b, d] = -norm(a, b) * norm(c, d) * h[pid[c, d], pid[a, b]] / 4.0
+    z, zbar = E_BLOCK[:, :1], E_BLOCK[:, 1:]
+    re = change_pairs(qm, (z, zbar, z, zbar))
+    re = re - re.transpose(1, 0, 2, 3)
+    return re - re.transpose(0, 1, 3, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tensor_from_calabi_matches_the_frame_change_build(n):
+    m = n * (n + 1) // 2
+    rng = np.random.default_rng(100 + n)
+    mats = [random_hermitian(rng, m), 2.5 * np.eye(m), np.zeros((m, m))]
+    if n >= 2:
+        mats.append(calabi_from_tensor(quadric(n)).matrix)
+    for h in mats:
+        t = tensor_from_calabi(h, FrameConvention(n))
+        ref = _tensor_from_calabi_by_frame_change(h, n)
+        scale = max(1.0, float(np.max(np.abs(h))))
+        assert np.max(np.abs(ref.imag)) <= 1e-15 * scale
+        assert np.max(np.abs(t.components - ref.real)) <= 1e-15 * scale
+        assert t.kaehler_validated
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_tensor_from_calabi_still_refuses_bad_matrices(n):
+    conv = FrameConvention(n)
+    m = n * (n + 1) // 2
+    h = random_hermitian(np.random.default_rng(n), m)
+    skew = h.copy()
+    skew[0, -1] += 1e-6 if m > 1 else 1e-6j
+    with pytest.raises(NotHermitian, match="must be Hermitian"):
+        tensor_from_calabi(skew, conv)
+    with pytest.raises(NotHermitian, match="expected a"):
+        tensor_from_calabi(np.eye(m + 1), conv)
+    for bad in (np.nan, np.inf):
+        broken = h.copy()
+        broken[-1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            tensor_from_calabi(broken, conv)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_su_complement_is_one_cached_read_only_qr(n):
+    m = n * n
+    cols = [omega_coords(n)] + [np.eye(m, dtype=complex)[:, j] for j in range(m)]
+    q, _ = np.linalg.qr(np.column_stack(cols))
+    b = su_complement(n)
+    assert b.shape == (m, m - 1)
+    np.testing.assert_allclose(b, q[:, 1:m], rtol=0, atol=1e-15)
+    assert su_complement(n) is b
+    with pytest.raises(ValueError, match="read-only"):
+        b[...] = 0

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from calabi_lab.curvature import calabi_from_tensor, ricci
-from calabi_lab.frames import sym2_basis_labels
+from calabi_lab.curvature import (RicciData, calabi_block, calabi_from_tensor, ricci,
+                                  tensor_from_calabi, validate_tensor)
+from calabi_lab.frames import Z_BLOCK, FrameConvention, change_pairs, sym2_basis_labels
 from calabi_lab.model_spaces import (
     EinsteinProjectionError,
     _calabi_matrix_from_hermitian,
     _quadric_raw,
-    _ricci_traceless_block,
+    _random_calabi,
+    _ricci_traceless_from_calabi,
     SpaceDescriptor,
     build,
     chsc,
@@ -131,6 +133,20 @@ def test_random_ke_without_iterations_raises_projection_error():
         random_kaehler_einstein(2, 9, max_iter=0)
 
 
+def test_random_ke_guards_raise_projection_errors(monkeypatch):
+    from calabi_lab import model_spaces as ms
+
+    # a correction with no Ricci part cannot remove the traceless Ricci block
+    monkeypatch.setattr(ms, "_calabi_matrix_from_hermitian", lambda h: np.zeros((6, 6)))
+    with pytest.raises(EinsteinProjectionError, match="degenerate"):
+        random_kaehler_einstein(3, 9)
+    monkeypatch.undo()
+    # the projected tensor is still checked with the real Ricci contraction
+    monkeypatch.setattr(ms, "ricci", lambda t: RicciData(np.eye(6), 6.0, None))
+    with pytest.raises(EinsteinProjectionError, match="Einstein check failed"):
+        random_kaehler_einstein(3, 9)
+
+
 def _quadric_raw_loop(n):
     """Reference: <[X, Y], [Z, W]> = -tr([X, Y] [Z, W]) / 2 one index
     quadruple at a time, the loop that _quadric_raw contracts."""
@@ -162,6 +178,57 @@ def test_quadric_raw_matches_loop(n):
     t = _quadric_raw(n)
     assert np.array_equal(t.components, _quadric_raw_loop(n))
     assert t.kaehler_validated and max(t.residuals.values()) == 0.0
+
+
+def _ricci_traceless_block(t):
+    """Reference: traceless Ric(Z_a, conj Z_b) - (scal/2n) delta_ab of a
+    tensor, by the real Ricci contraction and a frame change."""
+    h = change_pairs(ricci(t).ricci, (Z_BLOCK[:1], Z_BLOCK[1:]))
+    return h - (np.trace(h) / t.n) * np.eye(t.n)
+
+
+def _random_kaehler_einstein_on_tensors(n, seed, tol=1e-10, max_iter=200):
+    """Reference: the Einstein projection run on the real tensor, rebuilding
+    and revalidating it at every step."""
+    t = random_kaehler(n, seed)
+    conv = t.convention
+    for _ in range(max_iter):
+        h = _ricci_traceless_block(t)
+        if float(np.max(np.abs(h))) <= tol:
+            return t
+        corr = tensor_from_calabi(_calabi_matrix_from_hermitian(h.conj()), conv)
+        hc = _ricci_traceless_block(corr)
+        alpha = float(np.real(np.sum(hc * h.conj()))) / float(np.sum(np.abs(h) ** 2))
+        t = validate_tensor(t.components - corr.components / alpha, conv, require_kaehler=True)
+    raise AssertionError("reference projection did not converge")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_einstein_projection_on_the_matrix_matches_the_tensor_route(n):
+    for seed in (0, 1, 2):
+        got = random_kaehler_einstein(n, seed)
+        ref = _random_kaehler_einstein_on_tensors(n, seed)
+        assert got.kaehler_validated and ricci(got).is_einstein
+        scale = max(1.0, float(np.max(np.abs(ref.components))))
+        assert np.max(np.abs(got.components - ref.components)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ricci_block_from_the_calabi_matrix(n):
+    # Ric(Z_a, conj Z_b) = -sum_c R(Z_a, conj Z_b, Z_c, conj Z_c), read off H,
+    # against the real Ricci contraction of the tensor H builds
+    for seed in (3, 4):
+        h = _random_calabi(n, seed)
+        t = tensor_from_calabi(h, FrameConvention(n))
+        atol = 1e-13 * max(1.0, np.max(np.abs(h)))
+        np.testing.assert_allclose(-np.einsum("abcc->ab", calabi_block(h, n)),
+                                   change_pairs(ricci(t).ricci, (Z_BLOCK[:1], Z_BLOCK[1:])),
+                                   rtol=0, atol=atol)
+        np.testing.assert_allclose(_ricci_traceless_from_calabi(h, n), _ricci_traceless_block(t),
+                                   rtol=0, atol=atol)
+    # and on an Einstein tensor it vanishes
+    ke = calabi_from_tensor(random_kaehler_einstein(max(n, 2), 7)).matrix
+    assert np.max(np.abs(_ricci_traceless_from_calabi(ke, max(n, 2)))) <= 1e-10
 
 
 def _calabi_matrix_from_hermitian_loop(h):
