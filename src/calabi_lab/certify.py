@@ -74,13 +74,18 @@ def upsilon_exact(n: int, p: int, q: int) -> Fraction | None:
     return Fraction((p + q) * (n + 1) - 2 * p * q) / (2 + 4 * exact)
 
 
-def gamma(n: int, p: int, q: int) -> Fraction:
-    """Gamma_{p,q}; the (p,p) closed form n+1-p covers the 0/0 cell at n=1."""
+def _gamma_terms(n: int, p: int, q: int) -> tuple[int, int]:
+    """Gamma_{p,q} as an unreduced (numerator, denominator) with den > 0; the
+    (p,p) closed form n+1-p covers the 0/0 cell at n=1."""
     if p == q:
-        return Fraction(n + 1 - p)
+        return n + 1 - p, 1
     num = n * (n * n - 1) * (p + q) - 2 * n * (n - 1) * p * q
-    den = n * (n - 1) * (p + q) + (p - q) ** 2
-    return Fraction(num, den)
+    return num, n * (n - 1) * (p + q) + (p - q) ** 2
+
+
+def gamma(n: int, p: int, q: int) -> Fraction:
+    """Gamma_{p,q}, exactly."""
+    return Fraction(*_gamma_terms(n, p, q))
 
 
 def upsilon_ge_half_n(n: int, p: int, q: int) -> bool:
@@ -116,8 +121,8 @@ def gamma_reduction_violations(n: int) -> list[tuple[int, int]]:
             if p + q < 1:
                 continue
             # num/den < (n+2)/2  <=>  2 num < (n+2) den, with den > 0
-            g = gamma(n, p, q)
-            if 2 * g.numerator < (n + 2) * g.denominator:
+            num, den = _gamma_terms(n, p, q)
+            if 2 * num < (n + 2) * den:
                 bad.append((p, q))
     return bad
 

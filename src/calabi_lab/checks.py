@@ -26,7 +26,7 @@ from .frames import (
     lefschetz_adjoint,
     multi_indices,
 )
-from .spectral import weight_principle
+from .spectral import k_test, weight_principle
 
 TOL_DIRECT = 1e-10
 TOL_EIGEN = 1e-9
@@ -336,8 +336,10 @@ def check_thresholds(n: int, trials: int, seed: int) -> dict:
 def check_model_spaces(n: int, trials: int, seed: int) -> dict:
     worst = 0.0
     nq = max(n, 2)
-    spec, rep = ms.quadric_spectrum(nq)
-    ric = cv.ricci(ms.quadric(nq))
+    tq = ms.quadric(nq)
+    spec = cv.calabi_from_tensor(tq).spectrum()
+    rep = k_test(spec, nq / 2.0)
+    ric = cv.ricci(tq)
     ok = (ric.is_einstein and ric.einstein_lambda > 0
           and rep.partial_sum >= -1e-10 and rep.partial_sum <= 1e-10)
     if nq >= 3:

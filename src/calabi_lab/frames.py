@@ -25,7 +25,10 @@ relies on:
   multilinear evaluation and to tests.
 
 Endomorphisms act on covariant tensors as derivations,
-``(L T)(x_1, .., x_k) = - sum_i T(x_1, .., L x_i, .., x_k)``.
+``(L T)(x_1, .., x_k) = - sum_i T(x_1, .., L x_i, .., x_k)``.  The unitary
+bases of the seven algebras that act (gl, so, sym^2 over the real frame;
+sym^2 V^{1,0}, Lambda^2 V^{1,0}, u(n), su(n) over the Z-frame) are one
+table, ``family_mats``, built from index arrays.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ __all__ = [
     "project_primitive",
     "kaehler_bivector",
     "sym2_basis_labels",
-    "sym2_basis_endos",
     "lambda11_basis_labels",
+    "family_mats",
     "multi_indices",
 ]
 
@@ -684,15 +687,13 @@ class RealForm:
 class EndoC:
     """Complex-linear endomorphism of V^C, as a matrix in the Z-frame.
 
-    ``matrix[C, A]`` is the W_C-coefficient of L(W_A).  The optional tag
-    records the algebra the element belongs to.  ``norm_sq`` is the tensor
-    norm tr(L L*); ``norm_u_sq`` is the u(n)-convention norm tr(L L*)/2
-    used for type-preserving algebras in the eigenvalue estimates.
+    ``matrix[C, A]`` is the W_C-coefficient of L(W_A).  ``norm_sq`` is the
+    tensor norm tr(L L*); ``norm_u_sq`` is the u(n)-convention norm
+    tr(L L*)/2 used for type-preserving algebras in the eigenvalue estimates.
     """
 
     convention: FrameConvention
     matrix: np.ndarray
-    tag: str | None = None
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -701,7 +702,7 @@ class EndoC:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def from_sym_hat(cls, conv: FrameConvention, hat: np.ndarray, tag: str = "sym2_10") -> "EndoC":
+    def from_sym_hat(cls, conv: FrameConvention, hat: np.ndarray) -> "EndoC":
         """Element of sym^2 V^{1,0} from its complex symmetric hat matrix."""
         hat = np.asarray(hat, dtype=complex)
         if hat.shape != (conv.n, conv.n):
@@ -710,7 +711,7 @@ class EndoC:
             raise FrameError("hat matrix must be complex symmetric")
         m = np.zeros((conv.dim, conv.dim), dtype=complex)
         m[: conv.n, conv.n:] = hat
-        return cls(conv, m, tag)
+        return cls(conv, m)
 
     @property
     def hat(self) -> np.ndarray:
@@ -718,13 +719,13 @@ class EndoC:
         return self.matrix[: self.convention.n, self.convention.n:]
 
     @classmethod
-    def from_lambda11(cls, conv: FrameConvention, c: np.ndarray, tag: str = "lambda11") -> "EndoC":
+    def from_lambda11(cls, conv: FrameConvention, c: np.ndarray) -> "EndoC":
         """Endomorphism of the Lambda^{1,1} bivector sum c_ab Z_a ^ conj(Z_b)."""
         c = np.asarray(c, dtype=complex)
         m = np.zeros((conv.dim, conv.dim), dtype=complex)
         m[: conv.n, : conv.n] = -c
         m[conv.n:, conv.n:] = c.T
-        return cls(conv, m, tag)
+        return cls(conv, m)
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.matrix) ** 2))
@@ -739,7 +740,7 @@ class EndoC:
         n = self.convention.n
         perm = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
         m = self.matrix.conj()[np.ix_(perm, perm)]
-        return EndoC(self.convention, m, self.tag)
+        return EndoC(self.convention, m)
 
 
 def kaehler_bivector(conv: FrameConvention) -> EndoC:
@@ -749,7 +750,7 @@ def kaehler_bivector(conv: FrameConvention) -> EndoC:
     ``norm_u_sq == n``; it spans the trace part of u(n).
     """
     diag = np.concatenate([-1.0j * np.ones(conv.n), 1.0j * np.ones(conv.n)])
-    return EndoC(conv, np.diag(diag), tag="u")
+    return EndoC(conv, np.diag(diag))
 
 
 # ---------- standard bases -------------------------------------------------
@@ -760,67 +761,68 @@ def sym2_basis_labels(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(1, n + 1) for b in range(a, n + 1))
 
 
-def sym2_basis_endos(conv: FrameConvention) -> list[EndoC]:
-    """Unit-norm basis of sym^2 V^{1,0}: Z_a(.)Z_b/sqrt2 (a<b) and Z_a(x)Z_a."""
-    out = []
-    for a, b in sym2_basis_labels(conv.n):
-        hat = np.zeros((conv.n, conv.n), dtype=complex)
-        if a == b:
-            hat[a - 1, a - 1] = 1.0
-        else:
-            hat[a - 1, b - 1] = hat[b - 1, a - 1] = 1.0 / math.sqrt(2.0)
-        out.append(EndoC.from_sym_hat(conv, hat))
-    return out
-
-
 @lru_cache(maxsize=None)
 def lambda11_basis_labels(n: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (a, b), 1-based, ordering the Lambda^{1,1} basis Z_a ^ conj(Z_b)/sqrt2."""
     return tuple((a, b) for a in range(1, n + 1) for b in range(1, n + 1))
 
 
-def lambda2_10_basis_endos(conv: FrameConvention) -> list[EndoC]:
-    """Unit-norm basis Z_a ^ Z_b / sqrt2 (a < b) of Lambda^2 V^{1,0} as endomorphisms."""
-    out = []
-    for a in range(1, conv.n + 1):
-        for b in range(a + 1, conv.n + 1):
-            m = np.zeros((conv.dim, conv.dim), dtype=complex)
-            s = 1.0 / math.sqrt(2.0)
-            # (Z_a ^ Z_b) conj(Z_c) = delta_ac Z_b - delta_bc Z_a
-            m[b - 1, conv.n + a - 1] = s
-            m[a - 1, conv.n + b - 1] = -s
-            out.append(EndoC(conv, m, tag="lambda2_10"))
-    return out
+# the algebras whose bases act on real-frame coordinates; the rest act on
+# Z-frame ones
+REAL_FRAME_TAGS = ("gl", "so", "sym2_real")
 
 
-def u_basis_endos(conv: FrameConvention) -> list[EndoC]:
-    """Unitary basis of u(n) in the half-trace convention: {Z_a ^ conj(Z_b)}."""
-    out = []
-    for a, b in lambda11_basis_labels(conv.n):
-        c = np.zeros((conv.n, conv.n), dtype=complex)
-        c[a - 1, b - 1] = 1.0
-        out.append(EndoC.from_lambda11(conv, c, tag="u"))
-    return out
+def _pair_stack(size: int, sign: float, d: int, shift: int, dtype) -> np.ndarray:
+    """One ``(d, d)`` element per index pair i <= j < size in row-major
+    order, i < j for the antisymmetric ``sign`` -1: s = 1/sqrt2 at
+    ``[j, i + shift]`` and ``sign * s`` at ``[i, j + shift]``, or 1 at
+    ``[i, i + shift]`` when i = j."""
+    i, j = np.triu_indices(size, 0 if sign > 0 else 1)
+    mats = np.zeros((len(i), d, d), dtype=dtype)
+    rows = np.arange(len(i))
+    mats[rows, j, i + shift] = np.where(i == j, 1.0, _S)
+    off = i != j
+    mats[rows[off], i[off], j[off] + shift] = sign * _S
+    return mats
 
 
-def su_basis_endos(conv: FrameConvention) -> list[EndoC]:
-    """Unitary basis of su(n) (half-trace convention): off-diagonal Z_a ^ conj(Z_b)
-    plus n-1 traceless diagonal combinations."""
-    n = conv.n
-    out = []
-    for a, b in lambda11_basis_labels(n):
-        if a != b:
-            c = np.zeros((n, n), dtype=complex)
-            c[a - 1, b - 1] = 1.0
-            out.append(EndoC.from_lambda11(conv, c, tag="su"))
-    for k in range(1, n):
-        c = np.zeros((n, n), dtype=complex)
-        w = 1.0 / math.sqrt(k * (k + 1))
-        for a in range(k):
-            c[a, a] = w
-        c[k, k] = -k * w
-        out.append(EndoC.from_lambda11(conv, c, tag="su"))
-    return out
+@lru_cache(maxsize=None)
+def family_mats(n: int, tag: str) -> np.ndarray:
+    """Stacked ``(m, 2n, 2n)`` matrices of the unitary basis of the tagged
+    algebra, read-only; float for ``REAL_FRAME_TAGS``, complex otherwise.
+
+    ``gl`` has the unit ``[j, i]`` for each (i, j) in row-major order;
+    ``so`` and ``sym2_real`` are the antisymmetric and symmetric pair stacks
+    over the real frame, ``lambda2_10`` (Z_a ^ Z_b / sqrt2) and ``sym2_10``
+    (in ``sym2_basis_labels`` order) those into the conj-Z columns.  ``u`` is
+    ``block_diag(-c, c^T)`` over the units c = E_ab of the bivectors
+    Z_a ^ conj(Z_b) (half-trace convention, ``lambda11_basis_labels``
+    order); ``su`` takes its off-diagonal elements, then the n-1 traceless
+    diagonals ``c = (sum_{a<k} E_aa - k E_kk) / sqrt(k(k+1))``.
+    """
+    d = 2 * n
+    if tag == "gl":
+        mats = np.eye(d * d).reshape(d * d, d, d).transpose(0, 2, 1)
+    elif tag in ("so", "sym2_real"):
+        mats = _pair_stack(d, -1.0 if tag == "so" else 1.0, d, 0, float)
+    elif tag in ("sym2_10", "lambda2_10"):
+        mats = _pair_stack(n, -1.0 if tag == "lambda2_10" else 1.0, d, n, complex)
+    elif tag in ("u", "su"):
+        c = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        if tag == "su":
+            k, a = np.arange(1, n)[:, None], np.arange(n)
+            w = 1.0 / np.sqrt(k * (k + 1))
+            diag = np.zeros((n - 1, n, n), dtype=complex)
+            diag[:, a, a] = np.where(a < k, w, np.where(a == k, -k * w, 0.0))
+            c = np.concatenate([c[~np.eye(n, dtype=bool).ravel()], diag])
+        mats = np.zeros((len(c), d, d), dtype=complex)
+        mats[:, :n, :n] = -c
+        mats[:, n:, n:] = c.transpose(0, 2, 1)
+    else:
+        raise ValueError(f"unknown algebra tag {tag!r}")
+    mats = np.ascontiguousarray(mats)
+    mats.flags.writeable = False  # shared by every caller through the cache
+    return mats
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ largest Calabi eigenvalue is 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .curvature import (
     validate_tensor,
 )
 from .errors import CalabiLabError
-from .frames import FrameConvention, sym2_basis_labels
+from .frames import FrameConvention, family_mats
 from .spectral import PositivityReport, Spectrum, k_test
 
 __all__ = [
@@ -191,12 +190,7 @@ def _ricci_traceless_from_calabi(h: np.ndarray, n: int) -> np.ndarray:
 def _calabi_matrix_from_hermitian(h: np.ndarray) -> np.ndarray:
     """Matrix (unit sym^2 basis) of the operator S -> h Shat + Shat h^T."""
     n = h.shape[0]
-    idx = np.array(sym2_basis_labels(n)) - 1
-    m = len(idx)
-    hats = np.zeros((m, n, n), dtype=complex)
-    val = np.where(idx[:, 0] == idx[:, 1], 1.0, 1.0 / math.sqrt(2.0))
-    hats[np.arange(m), idx[:, 0], idx[:, 1]] = val
-    hats[np.arange(m), idx[:, 1], idx[:, 0]] = val
+    hats = family_mats(n, "sym2_10")[:, :n, n:]
     return np.einsum("mab,nab->mn", hats.conj(), h @ hats + hats @ h.T)
 
 

@@ -8,7 +8,8 @@ orthonormal exterior coordinates, through the module's own creation and
 annihilation operators.  It makes no reference to any operator eigenstructure
 and shares no kernel with the Z-frame derivation action of the eigenvalue
 routes (via the Calabi operator, via the restricted Kaehler operator for
-Einstein tensors), which are checked against it.
+Einstein tensors), which are checked against it.  Those routes and the
+derivation families act with the unitary bases of ``frames.family_mats``.
 
 Forms enter the public functions as ``FormPQ`` / ``RealForm`` objects, which
 supply their exterior coordinates in either frame.  The general-Riemannian
@@ -30,18 +31,18 @@ import numpy as np
 from .curvature import AlgebraicCurvatureTensor, ricci, su_complement
 from .errors import CalabiLabError
 from .frames import (
+    REAL_FRAME_TAGS,
     EndoC,
     FormPQ,
     FrameConvention,
+    MultiIndexK,
     RealForm,
     derivation_coords,
-    lambda2_10_basis_endos,
+    family_mats,
     lefschetz_adjoint,
+    multi_indices,
     project_primitive,
-    su_basis_endos,
-    sym2_basis_endos,
     sym2_basis_labels,
-    u_basis_endos,
 )
 from .spectral import Spectrum, takagi
 
@@ -193,12 +194,7 @@ def ricl_via_calabi(spec: Spectrum, psi: FormPQ | RealForm) -> float:
     sym^2 V^{1,0} basis (source ``"calabi"``; any other source raises
     ValueError); the eigen-elements Sigma_nu are then unitary.
     """
-    conv = psi.convention
-    _require_source(spec, "calabi")
-    if spec.size != conv.n * (conv.n + 1) // 2:
-        raise ValueError("spectrum dimension does not match sym^2 V^{1,0}")
-    norms = _mixed_norms(conv, "sym2_10", spec.eigenvectors, psi)[:, 0]
-    return float(2.0 * np.dot(spec.eigenvalues, norms))
+    return float(ricl_via_calabi_batch(spec, psi.convention, psi)[0])
 
 
 def ricl_via_kaehler_su(lam: float, su_spec: Spectrum, phi: FormPQ) -> float:
@@ -245,6 +241,8 @@ def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention, forms) -> np.nd
     """Vectorized 2 sum sigma_nu |Sigma_nu psi|^2 over a sequence of forms or a
     stack of dense Z-frame forms."""
     _require_source(spec, "calabi")
+    if spec.size != conv.n * (conv.n + 1) // 2:
+        raise ValueError("spectrum dimension does not match sym^2 V^{1,0}")
     return 2.0 * (spec.eigenvalues @ _mixed_norms(conv, "sym2_10", spec.eigenvectors, forms))
 
 
@@ -259,68 +257,8 @@ def ricl_pairing_batch(t: AlgebraicCurvatureTensor, forms) -> np.ndarray:
 # derivation families phi^g
 # ---------------------------------------------------------------------------
 
-def _real_gl_mats(d: int) -> np.ndarray:
-    mats = np.zeros((d * d, d, d))
-    for i in range(d):
-        for j in range(d):
-            mats[i * d + j, j, i] = 1.0
-    return mats
-
-
-def _real_so_mats(d: int) -> np.ndarray:
-    out = []
-    s = 1.0 / math.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d))
-            m[j, i] = s
-            m[i, j] = -s
-            out.append(m)
-    return np.array(out)
-
-
-def _real_sym2_mats(d: int) -> np.ndarray:
-    out = []
-    s = 1.0 / math.sqrt(2.0)
-    for i in range(d):
-        for j in range(i, d):
-            m = np.zeros((d, d))
-            if i == j:
-                m[i, i] = 1.0
-            else:
-                m[j, i] = s
-                m[i, j] = s
-            out.append(m)
-    return np.array(out)
-
-
-_REAL_FRAME_TAGS = ("gl", "so", "sym2_real")
-
-
 def _frame_of(tag: str) -> str:
-    return "e" if tag in _REAL_FRAME_TAGS else "z"
-
-
-@lru_cache(maxsize=None)
-def family_mats(n: int, tag: str) -> np.ndarray:
-    """Stacked endomorphism matrices of the unitary basis of the tagged algebra."""
-    conv = FrameConvention(n)
-    if tag in _REAL_FRAME_TAGS:
-        builder = {"gl": _real_gl_mats, "so": _real_so_mats, "sym2_real": _real_sym2_mats}[tag]
-        return builder(conv.dim)
-    if tag == "sym2_10":
-        endos = sym2_basis_endos(conv)
-    elif tag == "lambda2_10":
-        endos = lambda2_10_basis_endos(conv)
-    elif tag == "u":
-        endos = u_basis_endos(conv)
-    elif tag == "su":
-        endos = su_basis_endos(conv)
-    else:
-        raise ValueError(f"unknown algebra tag {tag!r}")
-    if not endos:
-        return np.zeros((0, conv.dim, conv.dim), dtype=complex)
-    return np.array([e.matrix for e in endos])
+    return "e" if tag in REAL_FRAME_TAGS else "z"
 
 
 def phi_g(phi: FormPQ | RealForm, tag: str) -> np.ndarray:
@@ -503,7 +441,6 @@ def achievability_form(conv: FrameConvention, p: int, q: int) -> RealForm:
     coeffs = {}
     for I in itertools.combinations(range(1, k + 1), p):
         J = tuple(sorted(set(range(1, k + 1)) - set(I)))
-        from .frames import MultiIndexK
         coeffs[MultiIndexK(I, J)] = 0.5
     phi = FormPQ(conv, p, q, coeffs)
     return RealForm.symmetrize(phi)
@@ -575,8 +512,6 @@ def random_primitive_real(conv: FrameConvention, p: int, q: int,
     Complex Gaussian coefficients on the (p,q) generators, projected onto the
     primitive subspace, then symmetrized.
     """
-    from .frames import multi_indices
-
     size = len(multi_indices(conv.n, p, q))
     for _ in range(16):
         # (re, im) pairs in generator order: the scalar draws, in one call

@@ -23,7 +23,7 @@ from calabi_lab.curvature import (
     tensor_from_calabi,
     validate_tensor,
 )
-from calabi_lab.frames import (E_BLOCK, EndoC, FrameConvention, change_pairs, sym2_basis_endos,
+from calabi_lab.frames import (E_BLOCK, EndoC, FrameConvention, change_pairs, family_mats,
                                sym2_basis_labels)
 from calabi_lab.model_spaces import chsc, flat_torus, quadric, random_kaehler
 
@@ -194,7 +194,7 @@ def test_r2_on_holomorphic_sym_square_is_calabi():
     # embed the unit sym^2 V^{1,0} basis into complexified tensor coordinates
     p = conv.frame_change
     units = []
-    for e in sym2_basis_endos(conv):
+    for e in (EndoC(conv, m) for m in family_mats(conv.n, "sym2_10")):
         hat = e.hat
         coords_z = np.zeros((conv.dim, conv.dim), dtype=complex)
         coords_z[: conv.n, : conv.n] = hat

@@ -25,12 +25,11 @@ from calabi_lab.frames import (
     change_pairs,
     endo_act,
     evaluate_form,
+    family_mats,
     kaehler_bivector,
     lefschetz_adjoint,
     multi_indices,
     project_primitive,
-    sym2_basis_endos,
-    u_basis_endos,
     wedge_dense,
 )
 
@@ -281,7 +280,7 @@ def test_family_norm_is_basis_independent():
     rng = np.random.default_rng(3)
     phi = random_form(conv, 1, 1, rng)
     dense = phi.to_dense()
-    mats = np.array([e.matrix for e in sym2_basis_endos(conv)])
+    mats = np.array([EndoC(conv, m).matrix for m in family_mats(conv.n, "sym2_10")])
     base = sum(float(np.sum(np.abs(EndoC(conv, m).act_dense(dense)) ** 2)) for m in mats)
     # unitary remix of the basis
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
@@ -292,7 +291,7 @@ def test_family_norm_is_basis_independent():
 
 def test_u_basis_normalization():
     conv = FrameConvention(3)
-    for e in u_basis_endos(conv):
+    for e in (EndoC(conv, m) for m in family_mats(conv.n, "u")):
         assert abs(e.norm_u_sq() - 1.0) < 1e-14
 
 

@@ -464,6 +464,18 @@ def test_eigen_routes_reject_a_spectrum_of_the_wrong_operator():
         assert abs(ec - bf) < 1e-9 * max(1.0, abs(bf))
 
 
+def test_calabi_routes_refuse_a_spectrum_of_another_dimension():
+    """A Calabi spectrum of n = 3 on n = 2 forms is named as a mismatch by
+    the batch route, and so by the single-form route that wraps it."""
+    conv = FrameConvention(2)
+    spec = calabi_from_tensor(random_kaehler(3, 1)).spectrum()
+    phi = random_primitive_real(conv, 1, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="does not match sym"):
+        ricl_via_calabi_batch(spec, conv, [phi])
+    with pytest.raises(ValueError, match="does not match sym"):
+        ricl_via_calabi(spec, phi)
+
+
 def test_estimate_bound_trivial_and_sampled():
     conv = FrameConvention(3)
     rng = np.random.default_rng(12)
