@@ -196,14 +196,18 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
     Lefschetz correction, the su-norm identity, and the u-decomposition.
 
     The insertion norm ``sum_{a,b} |iota(conj Z_b) iota(Z_a) phi|^2`` goes
-    through the oracle's annihilation operator on the Z-frame coordinates:
-    it maps x_J to ``(-1)^s x_J`` at ``J minus J_s``, which is sqrt(k) times
-    the coordinates of the interior product, so applying it twice carries
-    the factor k(k-1) of the identity.
+    through the oracle's pair annihilation on the Z-frame coordinates: it
+    maps x_J to ``+-x_J`` at ``J minus {J_s, J_t}``, which is sqrt(k(k-1))
+    times the coordinates of the double interior product, so its squared
+    norm carries the factor k(k-1) of the identity.  Frame indices below n
+    are the Z_a and the rest the conj Z_b, so the sum runs over the pairs
+    a < n <= b.
     """
     rng = _rng(seed, 7)
     conv = FrameConvention(n)
     om = kaehler_bivector(conv)
+    first, second = np.triu_indices(2 * n, 1)  # the pairs, in pair-stack order
+    mixed = (first < n) & (second >= n)
     worst = 0.0
     count = max(trials // 5, 5)
     for (p, q) in _pairs(n, max_degree):
@@ -212,9 +216,8 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
             phi = FormPQ(conv, p, q, {key: complex(rng.standard_normal(), rng.standard_normal())
                                       for key in multi_indices(n, p, q)})
             if k >= 2:
-                once = wz._annihilate(phi.coords("z")[None], 2 * n, k)
-                twice = wz._annihilate(once[0], 2 * n, k - 1)  # [first removed, second]
-                ins = float(np.sum(np.abs(twice[n:, :n]) ** 2))
+                twice = wz._pair_annihilate(phi.coords("z")[None], 2 * n, k)[0]
+                ins = float(np.sum(np.abs(twice[mixed]) ** 2))
                 target = p * q * phi.norm_sq()
                 worst = max(worst, abs(ins - target) / max(1.0, target))
             psi = RealForm.symmetrize(phi)
@@ -303,11 +306,13 @@ def check_einstein_identities(n: int, trials: int, seed: int, max_degree: int = 
         ksu = cv.restrict_su(k_op, ric)
         worst = max(worst, abs(float(np.trace(ksu.matrix).real) - (n - 1) * lam) / scale)
         spec = ksu.spectrum()
+        forms = defaultdict(list)
         for (p, q) in _pairs(n, max_degree):
-            phi = wz.random_primitive_real(conv, p, q, rng).phi
-            bf = wz.ricl_pairing(t, phi).real
-            ke = wz.ricl_via_kaehler_su(lam, spec, phi)
-            worst = max(worst, abs(bf - ke) / max(1.0, abs(bf)))
+            forms[p + q].append(wz.random_primitive_real(conv, p, q, rng).phi)
+        for same_degree in forms.values():
+            bf = wz.ricl_pairing_batch(t, same_degree)
+            ke = wz.ricl_via_kaehler_su(lam, spec, same_degree)
+            worst = max(worst, float(np.max(np.abs(bf - ke) / np.maximum(1.0, np.abs(bf)))))
         # (n,0)-forms: curvature term = (scal/2) |phi|^2
         top = FormPQ.generator(conv, tuple(range(1, n + 1)), ())
         bf = wz.ricl_pairing(t, top).real

@@ -51,10 +51,11 @@ USAGE_ERROR = 2
 MAX_N = 16
 # Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
 # whatever --max-degree is: C(14, 7) = 3432 coordinates at n = 7, where
-# verify at full degree takes 4.4 s and 349 MB peak (--trials 2, 2-vCPU VM).
-# That peak is the brute-force oracle on the degree-7 forms (tracemalloc:
-# 254 MB for 12 forms); its twice-annihilated stack holds d^2 C(d, k-2)
-# entries per form, which at n = 8, k = 8 is 33 MB per form.
+# verify at full degree takes 4.2 s and 185 MB peak (--trials 2, 2-vCPU VM).
+# At n = 8 it takes 30 s and 1.08 GB: the oracle stays within two 64 MB
+# slice stacks, but the cached dense Lefschetz matrices of the primitive
+# projection (0.5 GB) and the eigenvalue route on the degree-8 forms
+# (0.4 GB traced) do not.
 MAX_VERIFY_N = 7
 
 

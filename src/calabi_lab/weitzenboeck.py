@@ -5,11 +5,13 @@ The trusted oracle is ``ricl_bruteforce``: the Weitzenboeck term
 ``Ric_L = -sum Ric_ad e^a iota_d - sum R_ajcd e^a e^c iota_d iota_j``
 (``Ric_ad = sum_j R_ajjd``) summed literally over the real frame on
 orthonormal exterior coordinates, through the module's own creation and
-annihilation operators.  It makes no reference to any operator eigenstructure
-and shares no kernel with the Z-frame derivation action of the eigenvalue
-routes (via the Calabi operator, via the restricted Kaehler operator for
-Einstein tensors), which are checked against it.  Those routes and the
-derivation families act with the unitary bases of ``frames.family_mats``.
+annihilation operators, the second sum over unordered index pairs through
+one pair table composed from the single ones.  It makes no reference to any
+operator eigenstructure and shares no kernel with the Z-frame derivation
+action of the eigenvalue routes (via the Calabi operator, via the restricted
+Kaehler operator for Einstein tensors), which are checked against it.  Those
+routes and the derivation families act with the unitary bases of
+``frames.family_mats``.
 
 Forms enter the public functions as ``FormPQ`` / ``RealForm`` objects, which
 supply their exterior coordinates in either frame.  The general-Riemannian
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,6 +122,60 @@ def _create(y: np.ndarray, d: int, k: int) -> np.ndarray:
     return np.sum(y[:, removed, rest] * sign, axis=2)
 
 
+@lru_cache(maxsize=None)
+def _pair_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Double interior products on the orthonormal monomials of Lambda^k,
+    k >= 2, over d real frame vectors, composed from the single ones.
+
+    Returns ``(pair, rest, sign)``: for each sorted k-subset J and slot pair
+    s < t (in the order of ``np.triu_indices(k, 1)``), the position
+    ``pair[J, st]`` of ``(J_s, J_t)`` among the sorted 2-subsets, the position
+    ``rest[J, st]`` of ``J minus {J_s, J_t}`` among the sorted (k-2)-subsets,
+    and ``sign[st] = (-1)^(s+t-1)``, so that
+    ``iota(e_{J_t}) iota(e_{J_s}) e^J = sign[st] e^{J minus {J_s, J_t}}``:
+    removing J_s leaves J_t in slot t - 1.
+    """
+    _, removed, once, _ = _annihilation_table(d, k)
+    _, _, twice, _ = _annihilation_table(d, k - 1)
+    s, t = np.triu_indices(k, 1)
+    where = np.zeros((d, d), dtype=np.intp)
+    where[np.triu_indices(d, 1)] = np.arange(math.comb(d, 2))
+    table = (where[removed[:, s], removed[:, t]], twice[once[:, s], t - 1],
+             (-1.0) ** (s + t - 1))
+    for arr in table:  # shared by every caller through the cache
+        arr.flags.writeable = False
+    return table
+
+
+def _pair_annihilate(x: np.ndarray, d: int, k: int) -> np.ndarray:
+    """``(B, N_k)`` coordinates to the ``(B, C(d, 2), N_{k-2})`` stack of
+    ``iota(e_j) iota(e_i) x`` over the index pairs i < j."""
+    pair, rest, sign = _pair_table(d, k)
+    out = np.zeros((x.shape[0], math.comb(d, 2), math.comb(d, k - 2)), dtype=x.dtype)
+    out[:, pair, rest] = x[:, :, None] * sign
+    return out
+
+
+def _pair_create(y: np.ndarray, d: int, k: int) -> np.ndarray:
+    """``sum_{i<j} e^i ^ e^j ^ y_ij`` from a ``(B, C(d, 2), N_{k-2})`` stack:
+    the transposed scatter of ``_pair_annihilate``, returning ``(B, N_k)``
+    coordinates."""
+    pair, rest, sign = _pair_table(d, k)
+    return y[:, pair, rest] @ sign
+
+
+def _pair_matrix(s: np.ndarray) -> np.ndarray:
+    """``s[i,j,k,l] - s[j,i,k,l] - s[i,j,l,k] + s[j,i,l,k]`` over the index
+    pairs i < j and k < l, as a ``(C(d, 2), C(d, 2))`` matrix over the sorted
+    2-subsets: a sum over all ordered pairs of a tensor against two
+    antisymmetric ones equals the sum of this matrix over the sorted pairs."""
+    d = s.shape[0]
+    flat = _annihilation_table(d, 2)[0]  # i d + j over the pairs i < j
+    s = s - s.transpose(1, 0, 2, 3)
+    s = (s - s.transpose(0, 1, 3, 2)).reshape(d * d, d * d)
+    return s[flat[:, None], flat]
+
+
 def _exterior_coords(dense_stack: np.ndarray) -> np.ndarray:
     """Orthonormal exterior coordinates ``x_J = sqrt(k!) T[J]`` of a stack of
     alternating k-tensors ``(B,) + (d,)*k`` in one frame, shape ``(B, C(d, k))``.
@@ -143,6 +200,11 @@ def _coords(forms, frame: str) -> tuple[np.ndarray, int]:
     return np.array([f.coords(frame) for f in forms]), forms[0].degree
 
 
+# forms per oracle slice: as many as keep every stack it builds within this
+# many entries (64 MB complex), so one batch of any benchmark is one slice
+_SLICE_ENTRIES = 1 << 22
+
+
 def ricl_bruteforce(t: AlgebraicCurvatureTensor, x: np.ndarray, k: int) -> np.ndarray:
     """Ric_L(phi) as a literal sum over the real frame, in orthonormal
     exterior coordinates:
@@ -153,21 +215,36 @@ def ricl_bruteforce(t: AlgebraicCurvatureTensor, x: np.ndarray, k: int) -> np.nd
     ``x_J = sqrt(k!) T[J]`` of a stack of k-forms (complex allowed) over the
     sorted index sets J.  Returns the coordinates of ``Ric_L`` of each form,
     same shape.
+
+    ``e^a e^c`` and ``iota_d iota_j`` are antisymmetric, so the second sum
+    runs over the index pairs a < c and j < d with the pair-antisymmetrized
+    ``R_ajcd - R_adcj - R_cjad + R_cdaj`` (``_pair_matrix``), which holds for
+    any 4-tensor.  The forms go through in slices, so that no stack holds
+    more than ``_SLICE_ENTRIES`` entries.
     """
     r = t.components
     d = r.shape[0]
     x = np.asarray(x, dtype=complex)
-    b = x.shape[0]
+    out = np.zeros_like(x)
     if k == 0:
-        return np.zeros_like(x)
-    once = _annihilate(x, d, k)  # [b, j, J minus j]
-    # e^a-coefficients: sum_d Ric_ad iota_d x, plus sum_c e^c of sum_{j,d} R_ajcd iota_d iota_j x
-    coef = np.trace(r, axis1=1, axis2=2) @ once
+        return out
+    ric = np.trace(r, axis1=1, axis2=2)
+    size = d * math.comb(d, k - 1)
     if k >= 2:
-        twice = _annihilate(once.reshape(b * d, -1), d, k - 1)  # [b*j, d, ...]
-        pair = r.transpose(0, 2, 1, 3).reshape(d * d, d * d) @ twice.reshape(b, d * d, -1)
-        coef = coef + _create(pair.reshape(b * d, d, -1), d, k - 1).reshape(b, d, -1)
-    return -_create(coef, d, k)
+        pairs = _pair_matrix(r.transpose(0, 2, 1, 3))
+        size = max(size, math.comb(d, 2) * math.comb(d, k - 2))
+    step = max(1, _SLICE_ENTRIES // size)
+    # R is real, so each product acts on the real and imaginary parts of a
+    # fresh complex stack at once, through its float view; no stack is bound
+    # to a name, so none outlives its slice
+    for lo in range(0, x.shape[0], step):
+        part = x[lo:lo + step]
+        y = _create((ric @ _annihilate(part, d, k).view(float)).view(complex), d, k)
+        if k >= 2:
+            y += _pair_create(
+                (pairs @ _pair_annihilate(part, d, k).view(float)).view(complex), d, k)
+        out[lo:lo + step] = -y
+    return out
 
 
 def ricl_pairing(t: AlgebraicCurvatureTensor, psi: FormPQ | RealForm) -> complex:
@@ -197,13 +274,16 @@ def ricl_via_calabi(spec: Spectrum, psi: FormPQ | RealForm) -> float:
     return float(ricl_via_calabi_batch(spec, psi.convention, psi)[0])
 
 
-def ricl_via_kaehler_su(lam: float, su_spec: Spectrum, phi: FormPQ) -> float:
+def ricl_via_kaehler_su(lam: float, su_spec: Spectrum,
+                        phi: FormPQ | Sequence[FormPQ]) -> float | np.ndarray:
     """Curvature term of an Einstein tensor on a primitive (p,q)-form via the
     restricted Kaehler operator:
     g(Ric_L phi, conj phi) = lam (p-q)^2 / n |phi|^2 + sum_a lam_a |Xi_a phi|^2.
 
-    ``su_spec`` must be the eigensystem of ``curvature.restrict_su`` (source
-    ``"kaehler_su"``; any other source raises ValueError), whose
+    ``phi`` is one form, or a sequence of forms of one degree, for which the
+    terms come back as an array in its order.  ``su_spec`` must be the
+    eigensystem of ``curvature.restrict_su`` (source ``"kaehler_su"``; any
+    other source, or a size other than n^2 - 1, raises ValueError), whose
     basis ``su_complement(n)`` is written over the Lambda^{1,1} basis
     ``Z_a ^ conj(Z_b) / sqrt2``.  The eigen-elements Xi_a are normalized in
     the half-trace convention (sqrt2 times those unit elements), so the
@@ -211,12 +291,16 @@ def ricl_via_kaehler_su(lam: float, su_spec: Spectrum, phi: FormPQ) -> float:
     over the unitary basis ``Z_a ^ conj(Z_b)`` of u(n), and mix its actions.
     """
     _require_source(su_spec, "kaehler_su")
-    conv = phi.convention
+    single = isinstance(phi, FormPQ)
+    forms = [phi] if single else list(phi)
+    conv = forms[0].convention
     n = conv.n
+    if su_spec.size != n * n - 1:
+        raise ValueError("spectrum dimension does not match su(n)")
     mix = su_complement(n) @ su_spec.eigenvectors
-    first = lam * (phi.p - phi.q) ** 2 / n * phi.norm_sq()
-    norms = _mixed_norms(conv, "u", mix, phi)[:, 0]
-    return float(first + np.dot(su_spec.eigenvalues, norms))
+    first = np.array([lam * (f.p - f.q) ** 2 / n * f.norm_sq() for f in forms])
+    terms = first + su_spec.eigenvalues @ _mixed_norms(conv, "u", mix, forms)
+    return float(terms[0]) if single else terms
 
 
 def _batched_norms(mats: np.ndarray, forms, frame: str = "z") -> np.ndarray:
@@ -314,14 +398,14 @@ def _r1_pair_matrix(r: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 def _curvature_contraction(r: np.ndarray, x: np.ndarray, p: int) -> float:
     """``sum R_ijkl <i_j i_i x, i_l i_k x>`` with ``i`` the oracle's
-    ``_annihilate`` on the real-frame coordinates x of a p-form phi.  Each
-    application carries sqrt of the degree it acts on, so this is
+    annihilation on the real-frame coordinates x of a p-form phi, summed over
+    the index pairs i < j, k < l with ``_pair_matrix(r)``.  Each annihilation
+    carries sqrt of the degree it acts on, so this is
     ``p(p-1) sum R_ijkl phi_{ijI} phi_{klI}`` in dense components."""
     if p < 2:
         return 0.0
-    d = r.shape[0]
-    twice = _annihilate(_annihilate(x[None], d, p)[0], d, p - 1)  # [i, j, ...]
-    return float(np.real(np.sum(np.tensordot(r, twice, axes=((0, 1), (0, 1))) * twice.conj())))
+    twice = _pair_annihilate(x[None], r.shape[0], p)[0]  # [(i, j), ...]
+    return float(np.real(np.sum((_pair_matrix(r).T @ twice) * twice.conj())))
 
 
 def _ricci_contraction(ric: np.ndarray, x: np.ndarray, p: int) -> float:

@@ -2,10 +2,13 @@
 
 import math
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from calabi_lab import frames
+from calabi_lab import weitzenboeck as wz
 from calabi_lab.curvature import (
     calabi_from_tensor,
     kaehler_operator,
@@ -33,8 +36,12 @@ from calabi_lab.model_spaces import chsc, random_kaehler, random_kaehler_einstei
 from calabi_lab.spectral import eigensystem
 from calabi_lab.weitzenboeck import (
     NotSymmetric,
+    _annihilate,
+    _create,
     _curvature_contraction,
     _exterior_coords,
+    _pair_annihilate,
+    _pair_create,
     _ricci_contraction,
     _sym2_scores,
     achievability_endo,
@@ -52,6 +59,7 @@ from calabi_lab.weitzenboeck import (
     random_real_pform,
     ricl_bruteforce,
     ricl_pairing,
+    ricl_pairing_batch,
     ricl_via_calabi,
     ricl_via_calabi_batch,
     ricl_via_kaehler_su,
@@ -86,6 +94,25 @@ def dense_ricl(t, dense_e):
                 term = np.einsum(f"ajcd,{src}->{dst}", r, arr, optimize=True)
             out -= term
     return out
+
+
+def ricl_double_annihilation(t, x, k):
+    """Reference Ric_L over ordered index pairs: the second-order term
+    ``-sum R_ajcd e^a e^c iota_d iota_j`` through two rounds of the single
+    annihilation and creation operators, on the full ``d^2``-pair stack."""
+    r = t.components
+    d = r.shape[0]
+    x = np.asarray(x, dtype=complex)
+    b = x.shape[0]
+    if k == 0:
+        return np.zeros_like(x)
+    once = _annihilate(x, d, k)
+    coef = np.trace(r, axis1=1, axis2=2) @ once
+    if k >= 2:
+        twice = _annihilate(once.reshape(b * d, -1), d, k - 1)  # [b*j, d, ...]
+        pair = r.transpose(0, 2, 1, 3).reshape(d * d, d * d) @ twice.reshape(b, d * d, -1)
+        coef = coef + _create(pair.reshape(b * d, d, -1), d, k - 1).reshape(b, d, -1)
+    return -_create(coef, d, k)
 
 
 def sym2_eigen_endos(conv, spec):
@@ -262,6 +289,104 @@ def test_ricl_bruteforce_matches_dense_frame_sum(n):
             assert np.max(np.abs(single - ref)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pair_oracle_matches_double_annihilation(n):
+    """The pair-form oracle against the ordered-pair double annihilation, on
+    a Kaehler and a general Riemannian tensor, for every degree k <= 2n, on
+    a batch of complex forms and on each form alone, to 1e-12 of the scale."""
+    rng = np.random.default_rng(3000 + n)
+    conv = FrameConvention(n)
+    for t in (random_kaehler(n, 30 + n), random_riemannian(conv, 50 + n)):
+        for k in range(conv.dim + 1):
+            size = math.comb(conv.dim, k)
+            x = rng.normal(size=(4, size)) + 1j * rng.normal(size=(4, size))
+            ref = ricl_double_annihilation(t, x, k)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(ricl_bruteforce(t, x, k) - ref)) <= 1e-12 * scale
+            single = np.array([ricl_bruteforce(t, row[None], k)[0] for row in x])
+            assert np.max(np.abs(single - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d", [2, 4, 7])
+def test_pair_table_composes_two_annihilations(d):
+    """The pair annihilation equals iota(e_j) iota(e_i) through ``_annihilate``
+    twice, at the pairs i < j, exactly; the twice-annihilated stack is
+    antisymmetric in (i, j), so it holds nothing more.  The pair creation is
+    its transpose."""
+    rng = np.random.default_rng(d)
+    i, j = np.triu_indices(d, 1)
+    for k in range(2, d + 1):
+        x = rng.normal(size=(3, math.comb(d, k))) + 1j * rng.normal(size=(3, math.comb(d, k)))
+        once = _annihilate(x, d, k)
+        twice = _annihilate(once.reshape(3 * d, -1), d, k - 1).reshape(3, d, d, -1)
+        pairs = _pair_annihilate(x, d, k)
+        assert np.array_equal(pairs, twice[:, i, j])
+        assert np.array_equal(twice, -twice.transpose(0, 2, 1, 3))
+        y = rng.normal(size=pairs.shape) + 1j * rng.normal(size=pairs.shape)
+        lhs = np.sum(_pair_create(y, d, k) * x.conj())
+        rhs = np.sum(y * pairs.conj())
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+def test_oracle_slices_give_the_one_slice_output(monkeypatch):
+    """A batch cut into slices gives exactly the output of one slice."""
+    n, k = 3, 3
+    t = random_kaehler(n, 8)
+    rng = np.random.default_rng(8)
+    size = math.comb(2 * n, k)
+    x = rng.normal(size=(7, size)) + 1j * rng.normal(size=(7, size))
+    whole = ricl_bruteforce(t, x, k)
+    per_form = math.comb(2 * n, 2) * math.comb(2 * n, k - 2)
+    assert len(x) * per_form <= wz._SLICE_ENTRIES
+    monkeypatch.setattr(wz, "_SLICE_ENTRIES", 3 * per_form)  # slices of 3, 3, 1
+    assert np.array_equal(ricl_bruteforce(t, x, k), whole)
+
+
+def test_oracle_peak_memory_is_bounded_by_the_slice(monkeypatch):
+    """A top-degree batch at n = 6 that takes several slices allocates at most
+    two slice stacks (the pair stack and its product with the pair matrix)
+    besides the input, output and per-slice result; the whole batch as one
+    slice would allocate more than twice that bound."""
+    n, k = 6, 6
+    t = random_kaehler(n, 6)
+    size = math.comb(2 * n, k)
+    x = np.random.default_rng(6).normal(size=(24, size)) + 0j
+    per_form = math.comb(2 * n, 2) * math.comb(2 * n, k - 2)
+    monkeypatch.setattr(wz, "_SLICE_ENTRIES", 8 * per_form)  # three slices of 8
+    ricl_bruteforce(t, x[:1], k)  # fill the table caches
+    tracemalloc.start()
+    try:
+        ricl_bruteforce(t, x, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * 16 * wz._SLICE_ENTRIES + 3 * x.nbytes
+    assert peak <= bound
+    assert 2 * 16 * len(x) * per_form > 2 * bound
+
+
+def test_oracle_is_independent_of_the_eigen_route_kernels(monkeypatch):
+    """The oracle runs with the Z-frame derivation kernel, its index table and
+    the algebra bases of the eigenvalue routes made to fail."""
+    n = 3
+    conv = FrameConvention(n)
+    t = random_kaehler(n, 4)
+    rng = np.random.default_rng(4)
+    forms = [random_primitive_real(conv, p, q, rng) for p, q in [(2, 1), (3, 0), (2, 1)]]
+    want = [ricl_pairing(t, f).real for f in forms]
+
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle used an eigenvalue-route kernel")
+
+    for name in ("derivation_coords", "_exterior_table", "family_mats"):
+        monkeypatch.setattr(frames, name, never)
+        if hasattr(wz, name):
+            monkeypatch.setattr(wz, name, never)
+    got = ricl_pairing_batch(t, forms)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+    assert [ricl_pairing(t, f).real for f in forms] == want
+
+
 def _primitive_pairs(n):
     return [(p, q) for p in range(n + 1) for q in range(p + 1) if 1 <= p + q <= n]
 
@@ -290,14 +415,16 @@ def test_eigen_routes_match_dense_eigen_elements(n):
         single = np.array([ricl_via_calabi(spec, f) for f in forms])
         assert np.max(np.abs(single - want)) <= 1e-12 * scale
 
-        phi = forms[0].phi
-        su_norms = np.sum(np.abs(derivation_coords(su_mats, phi.coords("z")[None], k)) ** 2,
-                          axis=2)[:, 0]
-        first = lam * (p - q) ** 2 / n * phi.norm_sq()
+        phis = [f.phi for f in forms]
+        su_norms = np.sum(np.abs(derivation_coords(
+            su_mats, np.array([phi.coords("z") for phi in phis]), k)) ** 2, axis=2)
+        first = lam * (p - q) ** 2 / n * np.array([phi.norm_sq() for phi in phis])
         want_ke = first + su_spec.eigenvalues @ su_norms
-        scale_ke = max(1.0, abs(first) + np.abs(su_spec.eigenvalues) @ su_norms)
-        got_ke = ricl_via_kaehler_su(lam, su_spec, phi)
-        assert abs(got_ke - want_ke) <= 1e-12 * scale_ke
+        scale_ke = max(1.0, float(np.max(np.abs(first) + np.abs(su_spec.eigenvalues) @ su_norms)))
+        assert np.max(np.abs(ricl_via_kaehler_su(lam, su_spec, phis) - want_ke)) <= 1e-12 * scale_ke
+        got_ke = ricl_via_kaehler_su(lam, su_spec, phis[0])
+        assert isinstance(got_ke, float)
+        assert abs(got_ke - want_ke[0]) <= 1e-12 * scale_ke
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -474,6 +601,21 @@ def test_calabi_routes_refuse_a_spectrum_of_another_dimension():
         ricl_via_calabi_batch(spec, conv, [phi])
     with pytest.raises(ValueError, match="does not match sym"):
         ricl_via_calabi(spec, phi)
+
+
+def test_kaehler_route_refuses_a_spectrum_of_another_dimension():
+    """A restricted Kaehler spectrum of n = 3 on n = 2 forms is named as a
+    mismatch, for one form and for a sequence, instead of failing inside the
+    product with the n = 2 actions."""
+    conv = FrameConvention(2)
+    te = random_kaehler_einstein(3, 1)
+    ric = ricci(te)
+    spec = restrict_su(kaehler_operator(te), ric).spectrum()
+    phi = random_primitive_real(conv, 1, 1, np.random.default_rng(0)).phi
+    with pytest.raises(ValueError, match="does not match su"):
+        ricl_via_kaehler_su(ric.einstein_lambda, spec, phi)
+    with pytest.raises(ValueError, match="does not match su"):
+        ricl_via_kaehler_su(ric.einstein_lambda, spec, [phi, phi])
 
 
 def test_estimate_bound_trivial_and_sampled():
