@@ -50,13 +50,12 @@ USAGE_ERROR = 2
 # building a random tensor peaks at 613 MB) on a 2-vCPU VM.
 MAX_N = 16
 # Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
-# whatever --max-degree is: C(14, 7) = 3432 coordinates at n = 7, where
-# verify at full degree takes 4.2 s and 185 MB peak (--trials 2, 2-vCPU VM).
-# At n = 8 it takes 30 s and 1.08 GB: the oracle stays within two 64 MB
-# slice stacks, but the cached dense Lefschetz matrices of the primitive
-# projection (0.5 GB) and the eigenvalue route on the degree-8 forms
-# (0.4 GB traced) do not.
-MAX_VERIFY_N = 7
+# whatever --max-degree is: C(16, 8) = 12870 coordinates at n = 8, where
+# verify at full degree takes 24 s and 590 MB peak RSS at --trials 2, 180 s
+# and 590 MB at the default 50 (2-vCPU VM).  The eigenvalue route on the
+# degree-8 forms (0.4 GB traced) sets that peak; n = 9 has 3.8 times the
+# coordinates.
+MAX_VERIFY_N = 8
 
 
 class SizeLimitError(CalabiLabError, ValueError):
@@ -119,11 +118,15 @@ def parse_space(text: str, offset: int = 0) -> ms.SpaceDescriptor | dict:
             if not eq:
                 raise SpaceParseError(text, offset + text.find(chunk),
                                       f"expected key=value, got {chunk!r}")
+            key = key.strip()
             try:
-                params[key.strip()] = float(val)
+                params[key] = float(val)
             except ValueError:
                 raise SpaceParseError(text, offset + text.find(chunk),
                                       f"non-numeric value in {chunk!r}") from None
+            if key in ("n", "k", "seed") and not (params[key].is_integer() and params[key] >= 0):
+                raise SpaceParseError(text, offset + text.find(chunk),
+                                      f"{key} must be a whole number >= 0, got {val.strip()!r}")
     variants = {"chsc": "chsc", "quadric": "quadric", "flat": "flat",
                 "random": "random", "randomke": "random_ke"}
     if head not in variants:
@@ -385,9 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     pv = sub.add_parser("verify", help="run the identity suite")
-    pv.add_argument("--n", type=int, default=3)
+    pv.add_argument("--n", type=_bounded(int, "an integer >= 2 (su(1) is zero-dimensional)",
+                                         lambda v: v >= 2), default=3)
     pv.add_argument("--trials", type=_COUNT, default=50)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_bounded(int, "an integer >= 0", lambda v: v >= 0), default=0)
     pv.add_argument("--max-degree", type=_COUNT, default=None, dest="max_degree",
                     help="highest form degree p+q checked (default n)")
     pv.add_argument("--tol-scale", dest="tol_scale", default=1.0,

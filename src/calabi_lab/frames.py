@@ -22,7 +22,10 @@ relies on:
   ``x_J = sqrt(k!) T[J]`` over the sorted k-subsets J of frame indices, in
   the Z-frame or the real frame, built straight from the coefficients.
   Dense ``(2n)^k`` components (``to_dense``) are the boundary to
-  multilinear evaluation and to tests.
+  multilinear evaluation and to tests;
+* the adjoint Lefschetz map contracts the grid ``C[I, J]`` of generator
+  coefficients without signs, ``-i sqrt(k(k-1)) sum_a R_a C R_a^T``, with
+  R_a taking a out of each sorted index set that holds it.
 
 Endomorphisms act on covariant tensors as derivations,
 ``(L T)(x_1, .., x_k) = - sum_i T(x_1, .., L x_i, .., x_k)``.  The unitary
@@ -95,10 +98,6 @@ class FrameConvention:
     def frame_change(self) -> np.ndarray:
         """Unitary P with column A = complex frame vector W_A in e-coordinates."""
         return np.kron(Z_BLOCK, np.eye(self.n)).T
-
-    def bar(self, a: int) -> int:
-        """Toggle the bar on a complexified frame index (0-based)."""
-        return (a + self.n) % self.dim
 
     # coordinate vectors in the Z-frame, 1-based labels
     def z(self, a: int) -> np.ndarray:
@@ -380,9 +379,6 @@ class MultiIndexK:
         inv = sum(1 for i in self.I for j in self.J if j < i)
         return -1 if inv % 2 else 1
 
-    def overlap(self) -> int:
-        return len(set(self.I) & set(self.J))
-
     def base(self, n: int) -> tuple[int, ...]:
         """The complexified frame indices (0-based, increasing) of Z^K."""
         return tuple(i - 1 for i in self.I) + tuple(n + j - 1 for j in self.J)
@@ -437,11 +433,10 @@ def _conjugation(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Conjugation (p,q) -> (q,p) on coefficient vectors: the (q,p)
     coefficient of (J, I) is ``(-1)^|I cap J|`` times the conjugate of the
     (p,q) coefficient of (I, J).  Returns ``(source, sign)`` over the (q,p)
-    multi-indices."""
-    where = {key: i for i, key in enumerate(multi_indices(n, p, q))}
-    keys = multi_indices(n, q, p)
-    table = (np.array([where[MultiIndexK(key.J, key.I)] for key in keys], dtype=np.intp),
-             np.array([-1.0 if key.overlap() % 2 else 1.0 for key in keys]))
+    multi-indices, which run over the transpose of the (I, J) grid."""
+    occ_p, occ_q = _subsets(n, p)[1].astype(np.intp), _subsets(n, q)[1].astype(np.intp)
+    table = (np.arange(len(occ_p) * len(occ_q)).reshape(len(occ_p), len(occ_q)).T.ravel(),
+             np.where((occ_q @ occ_p.T) % 2, -1.0, 1.0).ravel())
     for arr in table:  # shared by every caller through the cache
         arr.flags.writeable = False
     return table
@@ -483,10 +478,6 @@ class FormPQ:
     @property
     def degree(self) -> int:
         return self.p + self.q
-
-    @classmethod
-    def zero(cls, convention: FrameConvention, p: int, q: int) -> "FormPQ":
-        return cls(convention, p, q)
 
     @classmethod
     def generator(cls, convention: FrameConvention, I: Iterable[int], J: Iterable[int]) -> "FormPQ":
@@ -849,38 +840,37 @@ def endo_act(L: EndoC, phi: FormPQ) -> dict[tuple[int, int], FormPQ]:
 
 def lefschetz_adjoint(phi: FormPQ) -> FormPQ:
     """Formal adjoint of the Lefschetz map,
-    (Lambda phi)(v_1..v_{k-2}) = -i k(k-1) sum_a phi(Z_a, conj Z_a, v_1, ..)."""
-    conv = phi.convention
+    (Lambda phi)(v_1..v_{k-2}) = -i k(k-1) sum_a phi(Z_a, conj Z_a, v_1, ..);
+    the sort signs of taking a out of I and J cancel the interleave signs of
+    Z^(I, J) and Z^(I - a, J - a), which leaves the sign-free grid contraction."""
+    conv, k = phi.convention, phi.degree
     if phi.p < 1 or phi.q < 1:
-        return FormPQ.zero(conv, max(phi.p - 1, 0), max(phi.q - 1, 0))
-    vec = _lefschetz_matrix(conv.n, phi.p, phi.q) @ phi.coefficient_vector()
-    return FormPQ.from_coefficient_vector(conv, phi.p - 1, phi.q - 1, vec)
+        return FormPQ(conv, max(phi.p - 1, 0), max(phi.q - 1, 0))
+    vec = _sandwich(_removal(conv.n, phi.p), _removal(conv.n, phi.q), phi.coefficient_vector())
+    return FormPQ.from_coefficient_vector(conv, phi.p - 1, phi.q - 1,
+                                          -1.0j * math.sqrt(k * (k - 1)) * vec)
 
 
 @lru_cache(maxsize=None)
-def _lefschetz_matrix(n: int, p: int, q: int) -> np.ndarray:
-    """Matrix of the adjoint Lefschetz map on generator coefficients, p, q >= 1.
+def _removal(n: int, p: int) -> np.ndarray:
+    """The 0/1 maps R_a, a = 0..n-1, stacked ``(n, C(n, p-1), C(n, p))`` for
+    p >= 1: R_a sends each sorted p-subset of ``0..n-1`` that holds a to that
+    subset minus a; read-only."""
+    subsets, _ = _subsets(n, p)
+    others = np.nonzero(~np.eye(p, dtype=bool))[1].reshape(p, p - 1)  # slots but s
+    table = np.zeros((n, math.comb(n, p - 1), len(subsets)))
+    table[subsets, _subset_rank(n, subsets[:, others]), np.arange(len(subsets))[:, None]] = 1.0
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
-    Z^K with K = (I, J) has the coordinate ``s(K) = interleave_sign(K)`` at
-    ``K.base(n)``, so the contraction with (Z_a, conj Z_a) leaves, for each
-    a in I and J, ``-i sqrt(k(k-1)) s(K) s(K') sign(perm) Z^K'`` with
-    ``K' = (I - a, J - a)`` and perm the sort of ``(a, n+a) + base(K')``
-    into ``base(K)``.
-    """
-    src = multi_indices(n, p, q)
-    dst_pos = {key: i for i, key in enumerate(multi_indices(n, p - 1, q - 1))}
-    k = p + q
-    scale = -1.0j * math.sqrt(k * (k - 1))
-    mat = np.zeros((len(dst_pos), len(src)), dtype=complex)
-    for col, key in enumerate(src):
-        for a in set(key.I) & set(key.J):
-            rest = MultiIndexK(tuple(i for i in key.I if i != a), tuple(j for j in key.J if j != a))
-            # a - 1 and n + a - 1 pass every index of base(K') below them
-            crossed = sum(1 for b in rest.base(n) if b < a - 1) + sum(
-                1 for b in rest.base(n) if b < n + a - 1)
-            sign = key.interleave_sign() * rest.interleave_sign() * (-1) ** crossed
-            mat[dst_pos[rest], col] = scale * sign
-    return mat
+
+def _sandwich(left: np.ndarray, right: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``sum_a left[a] C right[a]^T`` for coefficients on the last axis, read
+    as the grid C whose rows and columns are those of ``left[a]`` and
+    ``right[a]``, with the result flattened back the same way."""
+    lead = coeffs.shape[:-1]
+    grid = coeffs.reshape(lead + (1, left.shape[2], right.shape[2]))
+    return np.sum(left @ grid @ right.transpose(0, 2, 1), axis=-3).reshape(lead + (-1,))
 
 
 def _primitive_part(n: int, p: int, q: int, coeffs: np.ndarray) -> np.ndarray:
@@ -891,16 +881,16 @@ def _primitive_part(n: int, p: int, q: int, coeffs: np.ndarray) -> np.ndarray:
     ``k(k-1) r (n-k+r+1)`` on the piece L^r P^{p-r,q-r} of the Lefschetz
     decomposition, r = 0..min(p,q); the product of the factors
     ``I - Lambda* Lambda / eigenvalue`` over r >= 1 keeps the r = 0 piece,
-    ker(Lambda), alone.
+    ker(Lambda), alone.  Lambda* Lambda is k(k-1) times the R_a contraction
+    followed by its transpose, so the k(k-1) cancels.
     """
     if p < 1 or q < 1:
         return coeffs
-    lam = _lefschetz_matrix(n, p, q)
+    rp, rq = _removal(n, p), _removal(n, q)
     k = p + q
     for r in range(1, min(p, q) + 1):
-        # Lambda* Lambda on each row c is conj(conj(c Lambda^T) Lambda)
-        gram_c = ((coeffs @ lam.T).conj() @ lam).conj()
-        coeffs = coeffs - gram_c / (k * (k - 1) * r * (n - k + r + 1))
+        gram = _sandwich(rp.transpose(0, 2, 1), rq.transpose(0, 2, 1), _sandwich(rp, rq, coeffs))
+        coeffs = coeffs - gram / (r * (n - k + r + 1))
     return coeffs
 
 

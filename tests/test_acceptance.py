@@ -28,7 +28,8 @@ from calabi_lab.frames import (
     multi_indices,
     sym2_basis_labels,
 )
-from calabi_lab.frames import _lefschetz_matrix, _primitive_part
+from calabi_lab.frames import _primitive_part
+from test_frames import _lefschetz_matrix
 
 
 def _report(cid: str, ok: bool, detail: str) -> None:

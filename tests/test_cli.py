@@ -44,6 +44,22 @@ def test_parse_space_errors(bad):
         parse_space(bad)
 
 
+@pytest.mark.parametrize("bad,name", [
+    ("chsc:n=2.5", "n"),
+    ("flat:k=1.5", "k"),
+    ("random:n=3,seed=1.5", "seed"),
+    ("random:n=2,seed=-3", "seed"),
+    ("randomke:n=2,seed=inf", "seed"),
+    ("product:[chsc:n=1;flat:k=0.5]", "k"),
+])
+def test_parse_space_refuses_non_integral_parameters(bad, name, capsys):
+    """n, k and seed are whole numbers, seed >= 0: never truncated to a
+    different space, and refused with the parameter named (exit 2)."""
+    with pytest.raises(SpaceParseError, match=f"{name} must be a whole number >= 0"):
+        parse_space(bad)
+    _assert_usage_error(["certify", "--space", bad], capsys, f"{name} must be a whole number")
+
+
 def test_parse_space_error_reports_position():
     with pytest.raises(SpaceParseError) as err:
         parse_space("bogus:n=1")
@@ -140,6 +156,19 @@ def test_verify_rejects_counts_below_one(flag, value, capsys):
         main(["verify", "--n", "2", flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,domain", [
+    ("--n", "1", "an integer >= 2 (su(1) is zero-dimensional)"),
+    ("--n", "-2", "an integer >= 2 (su(1) is zero-dimensional)"),
+    ("--seed", "-1", "an integer >= 0"),
+])
+def test_verify_rejects_n_below_two_and_negative_seed(flag, value, domain, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, value, "--trials", "1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be {domain}, got '{value}'" in capsys.readouterr().err
 
 
 def test_package_errors_share_one_base():

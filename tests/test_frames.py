@@ -1,8 +1,10 @@
 """Frame conventions, (p,q)-forms, Lefschetz machinery."""
 
+import functools
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from calabi_lab.frames import (
     dense_conj,
     dense_e_to_z,
     dense_z_to_e,
-    _lefschetz_matrix,
+    _conjugation,
     _perm_sign,
     _primitive_part,
     change_pairs,
@@ -200,6 +202,107 @@ def test_project_primitive():
     assert (again - prim).norm_sq() < 1e-24 * max(1.0, phi.norm_sq())
     with pytest.raises(FrameError):
         project_primitive(random_form(conv, 2, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _lefschetz_matrix(n, p, q):
+    """Reference: the adjoint Lefschetz map as a dense matrix on generator
+    coefficients, p, q >= 1, with the sort sign of every pair (K, a).
+
+    Z^K with K = (I, J) has the coordinate ``s(K) = interleave_sign(K)`` at
+    ``K.base(n)``, so the contraction with (Z_a, conj Z_a) leaves, for each
+    a in I and J, ``-i sqrt(k(k-1)) s(K) s(K') sign(perm) Z^K'`` with
+    ``K' = (I - a, J - a)`` and perm the sort of ``(a, n+a) + base(K')``
+    into ``base(K)``.
+    """
+    src = multi_indices(n, p, q)
+    dst_pos = {key: i for i, key in enumerate(multi_indices(n, p - 1, q - 1))}
+    k = p + q
+    scale = -1.0j * math.sqrt(k * (k - 1))
+    mat = np.zeros((len(dst_pos), len(src)), dtype=complex)
+    for col, key in enumerate(src):
+        for a in set(key.I) & set(key.J):
+            rest = MultiIndexK(tuple(i for i in key.I if i != a), tuple(j for j in key.J if j != a))
+            # a - 1 and n + a - 1 pass every index of base(K') below them
+            crossed = sum(1 for b in rest.base(n) if b < a - 1) + sum(
+                1 for b in rest.base(n) if b < n + a - 1)
+            sign = key.interleave_sign() * rest.interleave_sign() * (-1) ** crossed
+            mat[dst_pos[rest], col] = scale * sign
+    return mat
+
+
+def _primitive_part_reference(n, p, q, coeffs):
+    """The closed-form product of ``I - Lambda* Lambda / k(k-1) r(n-k+r+1)``
+    with the reference matrix."""
+    if p < 1 or q < 1:
+        return coeffs
+    lam = _lefschetz_matrix(n, p, q)
+    k = p + q
+    for r in range(1, min(p, q) + 1):
+        gram_c = ((coeffs @ lam.T).conj() @ lam).conj()
+        coeffs = coeffs - gram_c / (k * (k - 1) * r * (n - k + r + 1))
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lambda_and_primitive_part_match_sign_loop(n):
+    """The sign-free contraction gives the reference matrix's Lambda on every
+    bidegree, also p + q > n, and its primitive part wherever the closed-form
+    eigenvalues are nonzero (p + q <= n + 1)."""
+    conv = FrameConvention(n)
+    rng = np.random.default_rng(700 + n)
+    for p, q in itertools.product(range(n + 1), repeat=2):
+        size = len(multi_indices(n, p, q))
+        coeffs = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+        got = np.array([lefschetz_adjoint(FormPQ.from_coefficient_vector(conv, p, q, c))
+                        .coefficient_vector() for c in coeffs])
+        if p >= 1 and q >= 1:
+            ref = coeffs @ _lefschetz_matrix(n, p, q).T
+        else:
+            ref = np.zeros((3, len(multi_indices(n, max(p - 1, 0), max(q - 1, 0)))))
+        assert got.shape == ref.shape
+        scale = max(1.0, np.max(np.abs(ref), initial=0.0))
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
+        if p + q <= n + 1:
+            ref = _primitive_part_reference(n, p, q, coeffs)
+            tol = 1e-12 * np.max(np.abs(coeffs))
+            assert np.max(np.abs(_primitive_part(n, p, q, coeffs) - ref)) <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_conjugation_matches_multi_index_reference(n):
+    for p, q in itertools.product(range(n + 1), repeat=2):
+        where = {key: i for i, key in enumerate(multi_indices(n, p, q))}
+        keys = multi_indices(n, q, p)
+        source = [where[MultiIndexK(key.J, key.I)] for key in keys]
+        sign = [(-1.0) ** len(set(key.I) & set(key.J)) for key in keys]
+        got = _conjugation(n, p, q)
+        assert got[0].tolist() == source
+        assert got[1].tolist() == sign
+
+
+def test_primitive_forms_build_no_dense_lambda():
+    """Three primitive forms per bidegree at n = 7, from cold caches, trace
+    under 10 MB: Lambda is a contraction with the removal tables, not a
+    cached (C(n,p-1) C(n,q-1)) x (C(n,p) C(n,q)) matrix per bidegree."""
+    from calabi_lab import frames
+    from calabi_lab.weitzenboeck import random_primitive_real
+
+    n = 7
+    for obj in vars(frames).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    conv = FrameConvention(n)
+    rng = np.random.default_rng(3)
+    pairs = [(p, q) for p in range(n + 1) for q in range(p + 1) if 1 <= p + q <= n]
+    tracemalloc.start()
+    try:
+        forms = [random_primitive_real(conv, p, q, rng) for (p, q) in pairs for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forms) == 3 * len(pairs)
+    assert peak < 10 * 2 ** 20
 
 
 def _pinv_projector(n, p, q):
