@@ -213,8 +213,8 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
     for (p, q) in _pairs(n, max_degree):
         k = p + q
         for _ in range(count):
-            phi = FormPQ(conv, p, q, {key: complex(rng.standard_normal(), rng.standard_normal())
-                                      for key in multi_indices(n, p, q)})
+            raw = rng.standard_normal((len(multi_indices(n, p, q)), 2))  # (re, im) by generator
+            phi = FormPQ.from_coefficient_vector(conv, p, q, raw[:, 0] + 1j * raw[:, 1])
             if k >= 2:
                 twice = wz._pair_annihilate(phi.coords("z")[None], 2 * n, k)[0]
                 ins = float(np.sum(np.abs(twice[mixed]) ** 2))

@@ -51,10 +51,10 @@ USAGE_ERROR = 2
 MAX_N = 16
 # Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
 # whatever --max-degree is: C(16, 8) = 12870 coordinates at n = 8, where
-# verify at full degree takes 24 s and 590 MB peak RSS at --trials 2, 180 s
-# and 590 MB at the default 50 (2-vCPU VM).  The eigenvalue route on the
-# degree-8 forms (0.4 GB traced) sets that peak; n = 9 has 3.8 times the
-# coordinates.
+# verify at full degree takes 19 s and 479 MB peak RSS at --trials 2, 150 s
+# and 477 MB at the default 50 (2-vCPU VM).  With the eigenvalue routes in
+# slices, the curvature-term check sets that peak (451 MB on its own); n = 9
+# has 3.8 times the coordinates.
 MAX_VERIFY_N = 8
 
 
@@ -75,22 +75,26 @@ class SpaceParseError(CalabiLabError, ValueError):
 
 
 def parse_space(text: str, offset: int = 0) -> ms.SpaceDescriptor | dict:
-    """Parse the --space grammar; file: inputs return the loaded json payload."""
+    """Parse the --space grammar; file: inputs return the loaded json payload.
+    Error positions index the whole descriptor, in which ``text`` starts at ``offset``."""
+    offset += len(text) - len(text.lstrip())
     text = text.strip()
     if not text:
         raise SpaceParseError(text, offset, "empty descriptor")
     head, sep, rest = text.partition(":")
+    at = offset + len(head) + 1  # where rest begins
     head = head.strip().lower()
     if head == "file":
         if not rest:
-            raise SpaceParseError(text, offset + len(head), "file: needs a path")
+            raise SpaceParseError(text, at - 1, "file: needs a path")
         return _load_input_file(rest.strip())
     if head == "product":
         body = rest.strip()
         if not (body.startswith("[") and body.endswith("]")):
-            raise SpaceParseError(text, offset + len(head) + 1,
+            raise SpaceParseError(text, at,
                                   "product factors must be bracketed, e.g. product:[chsc:n=1;flat:k=1]")
         inner = body[1:-1]
+        at += len(rest) - len(rest.lstrip()) + 1  # where inner begins
         factors = []
         depth = 0
         start = 0
@@ -100,9 +104,9 @@ def parse_space(text: str, offset: int = 0) -> ms.SpaceDescriptor | dict:
             elif ch == "]":
                 depth -= 1
             elif ch == ";" and depth == 0:
-                factors.append(parse_space(inner[start:i], offset + start))
+                factors.append(parse_space(inner[start:i], at + start))
                 start = i + 1
-        factors.append(parse_space(inner[start:], offset + start))
+        factors.append(parse_space(inner[start:], at + start))
         if any(isinstance(f, dict) for f in factors):
             raise SpaceParseError(text, offset, "file: descriptors cannot be product factors")
         desc = ms.SpaceDescriptor("product", factors=tuple(factors))
@@ -110,23 +114,21 @@ def parse_space(text: str, offset: int = 0) -> ms.SpaceDescriptor | dict:
         return desc
 
     params: dict[str, float] = {}
-    if rest:
-        for chunk in rest.split(","):
-            if not chunk.strip():
-                continue
-            key, eq, val = chunk.partition("=")
-            if not eq:
-                raise SpaceParseError(text, offset + text.find(chunk),
-                                      f"expected key=value, got {chunk!r}")
-            key = key.strip()
-            try:
-                params[key] = float(val)
-            except ValueError:
-                raise SpaceParseError(text, offset + text.find(chunk),
-                                      f"non-numeric value in {chunk!r}") from None
-            if key in ("n", "k", "seed") and not (params[key].is_integer() and params[key] >= 0):
-                raise SpaceParseError(text, offset + text.find(chunk),
-                                      f"{key} must be a whole number >= 0, got {val.strip()!r}")
+    for chunk in rest.split(","):
+        where, at = at, at + len(chunk) + 1
+        if not chunk.strip():
+            continue
+        key, eq, val = chunk.partition("=")
+        if not eq:
+            raise SpaceParseError(text, where, f"expected key=value, got {chunk!r}")
+        key = key.strip()
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise SpaceParseError(text, where, f"non-numeric value in {chunk!r}") from None
+        if key in ("n", "k", "seed") and not (params[key].is_integer() and params[key] >= 0):
+            raise SpaceParseError(text, where,
+                                  f"{key} must be a whole number >= 0, got {val.strip()!r}")
     variants = {"chsc": "chsc", "quadric": "quadric", "flat": "flat",
                 "random": "random", "randomke": "random_ke"}
     if head not in variants:

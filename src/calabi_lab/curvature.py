@@ -29,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalabiLabError
-from .frames import (E_BLOCK, Z_BLOCK, FrameConvention, change_pairs, lambda11_basis_labels,
-                     sym2_basis_labels)
+from .frames import (E_BLOCK, Z_BLOCK, FrameConvention, _frozen, change_pairs,
+                     lambda11_basis_labels, sym2_basis_labels)
 from .spectral import NotHermitian, Spectrum, eigensystem, require_finite
 
 __all__ = [
@@ -220,8 +220,7 @@ def _sym2_norms(n: int) -> np.ndarray:
     """c_ab with Z_a (.) Z_b = c_ab * (unit element); sqrt2 off-diagonal, 2 diagonal."""
     c = np.full((n, n), math.sqrt(2.0))
     np.fill_diagonal(c, 2.0)
-    c.flags.writeable = False
-    return c
+    return _frozen(c)[0]
 
 
 @lru_cache(maxsize=None)
@@ -229,8 +228,7 @@ def _sym2_pair_index(n: int) -> np.ndarray:
     pid = np.zeros((n, n), dtype=int)
     for nu, (a, b) in enumerate(sym2_basis_labels(n)):
         pid[a - 1, b - 1] = pid[b - 1, a - 1] = nu
-    pid.flags.writeable = False
-    return pid
+    return _frozen(pid)[0]
 
 
 def calabi_from_tensor(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
@@ -336,8 +334,7 @@ def su_complement(n: int) -> np.ndarray:
     m = n * n
     q, _ = np.linalg.qr(np.column_stack([w, np.eye(m)]))
     b = q[:, 1:m]
-    b.flags.writeable = False
-    return b
+    return _frozen(b)[0]
 
 
 def restrict_su(k_op: CurvatureOperatorMatrix, ric: RicciData) -> CurvatureOperatorMatrix:

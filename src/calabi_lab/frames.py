@@ -23,6 +23,9 @@ relies on:
   the Z-frame or the real frame, built straight from the coefficients.
   Dense ``(2n)^k`` components (``to_dense``) are the boundary to
   multilinear evaluation and to tests;
+* one slot table, ``_slots``, says where a sorted index set lands, with its
+  sort sign, when an index leaves it or is replaced; the derivation,
+  frame-change and Lefschetz tables are gathers from it;
 * the adjoint Lefschetz map contracts the grid ``C[I, J]`` of generator
   coefficients without signs, ``-i sqrt(k(k-1)) sum_a R_a C R_a^T``, with
   R_a taking a out of each sorted index set that holds it.
@@ -165,6 +168,13 @@ def derivation_action(mat: np.ndarray, arr: np.ndarray, k: int | None = None) ->
     return out
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cached table is shared by every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _subset_rank(d: int, subsets: np.ndarray) -> np.ndarray:
     """Position of each sorted k-subset of ``0..d-1`` (last axis) in the order
     of ``itertools.combinations(range(d), k)``.
@@ -193,6 +203,25 @@ def _subsets(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _slots(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moves in the sorted k-subsets J of ``0..d-1``, k >= 1, read-only:
+    ``rest[J, s]`` ranks ``J minus J_s`` among the (k-1)-subsets, ``put[R, C]``
+    ranks ``R plus C`` among the k-subsets and C takes ``slot[R, C]`` there
+    (-1 and 0 when C is in R).  So J_s moves to C at ``put[rest[J, s], C]``
+    with sort sign ``(-1)^(s + slot[rest[J, s], C])``: past s indices out and
+    slot indices in."""
+    subsets, _ = _subsets(d, k)
+    others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # slots but s
+    rest = _subset_rank(d, subsets[:, others])
+    # each R plus C, C not in R, is the one J with C = J_s and R = J minus J_s
+    put = np.full((math.comb(d, k - 1), d), -1, dtype=np.intp)
+    slot = np.zeros_like(put)
+    put[rest, subsets] = np.arange(len(subsets))[:, None]
+    slot[rest, subsets] = np.arange(k)
+    return _frozen(rest, put, slot)
+
+
+@lru_cache(maxsize=None)
 def _exterior_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index table of Lambda^k over d frame vectors, k >= 1, by frame index.
 
@@ -201,28 +230,16 @@ def _exterior_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     A, increasing, as a ``(d, M)`` array; and for the i-th of them and each
     replacement index C, the position ``pos[A, i, C]`` of
     ``sorted(J with A -> C)`` with the sign of that sort, which is 0 when C
-    repeats another index of J.
+    repeats another index of J.  A gather from ``_slots``.
     """
-    subsets, occupied = _subsets(d, k)
-    below = np.concatenate([np.zeros((len(subsets), 1), dtype=np.intp),
-                            np.cumsum(occupied, axis=1)], axis=1)  # #{j in J: j < c}
-    index, holders = np.nonzero(occupied.T)  # grouped by A, J increasing
-    held = subsets[holders]
-    pos = np.zeros((len(holders), d), dtype=np.intp)
-    sign = np.zeros((len(holders), d))
-    for c in range(d):
-        # sorting moves C past the entries of J strictly between A and C
-        lo, hi = np.minimum(index, c), np.maximum(index, c)
-        crossed = below[holders, hi] - below[holders, lo + 1]
-        repeats = occupied[holders, c] & (index != c)
-        new = np.sort(np.where(held == index[:, None], c, held), axis=1)
-        pos[:, c] = np.where(repeats, 0, _subset_rank(d, new))
-        sign[:, c] = np.where(repeats, 0.0, np.where(np.maximum(crossed, 0) % 2, -1.0, 1.0))
+    rest, put, slot = _slots(d, k)
+    # (A, J, s) with J_s = A, grouped by A, J increasing
+    _, holders, s = np.nonzero(_subsets(d, k)[0] == np.arange(d)[:, None, None])
+    rest = rest[holders, s]
+    moved, crossed = put[rest], s[:, None] + slot[rest]
     m = math.comb(d - 1, k - 1)
-    table = (holders.reshape(d, m), pos.reshape(d, m, d), sign.reshape(d, m, d))
-    for arr in table:  # shared by every caller through the cache
-        arr.flags.writeable = False
-    return table
+    return _frozen(holders.reshape(d, m), np.maximum(moved, 0).reshape(d, m, d),
+                   np.where(moved < 0, 0.0, np.where(crossed % 2, -1.0, 1.0)).reshape(d, m, d))
 
 
 def derivation_coords(mats: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
@@ -267,36 +284,28 @@ def _pair_mixing(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     each other, through the block ``[[s, s], [i s, -i s]]`` (s = 1/sqrt2), so
     its k-th exterior power is the product over a of the maps that change
     pair a alone.  For pair a and a sorted k-subset J that holds exactly one
-    of a, a+n, the image keeps J or swaps that index for the other one; the
-    swap moves it past the indices of J strictly between a and a+n, which
-    gives the sort sign.  Returns ``(partner, stay, cross)``, each
-    ``(n, C(2n, k))``: pair a maps coordinates by
+    of a, a+n, the image keeps J or moves that index to the other one, which
+    lands and signs as ``_slots`` says.  Returns ``(partner, stay, cross)``,
+    each ``(n, C(2n, k))``: pair a maps coordinates by
     ``y_J = stay[a, J] x_J + cross[a, J] x_{partner[a, J]}``.
     """
     d = 2 * n
     subsets, occupied = _subsets(d, k)
-    s = 1.0 / math.sqrt(2.0)
+    low, high = occupied[:, :n].T, occupied[:, n:].T
+    stay = np.where(low & high, -1.0j,  # det of the block
+                    np.where(low, _S, np.where(high, -1.0j * _S, 1.0)))
     partner = np.tile(np.arange(len(subsets)), (n, 1))
-    stay = np.ones((n, len(subsets)), dtype=complex)
     cross = np.zeros((n, len(subsets)), dtype=complex)
-    for a in range(n):
-        low, high = occupied[:, a], occupied[:, a + n]
-        crossed = np.sum(occupied[:, a + 1:a + n], axis=1)
-        sort_sign = np.where(crossed % 2, -1.0, 1.0)
-        stay[a, low & high] = -1.0j  # det of the block
-        stay[a, low & ~high] = s
-        stay[a, high & ~low] = -1.0j * s
-        cross[a, low & ~high] = s * sort_sign[low & ~high]
-        cross[a, high & ~low] = 1.0j * s * sort_sign[high & ~low]
-        single = low ^ high
-        swapped = np.sort(np.where(subsets[single] % n == a,
-                                   subsets[single] + np.where(low[single], n, -n)[:, None],
-                                   subsets[single]), axis=1)
-        partner[a, single] = _subset_rank(d, swapped)
-    table = (partner, stay, cross)
-    for arr in table:  # shared by every caller through the cache
-        arr.flags.writeable = False
-    return table
+    if k:
+        rest, put, slot = _slots(d, k)
+        other = (subsets + n) % d  # the pair partner of each index
+        moved = put[rest, other]
+        single = moved >= 0  # J holds one index of the pair, not both
+        sign = np.where((np.arange(k) + slot[rest, other]) % 2, -1.0, 1.0)[single]
+        pair, where = subsets[single] % n, np.nonzero(single)[0]
+        partner[pair, where] = moved[single]
+        cross[pair, where] = np.where(subsets[single] < n, _S * sign, 1.0j * _S * sign)
+    return _frozen(partner, stay, cross)
 
 
 def coords_z_to_e(x: np.ndarray, conv: FrameConvention, k: int) -> np.ndarray:
@@ -421,11 +430,8 @@ def _z_layout(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     the sorted (p+q)-subsets of ``0..2n-1``.  Returns ``(position, sign)``."""
     keys = multi_indices(n, p, q)
     bases = np.array([key.base(n) for key in keys], dtype=np.intp).reshape(len(keys), p + q)
-    table = (_subset_rank(2 * n, bases),
-             np.array([key.interleave_sign() for key in keys], dtype=float))
-    for arr in table:  # shared by every caller through the cache
-        arr.flags.writeable = False
-    return table
+    return _frozen(_subset_rank(2 * n, bases),
+                   np.array([key.interleave_sign() for key in keys], dtype=float))
 
 
 @lru_cache(maxsize=None)
@@ -435,11 +441,8 @@ def _conjugation(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     (p,q) coefficient of (I, J).  Returns ``(source, sign)`` over the (q,p)
     multi-indices, which run over the transpose of the (I, J) grid."""
     occ_p, occ_q = _subsets(n, p)[1].astype(np.intp), _subsets(n, q)[1].astype(np.intp)
-    table = (np.arange(len(occ_p) * len(occ_q)).reshape(len(occ_p), len(occ_q)).T.ravel(),
-             np.where((occ_q @ occ_p.T) % 2, -1.0, 1.0).ravel())
-    for arr in table:  # shared by every caller through the cache
-        arr.flags.writeable = False
-    return table
+    return _frozen(np.arange(len(occ_p) * len(occ_q)).reshape(len(occ_p), len(occ_q)).T.ravel(),
+                   np.where((occ_q @ occ_p.T) % 2, -1.0, 1.0).ravel())
 
 
 class FormPQ:
@@ -811,9 +814,7 @@ def family_mats(n: int, tag: str) -> np.ndarray:
         mats[:, n:, n:] = c.transpose(0, 2, 1)
     else:
         raise ValueError(f"unknown algebra tag {tag!r}")
-    mats = np.ascontiguousarray(mats)
-    mats.flags.writeable = False  # shared by every caller through the cache
-    return mats
+    return _frozen(np.ascontiguousarray(mats))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -857,11 +858,9 @@ def _removal(n: int, p: int) -> np.ndarray:
     p >= 1: R_a sends each sorted p-subset of ``0..n-1`` that holds a to that
     subset minus a; read-only."""
     subsets, _ = _subsets(n, p)
-    others = np.nonzero(~np.eye(p, dtype=bool))[1].reshape(p, p - 1)  # slots but s
     table = np.zeros((n, math.comb(n, p - 1), len(subsets)))
-    table[subsets, _subset_rank(n, subsets[:, others]), np.arange(len(subsets))[:, None]] = 1.0
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
+    table[subsets, _slots(n, p)[0], np.arange(len(subsets))[:, None]] = 1.0
+    return _frozen(table)[0]
 
 
 def _sandwich(left: np.ndarray, right: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

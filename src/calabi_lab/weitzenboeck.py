@@ -40,6 +40,7 @@ from .frames import (
     FrameConvention,
     MultiIndexK,
     RealForm,
+    _frozen,
     derivation_coords,
     family_mats,
     lefschetz_adjoint,
@@ -100,11 +101,7 @@ def _annihilation_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     rest = np.array([[where[key[:s] + key[s + 1:]] for s in range(k)] for key in subsets],
                     dtype=np.intp)
     sign = np.tile((-1.0) ** np.arange(k), (len(subsets), 1))
-    flat = np.ravel_multi_index(removed.T, (d,) * k)
-    table = (flat, removed, rest, sign)
-    for arr in table:  # shared by every caller through the cache
-        arr.flags.writeable = False
-    return table
+    return _frozen(np.ravel_multi_index(removed.T, (d,) * k), removed, rest, sign)
 
 
 def _annihilate(x: np.ndarray, d: int, k: int) -> np.ndarray:
@@ -140,11 +137,8 @@ def _pair_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s, t = np.triu_indices(k, 1)
     where = np.zeros((d, d), dtype=np.intp)
     where[np.triu_indices(d, 1)] = np.arange(math.comb(d, 2))
-    table = (where[removed[:, s], removed[:, t]], twice[once[:, s], t - 1],
-             (-1.0) ** (s + t - 1))
-    for arr in table:  # shared by every caller through the cache
-        arr.flags.writeable = False
-    return table
+    return _frozen(where[removed[:, s], removed[:, t]], twice[once[:, s], t - 1],
+                   (-1.0) ** (s + t - 1))
 
 
 def _pair_annihilate(x: np.ndarray, d: int, k: int) -> np.ndarray:
@@ -200,8 +194,8 @@ def _coords(forms, frame: str) -> tuple[np.ndarray, int]:
     return np.array([f.coords(frame) for f in forms]), forms[0].degree
 
 
-# forms per oracle slice: as many as keep every stack it builds within this
-# many entries (64 MB complex), so one batch of any benchmark is one slice
+# forms per slice of the oracle and the eigenvalue routes: as many as keep every
+# stack within this many entries (64 MB complex); a benchmark batch is one slice
 _SLICE_ENTRIES = 1 << 22
 
 
@@ -315,10 +309,15 @@ def _mixed_norms(conv: FrameConvention, tag: str, mix: np.ndarray, forms) -> np.
     ``Xi_nu = sum_mu mix[mu, nu] u_mu`` over the unitary basis u_mu of a
     Z-frame algebra, and forms as ``_coords`` takes them.  The sparse basis
     acts once and its actions are mixed, which costs far less than acting
-    with the dense elements."""
+    with the dense elements; forms go through in slices as in ``ricl_bruteforce``."""
     x, k = _coords(forms, "z")
-    acted = derivation_coords(family_mats(conv.n, tag), x, k)
-    return np.sum(np.abs(np.tensordot(mix, acted, axes=(0, 0))) ** 2, axis=2)
+    mats = family_mats(conv.n, tag)
+    step = max(1, _SLICE_ENTRIES // (len(mats) * x.shape[1]))
+    out = np.empty((mix.shape[1], len(x)))
+    for lo in range(0, len(x), step):
+        acted = derivation_coords(mats, x[lo:lo + step], k)
+        out[:, lo:lo + step] = np.sum(np.abs(np.tensordot(mix, acted, axes=(0, 0))) ** 2, axis=2)
+    return out
 
 
 def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention, forms) -> np.ndarray:

@@ -66,6 +66,21 @@ def test_parse_space_error_reports_position():
     assert "position" in str(err.value)
 
 
+@pytest.mark.parametrize("bad,pos", [
+    ("product:[chsc:n=1;flat:k=1.5]", 23),
+    ("product:[chsc:n=1;product:[flat:k=1;chsc:n=2,c=x]]", 45),
+    ("  chsc:n=1,c=x", 11),
+    ("product:[chsc:n=1; bogus:n=1]", 19),
+])
+def test_parse_space_positions_count_from_the_whole_descriptor(bad, pos):
+    """Positions inside product factors and after leading blanks index the
+    descriptor as typed."""
+    with pytest.raises(SpaceParseError) as err:
+        parse_space(bad)
+    assert err.value.pos == pos
+    assert f"position {pos}:" in str(err.value)
+
+
 def run_cli(args, tmp_path=None):
     return main(args)
 

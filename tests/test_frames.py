@@ -22,8 +22,13 @@ from calabi_lab.frames import (
     dense_e_to_z,
     dense_z_to_e,
     _conjugation,
+    _exterior_table,
+    _pair_mixing,
     _perm_sign,
     _primitive_part,
+    _removal,
+    _subset_rank,
+    _subsets,
     change_pairs,
     endo_act,
     evaluate_form,
@@ -600,3 +605,90 @@ def test_change_pairs_matches_contract_each_slot(n):
         _assert_same_change(dense_z_to_e(stack, conv, k), contract_each_slot(stack, p.conj(), k))
         _assert_same_change(dense_e_to_z(stack, conv, k), contract_each_slot(stack, p.T, k))
     assert dense_z_to_e(np.zeros((0, 2 * n, 2 * n)), conv, 2).shape == (0, 2 * n, 2 * n)
+
+
+# ---------------------------------------------------------------------------
+# the move tables against per-index references
+# ---------------------------------------------------------------------------
+
+def _exterior_table_reference(d, k):
+    """Reference: one sort and rank per replacement index C, with the sign
+    from the entries of J that C crosses."""
+    subsets, occupied = _subsets(d, k)
+    below = np.concatenate([np.zeros((len(subsets), 1), dtype=np.intp),
+                            np.cumsum(occupied, axis=1)], axis=1)  # #{j in J: j < c}
+    index, holders = np.nonzero(occupied.T)
+    held = subsets[holders]
+    pos = np.zeros((len(holders), d), dtype=np.intp)
+    sign = np.zeros((len(holders), d))
+    for c in range(d):
+        lo, hi = np.minimum(index, c), np.maximum(index, c)
+        crossed = below[holders, hi] - below[holders, lo + 1]
+        repeats = occupied[holders, c] & (index != c)
+        new = np.sort(np.where(held == index[:, None], c, held), axis=1)
+        pos[:, c] = np.where(repeats, 0, _subset_rank(d, new))
+        sign[:, c] = np.where(repeats, 0.0, np.where(np.maximum(crossed, 0) % 2, -1.0, 1.0))
+    m = math.comb(d - 1, k - 1)
+    table = (holders.reshape(d, m), pos.reshape(d, m, d), sign.reshape(d, m, d))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _pair_mixing_reference(n, k):
+    """Reference: one sort and rank per pair {a, a+n}, with the sign from the
+    entries of J strictly between a and a+n."""
+    d = 2 * n
+    subsets, occupied = _subsets(d, k)
+    s = 1.0 / math.sqrt(2.0)
+    partner = np.tile(np.arange(len(subsets)), (n, 1))
+    stay = np.ones((n, len(subsets)), dtype=complex)
+    cross = np.zeros((n, len(subsets)), dtype=complex)
+    for a in range(n):
+        low, high = occupied[:, a], occupied[:, a + n]
+        crossed = np.sum(occupied[:, a + 1:a + n], axis=1)
+        sort_sign = np.where(crossed % 2, -1.0, 1.0)
+        stay[a, low & high] = -1.0j
+        stay[a, low & ~high] = s
+        stay[a, high & ~low] = -1.0j * s
+        cross[a, low & ~high] = s * sort_sign[low & ~high]
+        cross[a, high & ~low] = 1.0j * s * sort_sign[high & ~low]
+        single = low ^ high
+        swapped = np.sort(np.where(subsets[single] % n == a,
+                                   subsets[single] + np.where(low[single], n, -n)[:, None],
+                                   subsets[single]), axis=1)
+        partner[a, single] = _subset_rank(d, swapped)
+    table = (partner, stay, cross)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _removal_reference(n, p):
+    """Reference: the remainders of every subset ranked on their own."""
+    subsets, _ = _subsets(n, p)
+    others = np.nonzero(~np.eye(p, dtype=bool))[1].reshape(p, p - 1)
+    table = np.zeros((n, math.comb(n, p - 1), len(subsets)))
+    table[subsets, _subset_rank(n, subsets[:, others]), np.arange(len(subsets))[:, None]] = 1.0
+    table.flags.writeable = False
+    return table
+
+
+def _assert_same_tables(got, ref):
+    for g, r in zip(got, ref, strict=True):
+        assert (g.dtype, g.shape, g.flags.writeable) == (r.dtype, r.shape, r.flags.writeable)
+        assert g.tobytes() == r.tobytes()
+
+
+def test_move_tables_match_per_index_references():
+    """The gathers from the slot table give the per-index builders' tables
+    byte for byte, signed zeros included."""
+    for d in range(1, 13):
+        for k in range(1, d + 1):
+            _assert_same_tables(_exterior_table(d, k), _exterior_table_reference(d, k))
+    for n in range(1, 7):
+        for k in range(2 * n + 1):
+            _assert_same_tables(_pair_mixing(n, k), _pair_mixing_reference(n, k))
+    for n in range(1, 8):
+        for p in range(1, n + 1):
+            _assert_same_tables([_removal(n, p)], [_removal_reference(n, p)])

@@ -365,9 +365,63 @@ def test_oracle_peak_memory_is_bounded_by_the_slice(monkeypatch):
     assert 2 * 16 * len(x) * per_form > 2 * bound
 
 
+def _random_forms(conv, p, q, count, rng):
+    size = len(multi_indices(conv.n, p, q))
+    return [FormPQ.from_coefficient_vector(conv, p, q, rng.normal(size=size) + 1j * rng.normal(size=size))
+            for _ in range(count)]
+
+
+def test_eigen_route_slices_give_the_one_slice_output(monkeypatch):
+    """Both eigenvalue routes cut a batch into slices and give exactly the
+    output of one slice."""
+    n, p, q = 4, 2, 2
+    conv = FrameConvention(n)
+    rng = np.random.default_rng(9)
+    forms = _random_forms(conv, p, q, 7, rng)
+    spec = calabi_from_tensor(random_kaehler(n, 9)).spectrum()
+    te = random_kaehler_einstein(n, 9)
+    lam = ricci(te).einstein_lambda
+    su_spec = restrict_su(kaehler_operator(te), ricci(te)).spectrum()
+    whole = (ricl_via_calabi_batch(spec, conv, forms), ricl_via_kaehler_su(lam, su_spec, forms))
+    size = math.comb(2 * n, p + q)
+    per_form = max(len(family_mats(n, "sym2_10")), len(family_mats(n, "u"))) * size
+    assert len(forms) * per_form <= wz._SLICE_ENTRIES
+    monkeypatch.setattr(wz, "_SLICE_ENTRIES", 3 * per_form)  # slices of 3, 3, 1
+    assert np.array_equal(ricl_via_calabi_batch(spec, conv, forms), whole[0])
+    assert np.array_equal(ricl_via_kaehler_su(lam, su_spec, forms), whole[1])
+
+
+def test_eigen_route_peak_memory_is_bounded_by_the_slice(monkeypatch):
+    """A degree-6 batch at n = 6 that takes three slices allocates at most six
+    complex stacks of one slice's actions (4.5 here: the kernel's gathers and
+    accumulators, the action and its mix); the whole batch as one slice
+    allocates more (10 here)."""
+    n, p, q = 6, 3, 3
+    conv = FrameConvention(n)
+    forms = _random_forms(conv, p, q, 24, np.random.default_rng(6))
+    for f in forms:
+        f.coords("z")
+    spec = calabi_from_tensor(random_kaehler(n, 6)).spectrum()
+    per_form = len(family_mats(n, "sym2_10")) * math.comb(2 * n, p + q)
+
+    def peak(entries):
+        monkeypatch.setattr(wz, "_SLICE_ENTRIES", entries)
+        ricl_via_calabi_batch(spec, conv, forms[:1])  # fill the table caches
+        tracemalloc.start()
+        try:
+            ricl_via_calabi_batch(spec, conv, forms)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = 6 * 16 * 8 * per_form
+    assert peak(8 * per_form) <= bound  # three slices of 8
+    assert peak(len(forms) * per_form) > bound
+
+
 def test_oracle_is_independent_of_the_eigen_route_kernels(monkeypatch):
-    """The oracle runs with the Z-frame derivation kernel, its index table and
-    the algebra bases of the eigenvalue routes made to fail."""
+    """The oracle runs with the Z-frame derivation kernel, its index tables
+    and the algebra bases of the eigenvalue routes made to fail."""
     n = 3
     conv = FrameConvention(n)
     t = random_kaehler(n, 4)
@@ -378,7 +432,7 @@ def test_oracle_is_independent_of_the_eigen_route_kernels(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the oracle used an eigenvalue-route kernel")
 
-    for name in ("derivation_coords", "_exterior_table", "family_mats"):
+    for name in ("derivation_coords", "_exterior_table", "_slots", "family_mats"):
         monkeypatch.setattr(frames, name, never)
         if hasattr(wz, name):
             monkeypatch.setattr(wz, name, never)
