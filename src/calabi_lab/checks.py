@@ -9,6 +9,7 @@ eigendecomposition is involved.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -24,7 +25,6 @@ from .frames import (
     RealForm,
     kaehler_bivector,
     lefschetz_adjoint,
-    multi_indices,
 )
 from .spectral import k_test, weight_principle
 
@@ -213,7 +213,8 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
     for (p, q) in _pairs(n, max_degree):
         k = p + q
         for _ in range(count):
-            raw = rng.standard_normal((len(multi_indices(n, p, q)), 2))  # (re, im) by generator
+            # (re, im) by generator
+            raw = rng.standard_normal((math.comb(n, p) * math.comb(n, q), 2))
             phi = FormPQ.from_coefficient_vector(conv, p, q, raw[:, 0] + 1j * raw[:, 1])
             if k >= 2:
                 twice = wz._pair_annihilate(phi.coords("z")[None], 2 * n, k)[0]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -74,24 +75,29 @@ class SpaceParseError(CalabiLabError, ValueError):
                          f"(in {text!r})")
 
 
-def parse_space(text: str, offset: int = 0) -> ms.SpaceDescriptor | dict:
+def parse_space(text: str) -> ms.SpaceDescriptor | dict:
     """Parse the --space grammar; file: inputs return the loaded json payload.
-    Error positions index the whole descriptor, in which ``text`` starts at ``offset``."""
+    Errors quote the whole descriptor and give positions in it."""
+    return _parse_space(text, text, 0)
+
+
+def _parse_space(whole: str, text: str, offset: int) -> ms.SpaceDescriptor | dict:
+    """Parse ``text``, the part of the descriptor ``whole`` that starts at ``offset``."""
     offset += len(text) - len(text.lstrip())
     text = text.strip()
     if not text:
-        raise SpaceParseError(text, offset, "empty descriptor")
+        raise SpaceParseError(whole, offset, "empty descriptor")
     head, sep, rest = text.partition(":")
     at = offset + len(head) + 1  # where rest begins
     head = head.strip().lower()
     if head == "file":
         if not rest:
-            raise SpaceParseError(text, at - 1, "file: needs a path")
+            raise SpaceParseError(whole, at - 1, "file: needs a path")
         return _load_input_file(rest.strip())
     if head == "product":
         body = rest.strip()
         if not (body.startswith("[") and body.endswith("]")):
-            raise SpaceParseError(text, at,
+            raise SpaceParseError(whole, at,
                                   "product factors must be bracketed, e.g. product:[chsc:n=1;flat:k=1]")
         inner = body[1:-1]
         at += len(rest) - len(rest.lstrip()) + 1  # where inner begins
@@ -104,11 +110,11 @@ def parse_space(text: str, offset: int = 0) -> ms.SpaceDescriptor | dict:
             elif ch == "]":
                 depth -= 1
             elif ch == ";" and depth == 0:
-                factors.append(parse_space(inner[start:i], at + start))
+                factors.append(_parse_space(whole, inner[start:i], at + start))
                 start = i + 1
-        factors.append(parse_space(inner[start:], at + start))
+        factors.append(_parse_space(whole, inner[start:], at + start))
         if any(isinstance(f, dict) for f in factors):
-            raise SpaceParseError(text, offset, "file: descriptors cannot be product factors")
+            raise SpaceParseError(whole, offset, "file: descriptors cannot be product factors")
         desc = ms.SpaceDescriptor("product", factors=tuple(factors))
         _require_size(desc.complex_dim)
         return desc
@@ -120,24 +126,26 @@ def parse_space(text: str, offset: int = 0) -> ms.SpaceDescriptor | dict:
             continue
         key, eq, val = chunk.partition("=")
         if not eq:
-            raise SpaceParseError(text, where, f"expected key=value, got {chunk!r}")
+            raise SpaceParseError(whole, where, f"expected key=value, got {chunk!r}")
         key = key.strip()
         try:
             params[key] = float(val)
         except ValueError:
-            raise SpaceParseError(text, where, f"non-numeric value in {chunk!r}") from None
+            raise SpaceParseError(whole, where, f"non-numeric value in {chunk!r}") from None
         if key in ("n", "k", "seed") and not (params[key].is_integer() and params[key] >= 0):
-            raise SpaceParseError(text, where,
+            raise SpaceParseError(whole, where,
                                   f"{key} must be a whole number >= 0, got {val.strip()!r}")
+        if key == "c" and not math.isfinite(params[key]):
+            raise SpaceParseError(whole, where, f"c must be a finite number, got {val.strip()!r}")
     variants = {"chsc": "chsc", "quadric": "quadric", "flat": "flat",
                 "random": "random", "randomke": "random_ke"}
     if head not in variants:
-        raise SpaceParseError(text, offset, f"unknown space kind {head!r}")
+        raise SpaceParseError(whole, offset, f"unknown space kind {head!r}")
     n = int(params.pop("n", params.pop("k", 0)))
     c = float(params.pop("c", 1.0))
     seed = int(params.pop("seed", 0))
     if params:
-        raise SpaceParseError(text, offset, f"unknown parameters {sorted(params)}")
+        raise SpaceParseError(whole, offset, f"unknown parameters {sorted(params)}")
     desc = ms.SpaceDescriptor(variants[head], n=n, c=c, seed=seed)
     desc.validate()
     _require_size(n)
@@ -279,12 +287,20 @@ def cmd_spectrum(args) -> dict:
     return make_envelope("spectrum", config, records)
 
 
+def _require_bidegree_filter(args, n: int) -> None:
+    """Refuse a --p or --q that no bidegree at complex dimension n has."""
+    for flag, value in (("--p", args.p), ("--q", args.q)):
+        if value is not None and not 0 <= value <= n:
+            raise ValueError(f"{flag} must be in 0..{n}, got {value}")
+
+
 def _keep(args, p: int, q: int) -> bool:
     return (args.p is None or p == args.p) and (args.q is None or q == args.q)
 
 
 def cmd_thresholds(args) -> dict:
     _require_size(args.n)
+    _require_bidegree_filter(args, args.n)
     tb = ct.thresholds(args.n)
     records = []
     for (p, q) in sorted(tb.upsilons):
@@ -332,6 +348,7 @@ def cmd_certify(args) -> dict:
         ric = cv.ricci(t)
         ksu = cv.restrict_su(cv.kaehler_operator(t), ric)
         cert = ct.certify_ke(ksu.spectrum(), n, eps=eps)
+    _require_bidegree_filter(args, n)
     records = [{
         "name": "summary",
         "anchor": "vanishing-certificate-summary",

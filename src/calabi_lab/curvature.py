@@ -113,6 +113,9 @@ class AlgebraicCurvatureTensor:
         return self._complexified
 
     def scaled(self, c: float) -> "AlgebraicCurvatureTensor":
+        """c R, keeping the validation flags; c must be finite."""
+        if not math.isfinite(c):
+            raise ValueError(f"scale factor must be a finite number, got {c!r}")
         return AlgebraicCurvatureTensor(
             self.convention, self.components * c,
             self.bianchi_validated, self.kaehler_validated, dict(self.residuals))

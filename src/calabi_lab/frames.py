@@ -15,14 +15,17 @@ relies on:
   component dot product in either frame;
 * wedge products are alternating sums over all permutations without a
   normalizing factor, so ``|e_1 ^ ... ^ e_k|^2 = k!``;
-* a (p,q)-form is stored as coefficients over the unit-norm generators
-  ``Z^K``; the generator for multi-index ``K = (I, J)`` equals the wedge
-  monomial in the canonical interleaved order divided by ``sqrt((p+q)!)``;
+* a (p,q)-form is stored as one coefficient vector over the unit-norm
+  generators ``Z^K``; the generator for ``K = (I, J)`` equals the wedge
+  monomial in the canonical interleaved order divided by ``sqrt((p+q)!)``.
+  One cached table, ``_generators``, lists them I-major by the index arrays
+  ``(I, n + J)`` with their interleave signs; coordinates, dense components
+  and single generators are all read from it;
 * computations read a k-form through its orthonormal exterior coordinates
   ``x_J = sqrt(k!) T[J]`` over the sorted k-subsets J of frame indices, in
   the Z-frame or the real frame, built straight from the coefficients.
-  Dense ``(2n)^k`` components (``to_dense``) are the boundary to
-  multilinear evaluation and to tests;
+  Dense ``(2n)^k`` components (``to_dense`` / ``from_dense``) are the
+  boundary to the dense references of the tests;
 * one slot table, ``_slots``, says where a sorted index set lands, with its
   sort sign, when an index leaves it or is replaced; the derivation,
   frame-change and Lefschetz tables are gathers from it;
@@ -51,19 +54,15 @@ from .errors import CalabiLabError
 
 __all__ = [
     "FrameConvention",
-    "MultiIndexK",
     "FormPQ",
     "RealForm",
     "EndoC",
-    "evaluate_form",
-    "endo_act",
     "lefschetz_adjoint",
     "project_primitive",
     "kaehler_bivector",
     "sym2_basis_labels",
     "lambda11_basis_labels",
     "family_mats",
-    "multi_indices",
 ]
 
 
@@ -157,15 +156,6 @@ def dense_conj(arr: np.ndarray, conv: FrameConvention, k: int | None = None) -> 
     """Complex conjugate of a tensor in Z-frame components (bar-toggled indices)."""
     k = arr.ndim if k is None else k
     return np.roll(arr.conj(), conv.n, axis=tuple(range(arr.ndim - k, arr.ndim)))
-
-
-def derivation_action(mat: np.ndarray, arr: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Derivation action of the endomorphism ``mat`` (same frame as ``arr``)."""
-    k = arr.ndim if k is None else k
-    out = np.zeros_like(arr, dtype=np.result_type(arr, mat))
-    for slot in range(arr.ndim - k, arr.ndim):
-        out -= np.moveaxis(np.tensordot(arr, mat, axes=(slot, 0)), -1, slot)
-    return out
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -319,119 +309,60 @@ def coords_z_to_e(x: np.ndarray, conv: FrameConvention, k: int) -> np.ndarray:
     return y
 
 
-def alternate(arr: np.ndarray) -> np.ndarray:
-    """Full antisymmetrization sum (no 1/k! factor)."""
-    k = arr.ndim
-    out = np.zeros_like(arr)
-    for perm in itertools.permutations(range(k)):
-        out += _perm_sign(perm) * arr.transpose(perm)
-    return out
-
-
-def wedge_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wedge of two alternating tensors, normalized so v ^ w = v@w - w@v."""
-    k, l = a.ndim, b.ndim
-    return alternate(np.multiply.outer(a, b)) / (math.factorial(k) * math.factorial(l))
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
-# multi-indices and sparse (p,q)-forms
+# the generators and sparse (p,q)-forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiIndexK:
-    """Multi-index K = (I, J): I unbarred, J barred, both strictly increasing, 1-based."""
-
-    I: tuple[int, ...]
-    J: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for name, idx in (("I", self.I), ("J", self.J)):
-            if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-                raise FrameError(f"{name} must be strictly increasing, got {idx}")
-            if idx and idx[0] < 1:
-                raise FrameError(f"{name} entries must be >= 1, got {idx}")
-
-    @property
-    def p(self) -> int:
-        return len(self.I)
-
-    @property
-    def q(self) -> int:
-        return len(self.J)
-
-    @property
-    def degree(self) -> int:
-        return self.p + self.q
-
-    def interleave_sign(self) -> int:
-        """Sign relating Z^{i_1}^..^Z^{i_p}^conjZ^{j_1}^..^conjZ^{j_q} to the
-        canonical interleaved order (lexicographic, unbarred before barred at
-        equal value): (-1)^(number of pairs (i, j) in I x J with j < i)."""
-        inv = sum(1 for i in self.I for j in self.J if j < i)
-        return -1 if inv % 2 else 1
-
-    def base(self, n: int) -> tuple[int, ...]:
-        """The complexified frame indices (0-based, increasing) of Z^K."""
-        return tuple(i - 1 for i in self.I) + tuple(n + j - 1 for j in self.J)
+@lru_cache(maxsize=None)
+def _permutations(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! orderings of k slots in ``itertools.permutations`` order,
+    ``(k!, k)``, and the parity of each, (-1) to its number of inversions;
+    read-only."""
+    count = math.factorial(k)
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp).reshape(count, k)
+    inversions = np.sum(np.triu(perms[:, :, None] > perms[:, None, :], 1), axis=(1, 2))
+    return _frozen(perms, np.where(inversions % 2, -1.0, 1.0))
 
 
 @lru_cache(maxsize=None)
-def multi_indices(n: int, p: int, q: int) -> tuple[MultiIndexK, ...]:
-    """All multi-indices of bidegree (p, q) on n complex dimensions, sorted."""
-    if p < 0 or q < 0 or p > n or q > n:
-        return ()
-    return tuple(
-        MultiIndexK(I, J)
-        for I in itertools.combinations(range(1, n + 1), p)
-        for J in itertools.combinations(range(1, n + 1), q)
-    )
+def _generators(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit generators Z^K, K = (I, J), of bidegree (p, q), I-major in
+    combinations order, read-only: row K of the ``(C(n, p) C(n, q), p + q)``
+    ``base`` holds the complexified frame indices ``(I, n + J)`` (0-based,
+    increasing) of Z^K, and ``sign[K]`` is the interleave sign
+    ``(-1)^#{(i, j) in I x J : j < i}`` that relates
+    ``Z^{i_1} ^ .. ^ Z^{i_p} ^ conj Z^{j_1} ^ .. ^ conj Z^{j_q}`` to the
+    canonical interleaved order (lexicographic, unbarred before barred at
+    equal value)."""
+    rows, cols = _subsets(n, p)[0], _subsets(n, q)[0]
+    i = np.repeat(rows, len(cols), axis=0)
+    j = np.tile(cols, (len(rows), 1))
+    crossed = np.sum(j[:, None, :] < i[:, :, None], axis=(1, 2))
+    return _frozen(np.concatenate([i, n + j], axis=1), np.where(crossed % 2, -1.0, 1.0))
 
 
 @lru_cache(maxsize=None)
 def generator_dense_basis(n: int, p: int, q: int) -> np.ndarray:
-    """Dense Z-frame components of all unit generators Z^K, stacked."""
-    keys = multi_indices(n, p, q)
-    k = p + q
-    out = np.zeros((len(keys),) + (2 * n,) * k, dtype=complex)
-    norm = 1.0 / math.sqrt(math.factorial(k)) if k else 1.0
-    for row, key in enumerate(keys):
-        base = key.base(n)
-        amp = key.interleave_sign() * norm
-        if k == 0:
-            out[row] = amp
-            continue
-        for perm in itertools.permutations(range(k)):
-            out[(row,) + tuple(base[t] for t in perm)] += amp * _perm_sign(perm)
+    """Dense Z-frame components of all unit generators Z^K, stacked: one
+    signed scatter of every generator in every ordering of its k = p + q
+    frame indices."""
+    base, sign = _generators(n, p, q)
+    perms, parity = _permutations(p + q)
+    out = np.zeros((len(base),) + (2 * n,) * (p + q), dtype=complex)
+    amp = sign * (1.0 / math.sqrt(math.factorial(p + q)))
+    where = (np.arange(len(base))[:, None],) + tuple(np.moveaxis(base[:, perms], -1, 0))
+    out[where] = amp[:, None] * parity
     return out
 
 
 @lru_cache(maxsize=None)
 def _z_layout(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Z-frame exterior coordinates of the generators: Z^K has the single
-    coordinate ``interleave_sign(K)`` at the position of ``K.base(n)`` among
-    the sorted (p+q)-subsets of ``0..2n-1``.  Returns ``(position, sign)``."""
-    keys = multi_indices(n, p, q)
-    bases = np.array([key.base(n) for key in keys], dtype=np.intp).reshape(len(keys), p + q)
-    return _frozen(_subset_rank(2 * n, bases),
-                   np.array([key.interleave_sign() for key in keys], dtype=float))
+    coordinate ``sign[K]`` at the position of ``base[K]`` among the sorted
+    (p+q)-subsets of ``0..2n-1`` (see ``_generators``).  Returns
+    ``(position, sign)``."""
+    base, sign = _generators(n, p, q)
+    return _frozen(_subset_rank(2 * n, base))[0], sign
 
 
 @lru_cache(maxsize=None)
@@ -448,31 +379,23 @@ def _conjugation(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 class FormPQ:
     """A (p,q)-form as coefficients over the unit-norm generators Z^K.
 
-    The coefficients are held as one vector over ``multi_indices(n, p, q)``.
-    Generators are orthonormal for the Hermitian pairing, so
-    ``|phi|^2 = sum_K |phi_K|^2``.  Instances are immutable.
+    The coefficients are held as one vector over the generators, in the
+    order of ``_generators(n, p, q)``.  Generators are orthonormal for the
+    Hermitian pairing, so ``|phi|^2 = sum_K |phi_K|^2``.  Instances are
+    immutable.
     """
 
     __slots__ = ("convention", "p", "q", "_vec", "_dense", "_coords")
 
-    def __init__(self, convention: FrameConvention, p: int, q: int,
-                 coeffs: dict[MultiIndexK, complex] | None = None):
+    def __init__(self, convention: FrameConvention, p: int, q: int):
+        """The zero (p,q)-form."""
         n = convention.n
         if not (0 <= p <= n and 0 <= q <= n):
             raise FrameError(f"bidegree ({p},{q}) out of range for n={n}")
         self.convention = convention
         self.p = p
         self.q = q
-        keys = multi_indices(n, p, q)
-        vec = np.zeros(len(keys), dtype=complex)
-        if coeffs:
-            where = {key: i for i, key in enumerate(keys)}
-            for key, val in coeffs.items():
-                if (key.p, key.q) != (p, q):
-                    raise FrameError(f"multi-index {key} has wrong bidegree for ({p},{q})")
-                if key not in where:
-                    raise FrameError(f"multi-index {key} out of range for n={n}")
-                vec[where[key]] = val
+        vec = np.zeros(math.comb(n, p) * math.comb(n, q), dtype=complex)
         vec.flags.writeable = False
         self._vec = vec
         self._dense = None
@@ -484,17 +407,19 @@ class FormPQ:
 
     @classmethod
     def generator(cls, convention: FrameConvention, I: Iterable[int], J: Iterable[int]) -> "FormPQ":
-        key = MultiIndexK(tuple(I), tuple(J))
-        return cls(convention, key.p, key.q, {key: 1.0})
-
-    @property
-    def coeffs(self) -> dict[MultiIndexK, complex]:
-        """The nonzero coefficients by multi-index."""
-        keys = multi_indices(self.convention.n, self.p, self.q)
-        return {key: complex(v) for key, v in zip(keys, self._vec) if v != 0}
+        """The unit generator Z^(I, J), for strictly increasing I (unbarred)
+        and J (barred) with 1-based entries in ``1..n``."""
+        n = convention.n
+        I, J = tuple(I), tuple(J)
+        for name, idx in (("I", I), ("J", J)):
+            if list(idx) != sorted(set(idx)) or not all(1 <= a <= n for a in idx):
+                raise FrameError(f"{name} must be strictly increasing in 1..{n}, got {idx}")
+        base, _ = _generators(n, len(I), len(J))
+        unit = np.all(base == np.array(I + tuple(n + j for j in J), dtype=np.intp) - 1, axis=1)
+        return cls.from_coefficient_vector(convention, len(I), len(J), unit)
 
     def coefficient_vector(self) -> np.ndarray:
-        """Coefficients over ``multi_indices(n, p, q)``; read-only."""
+        """Coefficients over the generators of ``_generators(n, p, q)``; read-only."""
         return self._vec
 
     @classmethod
@@ -530,9 +455,6 @@ class FormPQ:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self._vec) ** 2))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self._vec) <= tol))
 
     # -- coordinates ------------------------------------------------------------
 
@@ -574,28 +496,13 @@ class FormPQ:
         k = p + q
         if dense.ndim != k:
             raise FrameError("dense array rank does not match bidegree")
-        root = math.sqrt(math.factorial(k)) if k else 1.0
-        vec = [root * key.interleave_sign() * (dense[key.base(convention.n)] if k else complex(dense))
-               for key in multi_indices(convention.n, p, q)]
+        base, sign = _generators(convention.n, p, q)
+        vec = math.sqrt(math.factorial(k)) * sign * dense[tuple(base.T)]
         return cls.from_coefficient_vector(convention, p, q, vec)
 
     def __repr__(self) -> str:
         terms = np.count_nonzero(self._vec)
         return f"FormPQ(n={self.convention.n}, p={self.p}, q={self.q}, terms={terms})"
-
-
-def split_bidegrees(dense: np.ndarray, conv: FrameConvention) -> dict[tuple[int, int], FormPQ]:
-    """Split a dense alternating k-tensor into its nonzero (p,q)-components."""
-    k = dense.ndim
-    out = {}
-    for p in range(0, min(k, conv.n) + 1):
-        q = k - p
-        if q > conv.n:
-            continue
-        part = FormPQ.from_dense(conv, p, q, dense)
-        if not part.is_zero():
-            out[(p, q)] = part
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -727,15 +634,6 @@ class EndoC:
     def norm_u_sq(self) -> float:
         return 0.5 * self.norm_sq()
 
-    def act_dense(self, dense: np.ndarray) -> np.ndarray:
-        return derivation_action(self.matrix, dense)
-
-    def conjugate(self) -> "EndoC":
-        n = self.convention.n
-        perm = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
-        m = self.matrix.conj()[np.ix_(perm, perm)]
-        return EndoC(self.convention, m)
-
 
 def kaehler_bivector(conv: FrameConvention) -> EndoC:
     """The Kaehler bivector as an endomorphism.
@@ -820,24 +718,6 @@ def family_mats(n: int, tag: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # form operations
 # ---------------------------------------------------------------------------
-
-def evaluate_form(phi: FormPQ | RealForm, args: Sequence[np.ndarray]) -> complex:
-    """Alternating multilinear evaluation at frame vectors (Z-frame coordinates)."""
-    dense = phi.to_dense()
-    if len(args) != dense.ndim:
-        raise FrameError(f"expected {dense.ndim} arguments, got {len(args)}")
-    out = dense
-    for vec in args:
-        out = np.tensordot(np.asarray(vec, dtype=complex), out, axes=(0, 0))
-    return complex(out)
-
-
-def endo_act(L: EndoC, phi: FormPQ) -> dict[tuple[int, int], FormPQ]:
-    """Derivation action of L on phi, split into bidegree components."""
-    if L.convention.n != phi.convention.n:
-        raise FrameError("endomorphism and form live on different dimensions")
-    return split_bidegrees(L.act_dense(phi.to_dense()), phi.convention)
-
 
 def lefschetz_adjoint(phi: FormPQ) -> FormPQ:
     """Formal adjoint of the Lefschetz map,

@@ -38,13 +38,14 @@ from .frames import (
     EndoC,
     FormPQ,
     FrameConvention,
-    MultiIndexK,
+    FrameError,
     RealForm,
     _frozen,
+    _generators,
+    _permutations,
     derivation_coords,
     family_mats,
     lefschetz_adjoint,
-    multi_indices,
     project_primitive,
     sym2_basis_labels,
 )
@@ -463,6 +464,8 @@ class EstimateResult:
 def estimate_bound(s: EndoC, psi: RealForm, tol: float = 1e-10) -> EstimateResult:
     """|S psi|^2 against (1/2 + min(p,q,sqrt(pq)/2)) |S|^2 |psi|^2, and the
     |psi^{sym2 V^{1,0}}|^2-phrased variant when psi is primitive."""
+    if s.convention.n != psi.convention.n:
+        raise FrameError("endomorphism and form live on different dimensions")
     p, q = psi.p, psi.q
     lhs = float(_batched_norms(s.matrix[None], psi)[0, 0])
     s_norm = s.norm_sq()
@@ -521,11 +524,10 @@ def achievability_form(conv: FrameConvention, p: int, q: int) -> RealForm:
     k = p + q
     if k > conv.n:
         raise ValueError("achievability family needs n >= p + q")
-    coeffs = {}
-    for I in itertools.combinations(range(1, k + 1), p):
-        J = tuple(sorted(set(range(1, k + 1)) - set(I)))
-        coeffs[MultiIndexK(I, J)] = 0.5
-    phi = FormPQ(conv, p, q, coeffs)
+    base, _ = _generators(conv.n, p, q)
+    # I cup J = {1..k} when the indices, bars dropped, are 0..k-1 once each
+    spans = np.all(np.sort(base % conv.n, axis=1) == np.arange(k), axis=1)
+    phi = FormPQ.from_coefficient_vector(conv, p, q, np.where(spans, 0.5, 0.0))
     return RealForm.symmetrize(phi)
 
 
@@ -595,7 +597,7 @@ def random_primitive_real(conv: FrameConvention, p: int, q: int,
     Complex Gaussian coefficients on the (p,q) generators, projected onto the
     primitive subspace, then symmetrized.
     """
-    size = len(multi_indices(conv.n, p, q))
+    size = math.comb(conv.n, p) * math.comb(conv.n, q)
     for _ in range(16):
         # (re, im) pairs in generator order: the scalar draws, in one call
         raw = rng.standard_normal((size, 2))
@@ -616,8 +618,7 @@ def random_real_pform(conv: FrameConvention, p: int, rng: np.random.Generator) -
     subsets = np.array(list(itertools.combinations(range(conv.dim), p)),
                        dtype=np.intp).reshape(math.comb(conv.dim, p), p)
     x = np.zeros(len(subsets))
-    for perm in itertools.permutations(range(p)):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        x += (-1) ** inversions * raw[tuple(subsets[:, perm].T)]
+    for perm, parity in zip(*_permutations(p)):
+        x += parity * raw[tuple(subsets[:, perm].T)]
     nrm = float(np.linalg.norm(x))
     return x / nrm if nrm > 0 else x

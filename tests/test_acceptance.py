@@ -2,6 +2,7 @@
 pass/fail line each (run with -s to see the lines for passing criteria)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,7 +26,6 @@ from calabi_lab.frames import (
     dense_z_to_e,
     generator_dense_basis,
     kaehler_bivector,
-    multi_indices,
     sym2_basis_labels,
 )
 from calabi_lab.frames import _primitive_part
@@ -47,7 +47,7 @@ def _degree_pairs(n, max_degree=4):
 
 
 def _coeff_stack(rng, n, p, q, count):
-    d = len(multi_indices(n, p, q))
+    d = math.comb(n, p) * math.comb(n, q)
     return rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -74,11 +75,24 @@ def test_parse_space_error_reports_position():
 ])
 def test_parse_space_positions_count_from_the_whole_descriptor(bad, pos):
     """Positions inside product factors and after leading blanks index the
-    descriptor as typed."""
+    descriptor as typed, and the message quotes all of it."""
     with pytest.raises(SpaceParseError) as err:
         parse_space(bad)
     assert err.value.pos == pos
     assert f"position {pos}:" in str(err.value)
+    assert str(err.value).endswith(f"(in {bad!r})")
+
+
+@pytest.mark.parametrize("space", ["quadric:n=3,c=nan", "quadric:n=3,c=-inf", "chsc:n=2,c=inf"])
+def test_parse_space_refuses_non_finite_scale(space, capsys):
+    """A NaN or infinite c is refused by name (exit 2), before any tensor is
+    built: no numpy warning, and no Einstein complaint about a NaN tensor."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["certify", "--space", space, "--mode", "ke"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and "c must be a finite number" in err
+    assert "Einstein" not in err and not caught
 
 
 def run_cli(args, tmp_path=None):
@@ -438,6 +452,17 @@ def test_shipped_schema_files_parse():
         payload = json.loads(
             res.files("calabi_lab").joinpath("schemas", name).read_text())
         assert "$schema" in payload
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["thresholds", "--n", "3", "--p", "9"], "--p must be in 0..3"),
+    (["thresholds", "--n", "3", "--q", "-1"], "--q must be in 0..3"),
+    (["certify", "--space", "chsc:n=2", "--p", "9"], "--p must be in 0..2"),
+])
+def test_bidegree_filters_outside_zero_to_n_are_usage_errors(argv, message, capsys):
+    """A --p or --q that no bidegree has exits 2 rather than printing an
+    empty selection."""
+    _assert_usage_error(argv + ["--format", "json"], capsys, message)
 
 
 def test_threshold_and_certify_filters(tmp_path):

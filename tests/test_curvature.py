@@ -26,6 +26,7 @@ from calabi_lab.curvature import (
 from calabi_lab.frames import (E_BLOCK, EndoC, FrameConvention, change_pairs, family_mats,
                                sym2_basis_labels)
 from calabi_lab.model_spaces import chsc, flat_torus, quadric, random_kaehler
+from dense_reference import conjugate
 
 
 def sym2_element(conv, coords):
@@ -246,7 +247,7 @@ def test_eigen_expansion_of_mixed_curvature():
             rhs = np.zeros_like(lhs)
             for nu in range(spec.size):
                 sig = sym2_element(conv, spec.eigenvectors[:, nu])
-                sig_c = sig.conjugate()
+                sig_c = conjugate(sig)
                 va = sig_c.matrix @ conv.z(a + 1)
                 vb = sig.matrix @ conv.zbar(b + 1)
                 rhs -= spec.eigenvalues[nu] * (np.outer(vb, va[bar]) - np.outer(va, vb[bar]))

@@ -16,36 +16,74 @@ from calabi_lab.frames import (
     FormPQ,
     FrameConvention,
     FrameError,
-    MultiIndexK,
     RealForm,
     dense_conj,
     dense_e_to_z,
     dense_z_to_e,
     _conjugation,
     _exterior_table,
+    _generators,
     _pair_mixing,
-    _perm_sign,
     _primitive_part,
     _removal,
     _subset_rank,
     _subsets,
+    _z_layout,
     change_pairs,
-    endo_act,
-    evaluate_form,
+    derivation_coords,
     family_mats,
     kaehler_bivector,
     lefschetz_adjoint,
-    multi_indices,
     project_primitive,
-    wedge_dense,
 )
+from calabi_lab.weitzenboeck import estimate_bound
+from dense_reference import _perm_sign, act_dense, evaluate_form, wedge_dense
 
 RNG = np.random.default_rng(2024)
 
 
+def _keys(n, p, q):
+    """Reference: the multi-indices (I, J), 1-based, of the (p,q) generators,
+    I-major in combinations order."""
+    return [(I, J) for I in itertools.combinations(range(1, n + 1), p)
+            for J in itertools.combinations(range(1, n + 1), q)]
+
+
+def _size(n, p, q):
+    return math.comb(n, p) * math.comb(n, q)
+
+
+def _interleave_sign(I, J):
+    """Reference: (-1)^#{(i, j) in I x J : j < i}."""
+    return -1 if sum(1 for i in I for j in J if j < i) % 2 else 1
+
+
+def _base(n, I, J):
+    """Reference: the complexified frame indices (0-based) of Z^(I, J)."""
+    return tuple(i - 1 for i in I) + tuple(n + j - 1 for j in J)
+
+
 def random_form(conv, p, q, rng=RNG):
-    return FormPQ(conv, p, q, {k: complex(rng.standard_normal(), rng.standard_normal())
-                               for k in multi_indices(conv.n, p, q)})
+    """Complex Gaussian coefficients, drawn as (re, im) pairs in generator order."""
+    raw = rng.standard_normal((_size(conv.n, p, q), 2))
+    return FormPQ.from_coefficient_vector(conv, p, q, raw[:, 0] + 1j * raw[:, 1])
+
+
+def _kaehler_form(conv):
+    """omega = i sqrt2 sum_a Z^(a, a): the diagonal of the (I, J) grid."""
+    return FormPQ.from_coefficient_vector(conv, 1, 1, 1j * math.sqrt(2) * np.eye(conv.n).ravel())
+
+
+def _act(endo, phi):
+    """Z-frame exterior coordinates of the derivation action of endo on phi."""
+    return derivation_coords(endo.matrix[None], phi.coords("z")[None], phi.degree)[0, 0]
+
+
+def _bidegree_mask(n, p, q):
+    """The Z-frame exterior coordinates of degree p + q that (p,q)-forms use."""
+    mask = np.zeros(math.comb(2 * n, p + q), dtype=bool)
+    mask[_z_layout(n, p, q)[0]] = True
+    return mask
 
 
 def test_frame_duality():
@@ -87,13 +125,37 @@ def test_generator_is_unit_and_monomial_norm_is_factorial():
 
 
 def test_multi_index_validation_and_interleave_sign():
-    with pytest.raises(FrameError):
-        MultiIndexK((2, 1), ())
-    with pytest.raises(FrameError):
-        MultiIndexK((1, 1), ())
-    assert MultiIndexK((2, 3), (1, 2)).interleave_sign() == -1
-    assert MultiIndexK((1,), (2,)).interleave_sign() == 1
-    assert MultiIndexK((1,), (1,)).interleave_sign() == 1
+    """FormPQ.generator takes strictly increasing indices in 1..n; the
+    generator table carries each interleave sign."""
+    conv = FrameConvention(3)
+    for I, J in [((2, 1), ()), ((1, 1), ()), ((0, 1), ()), ((1, 4), ()),
+                 ((), (3, 2)), ((), (2, 2)), ((1,), (0,)), ((1,), (4,))]:
+        with pytest.raises(FrameError):
+            FormPQ.generator(conv, I, J)
+
+    def table_sign(I, J):
+        base, sign = _generators(3, len(I), len(J))
+        row = _keys(3, len(I), len(J)).index((I, J))
+        assert tuple(base[row]) == _base(3, I, J)
+        return sign[row]
+
+    assert table_sign((2, 3), (1, 2)) == -1
+    assert table_sign((1,), (2,)) == 1
+    assert table_sign((1,), (1,)) == 1
+
+
+def test_generators_match_itertools_reference():
+    """The generator table lists every (I, J) in I-major combinations order,
+    with base (I, n + J) and the interleave sign, for 0 <= p, q <= n <= 8."""
+    for n in range(9):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                keys = _keys(n, p, q)
+                base, sign = _generators(n, p, q)
+                assert base.shape == (len(keys), p + q) and sign.shape == (len(keys),)
+                assert not base.flags.writeable and not sign.flags.writeable
+                assert base.tolist() == [list(_base(n, I, J)) for I, J in keys]
+                assert sign.tolist() == [_interleave_sign(I, J) for I, J in keys]
 
 
 def test_evaluate_form_examples():
@@ -141,14 +203,15 @@ def test_endo_act_generator_replacement():
     hat[0, 1] = hat[1, 0] = 1.0  # Z_1 (.) Z_2 up to the hat scaling
     s = EndoC.from_sym_hat(conv, hat)
     g = FormPQ.generator(conv, (2,), ())
-    out = endo_act(s, g)
-    assert set(out) == {(0, 1)}
+    out = _act(s, g)
+    into = _bidegree_mask(2, 0, 1)
+    assert np.any(out[into]) and not np.any(out[~into])
     target = FormPQ.generator(conv, (), (1,)).scaled(-1.0)
-    assert math.sqrt((out[(0, 1)] - target).norm_sq()) < 1e-13
+    assert math.sqrt(np.sum(np.abs(out - target.coords("z")) ** 2)) < 1e-13
     # S = Z_1 (x) Z_1 annihilates conj(Z^1)
     s11 = EndoC.from_sym_hat(conv, np.diag([1.0, 0.0]).astype(complex))
     g01 = FormPQ.generator(conv, (), (1,))
-    assert endo_act(s11, g01) == {}
+    assert not np.any(_act(s11, g01))
 
 
 def test_endo_act_is_derivation_on_wedges():
@@ -158,8 +221,8 @@ def test_endo_act_is_derivation_on_wedges():
     s = EndoC.from_sym_hat(conv, (hat + hat.T) / 2)
     a = random_form(conv, 1, 0, rng).to_dense()
     b = random_form(conv, 0, 1, rng).to_dense()
-    lhs = s.act_dense(wedge_dense(a, b))
-    rhs = wedge_dense(s.act_dense(a), b) + wedge_dense(a, s.act_dense(b))
+    lhs = act_dense(s, wedge_dense(a, b))
+    rhs = wedge_dense(act_dense(s, a), b) + wedge_dense(a, act_dense(s, b))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -169,8 +232,8 @@ def test_type_shift_structure():
     hat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     s = EndoC.from_sym_hat(conv, (hat + hat.T) / 2)
     phi = random_form(conv, 2, 1, rng)
-    out = endo_act(s, phi)
-    assert set(out) <= {(1, 2)}
+    out = _act(s, phi)
+    assert not np.any(out[~_bidegree_mask(3, 1, 2)])
 
 
 def test_kaehler_bivector():
@@ -182,24 +245,22 @@ def test_kaehler_bivector():
             if p > n or q > n:
                 continue
             phi = random_form(conv, p, q)
-            acted = om.act_dense(phi.to_dense())
+            acted = act_dense(om, phi.to_dense())
             np.testing.assert_allclose(acted, 1j * (p - q) * phi.to_dense(), atol=1e-12)
 
 
 def test_lefschetz_adjoint_on_kaehler_form():
     conv = FrameConvention(2)
-    omega = FormPQ(conv, 1, 1, {MultiIndexK((a,), (a,)): 1j * math.sqrt(2) for a in (1, 2)})
-    lam = lefschetz_adjoint(omega)
-    assert abs(lam.coeffs[MultiIndexK((), ())] - 2 * conv.n) < 1e-12
+    lam = lefschetz_adjoint(_kaehler_form(conv))
+    assert abs(lam.coefficient_vector()[0] - 2 * conv.n) < 1e-12
     # a generator with I and J disjoint has nothing to contract
     g = FormPQ.generator(conv, (1,), (2,))
-    assert lefschetz_adjoint(g).is_zero()
+    assert not np.any(lefschetz_adjoint(g).coefficient_vector())
 
 
 def test_project_primitive():
     conv = FrameConvention(2)
-    omega = FormPQ(conv, 1, 1, {MultiIndexK((a,), (a,)): 1j * math.sqrt(2) for a in (1, 2)})
-    assert project_primitive(omega).norm_sq() < 1e-24
+    assert project_primitive(_kaehler_form(conv)).norm_sq() < 1e-24
     phi = random_form(conv, 1, 1)
     prim = project_primitive(phi)
     assert lefschetz_adjoint(prim).norm_sq() < 1e-24 * max(1.0, phi.norm_sq())
@@ -214,24 +275,24 @@ def _lefschetz_matrix(n, p, q):
     """Reference: the adjoint Lefschetz map as a dense matrix on generator
     coefficients, p, q >= 1, with the sort sign of every pair (K, a).
 
-    Z^K with K = (I, J) has the coordinate ``s(K) = interleave_sign(K)`` at
-    ``K.base(n)``, so the contraction with (Z_a, conj Z_a) leaves, for each
+    Z^K with K = (I, J) has the coordinate ``s(K) = _interleave_sign(K)`` at
+    ``_base(n, K)``, so the contraction with (Z_a, conj Z_a) leaves, for each
     a in I and J, ``-i sqrt(k(k-1)) s(K) s(K') sign(perm) Z^K'`` with
     ``K' = (I - a, J - a)`` and perm the sort of ``(a, n+a) + base(K')``
     into ``base(K)``.
     """
-    src = multi_indices(n, p, q)
-    dst_pos = {key: i for i, key in enumerate(multi_indices(n, p - 1, q - 1))}
+    src = _keys(n, p, q)
+    dst_pos = {key: i for i, key in enumerate(_keys(n, p - 1, q - 1))}
     k = p + q
     scale = -1.0j * math.sqrt(k * (k - 1))
     mat = np.zeros((len(dst_pos), len(src)), dtype=complex)
-    for col, key in enumerate(src):
-        for a in set(key.I) & set(key.J):
-            rest = MultiIndexK(tuple(i for i in key.I if i != a), tuple(j for j in key.J if j != a))
+    for col, (I, J) in enumerate(src):
+        for a in set(I) & set(J):
+            rest = (tuple(i for i in I if i != a), tuple(j for j in J if j != a))
             # a - 1 and n + a - 1 pass every index of base(K') below them
-            crossed = sum(1 for b in rest.base(n) if b < a - 1) + sum(
-                1 for b in rest.base(n) if b < n + a - 1)
-            sign = key.interleave_sign() * rest.interleave_sign() * (-1) ** crossed
+            crossed = sum(1 for b in _base(n, *rest) if b < a - 1) + sum(
+                1 for b in _base(n, *rest) if b < n + a - 1)
+            sign = _interleave_sign(I, J) * _interleave_sign(*rest) * (-1) ** crossed
             mat[dst_pos[rest], col] = scale * sign
     return mat
 
@@ -257,14 +318,14 @@ def test_lambda_and_primitive_part_match_sign_loop(n):
     conv = FrameConvention(n)
     rng = np.random.default_rng(700 + n)
     for p, q in itertools.product(range(n + 1), repeat=2):
-        size = len(multi_indices(n, p, q))
+        size = _size(n, p, q)
         coeffs = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
         got = np.array([lefschetz_adjoint(FormPQ.from_coefficient_vector(conv, p, q, c))
                         .coefficient_vector() for c in coeffs])
         if p >= 1 and q >= 1:
             ref = coeffs @ _lefschetz_matrix(n, p, q).T
         else:
-            ref = np.zeros((3, len(multi_indices(n, max(p - 1, 0), max(q - 1, 0)))))
+            ref = np.zeros((3, _size(n, max(p - 1, 0), max(q - 1, 0))))
         assert got.shape == ref.shape
         scale = max(1.0, np.max(np.abs(ref), initial=0.0))
         assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
@@ -277,10 +338,10 @@ def test_lambda_and_primitive_part_match_sign_loop(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_conjugation_matches_multi_index_reference(n):
     for p, q in itertools.product(range(n + 1), repeat=2):
-        where = {key: i for i, key in enumerate(multi_indices(n, p, q))}
-        keys = multi_indices(n, q, p)
-        source = [where[MultiIndexK(key.J, key.I)] for key in keys]
-        sign = [(-1.0) ** len(set(key.I) & set(key.J)) for key in keys]
+        where = {key: i for i, key in enumerate(_keys(n, p, q))}
+        keys = _keys(n, q, p)
+        source = [where[(J, I)] for I, J in keys]
+        sign = [(-1.0) ** len(set(I) & set(J)) for I, J in keys]
         got = _conjugation(n, p, q)
         assert got[0].tolist() == source
         assert got[1].tolist() == sign
@@ -331,7 +392,7 @@ def test_lefschetz_eigenvalues_closed_form(n):
         gram = lam.conj().T @ lam
         assert not np.any(gram.imag)  # Lambda is i times a real matrix
         got = np.linalg.eigvalsh(gram.real)
-        dim = [len(multi_indices(n, p - r, q - r)) for r in range(min(p, q) + 2)]
+        dim = [_size(n, p - r, q - r) for r in range(min(p, q) + 1)] + [0]
         want = np.concatenate([np.full(dim[r] - dim[r + 1], float(k * (k - 1) * r * (n - k + r + 1)))
                                for r in range(min(p, q) + 1)])
         assert np.max(np.abs(got - np.sort(want))) <= 1e-12 * np.max(want)
@@ -341,7 +402,7 @@ def test_lefschetz_eigenvalues_closed_form(n):
 def test_primitive_part_matches_pinv_projector(n):
     rng = np.random.default_rng(500 + n)
     for (p, q) in _mixed_bidegrees(n):
-        size = len(multi_indices(n, p, q))
+        size = _size(n, p, q)
         coeffs = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
         ref = coeffs @ _pinv_projector(n, p, q).T
         tol = 1e-12 * np.max(np.abs(coeffs))
@@ -389,11 +450,11 @@ def test_family_norm_is_basis_independent():
     phi = random_form(conv, 1, 1, rng)
     dense = phi.to_dense()
     mats = np.array([EndoC(conv, m).matrix for m in family_mats(conv.n, "sym2_10")])
-    base = sum(float(np.sum(np.abs(EndoC(conv, m).act_dense(dense)) ** 2)) for m in mats)
+    base = sum(float(np.sum(np.abs(act_dense(EndoC(conv, m), dense)) ** 2)) for m in mats)
     # unitary remix of the basis
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     mixed = np.tensordot(q.T, mats, axes=(1, 0))
-    remixed = sum(float(np.sum(np.abs(EndoC(conv, m).act_dense(dense)) ** 2)) for m in mixed)
+    remixed = sum(float(np.sum(np.abs(act_dense(EndoC(conv, m), dense)) ** 2)) for m in mixed)
     assert abs(base - remixed) < 1e-10 * max(1.0, base)
 
 
@@ -407,7 +468,7 @@ def test_endo_act_single_dimension_mismatch():
     conv2, conv3 = FrameConvention(2), FrameConvention(3)
     s = EndoC.from_sym_hat(conv3, np.eye(3, dtype=complex))
     with pytest.raises(FrameError):
-        endo_act(s, FormPQ.generator(conv2, (1,), ()))
+        estimate_bound(s, RealForm.symmetrize(FormPQ.generator(conv2, (1,), ())))
 
 
 def test_sym_square_norm_convention():
@@ -432,14 +493,16 @@ def _gather(stack):
 
 def _dense_form(phi):
     """Dense Z-frame components of a (p,q)-form from the definition of its
-    generators: Z^K is interleave_sign(K) / sqrt(k!) times the alternating sum
-    over the orderings of its frame indices.  Unlike to_dense it touches only
-    the generators phi uses."""
+    generators: Z^K is _interleave_sign(K) / sqrt(k!) times the alternating
+    sum over the orderings of its frame indices.  Unlike to_dense it touches
+    only the generators phi uses."""
     n, k = phi.convention.n, phi.degree
     out = np.zeros((2 * n,) * k, dtype=complex)
-    for key, c in phi.coeffs.items():
-        base = key.base(n)
-        amp = c * key.interleave_sign() / math.sqrt(math.factorial(k))
+    for (I, J), c in zip(_keys(n, phi.p, phi.q), phi.coefficient_vector()):
+        if c == 0:
+            continue
+        base = _base(n, I, J)
+        amp = c * _interleave_sign(I, J) / math.sqrt(math.factorial(k))
         for perm in itertools.permutations(range(k)):
             out[tuple(base[t] for t in perm)] += amp * _perm_sign(perm)
     return out
@@ -457,11 +520,12 @@ def test_coords_match_dense_route(n):
     rng = np.random.default_rng(300 + n)
     conv = FrameConvention(n)
     for (p, q) in _bidegrees(n):
-        keys = multi_indices(n, p, q)
-        picked = rng.choice(len(keys), size=min(8, len(keys)), replace=False)
+        size = _size(n, p, q)
+        picked = rng.choice(size, size=min(8, size), replace=False)
         phi = random_form(conv, p, q, rng)
         real = RealForm.symmetrize(phi)
-        forms = [FormPQ(conv, p, q, {keys[i]: 1.0}) for i in picked] + [phi, real]
+        units = [FormPQ.from_coefficient_vector(conv, p, q, np.eye(size)[i]) for i in picked]
+        forms = units + [phi, real]
         dense = [_dense_form(form) for form in forms[:-1]]
         real_dense = _dense_form(real.phi)
         dense.append(real_dense + dense_conj(real_dense, conv) if p != q else real_dense)
@@ -482,8 +546,8 @@ def _dense_lefschetz_matrix(n, p, q):
     k = p + q
     idx = np.arange(n)
     cols = []
-    for key in multi_indices(n, p, q):
-        dense = FormPQ(conv, p, q, {key: 1.0}).to_dense()
+    for unit in np.eye(_size(n, p, q)):
+        dense = FormPQ.from_coefficient_vector(conv, p, q, unit).to_dense()
         out = -1.0j * k * (k - 1) * dense[idx, idx + n].sum(axis=0)
         cols.append(FormPQ.from_dense(conv, p - 1, q - 1, out).coefficient_vector())
     return np.array(cols).T
@@ -499,8 +563,8 @@ def test_lefschetz_matrix_matches_dense_definition(n):
 
 def test_verify_builds_no_dense_form(monkeypatch):
     """verify runs on exterior coordinates alone: with the dense form
-    constructors, the alternation and the gather of dense stacks into
-    coordinates disabled, every record of the suite still passes."""
+    constructors and the gather of dense stacks into coordinates disabled,
+    every record of the suite still passes."""
     from calabi_lab import frames, weitzenboeck
     from calabi_lab.checks import run_verify_suite
 
@@ -511,7 +575,6 @@ def test_verify_builds_no_dense_form(monkeypatch):
     monkeypatch.setattr(frames.RealForm, "to_dense", dense)
     monkeypatch.setattr(frames, "dense_z_to_e", dense)
     monkeypatch.setattr(frames, "generator_dense_basis", dense)
-    monkeypatch.setattr(frames, "alternate", dense)
     monkeypatch.setattr(weitzenboeck, "_exterior_coords", dense)
     start = time.perf_counter()
     records = run_verify_suite(4, 2, 5, max_degree=4)

@@ -95,6 +95,12 @@ def test_quadric_scale_flip():
     np.testing.assert_allclose(flipped, np.sort(-base), atol=1e-12)
 
 
+def test_quadric_refuses_a_non_finite_scale():
+    """No NaN tensor comes back flagged as validated."""
+    with pytest.raises(ValueError, match="finite"):
+        quadric(3, float("nan"))
+
+
 def test_product_kernel_dimension():
     # kernel >= n0 + sum_{i<j} n_i n_j for products with an n0-dim flat factor
     t = product([chsc(1, 1.0), chsc(1, 1.0), flat_torus(1)])
