@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import PositivityReport, Spectrum, k_test
+from .spectral import Spectrum, k_test, partial_sum, sorted_eigenvalues
 
 __all__ = [
     "ThresholdTable",
@@ -177,20 +177,21 @@ class Certificate:
     notes: dict = field(default_factory=dict)
 
 
-def _verdict_from_ktest(vals, k: float, eps_scale: float) -> tuple[str, PositivityReport]:
-    report = k_test(vals, k)
-    if report.partial_sum > eps_scale:
-        return "vanishes", report
-    if report.partial_sum >= -eps_scale:
-        return "parallel-only", report
-    return "not-certified", report
+def _status(total: float, eps_scale: float) -> str:
+    if total > eps_scale:
+        return "vanishes"
+    if total >= -eps_scale:
+        return "parallel-only"
+    return "not-certified"
 
 
 def _certify(mode: str, spec: Spectrum, n: int, threshold_of, eps: float) -> Certificate:
     # a negative margin would grant "vanishes" to a negative partial sum
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"strictness margin eps must be finite and >= 0, got {eps!r}")
-    vals = spec.eigenvalues
+    # the order is checked once here, so each bidegree's k-test is a bare
+    # partial sum (thresholds are positive, and k is clamped to m)
+    vals = sorted_eigenvalues(spec)
     m = len(vals)
     scale = float(np.max(np.abs(vals))) if m else 0.0
     eps_scale = eps * max(scale, 1e-300)
@@ -201,8 +202,8 @@ def _certify(mode: str, spec: Spectrum, n: int, threshold_of, eps: float) -> Cer
             if p + q < 1 or p + q > n:
                 continue
             k = min(float(threshold_of(p, q)), float(m))
-            status, report = _verdict_from_ktest(vals, k, eps_scale)
-            verdicts[(p, q)] = Verdict(status, k, report.partial_sum, "direct")
+            total = partial_sum(vals, k)
+            verdicts[(p, q)] = Verdict(_status(total, eps_scale), k, total, "direct")
     # Serre duality fills p+q > n from (n-p, n-q); (n,n) pairs with the
     # constants and is never subject to vanishing, so it gets no verdict
     for p in range(n + 1):

@@ -30,6 +30,7 @@ import contextlib
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -448,9 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on first use and shared by every later call in the
+# process (argparse keeps no state between parse_args calls).  build_parser
+# stays uncached: each call returns a parser of its own.
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         env = args.fn(args)
     except (CalabiLabError, ValueError, OSError) as exc:

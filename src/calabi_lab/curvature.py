@@ -246,8 +246,12 @@ def calabi_from_tensor(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
     # h[mu, nu] = 4 R(Z_a, conj Z_c, conj Z_d, Z_b) / (c_ab c_cd), nu = (a, b), mu = (c, d)
     a, b = (np.array(labels) - 1).T
     cab = _sym2_norms(n)[a, b]
-    h = 4.0 * rz[a[None, :], a[:, None], b[:, None], b[None, :]] / (
-        cab[None, :] * cab[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 4.0 * rz[a[None, :], a[:, None], b[:, None], b[None, :]] / (
+            cab[None, :] * cab[:, None])
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"the Calabi matrix overflows float64 (curvature tensor entries up "
+                         f"to {float(np.max(np.abs(t.components))):.3g} in magnitude)")
     if _SIGN_BUG:
         h[0, 0] = -h[0, 0]
     return CurvatureOperatorMatrix("calabi", h, labels,

@@ -24,6 +24,8 @@ __all__ = [
     "NotHermitian",
     "ConvergenceFailure",
     "eigensystem",
+    "sorted_eigenvalues",
+    "partial_sum",
     "k_test",
     "weight_principle",
     "takagi",
@@ -107,7 +109,12 @@ def eigensystem(H: np.ndarray, source: str = "") -> Spectrum:
         vals, vecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"Hermitian eigensolve did not converge (LAPACK: {exc})") from None
-    return Spectrum(unit * vals, _phase_fix(vecs), source)
+    with np.errstate(over="ignore"):
+        vals = unit * vals
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"the eigenvalues overflow float64 (matrix entries up to "
+                         f"{peak:.3g} in magnitude)")
+    return Spectrum(vals, _phase_fix(vecs), source)
 
 
 def _phase_fix(V: np.ndarray) -> np.ndarray:
@@ -124,11 +131,31 @@ def _phase_fix(V: np.ndarray) -> np.ndarray:
 # fractional k tests and the weight principle
 # ---------------------------------------------------------------------------
 
-def _sorted_eigenvalues(s: Spectrum | Sequence[float] | np.ndarray) -> np.ndarray:
+def sorted_eigenvalues(s: Spectrum | Sequence[float] | np.ndarray) -> np.ndarray:
+    """The eigenvalues of s as an array; ValueError unless they ascend."""
     vals = s.eigenvalues if isinstance(s, Spectrum) else np.asarray(s, dtype=float)
     if np.any(np.diff(vals) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
     return vals
+
+
+def partial_sum(vals: np.ndarray, k: float) -> float:
+    """lambda_1 + .. + lambda_floor(k) + (k - floor(k)) lambda_{floor(k)+1}.
+
+    vals must already be sorted ascending (see sorted_eigenvalues) and
+    0 < k <= len(vals); neither is checked here.  A sum beyond the float64
+    range raises ValueError.
+    """
+    whole = int(math.floor(k))
+    frac = k - whole
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(vals[:whole]))
+    if whole < len(vals) and frac > 0:
+        total += frac * float(vals[whole])
+    if not math.isfinite(total):
+        raise ValueError(f"the partial sum at k = {k:g} overflows float64 (eigenvalues up "
+                         f"to {float(np.max(np.abs(vals))):.3g} in magnitude)")
+    return total
 
 
 def k_test(s: Spectrum | Sequence[float], k: float) -> PositivityReport:
@@ -136,18 +163,14 @@ def k_test(s: Spectrum | Sequence[float], k: float) -> PositivityReport:
 
     k may be fractional; at the boundary floor(k) == m the fractional term is 0.
     """
-    vals = _sorted_eigenvalues(s)
+    vals = sorted_eigenvalues(s)
     m = len(vals)
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if k > m + 1e-12:
         raise ValueError(f"k = {k} exceeds the number of eigenvalues {m}")
     k = min(float(k), float(m))
-    whole = int(math.floor(k))
-    frac = k - whole
-    total = float(np.sum(vals[:whole]))
-    if whole < m and frac > 0:
-        total += frac * float(vals[whole])
+    total = partial_sum(vals, k)
     return PositivityReport(
         k=k,
         partial_sum=total,
@@ -167,7 +190,7 @@ def weight_principle(s: Spectrum | Sequence[float], weights: Sequence[float],
     partial sum at Upsilon is >= kappa * Upsilon, the weighted sum is
     certified to be >= kappa * total_weight.
     """
-    vals = _sorted_eigenvalues(s)
+    vals = sorted_eigenvalues(s)
     w = np.asarray(weights, dtype=float)
     if len(w) != len(vals):
         raise ValueError("one weight per eigenvalue required")

@@ -42,3 +42,25 @@ def test_span_check_layers_name_identity_checks():
 def test_spans_patch_points_exist():
     assert callable(cli.build_parser)
     assert callable(report.parallel_map)
+
+
+def test_tracer_and_the_shared_parser(capsys):
+    """cli.main parses with one shared parser, while the tracer gives every
+    parser build_parser returns a traced parse_args; build_parser must keep
+    returning a parser of its own, or the wrappers would stack on the shared
+    one.  Two traced calls record the same span layers and print what an
+    untraced call prints, and the tracer leaves the shared parser as it was."""
+    argv = ["certify", "--space", "chsc:n=2", "--format", "json"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    layers, outputs = [], []
+    with _spans().Tracer() as tracer:
+        for _ in range(2):
+            start = len(tracer.spans)
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            layers.append([span[0] for span in tracer.spans[start:]])
+        cli.build_parser()
+    assert layers[0] and layers[0] == layers[1]
+    assert outputs == [plain, plain]
+    assert "parse_args" not in vars(cli._parser())

@@ -1,5 +1,6 @@
 """Threshold tables and vanishing certificates."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,10 @@ from calabi_lab.certify import (
     upsilon_exact,
     upsilon_min_holds,
 )
-from calabi_lab.curvature import calabi_from_tensor
-from calabi_lab.model_spaces import chsc, quadric_spectrum
-from calabi_lab.spectral import eigensystem
+from calabi_lab.curvature import calabi_from_tensor, kaehler_operator, restrict_su, ricci
+from calabi_lab.model_spaces import (chsc, quadric, quadric_spectrum, random_kaehler,
+                                     random_kaehler_einstein)
+from calabi_lab.spectral import eigensystem, k_test
 
 
 def test_threshold_closed_forms():
@@ -147,3 +149,32 @@ def test_certify_refuses_a_bad_margin(eps):
     with pytest.raises(ValueError, match="eps"):
         certify_ke(eigensystem(np.eye(8)), 3, eps=eps)
     assert certify_calabi(spec, 4, eps=0.0).verdicts[(2, 2)].status != "vanishes"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_verdict_partial_sums_are_k_tests(n):
+    """Each verdict's partial sum equals, bit for bit, the k-test of its
+    spectrum at the verdict's k: Calabi spectra of a random Kaehler tensor
+    and of the quadric, restricted Kaehler spectra of a random
+    Kaehler-Einstein tensor and of the quadric."""
+    calabi = [calabi_from_tensor(t).spectrum() for t in (random_kaehler(n, 5), quadric(n))]
+    ke = [restrict_su(kaehler_operator(t), ricci(t)).spectrum()
+          for t in (random_kaehler_einstein(n, 5), quadric(n))]
+    for certify, specs in ((certify_calabi, calabi), (certify_ke, ke)):
+        for spec in specs:
+            verdicts = certify(spec, n).verdicts.values()
+            assert verdicts
+            for v in verdicts:
+                assert v.partial_sum == k_test(spec, v.k).partial_sum
+
+
+def test_certificate_refuses_an_unsorted_spectrum():
+    spec, _ = quadric_spectrum(3)
+    vals = spec.eigenvalues.copy()
+    vals[-1] = -vals[-1]
+    with pytest.raises(ValueError, match="eigenvalues must be sorted ascending"):
+        certify_calabi(dataclasses.replace(spec, eigenvalues=vals), 3)
+    vals = np.arange(8.0)
+    vals[-1] = -vals[-1]
+    with pytest.raises(ValueError, match="eigenvalues must be sorted ascending"):
+        certify_ke(dataclasses.replace(eigensystem(np.eye(8)), eigenvalues=vals), 3)

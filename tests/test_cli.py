@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -356,6 +357,38 @@ def test_certify_file_with_huge_entries_grants_no_false_verdict(tmp_path):
     assert records["verdict[1,1]"]["values"]["status"] == "not-certified"
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--space", "quadric:n=3,c=1e308"],
+    ["certify", "--space", "quadric:n=3,c=-1e308"],
+    ["certify", "--space", "chsc:n=3,c=1e308"],
+    ["certify", "--space", "file:{diagonal}", "--format", "json"],
+    ["spectrum", "--space", "file:{diagonal}", "--format", "json"],
+    ["certify", "--space", "file:{diagonal}"],
+    ["spectrum", "--space", "file:{diagonal}"],
+    ["spectrum", "--space", "file:{full}", "--format", "json"],
+])
+def test_huge_finite_input_is_a_named_overflow(argv, tmp_path, capsys):
+    """Finite input whose Calabi matrix, eigenvalues or partial sums leave
+    the float64 range exits 2 with the overflow and the input's scale named:
+    no numpy warning, no traceback, and no report holding an infinity.
+    {diagonal} has eigenvalues 1e308, whose sums overflow; {full} has every
+    entry 1e308 and the eigenvalue 3e308."""
+    entries = {"diagonal": lambda i, j: 1e308 if i == j else 0.0, "full": lambda i, j: 1e308}
+    for name, entry in entries.items():
+        tri = [[entry(i, j), 0.0] for i in range(3) for j in range(i, 3)]
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"kind": "calabi", "n": 2, "hermitian": tri}))
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in entries}) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert re.search(r"overflows? float64 \(.+ up to [0-9.]+e\+30[78] in magnitude\)", err), err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not caught
+
+
 @pytest.mark.parametrize("entry", ["NaN", "1e999"])
 def test_file_input_non_finite_is_rejected(tmp_path, capsys, entry):
     # 1e999 is a valid JSON number that parses to infinity
@@ -653,3 +686,66 @@ def test_certify_and_spectrum_build_no_full_z_frame_tensor(tmp_path, monkeypatch
     for space in einstein:
         argv = ["certify", "--space", space, "--mode", "ke"]
         assert main(argv + ["--format", "json", "--out", str(tmp_path / "o")]) == 0, argv
+
+
+def _in_fresh_interpreter(argv) -> subprocess.Popen:
+    """The command started in a new interpreter, its output piped."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "calabi_lab.cli", *argv], text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(calabi_lab.__file__))))
+
+
+def test_repeated_calls_share_a_parser_without_state(capsys):
+    """main reuses one parser for every call in a process, and no call
+    leaves anything behind for the next: an omitted option takes its default
+    again, and a usage error does not spoil the call after it.  Each output
+    matches, byte for byte, the same command in a fresh interpreter."""
+    calls = [
+        ["certify", "--space", "chsc:n=2", "--p", "1", "--format", "csv"],
+        ["certify", "--space", "chsc:n=2"],
+        ["verify", "--n", "1"],
+        ["certify", "--space", "quadric:n=3", "--mode", "ke", "--format", "json"],
+        ["spectrum", "--space", "quadric:n=3"],
+        ["thresholds", "--n", "3", "--format", "csv"],
+    ]
+    children = [_in_fresh_interpreter(argv) for argv in calls]
+    outputs = []
+    try:
+        for argv, child in zip(calls, children):
+            if argv[0] == "verify":
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                code = exc.value.code
+                assert code == 2
+            else:
+                code = main(argv)
+            out, err = capsys.readouterr()
+            assert (out, err) == child.communicate(timeout=60), argv
+            assert code == child.returncode, argv
+            outputs.append(out)
+    finally:
+        for child in children:
+            child.kill()
+            child.communicate()
+    assert calabi_lab.cli._parser.cache_info().currsize == 1
+    table = outputs[1]
+    assert table.startswith("calabi-lab ") and "verdict[" in table
+    assert all(f"verdict[{p},{q}]" in table
+               for p in range(3) for q in range(3) if 1 <= p + q <= 3)
+
+
+def test_import_builds_no_parser():
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counting_init(self, *args, **kwargs):\n"
+             "    built.append(self)\n"
+             "    init(self, *args, **kwargs)\n"
+             "argparse.ArgumentParser.__init__ = counting_init\n"
+             "import calabi_lab.cli\n"
+             "print(len(built), calabi_lab.cli._parser.cache_info().currsize)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(calabi_lab.__file__))))
+    assert proc.stdout.split() == ["0", "0"]
