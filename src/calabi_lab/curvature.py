@@ -357,8 +357,16 @@ def restrict_su(k_op: CurvatureOperatorMatrix, ric: RicciData) -> CurvatureOpera
     m = k_op.dim
     n = int(round(math.sqrt(m)))
     w = omega_coords(n)
-    resid = float(np.linalg.norm(k_op.matrix @ w - ric.einstein_lambda * w))
-    if resid > 1e-8 * max(1.0, abs(ric.einstein_lambda)):
+    lam = ric.einstein_lambda
+    # taken relative to the largest entry, so that the norm's squares stay in range
+    peak = float(np.max(np.abs(k_op.matrix)))
+    scale = max(peak, abs(lam)) or 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = scale * float(np.linalg.norm(k_op.matrix / scale @ w - lam / scale * w))
+    if not math.isfinite(resid):
+        raise ValueError(f"the Einstein residual overflows float64 (Kaehler operator entries "
+                         f"up to {peak:.3g} in magnitude)")
+    if resid > 1e-8 * max(1.0, abs(lam)):
         raise NotEinstein(f"Kaehler form is not an eigenvector (residual {resid:.3e})")
     b = su_complement(n)
     return CurvatureOperatorMatrix(
@@ -390,10 +398,14 @@ def r1_r2_operators(t: AlgebraicCurvatureTensor) -> tuple[CurvatureOperatorMatri
 
 def ricci(t: AlgebraicCurvatureTensor, tol: float = DEFAULT_TOL) -> RicciData:
     """Ricci contraction Ric_ij = sum_k R_kikj and Einstein detection."""
-    ric = np.einsum("kikj->ij", t.components)
-    scal = float(np.trace(ric))
-    lam = scal / t.convention.dim
-    resid = float(np.max(np.abs(ric - lam * np.eye(t.convention.dim))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ric = np.einsum("kikj->ij", t.components)
+        scal = float(np.trace(ric))
+        lam = scal / t.convention.dim
+        resid = float(np.max(np.abs(ric - lam * np.eye(t.convention.dim))))
+    if not math.isfinite(resid):
+        raise ValueError(f"the Ricci tensor overflows float64 (curvature tensor entries up "
+                         f"to {float(np.max(np.abs(t.components))):.3g} in magnitude)")
     einstein = lam if resid <= tol * max(1.0, float(np.max(np.abs(ric)))) else None
     return RicciData(ric, scal, einstein)
 

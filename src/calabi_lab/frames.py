@@ -37,7 +37,11 @@ Endomorphisms act on covariant tensors as derivations,
 ``(L T)(x_1, .., x_k) = - sum_i T(x_1, .., L x_i, .., x_k)``.  The unitary
 bases of the seven algebras that act (gl, so, sym^2 over the real frame;
 sym^2 V^{1,0}, Lambda^2 V^{1,0}, u(n), su(n) over the Z-frame) are one
-table, ``family_mats``, built from index arrays.
+table, ``family_mats``, built from index arrays.  A stack acts through one
+gather table per degree (``derivation_table``): for every element and output
+set J, the signed source of each off-diagonal entry and the weight of a
+diagonal element.  The bases' tables are built once, on first use
+(``family_table``); every action is applied by ``apply_derivation``.
 """
 
 from __future__ import annotations
@@ -182,14 +186,15 @@ def _subset_rank(d: int, subsets: np.ndarray) -> np.ndarray:
     return np.sum(binom[d - 1 - prev, width] - binom[d - subsets, width], axis=-1)
 
 
+@lru_cache(maxsize=None)
 def _subsets(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted k-subsets of ``0..d-1`` in combinations order, ``(C(d, k), k)``,
-    and their ``(C(d, k), d)`` membership mask."""
+    and their ``(C(d, k), d)`` membership mask; read-only."""
     count = math.comb(d, k)
     subsets = np.array(list(itertools.combinations(range(d), k)), dtype=np.intp).reshape(count, k)
     occupied = np.zeros((count, d), dtype=bool)
     np.put_along_axis(occupied, subsets, True, axis=1)
-    return subsets, occupied
+    return _frozen(subsets, occupied)
 
 
 @lru_cache(maxsize=None)
@@ -211,25 +216,71 @@ def _slots(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(rest, put, slot)
 
 
-@lru_cache(maxsize=None)
-def _exterior_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index table of Lambda^k over d frame vectors, k >= 1, by frame index.
+def derivation_table(mats: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Gather table of the derivation action of a stack of endomorphisms on
+    Lambda^k, for ``derivation_coords`` and ``apply_derivation``.
 
-    Returns ``(holders, pos, sign)``: for each index A, the positions
-    ``holders[A]`` of the ``M = C(d-1, k-1)`` sorted k-subsets J that contain
-    A, increasing, as a ``(d, M)`` array; and for the i-th of them and each
-    replacement index C, the position ``pos[A, i, C]`` of
-    ``sorted(J with A -> C)`` with the sign of that sort, which is 0 when C
-    repeats another index of J.  A gather from ``_slots``.
+    ``(L x)_J = -sum_{A in J, C} L[C, A] sign x[J with A -> C]``.  An entry
+    ``L[C, A]`` off the diagonal sends ``x_{R + C}`` to ``J = R + A`` for each
+    (k-1)-subset R that holds neither, with the sort sign
+    ``(-1)^(slot[R, A] + slot[R, C])`` (see ``_slots``); the diagonal adds the
+    weight ``-sum_{A in J} L[A, A]`` times x_J.  Returns ``(src, coef, rows,
+    weight)``: the t-th off-diagonal entry of element mu (in ``np.nonzero``
+    order) has the coefficient ``coef[t, mu] = -L[C, A]`` and reads position
+    ``src[t, mu, J]`` of the extended stack ``[x, -x, 0]``, so that the
+    source's sign is in its position and J's without a source read the 0
+    (a stack with no off-diagonal entry keeps one such slot); the elements
+    ``rows`` with diagonal entries have the ``(len(rows), N)`` ``weight``.
     """
-    rest, put, slot = _slots(d, k)
-    # (A, J, s) with J_s = A, grouped by A, J increasing
-    _, holders, s = np.nonzero(_subsets(d, k)[0] == np.arange(d)[:, None, None])
-    rest = rest[holders, s]
-    moved, crossed = put[rest], s[:, None] + slot[rest]
-    m = math.comb(d - 1, k - 1)
-    return _frozen(holders.reshape(d, m), np.maximum(moved, 0).reshape(d, m, d),
-                   np.where(moved < 0, 0.0, np.where(crossed % 2, -1.0, 1.0)).reshape(d, m, d))
+    m, d = mats.shape[:2]
+    count = math.comb(d, k)
+    diag = mats[:, np.arange(d), np.arange(d)]
+    rows = np.nonzero(np.any(diag, axis=1))[0]
+    weight = -(diag[rows] @ _subsets(d, k)[1].T)
+    mu, c, a = np.nonzero(mats)
+    mu, c, a = mu[c != a], c[c != a], a[c != a]
+    rank = np.arange(len(mu)) - np.searchsorted(mu, mu)  # t of each entry
+    slots = np.max(rank, initial=0) + 1
+    coef = np.zeros((slots, m), dtype=mats.dtype)
+    coef[rank, mu] = -mats[mu, c, a]
+    # by (slot, element) and J, plus a spare column for the R that hold A
+    src = np.full((slots * m, count + 1), 2 * count, dtype=np.intp)
+    if k:
+        _, put, slot = _slots(d, k)
+        put, slot = put.T.copy(), slot.T.copy()  # by index, then R
+        moved, odd = put[c], (slot[a] + slot[c]) % 2
+        src[(rank * m + mu)[:, None], put[a]] = np.where(moved < 0, 2 * count,
+                                                         moved + count * odd)
+    return np.ascontiguousarray(src[:, :count]).reshape(slots, m, count), coef, rows, weight
+
+
+@lru_cache(maxsize=None)
+def family_table(n: int, tag: str, k: int) -> tuple[np.ndarray, ...]:
+    """``derivation_table`` of ``family_mats(n, tag)`` on Lambda^k, built on
+    first use and read-only."""
+    return _frozen(*derivation_table(family_mats(n, tag), k))
+
+
+def apply_derivation(table: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """The action that a ``derivation_table`` describes on the ``(B, N)``
+    exterior coordinates x, as the ``(B, m, N)`` coordinates of each form's
+    actions: at most one gather and product per off-diagonal entry slot, and
+    the weights of the diagonal elements."""
+    src, coef, rows, weight = table
+    x = np.asarray(x)
+    dtype = np.result_type(coef, x, 1.0)
+    ext = np.concatenate([x, -x, np.zeros((len(x), 1))], axis=1, dtype=dtype)
+    out = np.take(ext, src[0], axis=1)
+    out *= coef[0][:, None]
+    part = np.empty_like(out)
+    for t in range(1, len(src)):
+        # the sources are in range: mode "clip" only spares take a buffer
+        np.take(ext, src[t], axis=1, out=part, mode="clip")
+        part *= coef[t][:, None]
+        out += part
+    if len(rows):
+        out[:, rows] += weight * x[:, None, :]
+    return out
 
 
 def derivation_coords(mats: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
@@ -239,31 +290,16 @@ def derivation_coords(mats: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     ``mats`` has shape ``(m, d, d)`` and ``x`` holds the ``(B, C(d, k))``
     coordinates ``x_J = sqrt(k!) T[J]`` of the forms over the sorted
     k-subsets J; both are written in one frame, either one.  Returns the
-    ``(m, B, N)`` coordinates ``(L x)_J = -sum_{A in J, C} L[C, A] sign x[pos]``
-    (see ``_exterior_table``).  Their squared sum is the tensor norm of the
+    ``(m, B, N)`` coordinates ``(L x)_J = -sum_{A in J, C} L[C, A] sign x[..]``
+    (see ``derivation_table``).  Their squared sum is the tensor norm of the
     action, and their dot products are its Hermitian pairings.
 
-    The work runs over the nonzero entries ``L[C, A]`` of the stack, each
-    against the ``C(d-1, k-1)`` subsets J that contain A, so a stack of
-    sparse basis elements costs a few gathers per entry; act with a basis and
-    mix the results rather than pass dense elements.
+    The table is built for this call; the unitary bases of the algebras
+    have theirs cached (``family_table``).  An element costs one gather per
+    off-diagonal entry, so act with a sparse basis and mix the results
+    rather than pass dense elements.
     """
-    m, d = mats.shape[:2]
-    b = x.shape[0]
-    count = math.comb(d, k)
-    dtype = np.result_type(mats, x, 1.0)
-    if k == 0:
-        return np.zeros((m, b, count), dtype=dtype)
-    holders, pos, sign = _exterior_table(d, k)
-    mu, c, a = np.nonzero(mats)
-    # entry (mu, C, A) sends -L[C, A] sign x[pos] to (mu, J) for every J holding A
-    src = np.asarray(x)[:, pos[a, :, c]] * (-mats[mu, c, a][:, None] * sign[a, :, c])
-    dst = ((mu[:, None] * b + np.arange(b)[:, None, None]) * count + holders[a]).ravel()
-    size = m * b * count
-    out = np.bincount(dst, src.real.ravel(), size)
-    if np.iscomplexobj(src):
-        out = out + 1j * np.bincount(dst, src.imag.ravel(), size)
-    return out.reshape(m, b, count).astype(dtype, copy=False)
+    return apply_derivation(derivation_table(mats, k), x).transpose(1, 0, 2)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,8 @@ operator eigenstructure and shares no kernel with the Z-frame derivation
 action of the eigenvalue routes (via the Calabi operator, via the restricted
 Kaehler operator for Einstein tensors), which are checked against it.  Those
 routes and the derivation families act with the unitary bases of
-``frames.family_mats``.
+``frames.family_mats``, through their cached gather tables
+(``frames.family_table``).
 
 Forms enter the public functions as ``FormPQ`` / ``RealForm`` objects, which
 supply their exterior coordinates in either frame.  The general-Riemannian
@@ -43,8 +44,10 @@ from .frames import (
     _frozen,
     _generators,
     _permutations,
+    apply_derivation,
     derivation_coords,
     family_mats,
+    family_table,
     lefschetz_adjoint,
     project_primitive,
     sym2_basis_labels,
@@ -300,7 +303,8 @@ def ricl_via_kaehler_su(lam: float, su_spec: Spectrum,
 
 def _batched_norms(mats: np.ndarray, forms, frame: str = "z") -> np.ndarray:
     """|Xi_m psi_b|^2, shape (m, B), for a stack of endomorphisms written in
-    ``frame`` and forms as ``_coords`` takes them (a dense stack in that frame)."""
+    ``frame`` and forms as ``_coords`` takes them (a dense stack in that frame);
+    the stack's gather table is built for the call."""
     x, k = _coords(forms, frame)
     return np.sum(np.abs(derivation_coords(mats, x, k)) ** 2, axis=2)
 
@@ -312,12 +316,12 @@ def _mixed_norms(conv: FrameConvention, tag: str, mix: np.ndarray, forms) -> np.
     acts once and its actions are mixed, which costs far less than acting
     with the dense elements; forms go through in slices as in ``ricl_bruteforce``."""
     x, k = _coords(forms, "z")
-    mats = family_mats(conv.n, tag)
-    step = max(1, _SLICE_ENTRIES // (len(mats) * x.shape[1]))
+    table = family_table(conv.n, tag, k)
+    step = max(1, _SLICE_ENTRIES // (len(mix) * x.shape[1]))
     out = np.empty((mix.shape[1], len(x)))
     for lo in range(0, len(x), step):
-        acted = derivation_coords(mats, x[lo:lo + step], k)
-        out[:, lo:lo + step] = np.sum(np.abs(np.tensordot(mix, acted, axes=(0, 0))) ** 2, axis=2)
+        acted = apply_derivation(table, x[lo:lo + step])
+        out[:, lo:lo + step] = np.sum(np.abs(mix.T @ acted) ** 2, axis=2).T
     return out
 
 
@@ -352,14 +356,15 @@ def phi_g(phi: FormPQ | RealForm, tag: str) -> np.ndarray:
     The real-frame algebras (gl, so, sym2_real) act on real-frame coordinates
     and the complex algebras on Z-frame ones.
     """
-    mats = family_mats(phi.convention.n, tag)
-    return derivation_coords(mats, phi.coords(_frame_of(tag))[None], phi.degree)[:, 0]
+    table = family_table(phi.convention.n, tag, phi.degree)
+    return apply_derivation(table, phi.coords(_frame_of(tag))[None])[0]
 
 
 def norm_phi_g_batch(tag: str, conv: FrameConvention, forms) -> np.ndarray:
     """|psi_b^g|^2 for a sequence of forms or a stack of dense forms (in the
     algebra's frame)."""
-    return np.sum(_batched_norms(family_mats(conv.n, tag), forms, _frame_of(tag)), axis=0)
+    x, k = _coords(forms, _frame_of(tag))
+    return np.sum(np.abs(apply_derivation(family_table(conv.n, tag, k), x)) ** 2, axis=(1, 2))
 
 
 def norm_phi_g(phi: FormPQ | RealForm, tag: str) -> float:
@@ -377,7 +382,7 @@ def _pairing_value(pair_matrix, t: AlgebraicCurvatureTensor, tag: str,
     p-form phi; ``pair_matrix`` (``_r1_pair_matrix`` or ``_r2_pair_matrix``)
     gives g(Op Xi_b, Xi_a)."""
     mats = family_mats(t.convention.n, tag)
-    parts = derivation_coords(mats, x[None], p)[:, 0]
+    parts = apply_derivation(family_table(t.convention.n, tag, p), x[None])[0]
     gram = (parts @ parts.conj().T).real
     return float(np.sum(pair_matrix(t.components, mats) * gram.T))
 

@@ -64,3 +64,16 @@ def test_tracer_and_the_shared_parser(capsys):
     assert layers[0] and layers[0] == layers[1]
     assert outputs == [plain, plain]
     assert "parse_args" not in vars(cli._parser())
+
+
+def test_clear_caches_empties_the_family_tables():
+    """The benchmark's cold operations rebuild the derivation tables: a call
+    fills ``frames.family_table``, ``spans.clear_caches`` empties it, and the
+    cached arrays are read-only, as every caller shares them."""
+    from calabi_lab import weitzenboeck as wz
+
+    wz.phi_g(frames.FormPQ.generator(frames.FrameConvention(2), (1,), (2,)), "su")
+    assert frames.family_table.cache_info().currsize > 0
+    assert not any(arr.flags.writeable for arr in frames.family_table(2, "su", 2))
+    _spans().clear_caches()
+    assert frames.family_table.cache_info().currsize == 0

@@ -389,6 +389,31 @@ def test_huge_finite_input_is_a_named_overflow(argv, tmp_path, capsys):
     assert not caught
 
 
+@pytest.mark.parametrize("space", ["chsc", "quadric"])
+def test_ke_mode_at_a_huge_finite_scale(space, capsys):
+    """KE mode on a space whose Ricci tensor leaves the float64 range
+    (c = 1e308) exits 2 with the overflow and the input's scale named.  At
+    c = 1e307 nothing overflows once the Einstein residual is taken relative
+    to the largest entry, so the space certifies as at c = 1, with its
+    eigenvalues scaled by c.  Neither prints a numpy warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["certify", "--space", f"{space}:n=3,c=1e308", "--mode", "ke"])
+        out, err = capsys.readouterr()
+        records = []
+        for scale in ("1", "1e307"):
+            argv = ["certify", "--space", f"{space}:n=3,c={scale}", "--mode", "ke", "--format", "json"]
+            assert main(argv) == 0
+            records.append(json.loads(capsys.readouterr().out)["records"])
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert re.search(r"overflows float64 \(.+ up to [0-9.]+e\+30[78] in magnitude\)", err), err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not caught
+    small, huge = (np.array(recs[0]["values"]["eigenvalues"]) for recs in records)
+    assert np.max(np.abs(huge / 1e307 - small)) <= 1e-12 * np.max(np.abs(small))
+    assert [r["status"] for r in records[0]] == [r["status"] for r in records[1]]
+
+
 @pytest.mark.parametrize("entry", ["NaN", "1e999"])
 def test_file_input_non_finite_is_rejected(tmp_path, capsys, entry):
     # 1e999 is a valid JSON number that parses to infinity

@@ -21,7 +21,6 @@ from calabi_lab.frames import (
     dense_e_to_z,
     dense_z_to_e,
     _conjugation,
-    _exterior_table,
     _generators,
     _pair_mixing,
     _primitive_part,
@@ -29,9 +28,11 @@ from calabi_lab.frames import (
     _subset_rank,
     _subsets,
     _z_layout,
+    apply_derivation,
     change_pairs,
     derivation_coords,
     family_mats,
+    family_table,
     kaehler_bivector,
     lefschetz_adjoint,
     project_primitive,
@@ -586,21 +587,22 @@ def test_verify_builds_no_dense_form(monkeypatch):
 def test_verify_feeds_the_kernel_sparse_stacks(monkeypatch):
     """Dense elements (eigen-elements, sampled S, random L in u(n)) are mixed
     from the actions of a sparse basis and never reach the derivation-action
-    kernel: during verify every matrix passed to it has at most 2n nonzero
-    entries."""
-    from calabi_lab import frames, weitzenboeck
+    kernel: during verify every matrix whose gather table is built, for the
+    bases (from cold caches) and for the stacks acting per call, has at most
+    2n nonzero entries."""
+    from calabi_lab import frames
     from calabi_lab.checks import run_verify_suite
 
     n = 3
     most = []
-    kernel = frames.derivation_coords
+    builder = frames.derivation_table
 
-    def counted(mats, x, k):
+    def counted(mats, k):
         most.append(int(np.max(np.count_nonzero(mats.reshape(len(mats), -1), axis=1), initial=0)))
-        return kernel(mats, x, k)
+        return builder(mats, k)
 
-    monkeypatch.setattr(frames, "derivation_coords", counted)
-    monkeypatch.setattr(weitzenboeck, "derivation_coords", counted)
+    frames.family_table.cache_clear()
+    monkeypatch.setattr(frames, "derivation_table", counted)
     records = run_verify_suite(n, 2, 1, max_degree=3)
     assert [r["status"] for r in records] == ["pass"] * len(records)
     assert most and max(most) <= 2 * n
@@ -746,12 +748,71 @@ def _assert_same_tables(got, ref):
 def test_move_tables_match_per_index_references():
     """The gathers from the slot table give the per-index builders' tables
     byte for byte, signed zeros included."""
-    for d in range(1, 13):
-        for k in range(1, d + 1):
-            _assert_same_tables(_exterior_table(d, k), _exterior_table_reference(d, k))
     for n in range(1, 7):
         for k in range(2 * n + 1):
             _assert_same_tables(_pair_mixing(n, k), _pair_mixing_reference(n, k))
     for n in range(1, 8):
         for p in range(1, n + 1):
             _assert_same_tables([_removal(n, p)], [_removal_reference(n, p)])
+
+
+# ---------------------------------------------------------------------------
+# the gather kernel against the scatter reference
+# ---------------------------------------------------------------------------
+
+FAMILY_TAGS = ("gl", "so", "sym2_real", "sym2_10", "lambda2_10", "u", "su")
+
+
+def scatter_derivation_coords(mats, x, k):
+    """Reference: the derivation action as one ``np.bincount`` scatter of
+    every nonzero entry L[C, A] against each subset J that holds A, over the
+    per-index exterior table, ``(m, B, N)``."""
+    m, d = mats.shape[:2]
+    b = x.shape[0]
+    count = math.comb(d, k)
+    dtype = np.result_type(mats, x, 1.0)
+    if k == 0:
+        return np.zeros((m, b, count), dtype=dtype)
+    holders, pos, sign = _exterior_reference(d, k)
+    mu, c, a = np.nonzero(mats)
+    src = np.asarray(x)[:, pos[a, :, c]] * (-mats[mu, c, a][:, None] * sign[a, :, c])
+    dst = ((mu[:, None] * b + np.arange(b)[:, None, None]) * count + holders[a]).ravel()
+    out = np.bincount(dst, src.real.ravel(), m * b * count)
+    if np.iscomplexobj(src):
+        out = out + 1j * np.bincount(dst, src.imag.ravel(), m * b * count)
+    return out.reshape(m, b, count).astype(dtype, copy=False)
+
+
+_exterior_reference = functools.lru_cache(maxsize=None)(_exterior_table_reference)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gather_kernel_matches_scatter_reference(n):
+    """Every family at every degree, on one form and on a batch, real and
+    complex: the gather tables give the scatter's actions bit for bit on
+    sym2_10, whose elements have no diagonal and add their two entries in
+    the scatter's order, and to 1e-15 of the scale elsewhere (diagonal
+    weights are summed before they scale x; at the top degree su's traceless
+    weights leave rounding alone, hence the floor 1 of the scale).  Random
+    dense complex stacks agree to the same bound, and the cached family
+    tables act as the tables built per call."""
+    rng = np.random.default_rng(900 + n)
+    d = 2 * n
+    for k in range(d + 1):
+        count = math.comb(d, k)
+        real = [rng.normal(size=(b, count)) for b in (1, 3)]
+        stacks = real + [x + 1j * rng.normal(size=x.shape) for x in real]
+        dense = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        for tag, mats in [(tag, family_mats(n, tag)) for tag in FAMILY_TAGS] + [(None, dense)]:
+            for x in stacks:
+                ref = scatter_derivation_coords(mats, x, k)
+                got = derivation_coords(mats, x, k)
+                assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+                if tag == "sym2_10":
+                    assert np.array_equal(got, ref)
+                else:
+                    scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+                    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-15 * scale, (tag, k)
+                if tag is not None:
+                    cached = apply_derivation(family_table(n, tag, k), x)
+                    assert np.array_equal(cached.transpose(1, 0, 2), got)

@@ -431,7 +431,8 @@ def test_oracle_is_independent_of_the_eigen_route_kernels(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the oracle used an eigenvalue-route kernel")
 
-    for name in ("derivation_coords", "_exterior_table", "_slots", "family_mats"):
+    for name in ("derivation_coords", "derivation_table", "family_table", "apply_derivation",
+                 "_slots", "family_mats"):
         monkeypatch.setattr(frames, name, never)
         if hasattr(wz, name):
             monkeypatch.setattr(wz, name, never)
