@@ -8,9 +8,12 @@ Thresholds:
 * ``Gamma_{p,q} = (n(n^2-1)(p+q) - 2n(n-1)pq) / (n(n-1)(p+q) + (p-q)^2)``
   does the same from the restricted Kaehler spectrum of an Einstein tensor.
 
-Both are evaluated in exact rational arithmetic whenever the min-branch
-allows (sqrt(pq) integral or the branch picks min(p,q)); only genuinely
-irrational square roots fall back to floats.
+Gamma is exact (a Fraction).  Whenever the min-branch is rational (sqrt(pq)
+integral, or the branch picks min(p,q)), Upsilon is the ratio of integers
+``num b / (2b + 4a)``, for its numerator num and the branch a/b; Python's
+int / int division rounds it correctly, so the float is the exact value
+rounded once.  Only genuinely irrational square roots are evaluated in
+floating point.
 """
 
 from __future__ import annotations
@@ -46,16 +49,17 @@ def _isqrt_exact(x: int) -> int | None:
     return r if r * r == x else None
 
 
-def _min_branch(p: int, q: int) -> tuple[Fraction | None, float]:
-    """min(p, q, sqrt(pq)/2) as (exact value or None, float value)."""
+def _min_branch(p: int, q: int) -> tuple[tuple[int, int] | None, float]:
+    """min(p, q, sqrt(pq)/2) as (exact value a/b as (a, b) with b > 0, or
+    None, float value)."""
     if p == 0 or q == 0:
-        return Fraction(0), 0.0
+        return (0, 1), 0.0
     lo, hi = min(p, q), max(p, q)
     if hi >= 4 * lo:
-        return Fraction(lo), float(lo)
+        return (lo, 1), float(lo)
     root = _isqrt_exact(p * q)
     if root is not None:
-        return Fraction(root, 2), root / 2.0
+        return (root, 2), root / 2.0
     return None, math.sqrt(p * q) / 2.0
 
 
@@ -63,7 +67,9 @@ def upsilon(n: int, p: int, q: int) -> float:
     exact, approx = _min_branch(p, q)
     num = (p + q) * (n + 1) - 2 * p * q
     if exact is not None:
-        return float(Fraction(num) / (2 + 4 * exact))
+        # num / (2 + 4 a/b), rounded once by the int / int division
+        a, b = exact
+        return num * b / (2 * b + 4 * a)
     return num / (2.0 + 4.0 * approx)
 
 
@@ -71,7 +77,8 @@ def upsilon_exact(n: int, p: int, q: int) -> Fraction | None:
     exact, _ = _min_branch(p, q)
     if exact is None:
         return None
-    return Fraction((p + q) * (n + 1) - 2 * p * q) / (2 + 4 * exact)
+    a, b = exact
+    return Fraction(((p + q) * (n + 1) - 2 * p * q) * b, 2 * b + 4 * a)
 
 
 def _gamma_terms(n: int, p: int, q: int) -> tuple[int, int]:
@@ -94,7 +101,7 @@ def upsilon_ge_half_n(n: int, p: int, q: int) -> bool:
     num = (p + q) * (n + 1) - 2 * p * q
     if exact is not None:
         # num / (2 + 4 a/b) >= n/2  <=>  2 num b >= n (2 b + 4 a), with b > 0
-        a, b = exact.numerator, exact.denominator
+        a, b = exact
         return 2 * num * b >= n * (2 * b + 4 * a)
     # 2 num >= n (2 + 4 sqrt(pq)/2)  <=>  2 num - 2 n >= 2 n sqrt(pq)
     lhs = 2 * num - 2 * n
@@ -190,20 +197,24 @@ def _certify(mode: str, spec: Spectrum, n: int, threshold_of, eps: float) -> Cer
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"strictness margin eps must be finite and >= 0, got {eps!r}")
     # the order is checked once here, so each bidegree's k-test is a bare
-    # partial sum (thresholds are positive, and k is clamped to m)
+    # partial sum (thresholds are positive, and k is clamped to m), taken
+    # once per distinct k: (q,p) and the cells clamped to m share it
     vals = sorted_eigenvalues(spec)
     m = len(vals)
     scale = float(np.max(np.abs(vals))) if m else 0.0
     eps_scale = eps * max(scale, 1e-300)
 
+    at_k: dict[float, Verdict] = {}
     verdicts: dict[tuple[int, int], Verdict] = {}
     for p in range(n + 1):
         for q in range(n + 1):
             if p + q < 1 or p + q > n:
                 continue
             k = min(float(threshold_of(p, q)), float(m))
-            total = partial_sum(vals, k)
-            verdicts[(p, q)] = Verdict(_status(total, eps_scale), k, total, "direct")
+            if k not in at_k:
+                total = partial_sum(vals, k)
+                at_k[k] = Verdict(_status(total, eps_scale), k, total, "direct")
+            verdicts[(p, q)] = at_k[k]
     # Serre duality fills p+q > n from (n-p, n-q); (n,n) pairs with the
     # constants and is never subject to vanishing, so it gets no verdict
     for p in range(n + 1):
@@ -219,7 +230,7 @@ def _certify(mode: str, spec: Spectrum, n: int, threshold_of, eps: float) -> Cer
         for q in range(n + 1)
         if 1 <= p + q <= n
     )
-    return Certificate(mode, n, tuple(float(v) for v in vals), verdicts, summary)
+    return Certificate(mode, n, tuple(vals.tolist()), verdicts, summary)
 
 
 def certify_calabi(spec: Spectrum, n: int, eps: float = STRICTNESS_EPS) -> Certificate:

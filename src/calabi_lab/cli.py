@@ -42,7 +42,7 @@ from .checks import run_verify_suite, stress_probe
 from .errors import CalabiLabError
 from .frames import FrameConvention
 from .report import make_envelope, to_csv, to_json, to_table, validate_report
-from .spectral import eigensystem, k_test
+from .spectral import HERMITIAN_TOL, eigensystem, partial_sum, sorted_eigenvalues
 
 USAGE_ERROR = 2
 
@@ -200,20 +200,40 @@ def _tensor_from_input(data: dict) -> cv.AlgebraicCurvatureTensor:
 
 
 def _calabi_matrix_from_input(data: dict) -> np.ndarray:
+    """The Hermitian matrix of a calabi payload, whose entries list the upper
+    triangle row by row as [re, im]; ValueError names the first bad entry."""
     n = data["n"]
     m = n * (n + 1) // 2
     tri = data["hermitian"]
     if len(tri) != m * (m + 1) // 2:
         raise ValueError(
             f"hermitian upper triangle for n={n} needs {m * (m + 1) // 2} entries, got {len(tri)}")
+    rows, cols = np.triu_indices(m)
+
+    def name(pos) -> str:
+        return f"hermitian entry {pos} ([re, im] of ({rows[pos] + 1}, {cols[pos] + 1}))"
+
+    parts = None
+    if all(isinstance(e, list) and len(e) == 2 and type(e[0]) in (int, float)
+           and type(e[1]) in (int, float) for e in tri):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            parts = np.array(tri, dtype=float)
+    if parts is None:
+        for pos, entry in enumerate(tri):
+            _numbers(entry, 2, name(pos))
+    z = parts.view(complex)[:, 0]
+    # the calabi route's own Hermitian test (see eigensystem): off the diagonal
+    # the lower triangle is the conjugate, so only diagonal imaginary parts
+    # can fail it (non-finite entries pass here and are refused there)
+    on_diag = np.flatnonzero(rows == cols)
+    peak = np.max(np.abs(z))
+    bad = on_diag[2.0 * np.abs(z[on_diag].imag) > HERMITIAN_TOL * np.maximum(1.0, peak)]
+    if len(bad):
+        raise ValueError(f"{name(bad[0])} is on the diagonal, so it must be real, "
+                         f"got {tri[bad[0]]!r}")
     h = np.zeros((m, m), dtype=complex)
-    it = enumerate(tri)
-    for i in range(m):
-        for j in range(i, m):
-            pos, entry = next(it)
-            re, im = _numbers(entry, 2, f"hermitian entry {pos} ([re, im] of ({i + 1}, {j + 1}))")
-            h[i, j] = complex(re, im)
-            h[j, i] = complex(re, -im)
+    h[rows, cols] = z
+    h[cols, rows] = z.conj()
     return h
 
 
@@ -272,17 +292,20 @@ def cmd_spectrum(args) -> dict:
         "status": "info",
         "residual": None,
         "values": {"space": label, "n": n,
-                   "eigenvalues": [float(v) for v in spec.eigenvalues]},
+                   "eigenvalues": spec.eigenvalues.tolist()},
     }]
+    # the order is checked once; each rung is a bare partial sum (the
+    # ladder's k lie in [1, m])
+    vals = sorted_eigenvalues(spec)
     for k in _ladder(n, spec.size):
-        rep = k_test(spec, k)
+        total = partial_sum(vals, k)
         records.append({
             "name": f"k_test[{k:g}]",
             "anchor": "fractional-partial-sum-test",
             "status": "info",
             "residual": None,
-            "values": {"k": k, "partial_sum": rep.partial_sum,
-                       "nonneg": rep.nonneg, "positive": rep.positive},
+            "values": {"k": k, "partial_sum": total,
+                       "nonneg": total >= 0.0, "positive": total > 0.0},
         })
     config = {"space": args.space}
     return make_envelope("spectrum", config, records)

@@ -3,8 +3,10 @@ weight principle for weighted eigenvalue sums.
 
 The eigensolver is LAPACK's Hermitian driver (numpy.linalg.eigh) on the
 matrix prescaled by max|H|.  Eigenvalues come out ascending, and each
-eigenvector column is phase-fixed so its largest-magnitude entry is real
-positive; with BLAS pinned to one thread the output is byte-deterministic.
+eigenvector column is phase-fixed so its largest-magnitude entry (the first
+one, on a tie) is real positive: one argmax over |V| picks every column's
+pivot and one broadcast multiply applies the phases.  With BLAS pinned to
+one thread the output is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -118,13 +120,15 @@ def eigensystem(H: np.ndarray, source: str = "") -> Spectrum:
 
 
 def _phase_fix(V: np.ndarray) -> np.ndarray:
-    out = V.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if abs(col[i]) > 0:
-            out[:, j] = col * (np.conj(col[i]) / abs(col[i]))
-    return out
+    """V with each column multiplied by the phase that makes its pivot, the
+    first entry of largest magnitude, real positive; a zero column stays."""
+    cols = np.arange(V.shape[1])
+    mag = np.abs(V)
+    rows = np.argmax(mag, axis=0)
+    size = mag[rows, cols]
+    phase = np.ones(V.shape[1], dtype=V.dtype)
+    np.divide(np.conj(V[rows, cols]), size, out=phase, where=size > 0)
+    return V * phase
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .frames import (
     _frozen,
     _generators,
     _permutations,
+    _subset_rank,
     apply_derivation,
     derivation_coords,
     family_mats,
@@ -99,12 +100,11 @@ def _annihilation_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     ``J minus J_s`` among the sorted (k-1)-subsets, and ``sign[J, s] = (-1)^s``,
     so that ``iota(e_{J_s}) e^J = (-1)^s e^{J minus J_s}``.
     """
-    subsets = list(itertools.combinations(range(d), k))
-    where = {key: i for i, key in enumerate(itertools.combinations(range(d), k - 1))}
-    removed = np.array(subsets, dtype=np.intp)
-    rest = np.array([[where[key[:s] + key[s + 1:]] for s in range(k)] for key in subsets],
-                    dtype=np.intp)
-    sign = np.tile((-1.0) ** np.arange(k), (len(subsets), 1))
+    count = math.comb(d, k)
+    removed = np.array(list(itertools.combinations(range(d), k)), dtype=np.intp).reshape(count, k)
+    others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # slots but s
+    rest = _subset_rank(d, removed[:, others])
+    sign = np.tile((-1.0) ** np.arange(k), (count, 1))
     return _frozen(np.ravel_multi_index(removed.T, (d,) * k), removed, rest, sign)
 
 

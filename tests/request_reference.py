@@ -1,0 +1,110 @@
+"""The per-item loops that the certify and spectrum requests ran before they
+became array operations, kept as references that only the tests use: the
+per-column eigenvector phase fix, the Fraction-valued Upsilon, the per-cell
+certificate, the per-k k-test ladder and the per-entry Calabi file reader.
+``REFERENCE_LOOPS`` lists where each one plugs in."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from calabi_lab import certify as ct
+from calabi_lab import cli, spectral
+from calabi_lab.certify import Certificate, Verdict, _status
+from calabi_lab.spectral import k_test, partial_sum, sorted_eigenvalues
+
+
+def phase_fix_per_column(V: np.ndarray) -> np.ndarray:
+    out = V.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        i = int(np.argmax(np.abs(col)))
+        if abs(col[i]) > 0:
+            out[:, j] = col * (np.conj(col[i]) / abs(col[i]))
+    return out
+
+
+def upsilon_fraction(n: int, p: int, q: int) -> float:
+    """Upsilon_{p,q} through Fraction arithmetic on the min-branch."""
+    num = (p + q) * (n + 1) - 2 * p * q
+    lo, hi = min(p, q), max(p, q)
+    root = math.isqrt(p * q)
+    if lo == 0:
+        exact = Fraction(0)
+    elif hi >= 4 * lo:
+        exact = Fraction(lo)
+    elif root * root == p * q:
+        exact = Fraction(root, 2)
+    else:
+        return num / (2.0 + 4.0 * (math.sqrt(p * q) / 2.0))
+    return float(Fraction(num) / (2 + 4 * exact))
+
+
+def certify_per_cell(mode, spec, n, threshold_of, eps) -> Certificate:
+    """``_certify`` with one threshold and one partial sum per bidegree."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"strictness margin eps must be finite and >= 0, got {eps!r}")
+    vals = sorted_eigenvalues(spec)
+    m = len(vals)
+    scale = float(np.max(np.abs(vals))) if m else 0.0
+    eps_scale = eps * max(scale, 1e-300)
+
+    verdicts = {}
+    for p in range(n + 1):
+        for q in range(n + 1):
+            if p + q < 1 or p + q > n:
+                continue
+            k = min(float(threshold_of(p, q)), float(m))
+            total = partial_sum(vals, k)
+            verdicts[(p, q)] = Verdict(_status(total, eps_scale), k, total, "direct")
+    for p in range(n + 1):
+        for q in range(n + 1):
+            if p + q <= n or p + q > 2 * n - 1:
+                continue
+            src = verdicts[(n - p, n - q)]
+            verdicts[(p, q)] = Verdict(src.status, src.k, src.partial_sum, "serre-dual")
+
+    summary = all(
+        verdicts[(p, q)].status == "vanishes"
+        for p in range(n + 1)
+        for q in range(n + 1)
+        if 1 <= p + q <= n
+    )
+    return Certificate(mode, n, tuple(float(v) for v in vals), verdicts, summary)
+
+
+def ladder_k_test(vals, k: float) -> float:
+    """One rung of the spectrum ladder as a full k-test, which checks the
+    order and k on every call."""
+    return k_test(vals, k).partial_sum
+
+
+def calabi_matrix_per_entry(data: dict) -> np.ndarray:
+    n = data["n"]
+    m = n * (n + 1) // 2
+    tri = data["hermitian"]
+    if len(tri) != m * (m + 1) // 2:
+        raise ValueError(
+            f"hermitian upper triangle for n={n} needs {m * (m + 1) // 2} entries, got {len(tri)}")
+    h = np.zeros((m, m), dtype=complex)
+    it = enumerate(tri)
+    for i in range(m):
+        for j in range(i, m):
+            pos, entry = next(it)
+            re, im = cli._numbers(entry, 2, f"hermitian entry {pos} ([re, im] of ({i + 1}, {j + 1}))")
+            h[i, j] = complex(re, im)
+            h[j, i] = complex(re, -im)
+    return h
+
+
+# (module, name, reference) for monkeypatch.setattr
+REFERENCE_LOOPS = (
+    (spectral, "_phase_fix", phase_fix_per_column),
+    (ct, "upsilon", upsilon_fraction),
+    (ct, "_certify", certify_per_cell),
+    (cli, "partial_sum", ladder_k_test),
+    (cli, "_calabi_matrix_from_input", calabi_matrix_per_entry),
+)

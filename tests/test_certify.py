@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from calabi_lab import certify as ct
 from calabi_lab.certify import (
     certify_calabi,
     certify_ke,
@@ -20,6 +21,7 @@ from calabi_lab.curvature import calabi_from_tensor, kaehler_operator, restrict_
 from calabi_lab.model_spaces import (chsc, quadric, quadric_spectrum, random_kaehler,
                                      random_kaehler_einstein)
 from calabi_lab.spectral import eigensystem, k_test
+from request_reference import certify_per_cell, upsilon_fraction
 
 
 def test_threshold_closed_forms():
@@ -178,3 +180,39 @@ def test_certificate_refuses_an_unsorted_spectrum():
     vals[-1] = -vals[-1]
     with pytest.raises(ValueError, match="eigenvalues must be sorted ascending"):
         certify_ke(dataclasses.replace(eigensystem(np.eye(8)), eigenvalues=vals), 3)
+
+
+def test_upsilon_matches_fraction_reference():
+    """The integer ratio gives the float of the Fraction-valued Upsilon, for
+    every cell at every n <= 64."""
+    for n in range(1, 65):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                if (p, q) != (0, 0):
+                    assert upsilon(n, p, q) == upsilon_fraction(n, p, q), (n, p, q)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_certificates_match_per_cell_reference(n, monkeypatch):
+    """One partial sum per distinct k gives the certificate of one partial
+    sum per bidegree, in both modes: the Calabi and restricted Kaehler
+    spectra of chsc, the quadric and a random Kaehler-Einstein tensor, the
+    Calabi spectrum of a random Kaehler tensor (which is not Einstein, so a
+    random Hermitian spectrum of the su(n) size stands in for it in KE
+    mode), at the default margin and at 0."""
+    rng = np.random.default_rng(40 + n)
+    h = rng.normal(size=(n * n - 1,) * 2)
+    calabi = [calabi_from_tensor(t).spectrum()
+              for t in (chsc(n, 1.5), quadric(n), random_kaehler(n, 6),
+                        random_kaehler_einstein(n, 6))]
+    ke = [restrict_su(kaehler_operator(t), ricci(t)).spectrum()
+          for t in (chsc(n, 1.5), quadric(n), random_kaehler_einstein(n, 6))]
+    ke.append(eigensystem(h + h.T))
+    runs = [(certify, spec, eps) for certify, specs in ((certify_calabi, calabi),
+                                                        (certify_ke, ke))
+            for spec in specs for eps in (ct.STRICTNESS_EPS, 0.0)]
+    got = [certify(spec, n, eps=eps) for certify, spec, eps in runs]
+    monkeypatch.setattr(ct, "_certify", certify_per_cell)
+    assert got == [certify(spec, n, eps=eps) for certify, spec, eps in runs]
+    assert {v.status for cert in got for v in cert.verdicts.values()} == {
+        "vanishes", "parallel-only", "not-certified"}

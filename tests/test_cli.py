@@ -774,3 +774,141 @@ def test_import_builds_no_parser():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(calabi_lab.__file__))))
     assert proc.stdout.split() == ["0", "0"]
+
+
+def _hermitian_payload(n, rng, integral=False):
+    """A calabi payload for a random Hermitian matrix: its upper triangle as
+    [re, im] pairs, with whole numbers when ``integral``, and the matrix."""
+    m = n * (n + 1) // 2
+    a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    h = np.round(4 * (a + a.conj().T)) if integral else a + a.conj().T
+    number = int if integral else float
+    tri = [[number(h[i, j].real), number(h[i, j].imag)] for i in range(m) for j in range(i, m)]
+    return {"kind": "calabi", "n": n, "hermitian": tri}
+
+
+def test_calabi_reader_matches_per_entry_reference(tmp_path, monkeypatch, capsys):
+    """The array reader gives the per-entry reader's matrix, bit for bit
+    (signed zeros included), on float, integer and mixed entries; on each
+    malformed payload both exit 2 with the same error text."""
+    from calabi_lab import cli
+    from request_reference import calabi_matrix_per_entry
+
+    rng = np.random.default_rng(77)
+    payloads = [_hermitian_payload(n, rng, integral=n % 2 == 0) for n in range(1, 7)]
+    mixed = _hermitian_payload(2, rng)
+    mixed["hermitian"][:5] = [[-0.0, -0.0], [-0.0, 0], [2 ** 53 + 1, -0.0], [7, 0], [3, 10 ** 300]]
+    payloads.append(mixed)
+    for data in payloads:
+        got, want = cli._calabi_matrix_from_input(data), calabi_matrix_per_entry(data)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    good = [[1.0, 0.0], [0.5, 0.25], [0.0, 0.0], [1.0, 0.0], [0.0, 0.1], [1.5, 0.0]]
+    bad_entries = {"bool": [True, 0.0], "string": ["x", 0.0], "three": [1.0, 0.0, 2.0],
+                   "nested": [[1.0], 0.0], "huge": [10 ** 400, 0]}
+    cases = [good[:2] + [entry] + good[3:] for entry in bad_entries.values()]
+    cases += [good[:5], good + [[1.0, 0.0]], [5] + good[1:]]
+    for pos, tri in enumerate(cases):
+        path = tmp_path / f"bad{pos}.json"
+        path.write_text(json.dumps({"kind": "calabi", "n": 2, "hermitian": tri}))
+        errors = []
+        for reader in (cli._calabi_matrix_from_input, calabi_matrix_per_entry):
+            monkeypatch.setattr(cli, "_calabi_matrix_from_input", reader)
+            for argv in (["certify", "--space", f"file:{path}"],
+                         ["certify", "--space", f"file:{path}", "--mode", "ke"],
+                         ["spectrum", "--space", f"file:{path}"]):
+                assert main(argv) == 2
+                errors.append(capsys.readouterr().err)
+        assert errors[:3] == errors[3:], tri
+        assert errors[0].startswith("error: hermitian ")
+
+
+@pytest.mark.parametrize("tri, entry", [
+    ([[1.0, 0.5]], "hermitian entry 0 ([re, im] of (1, 1))"),
+    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, -1e-6]],
+     "hermitian entry 5 ([re, im] of (3, 3))"),
+    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 5.1e-11], [0.0, 0.0], [1.0, 0.0]],
+     "hermitian entry 3 ([re, im] of (2, 2))"),
+])
+def test_file_input_names_a_non_real_diagonal_entry(tri, entry, tmp_path, capsys):
+    """A diagonal entry with an imaginary part beyond the eigensolver's
+    Hermitian tolerance is refused by the reader, which names it, in both
+    modes and in spectrum."""
+    n = 1 if len(tri) == 1 else 2
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"kind": "calabi", "n": n, "hermitian": tri}))
+    for argv in (["certify", "--space", f"file:{path}"],
+                 ["certify", "--space", f"file:{path}", "--mode", "ke"],
+                 ["spectrum", "--space", f"file:{path}"]):
+        _assert_usage_error(argv, capsys, f"{entry} is on the diagonal, so it must be real")
+
+
+@pytest.mark.parametrize("im", [1e-13, -4.9e-11])
+def test_file_input_keeps_a_diagonal_within_the_tolerance(im, tmp_path, capsys):
+    """An imaginary part on the diagonal within the eigensolver's Hermitian
+    tolerance (2|im| <= 1e-10 here; 5.1e-11 is refused above) is accepted as
+    before: the identity at n = 2 with it on (1, 1)."""
+    tri = [[1.0, im], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"kind": "calabi", "n": 2, "hermitian": tri}))
+    for cmd in ("certify", "spectrum"):
+        assert main([cmd, "--space", f"file:{path}", "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert records[0]["values"]["eigenvalues"] == [1.0, 1.0, 1.0]
+    assert records[1:] and all(r["values"]["positive"] for r in records[1:])
+
+
+def _request_outputs(argvs, capsys):
+    outputs = []
+    for argv in argvs:
+        code = main(argv)
+        outputs.append((code, *capsys.readouterr()))
+    return outputs
+
+
+def test_spectrum_ladder_matches_per_k_k_test_reference(tmp_path, monkeypatch, capsys):
+    """Each rung of the spectrum ladder, a bare partial sum after one order
+    check, reports what a full k-test per rung reported."""
+    from calabi_lab import cli
+    from request_reference import ladder_k_test
+
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(_hermitian_payload(3, np.random.default_rng(5))))
+    argvs = [["spectrum", "--space", space, "--format", "json"]
+             for space in ("chsc:n=4,c=0.5", "quadric:n=5", "flat:k=2", "random:n=6,seed=3",
+                           "quadric:n=3,c=-1", f"file:{path}")]
+    got = _request_outputs(argvs, capsys)
+    monkeypatch.setattr(cli, "partial_sum", ladder_k_test)
+    assert got == _request_outputs(argvs, capsys)
+    assert all(code == 0 for code, _, _ in got)
+
+
+def test_request_outputs_match_reference_loops(tmp_path, monkeypatch, capsys):
+    """certify (both modes) and spectrum requests over every kind of space
+    give the same bytes as with every replaced per-item loop put back: the
+    per-column phase fix, the Fraction Upsilon, the per-cell certificate,
+    the per-k ladder and the per-entry file reader."""
+    from request_reference import REFERENCE_LOOPS
+
+    rng = np.random.default_rng(2024)
+    files = []
+    for n in (2, 4):
+        files.append(tmp_path / f"cal{n}.json")
+        files[-1].write_text(json.dumps(_hermitian_payload(n, rng, integral=n == 4)))
+    spaces = ["chsc:n=2,c=0.75", "quadric:n=3", "random:n=4,seed=11", "randomke:n=5,seed=12",
+              "quadric:n=6", f"file:{files[0]}", f"file:{files[1]}",
+              "product:[chsc:n=1;quadric:n=2]"]
+    einstein = {"chsc:n=2,c=0.75", "quadric:n=3", "randomke:n=5,seed=12", "quadric:n=6"}
+    argvs = []
+    for pos, space in enumerate(spaces):
+        fmt = ("json", "table")[pos % 2]
+        argvs += [["certify", "--space", space, "--format", fmt],
+                  ["spectrum", "--space", space, "--format", ("json", "table")[pos % 2 - 1]]]
+        if space in einstein:
+            argvs.append(["certify", "--space", space, "--mode", "ke", "--format", fmt])
+    argvs.append(["thresholds", "--n", "6", "--format", "json"])
+    got = _request_outputs(argvs, capsys)
+    for owner, name, reference in REFERENCE_LOOPS:
+        monkeypatch.setattr(owner, name, reference)
+    assert got == _request_outputs(argvs, capsys)
+    assert len(argvs) >= 20 and all(code == 0 and out and not err for code, out, err in got)

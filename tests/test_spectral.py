@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from calabi_lab.spectral import (
     ConvergenceFailure,
     NotHermitian,
+    _phase_fix,
     eigensystem,
     k_test,
     takagi,
     weight_principle,
 )
+from request_reference import phase_fix_per_column
 
 
 def random_hermitian(rng, m):
@@ -52,6 +54,30 @@ def test_eigensystem_deterministic():
     s1, s2 = eigensystem(h), eigensystem(h)
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
     assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+
+
+@pytest.mark.parametrize("m", [3, 10, 36, 63])
+def test_phase_fix_matches_per_column_reference(m):
+    """The broadcast phase fix picks the per-column loop's pivot (the first
+    entry of largest magnitude) in every column, makes it real and
+    nonnegative, and agrees with the loop to 2 ulps of the unit columns;
+    a zero column stays zero."""
+    rng = np.random.default_rng(20 + m)
+    _, vecs = np.linalg.eigh(random_hermitian(rng, m))
+    tie = np.zeros((m, 3), dtype=complex)
+    tie[:2, 0] = [0.6j, -0.6]        # two pivots of equal magnitude: the first wins
+    tie[m - 1, 1] = -1.0 + 0.0j      # one nonzero entry, at the end
+    for V in (vecs, np.concatenate([vecs[:, 1:], tie], axis=1)):
+        got, want = _phase_fix(V), phase_fix_per_column(V)
+        pivots = np.argmax(np.abs(V), axis=0)
+        cols = np.arange(V.shape[1])
+        assert np.array_equal(np.argmax(np.abs(got), axis=0), pivots)
+        assert np.array_equal(np.argmax(np.abs(want), axis=0), pivots)
+        assert np.all(got[pivots, cols].real >= 0.0)
+        assert np.all(np.abs(got[pivots, cols].imag) <= 1e-16)
+        assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps
+    assert np.array_equal(got[:, -1], np.zeros(m))
+    assert got[:2, -3].tolist() == [0.6, 0.6j]
 
 
 def test_eigensystem_rejects_non_hermitian():

@@ -1,5 +1,6 @@
 """The Lichnerowicz curvature term and the action estimates."""
 
+import itertools
 import math
 import string
 import tracemalloc
@@ -304,6 +305,28 @@ def test_pair_oracle_matches_double_annihilation(n):
             assert np.max(np.abs(ricl_bruteforce(t, x, k) - ref)) <= 1e-12 * scale
             single = np.array([ricl_bruteforce(t, row[None], k)[0] for row in x])
             assert np.max(np.abs(single - ref)) <= 1e-12 * scale
+
+
+def _annihilation_table_reference(d, k):
+    """``wz._annihilation_table`` through a dict over the (k-1)-subsets and a
+    per-subset lookup of each J minus J_s."""
+    subsets = list(itertools.combinations(range(d), k))
+    where = {key: i for i, key in enumerate(itertools.combinations(range(d), k - 1))}
+    removed = np.array(subsets, dtype=np.intp)
+    rest = np.array([[where[key[:s] + key[s + 1:]] for s in range(k)] for key in subsets],
+                    dtype=np.intp)
+    sign = np.tile((-1.0) ** np.arange(k), (len(subsets), 1))
+    return np.ravel_multi_index(removed.T, (d,) * k), removed, rest, sign
+
+
+def test_annihilation_table_matches_dict_reference():
+    """The ranked table equals the dict-built one, array for array (shape,
+    dtype and entries), for every d <= 10 and k = 1..d."""
+    for d in range(1, 11):
+        for k in range(1, d + 1):
+            for got, want in zip(wz._annihilation_table(d, k), _annihilation_table_reference(d, k)):
+                assert got.dtype == want.dtype and got.shape == want.shape, (d, k)
+                assert np.array_equal(got, want), (d, k)
 
 
 @pytest.mark.parametrize("d", [2, 4, 7])
