@@ -222,7 +222,7 @@ def _calabi_matrix_from_input(data: dict) -> np.ndarray:
         for pos, entry in enumerate(tri):
             _numbers(entry, 2, name(pos))
     z = parts.view(complex)[:, 0]
-    # the calabi route's own Hermitian test (see eigensystem): off the diagonal
+    # the one Hermitian test (see spectral.require_hermitian): off the diagonal
     # the lower triangle is the conjugate, so only diagonal imaginary parts
     # can fail it (non-finite entries pass here and are refused there)
     on_diag = np.flatnonzero(rows == cols)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CalabiLabError
 from .frames import (E_BLOCK, Z_BLOCK, FrameConvention, _frozen, change_pairs,
                      lambda11_basis_labels, sym2_basis_labels)
-from .spectral import NotHermitian, Spectrum, eigensystem, require_finite
+from .spectral import NotHermitian, Spectrum, eigensystem, require_finite, require_hermitian
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -53,7 +53,7 @@ __all__ = [
     "inject_sign_bug",
 ]
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10  # relative to max(1, max|R|), in validate_tensor and ricci
 
 # internal mutation hook for the non-vacuousness test: when enabled,
 # calabi_from_tensor flips the sign of the (0, 0) entry of the assembled matrix
@@ -93,7 +93,8 @@ class NotEinstein(CalabiLabError, ValueError):
 
 @dataclass
 class AlgebraicCurvatureTensor:
-    """Validated real curvature tensor R_ijkl on R^{2n} (0-based indices)."""
+    """Real curvature tensor R_ijkl on R^{2n} (0-based indices); its flags and
+    residuals are measured by validate_tensor, or flags set by construction."""
 
     convention: FrameConvention
     components: np.ndarray
@@ -113,22 +114,21 @@ class AlgebraicCurvatureTensor:
         return self._complexified
 
     def scaled(self, c: float) -> "AlgebraicCurvatureTensor":
-        """c R, keeping the validation flags; c must be finite."""
+        """c R, keeping the flags (not the residuals); c must be finite."""
         if not math.isfinite(c):
             raise ValueError(f"scale factor must be a finite number, got {c!r}")
         return AlgebraicCurvatureTensor(
             self.convention, self.components * c,
-            self.bianchi_validated, self.kaehler_validated, dict(self.residuals))
+            self.bianchi_validated, self.kaehler_validated)
 
 
-def validate_tensor(components: np.ndarray, convention: FrameConvention,
-                    require_kaehler: bool = False,
-                    tol: float = DEFAULT_TOL) -> AlgebraicCurvatureTensor:
+def validate_tensor(components: np.ndarray, convention: FrameConvention) -> AlgebraicCurvatureTensor:
     """Validate pair symmetries (mandatory), Bianchi and Kaehler (flagged).
 
     Raises SymmetryViolation naming the identity and the worst index tuple
     when a pair symmetry fails; Bianchi and Kaehler failures only clear the
-    corresponding flags unless require_kaehler is set.
+    corresponding flags.  Run where a tensor enters: file input,
+    random_riemannian and verify's validator checks.
     """
     # C order, so that the (2, n) splits of the J check below are views
     r = np.ascontiguousarray(components, dtype=float)
@@ -149,14 +149,14 @@ def validate_tensor(components: np.ndarray, convention: FrameConvention,
                            ("pair_exchange", np.subtract, (2, 3, 0, 1))):
         op(r, r.transpose(axes), out=buf)
         residuals[name] = worst()
-        if residuals[name] > tol * scale:
+        if residuals[name] > DEFAULT_TOL * scale:
             idx = np.unravel_index(int(np.argmax(buf)), buf.shape)
             raise SymmetryViolation(name, tuple(int(i) for i in idx), residuals[name])
 
     np.add(r, r.transpose(1, 2, 0, 3), out=buf)
     np.add(buf, r.transpose(2, 0, 1, 3), out=buf)
     residuals["bianchi"] = worst()
-    bianchi_ok = residuals["bianchi"] <= tol * scale
+    bianchi_ok = residuals["bianchi"] <= DEFAULT_TOL * scale
 
     # J e_a = e_{a+n}, J e_{a+n} = -e_a on both slots of a pair: split each
     # slot as (2, n), swap its halves and negate where the two slots of the
@@ -172,12 +172,7 @@ def validate_tensor(components: np.ndarray, convention: FrameConvention,
         np.subtract(out, view, out=out)
         residuals[name] = worst()
     kaehler_ok = bianchi_ok and max(
-        residuals["kaehler_first_pair"], residuals["kaehler_second_pair"]) <= tol * scale
-
-    if require_kaehler and not kaehler_ok:
-        raise NotKaehler(
-            f"Kaehler symmetry residuals {residuals['kaehler_first_pair']:.3e}, "
-            f"{residuals['kaehler_second_pair']:.3e}, bianchi {residuals['bianchi']:.3e}")
+        residuals["kaehler_first_pair"], residuals["kaehler_second_pair"]) <= DEFAULT_TOL * scale
     return AlgebraicCurvatureTensor(convention, r, bianchi_ok, kaehler_ok, residuals)
 
 
@@ -197,9 +192,6 @@ class CurvatureOperatorMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def hermitian_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
     def spectrum(self) -> Spectrum:
         return eigensystem(self.matrix, source=self.kind)
@@ -281,33 +273,28 @@ def calabi_block(h: np.ndarray, n: int) -> np.ndarray:
 
 
 def tensor_from_calabi(matrix: np.ndarray | CurvatureOperatorMatrix,
-                       convention: FrameConvention,
-                       tol: float = DEFAULT_TOL) -> AlgebraicCurvatureTensor:
+                       convention: FrameConvention) -> AlgebraicCurvatureTensor:
     """The unique Kaehler curvature tensor whose Calabi operator is the given
     Hermitian matrix (the Calabi--Vesentini correspondence).
 
-    The (Z, conj Z, Z, conj Z) block is read off the matrix; its four pair
-    swaps, mapped to the real frame by columns of E_BLOCK, give the whole
-    real tensor as one (16, 4) x (4, n^4) product and one transpose from
-    the layout (h1, h2, h3, h4, a, b, c, d) to (h1, a, h2, b, h3, c, h4, d).
+    The (m, m) matrix must pass require_hermitian; the (Z, conj Z, Z, conj Z)
+    block is read off its Hermitian part.  Its four pair swaps, mapped to the
+    real frame by columns of E_BLOCK, give the whole real tensor, Kaehler with
+    Bianchi by construction, as one (16, 4) x (4, n^4) product and one
+    transpose from (h1, h2, h3, h4, a, b, c, d) to (h1, a, h2, b, h3, c, h4, d).
     """
     h = matrix.matrix if isinstance(matrix, CurvatureOperatorMatrix) else np.asarray(matrix, dtype=complex)
     n = convention.n
     m = n * (n + 1) // 2
     if h.shape != (m, m):
         raise NotHermitian(f"expected a {m}x{m} matrix for n={n}, got {h.shape}")
-    require_finite(h, "Calabi matrix")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
-        raise NotHermitian("Calabi matrix must be Hermitian")
-
-    qm = calabi_block(h, n)
+    require_hermitian(h, "Calabi matrix")
+    # halves first: 0.5 * (h + h^H) would overflow near the float64 limit
+    qm = calabi_block(0.5 * h + 0.5 * h.conj().T, n)
     swaps = np.stack([qm.transpose(axes) for axes in _SWAP_AXES]).reshape(4, n ** 4)
-    re = _SWAP_COEF @ swaps
-    if np.max(np.abs(re.imag)) > 1e-10 * scale:
-        raise NotHermitian("reconstructed tensor is not real; input matrix malformed")
-    re = re.real.reshape((2, 2, 2, 2) + (n,) * 4).transpose(0, 4, 1, 5, 2, 6, 3, 7)
-    return validate_tensor(re.reshape((2 * n,) * 4), convention, require_kaehler=True, tol=tol)
+    re = (_SWAP_COEF @ swaps).real.reshape((2, 2, 2, 2) + (n,) * 4)
+    r = np.ascontiguousarray(re.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape((2 * n,) * 4))
+    return AlgebraicCurvatureTensor(convention, r, True, True)
 
 
 def kaehler_operator(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
@@ -325,12 +312,9 @@ def kaehler_operator(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
 
 
 def omega_coords(n: int) -> np.ndarray:
-    """Unit-norm coordinates of the Kaehler direction in the Lambda^{1,1} basis."""
-    w = np.zeros(n * n, dtype=complex)
-    for nu, (a, b) in enumerate(lambda11_basis_labels(n)):
-        if a == b:
-            w[nu] = 1.0j / math.sqrt(n)
-    return w
+    """Unit-norm coordinates of the Kaehler direction in the Lambda^{1,1} basis
+    (row-major in (a, b), so the pairs (a, a) are the diagonal of an n x n grid)."""
+    return np.eye(n, dtype=complex).ravel() * (1.0j / math.sqrt(n))
 
 
 @lru_cache(maxsize=None)
@@ -396,8 +380,9 @@ def r1_r2_operators(t: AlgebraicCurvatureTensor) -> tuple[CurvatureOperatorMatri
     )
 
 
-def ricci(t: AlgebraicCurvatureTensor, tol: float = DEFAULT_TOL) -> RicciData:
-    """Ricci contraction Ric_ij = sum_k R_kikj and Einstein detection."""
+def ricci(t: AlgebraicCurvatureTensor) -> RicciData:
+    """Ricci contraction Ric_ij = sum_k R_kikj and Einstein detection, at
+    DEFAULT_TOL relative to max(1, max|Ric|)."""
     with np.errstate(over="ignore", invalid="ignore"):
         ric = np.einsum("kikj->ij", t.components)
         scal = float(np.trace(ric))
@@ -406,7 +391,7 @@ def ricci(t: AlgebraicCurvatureTensor, tol: float = DEFAULT_TOL) -> RicciData:
     if not math.isfinite(resid):
         raise ValueError(f"the Ricci tensor overflows float64 (curvature tensor entries up "
                          f"to {float(np.max(np.abs(t.components))):.3g} in magnitude)")
-    einstein = lam if resid <= tol * max(1.0, float(np.max(np.abs(ric)))) else None
+    einstein = lam if resid <= DEFAULT_TOL * max(1.0, float(np.max(np.abs(ric)))) else None
     return RicciData(ric, scal, einstein)
 
 

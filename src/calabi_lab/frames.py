@@ -545,21 +545,24 @@ class FormPQ:
 # real forms
 # ---------------------------------------------------------------------------
 
+SELF_CONJUGATE_TOL = 1e-12
+
+
 class RealForm:
     """A conjugation-invariant element of Lambda^{p,q} + Lambda^{q,p}.
 
     For p != q the stored (p,q)-piece is phi and the represented object is
     psi = phi + conj(phi), with |psi|^2 = 2 |phi|^2.  For p = q the stored
-    form must itself be self-conjugate.
+    form must itself be self-conjugate, to SELF_CONJUGATE_TOL relative to |phi|.
     """
 
     __slots__ = ("phi", "_dense", "_coords")
 
-    def __init__(self, phi: FormPQ, tol: float = 1e-12):
+    def __init__(self, phi: FormPQ):
         if phi.p == phi.q:
             delta = phi - phi.conjugate()
             scale = math.sqrt(phi.norm_sq()) or 1.0
-            if math.sqrt(delta.norm_sq()) > tol * scale:
+            if math.sqrt(delta.norm_sq()) > SELF_CONJUGATE_TOL * scale:
                 raise FrameError("a (p,p) real form must be self-conjugate")
         self.phi = phi
         self._dense = None

@@ -1,4 +1,5 @@
-"""Curvature tensors of the reference geometries.
+"""Curvature tensors of the reference geometries.  Each builder sets the
+symmetry flags by construction: validate_tensor checks input where it enters.
 
 Constant holomorphic sectional curvature comes straight from the operator
 correspondence (Calabi matrix = c * Id).  The complex quadric is built as the
@@ -20,7 +21,6 @@ from .curvature import (
     calabi_from_tensor,
     ricci,
     tensor_from_calabi,
-    validate_tensor,
 )
 from .errors import CalabiLabError
 from .frames import FrameConvention, family_mats
@@ -104,7 +104,7 @@ def chsc(n: int, c: float = 1.0) -> AlgebraicCurvatureTensor:
 
 def flat_torus(n: int) -> AlgebraicCurvatureTensor:
     conv = FrameConvention(n)
-    return validate_tensor(np.zeros((conv.dim,) * 4), conv)
+    return AlgebraicCurvatureTensor(conv, np.zeros((conv.dim,) * 4), True, True)
 
 
 def product(factors: list[AlgebraicCurvatureTensor]) -> AlgebraicCurvatureTensor:
@@ -121,7 +121,8 @@ def product(factors: list[AlgebraicCurvatureTensor]) -> AlgebraicCurvatureTensor
         ])
         r[np.ix_(gmap, gmap, gmap, gmap)] += t.components
         offset += nf
-    return validate_tensor(r, conv)
+    return AlgebraicCurvatureTensor(conv, r, all(t.bianchi_validated for t in factors),
+                                    all(t.kaehler_validated for t in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def _quadric_raw(n: int) -> AlgebraicCurvatureTensor:
     brackets = prod - prod.transpose(1, 0, 2, 3)
     # <X, Y> = -tr(XY) / 2; every entry is an exact half-integer
     r = -0.5 * np.tensordot(brackets, brackets, axes=([2, 3], [3, 2]))
-    return validate_tensor(r, conv)
+    return AlgebraicCurvatureTensor(conv, r, True, True)
 
 
 def quadric(n: int, scale: float = 1.0) -> AlgebraicCurvatureTensor:
@@ -200,8 +201,8 @@ def random_kaehler_einstein(n: int, seed: int, tol: float = 1e-10,
     Ricci part out through the equivariant family h -> (h Shat + Shat h^T).
 
     The Ricci block is linear in the Calabi matrix, so the projection runs on
-    the m x m matrix of random_kaehler(n, seed); the tensor is built and
-    validated once, from the projected matrix.
+    the m x m matrix of random_kaehler(n, seed); the tensor is built once,
+    from the projected matrix.
     """
     calabi = _random_calabi(n, seed)
     for _ in range(max_iter):

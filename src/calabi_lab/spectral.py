@@ -6,7 +6,8 @@ matrix prescaled by max|H|.  Eigenvalues come out ascending, and each
 eigenvector column is phase-fixed so its largest-magnitude entry (the first
 one, on a tie) is real positive: one argmax over |V| picks every column's
 pivot and one broadcast multiply applies the phases.  With BLAS pinned to
-one thread the output is byte-deterministic.
+one thread the output is byte-deterministic.  Its input test,
+require_hermitian, is also curvature.tensor_from_calabi's.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ __all__ = [
     "takagi",
 ]
 
-HERMITIAN_TOL = 1e-10
+HERMITIAN_TOL = 1e-10  # relative to max(1, max|H|), in require_hermitian
+WEIGHT_TOL = 1e-9  # weight_principle's test of its weights, relative
 
 
 class NotHermitian(CalabiLabError, ValueError):
@@ -88,6 +90,20 @@ def require_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has non-finite entries (NaN or infinity)")
 
 
+def require_hermitian(H: np.ndarray, what: str) -> float:
+    """max|H| of a nonempty, finite, square H within HERMITIAN_TOL of its
+    conjugate transpose; NotHermitian (ValueError if non-finite) otherwise."""
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise NotHermitian(f"expected a square matrix, got shape {H.shape}")
+    if H.size == 0:
+        raise NotHermitian("expected a nonempty matrix, got the empty 0 x 0 matrix")
+    require_finite(H, what)
+    peak = float(np.max(np.abs(H)))
+    if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * max(1.0, peak):
+        raise NotHermitian(f"{what} must be Hermitian within tolerance")
+    return peak
+
+
 def eigensystem(H: np.ndarray, source: str = "") -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix by LAPACK (numpy eigh).
 
@@ -95,15 +111,7 @@ def eigensystem(H: np.ndarray, source: str = "") -> Spectrum:
     any finite scale; the eigenvalues are scaled back at the end.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {H.shape}")
-    if H.size == 0:
-        raise NotHermitian("expected a nonempty matrix, got the empty 0 x 0 matrix")
-    require_finite(H, "matrix")
-    peak = float(np.max(np.abs(H)))
-    if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * max(1.0, peak):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-
+    peak = require_hermitian(H, "matrix")
     unit = peak if peak > 0.0 else 1.0
     A = H / unit
     A = 0.5 * (A + A.conj().T)
@@ -186,7 +194,7 @@ def k_test(s: Spectrum | Sequence[float], k: float) -> PositivityReport:
 
 def weight_principle(s: Spectrum | Sequence[float], weights: Sequence[float],
                      total_weight: float, max_weight: float,
-                     kappa: float = 0.0, tol: float = 1e-9) -> WeightBound:
+                     kappa: float = 0.0) -> WeightBound:
     """Certified lower bound on sum_nu w_nu lambda_nu.
 
     Requires 0 <= w_nu <= max_weight, sum w_nu = total_weight, kappa <= 0 and
@@ -201,9 +209,9 @@ def weight_principle(s: Spectrum | Sequence[float], weights: Sequence[float],
     if kappa > 0:
         raise ValueError("kappa must be <= 0")
     scale = max(max_weight, 1.0)
-    if np.any(w < -tol * scale) or np.any(w > max_weight + tol * scale):
+    if np.any(w < -WEIGHT_TOL * scale) or np.any(w > max_weight + WEIGHT_TOL * scale):
         raise ValueError("weights must lie in [0, max_weight]")
-    if abs(float(np.sum(w)) - total_weight) > tol * max(total_weight, 1.0):
+    if abs(float(np.sum(w)) - total_weight) > WEIGHT_TOL * max(total_weight, 1.0):
         raise ValueError("weights must sum to total_weight")
     if max_weight <= 0:
         raise ValueError("max_weight must be positive")

@@ -454,6 +454,9 @@ def check_ricl_r2_split(t: AlgebraicCurvatureTensor, x: np.ndarray, p: int) -> d
 # the main estimate
 # ---------------------------------------------------------------------------
 
+ESTIMATE_TOL = 1e-10  # the main estimate's slack, relative to max(1, bound)
+
+
 def _min_constant(p: int, q: int) -> float:
     return min(p, q, math.sqrt(p * q) / 2.0)
 
@@ -466,7 +469,7 @@ class EstimateResult:
     satisfied: bool
 
 
-def estimate_bound(s: EndoC, psi: RealForm, tol: float = 1e-10) -> EstimateResult:
+def estimate_bound(s: EndoC, psi: RealForm) -> EstimateResult:
     """|S psi|^2 against (1/2 + min(p,q,sqrt(pq)/2)) |S|^2 |psi|^2, and the
     |psi^{sym2 V^{1,0}}|^2-phrased variant when psi is primitive."""
     if s.convention.n != psi.convention.n:
@@ -483,7 +486,7 @@ def estimate_bound(s: EndoC, psi: RealForm, tol: float = 1e-10) -> EstimateResul
         hat_norm = norm_phi_g(psi, "sym2_10")
         bound_prim = (2.0 + 4.0 * _min_constant(p, q)) / denom * s_norm * hat_norm
     scale = max(1.0, bound)
-    return EstimateResult(lhs, bound, bound_prim, lhs <= bound + tol * scale)
+    return EstimateResult(lhs, bound, bound_prim, lhs <= bound + ESTIMATE_TOL * scale)
 
 
 def _sym2_scores(parts: np.ndarray, hats: np.ndarray) -> np.ndarray:
@@ -498,7 +501,7 @@ def _sym2_scores(parts: np.ndarray, hats: np.ndarray) -> np.ndarray:
 
 
 def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: int,
-                      rng: np.random.Generator, tol: float = 1e-10) -> dict:
+                      rng: np.random.Generator) -> dict:
     """Random-pair stress test of the main estimate: n_psi primitive real forms
     against n_s symmetric elements each.  Returns violation counts and the
     largest ratio lhs/bound observed."""
@@ -519,7 +522,7 @@ def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: in
         bound = (0.5 + cmin) * s_norms * psi_norm
         bound_prim = (2.0 + 4.0 * cmin) / denom * s_norms * hat_norm
         tight = np.minimum(bound, bound_prim)
-        violations += int(np.sum(norms > tight + tol * np.maximum(1.0, tight)))
+        violations += int(np.sum(norms > tight + ESTIMATE_TOL * np.maximum(1.0, tight)))
         max_ratio = max(max_ratio, float(np.max(norms / np.maximum(bound, 1e-300))))
     return {"violations": violations, "samples": n_psi * n_s, "max_ratio": max_ratio}
 

@@ -845,9 +845,10 @@ def test_file_input_names_a_non_real_diagonal_entry(tri, entry, tmp_path, capsys
 
 @pytest.mark.parametrize("im", [1e-13, -4.9e-11])
 def test_file_input_keeps_a_diagonal_within_the_tolerance(im, tmp_path, capsys):
-    """An imaginary part on the diagonal within the eigensolver's Hermitian
-    tolerance (2|im| <= 1e-10 here; 5.1e-11 is refused above) is accepted as
-    before: the identity at n = 2 with it on (1, 1)."""
+    """An imaginary part on the diagonal within the one Hermitian tolerance
+    (2|im| <= 1e-10 here; 5.1e-11 is refused above) is accepted by certify
+    in both modes and by spectrum: the identity at n = 2 with it on (1, 1).
+    Certify in KE mode prints the bytes of the same file without it."""
     tri = [[1.0, im], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
     path = tmp_path / "diag.json"
     path.write_text(json.dumps({"kind": "calabi", "n": 2, "hermitian": tri}))
@@ -856,6 +857,48 @@ def test_file_input_keeps_a_diagonal_within_the_tolerance(im, tmp_path, capsys):
         records = json.loads(capsys.readouterr().out)["records"]
         assert records[0]["values"]["eigenvalues"] == [1.0, 1.0, 1.0]
     assert records[1:] and all(r["values"]["positive"] for r in records[1:])
+    ke = ["certify", "--space", f"file:{path}", "--mode", "ke", "--format", "json"]
+    assert main(ke) == 0
+    with_im = capsys.readouterr().out
+    path.write_text(json.dumps({"kind": "calabi", "n": 2, "hermitian": [[1.0, 0.0]] + tri[1:]}))
+    assert main(ke) == 0
+    assert capsys.readouterr().out == with_im
+
+
+def _einstein_calabi_matrices():
+    from calabi_lab.curvature import calabi_from_tensor
+    from calabi_lab.model_spaces import quadric
+
+    return {"identity-n2": (2, np.eye(3)), "chsc-n3-c1.5": (3, 1.5 * np.eye(6)),
+            "quadric-n3": (3, calabi_from_tensor(quadric(3)).matrix)}
+
+
+@pytest.mark.parametrize("im", [0.0, 1e-13, -4.9e-11, 5.1e-11])
+@pytest.mark.parametrize("name", ["identity-n2", "chsc-n3-c1.5", "quadric-n3"])
+def test_calabi_and_ke_modes_accept_the_same_file_inputs(name, im, tmp_path, capsys):
+    """An Einstein Calabi matrix written as a file payload, with an imaginary
+    part on one diagonal entry, gets one verdict from the one Hermitian test:
+    certify in both modes and spectrum all exit 0, or all exit 2.  Where
+    they accept, each prints the bytes of the same file without it."""
+    n, h = _einstein_calabi_matrices()[name]
+    m = len(h)
+    tri = [[float(h[i, j].real), float(h[i, j].imag) if i != j else 0.0]
+           for i in range(m) for j in range(i, m)]
+    path = tmp_path / "einstein.json"
+    argvs = [["certify", "--space", f"file:{path}", "--format", "json"],
+             ["certify", "--space", f"file:{path}", "--mode", "ke", "--format", "json"],
+             ["spectrum", "--space", f"file:{path}", "--format", "json"]]
+    outputs = []
+    for diag in (0.0, im):
+        tri[m] = [tri[m][0], diag]  # the diagonal entry (2, 2)
+        path.write_text(json.dumps({"kind": "calabi", "n": n, "hermitian": tri}))
+        outputs.append([(main(argv), capsys.readouterr().out) for argv in argvs])
+    clean, perturbed = outputs
+    codes = {code for code, _ in perturbed}
+    assert len(codes) == 1, perturbed
+    assert all(code == 0 for code, _ in clean)
+    if codes == {0}:
+        assert perturbed == clean
 
 
 def _request_outputs(argvs, capsys):
@@ -912,3 +955,48 @@ def test_request_outputs_match_reference_loops(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(owner, name, reference)
     assert got == _request_outputs(argvs, capsys)
     assert len(argvs) >= 20 and all(code == 0 and out and not err for code, out, err in got)
+
+
+def _components_payload(t):
+    """A components payload listing every nonzero R_ijkl with i < j, k < l."""
+    d = t.convention.dim
+    entries = [[i + 1, j + 1, k + 1, l + 1, float(t.components[i, j, k, l])]
+               for i in range(d) for j in range(i + 1, d) for k in range(d)
+               for l in range(k + 1, d) if t.components[i, j, k, l] != 0.0]
+    return {"kind": "components", "n": t.n, "entries": entries}
+
+
+def test_tensors_are_validated_only_where_input_enters(tmp_path, monkeypatch, capsys):
+    """curvature.validate_tensor runs once for a file of tensor components
+    and never on a tensor the program builds itself: model spaces, products,
+    a file Calabi matrix and KE mode."""
+    from calabi_lab import curvature
+    from calabi_lab.model_spaces import chsc
+
+    calls = []
+    original = curvature.validate_tensor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "calabi_lab":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps(_hermitian_payload(3, np.random.default_rng(7))))
+    comp = tmp_path / "comp.json"
+    comp.write_text(json.dumps(_components_payload(chsc(2, 1.0))))
+    for argv, expected in [
+            (["certify", "--space", "chsc:n=3"], 0),
+            (["certify", "--space", "quadric:n=4"], 0),
+            (["certify", "--space", "product:[chsc:n=1;random:n=2,seed=1]"], 0),
+            (["certify", "--space", f"file:{cal}"], 0),
+            (["certify", "--space", "randomke:n=3", "--mode", "ke"], 0),
+            (["certify", "--space", f"file:{comp}"], 1)]:
+        calls.clear()
+        assert main(argv + ["--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(calls) == expected, argv

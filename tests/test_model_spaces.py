@@ -38,20 +38,37 @@ def test_flat_torus_zero():
     assert t.kaehler_validated
 
 
+def _assert_validates(t):
+    """Builder output, which carries its flags unchecked, passes an explicit
+    validate_tensor with both flags and residuals within 1e-12 of the scale."""
+    checked = validate_tensor(t.components, t.convention)
+    assert checked.bianchi_validated and checked.kaehler_validated
+    assert t.bianchi_validated and t.kaehler_validated
+    scale = max(1.0, float(np.max(np.abs(t.components))))
+    assert max(checked.residuals.values()) <= 1e-12 * scale
+
+
 def test_all_model_outputs_validate():
-    for desc in [
-        SpaceDescriptor("chsc", n=2, c=1.0),
-        SpaceDescriptor("quadric", n=3),
+    descs = [SpaceDescriptor("chsc", n=n, c=c) for c in (1.0, 0.5, -2.0) for n in range(1, 6)]
+    descs += [SpaceDescriptor("quadric", n=n, c=c) for n in range(2, 9) for c in (1.0, -1.0)]
+    descs += [
         SpaceDescriptor("flat", n=2),
         SpaceDescriptor("random", n=2, seed=4),
         SpaceDescriptor("random_ke", n=2, seed=4),
         SpaceDescriptor("product", factors=(
             SpaceDescriptor("chsc", n=1, c=1.0), SpaceDescriptor("flat", n=1))),
-    ]:
+        SpaceDescriptor("product", factors=(
+            SpaceDescriptor("quadric", n=2), SpaceDescriptor("random_ke", n=3, seed=1))),
+    ]
+    for desc in descs:
         t = build(desc)
-        assert t.kaehler_validated
-        assert max(t.residuals.values()) < 1e-12
+        _assert_validates(t)
         assert t.convention.n == desc.complex_dim
+    rng = np.random.default_rng(17)
+    for n in range(1, 9):
+        m = n * (n + 1) // 2
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        _assert_validates(tensor_from_calabi((a + a.conj().T) / 2.0, FrameConvention(n)))
 
 
 def test_descriptor_validation():
@@ -183,7 +200,8 @@ def _quadric_raw_loop(n):
 def test_quadric_raw_matches_loop(n):
     t = _quadric_raw(n)
     assert np.array_equal(t.components, _quadric_raw_loop(n))
-    assert t.kaehler_validated and max(t.residuals.values()) == 0.0
+    checked = validate_tensor(t.components, t.convention)
+    assert checked.kaehler_validated and max(checked.residuals.values()) == 0.0
 
 
 def _ricci_traceless_block(t):
@@ -205,7 +223,8 @@ def _random_kaehler_einstein_on_tensors(n, seed, tol=1e-10, max_iter=200):
         corr = tensor_from_calabi(_calabi_matrix_from_hermitian(h.conj()), conv)
         hc = _ricci_traceless_block(corr)
         alpha = float(np.real(np.sum(hc * h.conj()))) / float(np.sum(np.abs(h) ** 2))
-        t = validate_tensor(t.components - corr.components / alpha, conv, require_kaehler=True)
+        t = validate_tensor(t.components - corr.components / alpha, conv)
+        assert t.kaehler_validated
     raise AssertionError("reference projection did not converge")
 
 
