@@ -23,7 +23,6 @@ from .frames import (
     FormPQ,
     FrameConvention,
     RealForm,
-    kaehler_bivector,
     lefschetz_adjoint,
 )
 from .spectral import k_test, weight_principle
@@ -204,7 +203,6 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
     """
     rng = _rng(seed, 7)
     conv = FrameConvention(n)
-    om = kaehler_bivector(conv)
     first, second = np.triu_indices(2 * n, 1)  # the pairs, in pair-stack order
     mixed = (first < n) & (second >= n)
     worst = 0.0
@@ -235,7 +233,8 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
             worst = max(worst, abs(su2 - expect_su) / max(1.0, abs(expect_su)))
             u_fam = wz.phi_g(prim, "u")
             u2 = float(np.sum(np.abs(u_fam) ** 2))
-            om2 = float(wz._batched_norms(om.matrix[None], prim)[0, 0])
+            # omega = i sum_a u_{(a, a)}, the diagonal elements of the u basis
+            om2 = float(np.sum(np.abs(np.sum(u_fam[::n + 1], axis=0)) ** 2))
             worst = max(worst, abs(u2 - (om2 / n + su2)) / max(1.0, u2))
             # |L phi|^2 <= (p+q) |L|_u^2 |phi|^2 for L in u(n); L is
             # sum_ab cmat[a, b] Z_a ^ conj(Z_b), so L phi mixes the u actions

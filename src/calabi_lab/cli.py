@@ -53,10 +53,10 @@ USAGE_ERROR = 2
 MAX_N = 16
 # Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
 # whatever --max-degree is: C(16, 8) = 12870 coordinates at n = 8, where
-# verify at full degree takes 19 s and 479 MB peak RSS at --trials 2, 150 s
-# and 477 MB at the default 50 (2-vCPU VM).  With the eigenvalue routes in
-# slices, the curvature-term check sets that peak (451 MB on its own); n = 9
-# has 3.8 times the coordinates.
+# verify at full degree takes 8.4 s and 450 MB peak RSS at --trials 2, 92 s
+# and 431 MB at the default 50 (2-vCPU VM).  On their own, the curvature-term
+# and Einstein checks peak at 348 and 340 MB; n = 9 has 3.8 times the
+# coordinates.
 MAX_VERIFY_N = 8
 
 
@@ -74,6 +74,12 @@ class SpaceParseError(CalabiLabError, ValueError):
         self.pos = pos
         super().__init__(f"cannot parse space descriptor at position {pos}: {message} "
                          f"(in {text!r})")
+
+
+# space kind -> (descriptor variant, the parameters it reads); k is another name for n
+_KINDS = {"chsc": ("chsc", ("n", "c")), "quadric": ("quadric", ("n", "c")),
+          "flat": ("flat", ("n",)), "random": ("random", ("n", "seed")),
+          "randomke": ("random_ke", ("n", "seed"))}
 
 
 def parse_space(text: str) -> ms.SpaceDescriptor | dict:
@@ -120,6 +126,9 @@ def _parse_space(whole: str, text: str, offset: int) -> ms.SpaceDescriptor | dic
         _require_size(desc.complex_dim)
         return desc
 
+    if head not in _KINDS:
+        raise SpaceParseError(whole, offset, f"unknown space kind {head!r}")
+    variant, reads = _KINDS[head]
     params: dict[str, float] = {}
     for chunk in rest.split(","):
         where, at = at, at + len(chunk) + 1
@@ -129,27 +138,24 @@ def _parse_space(whole: str, text: str, offset: int) -> ms.SpaceDescriptor | dic
         if not eq:
             raise SpaceParseError(whole, where, f"expected key=value, got {chunk!r}")
         key = key.strip()
+        name = "n" if key == "k" else key
+        if name not in reads:
+            raise SpaceParseError(whole, where, f"{head} takes no parameter {key!r}")
+        if name in params:
+            raise SpaceParseError(whole, where, f"{key} sets {name} a second time")
         try:
-            params[key] = float(val)
+            params[name] = float(val)
         except ValueError:
             raise SpaceParseError(whole, where, f"non-numeric value in {chunk!r}") from None
-        if key in ("n", "k", "seed") and not (params[key].is_integer() and params[key] >= 0):
+        if name in ("n", "seed") and not (params[name].is_integer() and params[name] >= 0):
             raise SpaceParseError(whole, where,
                                   f"{key} must be a whole number >= 0, got {val.strip()!r}")
-        if key == "c" and not math.isfinite(params[key]):
+        if name == "c" and not math.isfinite(params[name]):
             raise SpaceParseError(whole, where, f"c must be a finite number, got {val.strip()!r}")
-    variants = {"chsc": "chsc", "quadric": "quadric", "flat": "flat",
-                "random": "random", "randomke": "random_ke"}
-    if head not in variants:
-        raise SpaceParseError(whole, offset, f"unknown space kind {head!r}")
-    n = int(params.pop("n", params.pop("k", 0)))
-    c = float(params.pop("c", 1.0))
-    seed = int(params.pop("seed", 0))
-    if params:
-        raise SpaceParseError(whole, offset, f"unknown parameters {sorted(params)}")
-    desc = ms.SpaceDescriptor(variants[head], n=n, c=c, seed=seed)
+    desc = ms.SpaceDescriptor(variant, n=int(params.get("n", 0)), c=params.get("c", 1.0),
+                              seed=int(params.get("seed", 0)))
     desc.validate()
-    _require_size(n)
+    _require_size(desc.n)
     return desc
 
 
@@ -186,6 +192,7 @@ def _tensor_from_input(data: dict) -> cv.AlgebraicCurvatureTensor:
         return cv.tensor_from_calabi(_calabi_matrix_from_input(data), conv)
     d = 2 * n
     r = np.zeros((d,) * 4)
+    setter: dict[tuple[int, ...], int] = {}  # component -> the entry that last set it
     for pos, row in enumerate(data["entries"]):
         *idx, val = _numbers(row, 5, f"component entry {pos}")
         if not all(x.is_integer() and 1 <= x <= d for x in idx):
@@ -194,8 +201,14 @@ def _tensor_from_input(data: dict) -> cv.AlgebraicCurvatureTensor:
         i, j, k, l = (int(x) - 1 for x in idx)
         for (a, b, sa) in ((i, j, 1.0), (j, i, -1.0)):
             for (cc, e, sc) in ((k, l, 1.0), (l, k, -1.0)):
-                r[a, b, cc, e] = sa * sc * val
-                r[cc, e, a, b] = sa * sc * val
+                value = sa * sc * val
+                for comp in ((a, b, cc, e), (cc, e, a, b)):
+                    prev = setter.setdefault(comp, pos)
+                    if prev != pos and r[comp] != value:
+                        at = tuple(x + 1 for x in comp)
+                        raise ValueError(f"component entries {prev} and {pos} set R{at} to "
+                                         f"{float(r[comp])!r} and {value!r}, through the pair symmetries")
+                    setter[comp], r[comp] = pos, value
     return cv.validate_tensor(r, conv)
 
 
@@ -280,7 +293,8 @@ def _ladder(n: int, m: int) -> list[float]:
         for q in range(n + 1):
             if 1 <= p + q <= n:
                 ks.add(ct.upsilon(n, p, q))
-    return sorted(min(k, float(m)) for k in ks if k >= 1.0)
+    # clamped before duplicates go: at n = 1, n/2 + 1 clamps onto k = 1
+    return sorted({min(k, float(m)) for k in ks if k >= 1.0})
 
 
 def cmd_spectrum(args) -> dict:

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalabiLabError
-from .frames import (E_BLOCK, Z_BLOCK, FrameConvention, _frozen, change_pairs,
+from .frames import (E_BLOCK, Z_BLOCK, FrameConvention, _frozen, change_pairs, family_mats,
                      lambda11_basis_labels, sym2_basis_labels)
 from .spectral import NotHermitian, Spectrum, eigensystem, require_finite, require_hermitian
 
@@ -187,7 +187,6 @@ class CurvatureOperatorMatrix:
     kind: str
     matrix: np.ndarray
     basis_labels: tuple
-    basis_note: str = ""
 
     @property
     def dim(self) -> int:
@@ -246,8 +245,7 @@ def calabi_from_tensor(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
                          f"to {float(np.max(np.abs(t.components))):.3g} in magnitude)")
     if _SIGN_BUG:
         h[0, 0] = -h[0, 0]
-    return CurvatureOperatorMatrix("calabi", h, labels,
-                                   "Z_a(.)Z_b/sqrt2 for a<b, Z_a(x)Z_a on the diagonal")
+    return CurvatureOperatorMatrix("calabi", h, labels)
 
 
 # R = Re sum_sigma sign(sigma) coef_sigma (x) qm_sigma over the pair swaps
@@ -307,8 +305,7 @@ def kaehler_operator(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
     qm = change_pairs(t.components, (z, zbar, z, zbar))
     mat4 = -qm.transpose(3, 2, 0, 1)
     k = mat4.reshape(n * n, n * n)
-    return CurvatureOperatorMatrix("kaehler", k, lambda11_basis_labels(n),
-                                   "Z_a ^ conj(Z_b)/sqrt2")
+    return CurvatureOperatorMatrix("kaehler", k, lambda11_basis_labels(n))
 
 
 def omega_coords(n: int) -> np.ndarray:
@@ -354,30 +351,33 @@ def restrict_su(k_op: CurvatureOperatorMatrix, ric: RicciData) -> CurvatureOpera
         raise NotEinstein(f"Kaehler form is not an eigenvector (residual {resid:.3e})")
     b = su_complement(n)
     return CurvatureOperatorMatrix(
-        "kaehler_su", b.conj().T @ k_op.matrix @ b,
-        tuple(range(m - 1)), "orthonormal complement of omega_K/sqrt(n)")
+        "kaehler_su", b.conj().T @ k_op.matrix @ b, tuple(range(m - 1)))
+
+
+R1_SLOTS, R2_SLOTS = (0, 1), (0, 3)  # the slots of R that Xi_b fills, in _tensor_square
+
+
+def _tensor_square(r: np.ndarray, mats: np.ndarray, slots: tuple[int, int]) -> np.ndarray:
+    """Matrix g(Op Xi_b, Xi_a) of R1 (R1_SLOTS) or R2 (R2_SLOTS) for the real
+    elements Xi of ``mats``, read as tensors T^{ac} = M[c, a]: for R2,
+    sum_{ij} T_b^{ij} r[i,k,l,j] -> [b,k,l], then against T_a^{kl}."""
+    coords = mats.transpose(0, 2, 1)
+    mid = np.tensordot(coords, r, axes=((1, 2), slots))
+    return np.tensordot(coords, mid, axes=((1, 2), (1, 2)))
 
 
 def r1_r2_operators(t: AlgebraicCurvatureTensor) -> tuple[CurvatureOperatorMatrix, CurvatureOperatorMatrix]:
-    """R1 restricted to Lambda^2 V and R2 restricted to sym^2 V, real unit bases."""
-    r = t.components
-    d = t.convention.dim
-    # m1[mu, nu] = 2 R(e_i, e_j, e_k, e_l), nu = (i, j), mu = (k, l), i < j, k < l
-    i, j = np.triu_indices(d, 1)
-    lam_labels = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
-    m1 = 2.0 * r[i[None, :], j[None, :], i[:, None], j[:, None]]
-
-    # m2[mu, nu] = 2 (R(e_i, e_k, e_l, e_j) + R(e_i, e_l, e_k, e_j)) / (cn_ij cn_kl),
-    # nu = (i, j), mu = (k, l), i <= j, k <= l
-    i, j = np.triu_indices(d)
-    sym_labels = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
-    cn = np.where(i == j, 2.0, math.sqrt(2.0))
-    i, j, k, l = i[None, :], j[None, :], i[:, None], j[:, None]
-    m2 = 2.0 * (r[i, k, l, j] + r[i, l, k, j]) / (cn[None, :] * cn[:, None])
-    return (
-        CurvatureOperatorMatrix("r1_lambda2", m1, lam_labels, "e_i ^ e_j / sqrt2"),
-        CurvatureOperatorMatrix("r2_sym2", m2, sym_labels, "e_i(.)e_j/sqrt2, e_i(x)e_i"),
-    )
+    """R1 restricted to Lambda^2 V and R2 restricted to sym^2 V over the unit
+    bases of the ``so`` and ``sym2_real`` families, e_i ^ e_j / sqrt2 (i < j)
+    and e_i (.) e_j / sqrt2, e_i (x) e_i (i <= j), in np.triu_indices order."""
+    ops = []
+    for kind, tag, slots, offset in (("r1_lambda2", "so", R1_SLOTS, 1),
+                                     ("r2_sym2", "sym2_real", R2_SLOTS, 0)):
+        i, j = np.triu_indices(t.convention.dim, offset)
+        labels = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
+        ops.append(CurvatureOperatorMatrix(
+            kind, _tensor_square(t.components, family_mats(t.n, tag), slots), labels))
+    return tuple(ops)
 
 
 def ricci(t: AlgebraicCurvatureTensor) -> RicciData:

@@ -294,10 +294,10 @@ def derivation_coords(mats: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     (see ``derivation_table``).  Their squared sum is the tensor norm of the
     action, and their dot products are its Hermitian pairings.
 
-    The table is built for this call; the unitary bases of the algebras
-    have theirs cached (``family_table``).  An element costs one gather per
-    off-diagonal entry, so act with a sparse basis and mix the results
-    rather than pass dense elements.
+    The table is built for this call: the program acts only with the unitary
+    bases, whose tables are cached (``family_table``), and this entry serves
+    the tests.  An element costs one gather per off-diagonal entry, so act
+    with a sparse basis and mix the results rather than pass dense elements.
     """
     return apply_derivation(derivation_table(mats, k), x).transpose(1, 0, 2)
 

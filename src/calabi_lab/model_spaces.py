@@ -44,6 +44,10 @@ class EinsteinProjectionError(CalabiLabError, RuntimeError):
     pass
 
 
+# largest traceless Ricci entry of a random Calabi matrix left uncorrected
+EINSTEIN_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """Recipe for a model curvature tensor.
@@ -195,32 +199,25 @@ def _calabi_matrix_from_hermitian(h: np.ndarray) -> np.ndarray:
     return np.einsum("mab,nab->mn", hats.conj(), h @ hats + hats @ h.T)
 
 
-def random_kaehler_einstein(n: int, seed: int, tol: float = 1e-10,
-                            max_iter: int = 200) -> AlgebraicCurvatureTensor:
-    """Random Kaehler--Einstein curvature tensor by projecting the traceless
-    Ricci part out through the equivariant family h -> (h Shat + Shat h^T).
+def random_kaehler_einstein(n: int, seed: int) -> AlgebraicCurvatureTensor:
+    """Random Kaehler--Einstein curvature tensor: random_kaehler(n, seed) with
+    its traceless Ricci part h projected out in one step, through the
+    equivariant correction h -> (h Shat + Shat h^T), whose own traceless Ricci
+    part is alpha h by Schur (the traceless Hermitian matrices are
+    irreducible; alpha = (n + 2) / 2, taken as the Rayleigh quotient).
 
     The Ricci block is linear in the Calabi matrix, so the projection runs on
-    the m x m matrix of random_kaehler(n, seed); the tensor is built once,
-    from the projected matrix.
+    the m x m matrix, and the tensor is built once, from the projected matrix.
     """
     calabi = _random_calabi(n, seed)
-    for _ in range(max_iter):
-        h = _ricci_traceless_from_calabi(calabi, n)
-        resid = float(np.max(np.abs(h)))
-        if resid <= tol:
-            break
+    h = _ricci_traceless_from_calabi(calabi, n)
+    if float(np.max(np.abs(h))) > EINSTEIN_TOL:
         # the Ricci block is a Hermitian form; the derivation action needs the
         # endomorphism convention, which is its conjugate
         corr = _calabi_matrix_from_hermitian(h.conj())
         hc = _ricci_traceless_from_calabi(corr, n)
         alpha = float(np.real(np.sum(hc * h.conj()))) / float(np.sum(np.abs(h) ** 2))
-        if abs(alpha) < 1e-12:
-            raise EinsteinProjectionError("equivariant correction is degenerate")
         calabi = calabi - corr / alpha
-    else:
-        raise EinsteinProjectionError(
-            f"traceless Ricci residual above {tol:g} after {max_iter} iterations")
     t = tensor_from_calabi(calabi, FrameConvention(n))
     if not ricci(t).is_einstein:
         raise EinsteinProjectionError("projection finished but Einstein check failed")

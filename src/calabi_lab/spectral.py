@@ -67,7 +67,6 @@ class PositivityReport:
     partial_sum: float
     nonneg: bool
     positive: bool
-    kappa_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,6 @@ def k_test(s: Spectrum | Sequence[float], k: float) -> PositivityReport:
         partial_sum=total,
         nonneg=total >= 0.0,
         positive=total > 0.0,
-        kappa_bound=total / k,
     )
 
 

@@ -24,7 +24,6 @@ entry.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -32,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import AlgebraicCurvatureTensor, ricci, su_complement
+from .curvature import (R2_SLOTS, AlgebraicCurvatureTensor, _tensor_square, r1_r2_operators,
+                        ricci, su_complement)
 from .errors import CalabiLabError
 from .frames import (
     REAL_FRAME_TAGS,
@@ -45,8 +45,8 @@ from .frames import (
     _generators,
     _permutations,
     _subset_rank,
+    _subsets,
     apply_derivation,
-    derivation_coords,
     family_mats,
     family_table,
     lefschetz_adjoint,
@@ -101,7 +101,7 @@ def _annihilation_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     so that ``iota(e_{J_s}) e^J = (-1)^s e^{J minus J_s}``.
     """
     count = math.comb(d, k)
-    removed = np.array(list(itertools.combinations(range(d), k)), dtype=np.intp).reshape(count, k)
+    removed = _subsets(d, k)[0]
     others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # slots but s
     rest = _subset_rank(d, removed[:, others])
     sign = np.tile((-1.0) ** np.arange(k), (count, 1))
@@ -301,14 +301,6 @@ def ricl_via_kaehler_su(lam: float, su_spec: Spectrum,
     return float(terms[0]) if single else terms
 
 
-def _batched_norms(mats: np.ndarray, forms, frame: str = "z") -> np.ndarray:
-    """|Xi_m psi_b|^2, shape (m, B), for a stack of endomorphisms written in
-    ``frame`` and forms as ``_coords`` takes them (a dense stack in that frame);
-    the stack's gather table is built for the call."""
-    x, k = _coords(forms, frame)
-    return np.sum(np.abs(derivation_coords(mats, x, k)) ** 2, axis=2)
-
-
 def _mixed_norms(conv: FrameConvention, tag: str, mix: np.ndarray, forms) -> np.ndarray:
     """|Xi_nu psi_b|^2, shape (m', B), for the elements
     ``Xi_nu = sum_mu mix[mu, nu] u_mu`` over the unitary basis u_mu of a
@@ -375,30 +367,13 @@ def norm_phi_g(phi: FormPQ | RealForm, tag: str) -> float:
 # general-Riemannian identities
 # ---------------------------------------------------------------------------
 
-def _pairing_value(pair_matrix, t: AlgebraicCurvatureTensor, tag: str,
-                   x: np.ndarray, p: int) -> float:
+def _pairing_value(op: np.ndarray, n: int, tag: str, x: np.ndarray, p: int) -> float:
     """sum_{ab} g(Op Xi_b, Xi_a) <Xi_b phi, Xi_a phi> over the unitary basis Xi
     of the real-frame algebra ``tag``, for the real-frame coordinates x of a
-    p-form phi; ``pair_matrix`` (``_r1_pair_matrix`` or ``_r2_pair_matrix``)
-    gives g(Op Xi_b, Xi_a)."""
-    mats = family_mats(t.convention.n, tag)
-    parts = apply_derivation(family_table(t.convention.n, tag, p), x[None])[0]
+    p-form phi; ``op[a, b]`` is g(Op Xi_b, Xi_a)."""
+    parts = apply_derivation(family_table(n, tag, p), x[None])[0]
     gram = (parts @ parts.conj().T).real
-    return float(np.sum(pair_matrix(t.components, mats) * gram.T))
-
-
-def _r2_pair_matrix(r: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Matrix g(R2 Xi_b, Xi_a) for real tensor-coordinate elements Xi."""
-    coords = mats.transpose(0, 2, 1)  # endo matrix M[c,a] -> tensor T^{ac}
-    # sum_{ij} coords[b,i,j] r[i,k,l,j] -> [b,k,l], then against coords[a,k,l]
-    mid = np.tensordot(coords, r, axes=((1, 2), (0, 3)))
-    return np.tensordot(coords, mid, axes=((1, 2), (1, 2)))
-
-
-def _r1_pair_matrix(r: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    coords = mats.transpose(0, 2, 1)
-    mid = np.tensordot(coords, r, axes=((1, 2), (0, 1)))
-    return np.tensordot(coords, mid, axes=((1, 2), (1, 2)))
+    return float(np.sum(op * gram.T))
 
 
 def _curvature_contraction(r: np.ndarray, x: np.ndarray, p: int) -> float:
@@ -426,7 +401,9 @@ def check_r2_gl_identity(t: AlgebraicCurvatureTensor, x: np.ndarray, p: int) -> 
     """g(R2(phi^gl), phi^gl) = -(p(p-1)/2) sum R_ijkl phi_{ijI} phi_{klI}, for
     the real-frame coordinates x of a p-form phi (as ``random_real_pform``
     returns them)."""
-    lhs = _pairing_value(_r2_pair_matrix, t, "gl", x, p)
+    n = t.convention.n
+    r2_gl = _tensor_square(t.components, family_mats(n, "gl"), R2_SLOTS)
+    lhs = _pairing_value(r2_gl, n, "gl", x, p)
     rhs = -0.5 * _curvature_contraction(t.components, x, p)
     scale = max(1.0, abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs) / scale}
@@ -436,12 +413,14 @@ def check_ricl_r2_split(t: AlgebraicCurvatureTensor, x: np.ndarray, p: int) -> d
     """(3/2) g(Ric_L phi, phi) = g(R2(phi^S2), phi^S2) + p sum R_ij phi_iI phi_jI,
     plus the translation g(R1(phi^so), phi^so) = g(Ric_L phi, phi), for the
     real-frame coordinates x of a p-form phi."""
+    n = t.convention.n
+    r1, r2 = r1_r2_operators(t)
     ricl = float(np.real(np.sum(ricl_bruteforce(t, x[None], p)[0] * x.conj())))
     lhs = 1.5 * ricl
-    rhs = (_pairing_value(_r2_pair_matrix, t, "sym2_real", x, p)
+    rhs = (_pairing_value(r2.matrix, n, "sym2_real", x, p)
            + _ricci_contraction(ricci(t).ricci, x, p))
     scale = max(1.0, abs(lhs), abs(rhs))
-    r1_so = _pairing_value(_r1_pair_matrix, t, "so", x, p)
+    r1_so = _pairing_value(r1.matrix, n, "so", x, p)
     scale_so = max(1.0, abs(ricl), abs(r1_so))
     return {
         "ricl": ricl,
@@ -471,11 +450,16 @@ class EstimateResult:
 
 def estimate_bound(s: EndoC, psi: RealForm) -> EstimateResult:
     """|S psi|^2 against (1/2 + min(p,q,sqrt(pq)/2)) |S|^2 |psi|^2, and the
-    |psi^{sym2 V^{1,0}}|^2-phrased variant when psi is primitive."""
+    |psi^{sym2 V^{1,0}}|^2-phrased variant when psi is primitive.
+
+    S must lie in sym^2 V^{1,0} (NotSymmetric otherwise); it acts through the
+    unit basis actions on psi, which also give the hat norm."""
     if s.convention.n != psi.convention.n:
         raise FrameError("endomorphism and form live on different dimensions")
+    _require_sym2_10(s, "estimate_bound")
     p, q = psi.p, psi.q
-    lhs = float(_batched_norms(s.matrix[None], psi)[0, 0])
+    parts = phi_g(psi, "sym2_10")
+    lhs = float(_sym2_scores(parts, s.hat[None])[0])
     s_norm = s.norm_sq()
     bound = (0.5 + _min_constant(p, q)) * s_norm * psi.norm_sq()
 
@@ -483,7 +467,7 @@ def estimate_bound(s: EndoC, psi: RealForm) -> EstimateResult:
     lam = lefschetz_adjoint(psi.phi)
     if lam.norm_sq() <= 1e-20 * max(1.0, psi.norm_sq()):
         denom = (p + q) * (psi.convention.n + 1) - 2 * p * q
-        hat_norm = norm_phi_g(psi, "sym2_10")
+        hat_norm = float(np.sum(np.abs(parts) ** 2))
         bound_prim = (2.0 + 4.0 * _min_constant(p, q)) / denom * s_norm * hat_norm
     scale = max(1.0, bound)
     return EstimateResult(lhs, bound, bound_prim, lhs <= bound + ESTIMATE_TOL * scale)
@@ -576,21 +560,24 @@ def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
 # normal form of holomorphic symmetric elements
 # ---------------------------------------------------------------------------
 
+def _require_sym2_10(s: EndoC, caller: str) -> None:
+    """NotSymmetric unless S is an element of sym^2 V^{1,0}: zero outside its
+    hat block and a symmetric hat, both to 1e-12 of max(1, max|S|)."""
+    n = s.convention.n
+    off = s.matrix.copy()  # S outside the hat block, and hat - hat^T within it
+    off[:n, n:] = s.hat - s.hat.T
+    if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(s.matrix)))):
+        raise NotSymmetric(f"{caller} expects an element of sym^2 V^{{1,0}}")
+
+
 def normal_form(s: EndoC) -> tuple[np.ndarray, np.ndarray]:
     """Unitary frame and rho_1 >= .. >= rho_n >= 0 with S = sum rho_a Z'_a (x) Z'_a.
 
     Column a of the returned matrix holds the Z-coordinates of Z'_a.
     Raises NotSymmetric when the endomorphism is not a sym^2 V^{1,0} element.
     """
-    conv = s.convention
-    n = conv.n
-    hat = s.hat
-    rest = s.matrix.copy()
-    rest[:n, n:] = 0.0
-    scale = max(1.0, float(np.max(np.abs(s.matrix))))
-    if np.max(np.abs(rest)) > 1e-12 * scale or np.max(np.abs(hat - hat.T)) > 1e-12 * scale:
-        raise NotSymmetric("normal_form expects an element of sym^2 V^{1,0}")
-    rho, w = takagi(hat)
+    _require_sym2_10(s, "normal_form")
+    rho, w = takagi(s.hat)
     return w, rho
 
 
@@ -623,8 +610,7 @@ def random_real_pform(conv: FrameConvention, p: int, rng: np.random.Generator) -
     ``(2n,)*p`` draw, read at the sorted index sets J only, as the sum over
     the permutations of J of the signed draws, then normalized."""
     raw = rng.standard_normal(size=(conv.dim,) * p)
-    subsets = np.array(list(itertools.combinations(range(conv.dim), p)),
-                       dtype=np.intp).reshape(math.comb(conv.dim, p), p)
+    subsets = _subsets(conv.dim, p)[0]
     x = np.zeros(len(subsets))
     for perm, parity in zip(*_permutations(p)):
         x += parity * raw[tuple(subsets[:, perm].T)]

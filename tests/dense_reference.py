@@ -1,6 +1,7 @@
 """Dense ``(2n)^k`` references that only the tests use: the derivation action
-on full component arrays, the alternation and wedge of dense tensors, and
-multilinear evaluation.  The package computes on exterior coordinates; these
+on full component arrays, the alternation and wedge of dense tensors,
+multilinear evaluation, and the tensor-square operators read entry by entry
+off the curvature tensor.  The package computes on exterior coordinates; these
 are the independent definitions its results are checked against."""
 
 from __future__ import annotations
@@ -66,6 +67,23 @@ def _perm_sign(perm: Sequence[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def r1_r2_hand_indexed(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R1 on Lambda^2 V and R2 on sym^2 V of the real tensor ``r``, indexed
+    by hand over the unit bases e_i ^ e_j / sqrt2 (i < j) and
+    e_i (.) e_j / sqrt2, e_i (x) e_i (i <= j) in ``np.triu_indices`` order:
+    ``m1[mu, nu] = 2 R(e_i, e_j, e_k, e_l)`` and
+    ``m2[mu, nu] = 2 (R(e_i, e_k, e_l, e_j) + R(e_i, e_l, e_k, e_j)) / (cn_ij cn_kl)``
+    with nu = (i, j), mu = (k, l) and cn = 2 on the diagonal, sqrt2 off it."""
+    d = r.shape[0]
+    i, j = np.triu_indices(d, 1)
+    m1 = 2.0 * r[i[None, :], j[None, :], i[:, None], j[:, None]]
+    i, j = np.triu_indices(d)
+    cn = np.where(i == j, 2.0, math.sqrt(2.0))
+    i, j, k, l = i[None, :], j[None, :], i[:, None], j[:, None]
+    m2 = 2.0 * (r[i, k, l, j] + r[i, l, k, j]) / (cn[None, :] * cn[:, None])
+    return m1, m2
 
 
 def evaluate_form(phi: FormPQ | RealForm, args: Sequence[np.ndarray]) -> complex:

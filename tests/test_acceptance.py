@@ -24,6 +24,7 @@ from calabi_lab.frames import (
     FrameConvention,
     dense_conj,
     dense_z_to_e,
+    derivation_coords,
     generator_dense_basis,
     kaehler_bivector,
     sym2_basis_labels,
@@ -314,7 +315,8 @@ def _soundness_sweep(t, cert, conv, rng, forms_per_pair=1000, spot_checks=20):
         coeffs = _primitive_part(conv.n, p, q, _coeff_stack(rng, conv.n, p, q, forms_per_pair))
         dense = _dense_stack(conv, p, q, coeffs)
         psi = dense + dense_conj(dense, conv, k=p + q)
-        norms = wz._batched_norms(mats, psi)
+        norms = np.sum(np.abs(derivation_coords(mats, wz._exterior_coords(psi), p + q)) ** 2,
+                       axis=2)
         vals = 2.0 * (spec.eigenvalues @ norms)
         scales = np.maximum(1.0, 2.0 * (abs_vals @ norms))
         worst_violation = max(worst_violation, float(np.max(-vals / scales)))

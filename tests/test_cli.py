@@ -1,18 +1,20 @@
 """CLI: space grammar, commands, formats, exit codes, determinism."""
 
-import functools
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import calabi_lab
 from calabi_lab.cli import SpaceParseError, main, parse_space
+from calabi_lab.curvature import RicciData
 from calabi_lab.frames import FrameConvention
 from calabi_lab.model_spaces import SpaceDescriptor
 from calabi_lab.report import validate_report
@@ -94,6 +96,53 @@ def test_parse_space_refuses_non_finite_scale(space, capsys):
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and "c must be a finite number" in err
     assert "Einstein" not in err and not caught
+
+
+@pytest.mark.parametrize("bad,pos,message", [
+    ("chsc:n=1,c=2,c=3", 13, "c sets c a second time"),
+    ("chsc:n=2,k=3", 9, "k sets n a second time"),
+    ("flat:k=2,n=2", 9, "n sets n a second time"),
+    ("random:n=2,seed=1,seed=1", 18, "seed sets seed a second time"),
+    ("chsc:n=2,=3", 9, "chsc takes no parameter ''"),
+    ("random:n=2,c=7", 11, "random takes no parameter 'c'"),
+    ("randomke:n=2,c=1", 13, "randomke takes no parameter 'c'"),
+    ("flat:k=1,c=2", 9, "flat takes no parameter 'c'"),
+    ("chsc:n=2,seed=4", 9, "chsc takes no parameter 'seed'"),
+    ("quadric:n=3,seed=4", 12, "quadric takes no parameter 'seed'"),
+    ("flat:k=1,seed=0", 9, "flat takes no parameter 'seed'"),
+    ("chsc:n=2,x=1", 9, "chsc takes no parameter 'x'"),
+    ("product:[chsc:n=1;random:n=1,c=2]", 29, "random takes no parameter 'c'"),
+])
+def test_parse_space_refuses_misread_parameters(bad, pos, message, capsys):
+    """A repeated parameter, n given with k, or a parameter the kind does not
+    read would be silently misread: each is refused by key and position."""
+    with pytest.raises(SpaceParseError) as err:
+        parse_space(bad)
+    assert err.value.pos == pos and message in str(err.value)
+    _assert_usage_error(["certify", "--space", bad], capsys, message)
+
+
+def _documented_descriptors(tmp_path):
+    """Every space descriptor the README shows and the certify-sweep benchmark
+    requests (its module is loaded by path, as it lies outside the tests)."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    found = re.findall(r"\b(?:chsc|quadric|flat|randomke|random|product):[^\s`'\"]+", readme)
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for tiny in (True, False):
+        reqs = workloads.CertifySweep(tiny=tiny).setup(7, tmp_path)
+        found += [argv[argv.index("--space") + 1] for argv, _ in reqs]
+    return found
+
+
+def test_documented_descriptors_still_parse(tmp_path):
+    descriptors = _documented_descriptors(tmp_path)
+    assert len(descriptors) > 80
+    for text in descriptors:
+        parse_space(text)
 
 
 def run_cli(args, tmp_path=None):
@@ -234,10 +283,10 @@ def test_certify_reports_eigensolver_convergence_failure(tmp_path, monkeypatch, 
 def test_certify_reports_einstein_projection_error(monkeypatch, capsys):
     from calabi_lab import model_spaces as ms
 
-    monkeypatch.setattr(ms, "random_kaehler_einstein", functools.partial(
-        ms.random_kaehler_einstein, tol=0.0, max_iter=1))
+    # the projected tensor fails the final Einstein check
+    monkeypatch.setattr(ms, "ricci", lambda t: RicciData(np.eye(2 * t.n), 2.0 * t.n, None))
     _assert_usage_error(["certify", "--space", "randomke:n=3,seed=9", "--mode", "ke"],
-                        capsys, "traceless Ricci residual")
+                        capsys, "Einstein check failed")
 
 
 @pytest.mark.parametrize("space", ["chsc:n=1", "flat:k=1"])
@@ -331,6 +380,35 @@ def test_file_input_components(tmp_path):
     env = json.loads(out.read_text())
     np.testing.assert_allclose(env["records"][0]["values"]["eigenvalues"], 1.0,
                                atol=1e-10)
+
+
+@pytest.mark.parametrize("entries", [
+    [[1, 2, 2, 1, 1.0], [1, 2, 1, 2, 1.0]],
+    [[1, 2, 1, 2, 1.0], [1, 2, 2, 1, 1.0]],
+    [[1, 2, 1, 2, 1.0], [1, 2, 1, 2, 2.0]],
+])
+def test_file_components_that_set_one_component_twice_exit_2(entries, tmp_path, capsys):
+    """Two entries that give one component different values, directly or
+    through the pair symmetries, are refused with both entries named: the
+    last one would otherwise win, and its order would decide the sign of the
+    spectrum."""
+    path = tmp_path / "comp.json"
+    path.write_text(json.dumps({"kind": "components", "n": 1, "entries": entries}))
+    for argv in (["spectrum", "--space", f"file:{path}"],
+                 ["certify", "--space", f"file:{path}"]):
+        _assert_usage_error(argv, capsys, "component entries 0 and 1 set R(")
+
+
+def test_file_components_accept_equal_repeats(tmp_path, capsys):
+    # the same value, given again directly or through the pair symmetries
+    path = tmp_path / "comp.json"
+    for entries in ([[1, 2, 1, 2, 1.0], [1, 2, 1, 2, 1.0]],
+                    [[1, 2, 1, 2, 1.0], [2, 1, 2, 1, 1.0], [2, 1, 1, 2, -1.0]]):
+        path.write_text(json.dumps({"kind": "components", "n": 1, "entries": entries}))
+        assert main(["spectrum", "--space", f"file:{path}", "--format", "json"]) == 0
+        env = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(env["records"][0]["values"]["eigenvalues"], [1.0],
+                                   atol=1e-14)
 
 
 def test_file_input_bad_schema(tmp_path, capsys):
@@ -924,6 +1002,17 @@ def test_spectrum_ladder_matches_per_k_k_test_reference(tmp_path, monkeypatch, c
     monkeypatch.setattr(cli, "partial_sum", ladder_k_test)
     assert got == _request_outputs(argvs, capsys)
     assert all(code == 0 for code, _, _ in got)
+
+
+@pytest.mark.parametrize("space", [f"chsc:n={n}" for n in range(1, 9)]
+                         + ["flat:k=1", "product:[chsc:n=1;flat:k=1]"])
+def test_spectrum_rungs_are_distinct(space, capsys):
+    """A rung clamped onto another one (n/2 + 1 = 1.5 onto k = 1 at n = 1)
+    is reported once."""
+    assert main(["spectrum", "--space", space, "--format", "json"]) == 0
+    names = [r["name"] for r in json.loads(capsys.readouterr().out)["records"]]
+    assert len(names) == len(set(names))
+    assert names[:2] == ["eigenvalues", "k_test[1]"]
 
 
 def test_request_outputs_match_reference_loops(tmp_path, monkeypatch, capsys):

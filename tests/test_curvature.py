@@ -26,7 +26,7 @@ from calabi_lab.curvature import (
 from calabi_lab.frames import (E_BLOCK, EndoC, FrameConvention, change_pairs, family_mats,
                                sym2_basis_labels)
 from calabi_lab.model_spaces import chsc, flat_torus, quadric, random_kaehler
-from dense_reference import conjugate
+from dense_reference import conjugate, r1_r2_hand_indexed
 
 
 def sym2_element(conv, coords):
@@ -433,11 +433,28 @@ def _r1_r2_loop(t):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_r1_r2_operators_match_loop(n):
+    # the operators contract the family bases; the loop and the hand-indexed
+    # reference read the same entries, so they agree exactly
     conv = FrameConvention(n)
     for t in (random_riemannian(conv, 5), random_kaehler(n, 6)):
-        for op, (want, labels) in zip(r1_r2_operators(t), _r1_r2_loop(t)):
-            assert np.array_equal(op.matrix, want)
+        scale = max(1.0, float(np.max(np.abs(t.components))))
+        hand = r1_r2_hand_indexed(t.components)
+        for op, (want, labels), ref in zip(r1_r2_operators(t), _r1_r2_loop(t), hand):
+            assert np.array_equal(ref, want)
+            assert np.max(np.abs(op.matrix - want)) <= 1e-15 * scale
             assert op.basis_labels == labels
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_r1_r2_operators_match_the_hand_indexed_reference(n):
+    conv = FrameConvention(n)
+    tensors = [random_riemannian(conv, seed) for seed in (11, 12, 13)]
+    tensors.append(validate_tensor(round_sphere(conv), conv))
+    for t in tensors:
+        scale = max(1.0, float(np.max(np.abs(t.components))))
+        for op, ref in zip(r1_r2_operators(t), r1_r2_hand_indexed(t.components)):
+            assert op.matrix.shape == ref.shape
+            assert np.max(np.abs(op.matrix - ref)) <= 1e-15 * scale
 
 
 def _tensor_from_calabi_by_frame_change(h, n):

@@ -587,9 +587,8 @@ def test_verify_builds_no_dense_form(monkeypatch):
 def test_verify_feeds_the_kernel_sparse_stacks(monkeypatch):
     """Dense elements (eigen-elements, sampled S, random L in u(n)) are mixed
     from the actions of a sparse basis and never reach the derivation-action
-    kernel: during verify every matrix whose gather table is built, for the
-    bases (from cold caches) and for the stacks acting per call, has at most
-    2n nonzero entries."""
+    kernel: during verify every matrix whose gather table is built (the
+    bases, from cold caches) has at most 2n nonzero entries."""
     from calabi_lab import frames
     from calabi_lab.checks import run_verify_suite
 
@@ -606,6 +605,28 @@ def test_verify_feeds_the_kernel_sparse_stacks(monkeypatch):
     records = run_verify_suite(n, 2, 1, max_degree=3)
     assert [r["status"] for r in records] == ["pass"] * len(records)
     assert most and max(most) <= 2 * n
+
+
+def test_verify_acts_only_through_the_cached_family_tables(monkeypatch):
+    """No program path builds a gather table per call: from empty caches,
+    every table verify builds is a miss of the family_table cache."""
+    import sys
+
+    from calabi_lab import frames
+    from calabi_lab.checks import run_verify_suite
+
+    callers = []
+    build = frames.derivation_table
+
+    def counted(mats, k):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return build(mats, k)
+
+    frames.family_table.cache_clear()
+    monkeypatch.setattr(frames, "derivation_table", counted)
+    run_verify_suite(3, 2, 0, max_degree=3)
+    assert callers and set(callers) == {"family_table"}
+    assert len(callers) == frames.family_table.cache_info().misses
 
 
 def contract_each_slot(arr, mat, k=None):

@@ -257,13 +257,13 @@ def test_curvature_term_on_mixed_degree_real_forms():
     conv = FrameConvention(2)
     t = random_kaehler(2, 9)
     spec = calabi_from_tensor(t).spectrum()
-    from calabi_lab.weitzenboeck import _batched_norms
 
     dense = random_form(conv, 2, 0, rng).to_dense() + random_form(conv, 1, 1, rng).to_dense()
     dense = dense + dense_conj(dense, conv)
     x = _exterior_coords(dense_z_to_e(dense, conv)[None])
     bf = float(np.real(np.sum(ricl_bruteforce(t, x, 2) * x.conj())))
-    norms = _batched_norms(sym2_eigen_endos(conv, spec), dense[None])[:, 0]
+    acted = derivation_coords(sym2_eigen_endos(conv, spec), _exterior_coords(dense[None]), 2)
+    norms = np.sum(np.abs(acted[:, 0]) ** 2, axis=1)
     ec = 2.0 * float(np.dot(spec.eigenvalues, norms))
     assert abs(bf - ec) < 1e-9 * max(1.0, abs(bf))
 
@@ -705,6 +705,30 @@ def test_estimate_bound_trivial_and_sampled():
     assert out.lhs < 1e-14 and out.satisfied
     res = estimate_sampling(conv, 1, 1, n_psi=10, n_s=40, rng=rng)
     assert res["violations"] == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_estimate_bound_scores_s_through_the_basis_actions(n):
+    """|S psi|^2 from the unit-basis actions on psi equals the direct action
+    of S; an S outside sym^2 V^{1,0} is refused, by the test normal_form uses."""
+    conv = FrameConvention(n)
+    rng = np.random.default_rng(60 + n)
+    for p, q in [(1, 0), (1, 1), (2, 1)]:
+        if p + q > n:
+            continue
+        psi = random_primitive_real(conv, p, q, rng)
+        hat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        s = EndoC.from_sym_hat(conv, hat + hat.T)
+        direct = float(np.sum(np.abs(derivation_coords(
+            s.matrix[None], psi.coords("z")[None], p + q)) ** 2))
+        assert abs(estimate_bound(s, psi).lhs - direct) <= 1e-12 * max(1.0, direct)
+        skew = np.zeros((2 * n, 2 * n))
+        skew[0, n + 1] = 1.0  # hat[0, 1] alone: an asymmetric hat
+        for bad in (s.matrix + np.eye(2 * n), s.matrix + skew):
+            with pytest.raises(NotSymmetric, match="estimate_bound expects"):
+                estimate_bound(EndoC(conv, bad), psi)
+            with pytest.raises(NotSymmetric, match="normal_form expects"):
+                normal_form(EndoC(conv, bad))
 
 
 def test_achievability_family_attains_constant():
