@@ -136,17 +136,20 @@ def check_kaehler_structure(n: int, trials: int, seed: int) -> dict:
                    worst, TOL_EIGEN)
 
 
+def _real_pforms(conv: FrameConvention, rng: np.random.Generator) -> list[tuple[np.ndarray, int]]:
+    """One random real unit p-form per degree p = 1, 2, 3 up to 2n, with its
+    degree, for the general-Riemannian identities."""
+    return [(wz.random_real_pform(conv, p, rng), p) for p in (1, 2, 3) if p <= conv.dim]
+
+
 def check_r2_gl(n: int, trials: int, seed: int) -> dict:
     rng = _rng(seed, 4)
     conv = FrameConvention(n)
     worst = 0.0
     for _ in range(max(trials // 5, 5)):
         t = cv.random_riemannian(conv, int(rng.integers(2 ** 31)))
-        for p in (1, 2, 3):
-            if p > conv.dim:
-                continue
-            x = wz.random_real_pform(conv, p, rng)
-            worst = max(worst, wz.check_r2_gl_identity(t, x, p)["residual"])
+        for out in wz.check_r2_gl_identity(t, _real_pforms(conv, rng)):
+            worst = max(worst, out["residual"])
     return _record("r2_gl_contraction", "tensor-square-operator-gl-contraction",
                    worst, TOL_DIRECT)
 
@@ -157,11 +160,7 @@ def check_ricl_split(n: int, trials: int, seed: int) -> dict:
     worst = 0.0
     for _ in range(max(trials // 5, 5)):
         t = cv.random_riemannian(conv, int(rng.integers(2 ** 31)))
-        for p in (1, 2, 3):
-            if p > conv.dim:
-                continue
-            x = wz.random_real_pform(conv, p, rng)
-            out = wz.check_ricl_r2_split(t, x, p)
+        for out in wz.check_ricl_r2_split(t, _real_pforms(conv, rng)):
             worst = max(worst, out["residual_split"], out["residual_translation"])
     return _record("ricl_r2_split", "lichnerowicz-term-splitting-and-translation",
                    worst, TOL_EIGEN)

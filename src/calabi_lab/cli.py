@@ -52,12 +52,12 @@ USAGE_ERROR = 2
 # building a random tensor peaks at 613 MB) on a 2-vCPU VM.
 MAX_N = 16
 # Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
-# whatever --max-degree is: C(16, 8) = 12870 coordinates at n = 8, where
-# verify at full degree takes 8.4 s and 450 MB peak RSS at --trials 2, 92 s
-# and 431 MB at the default 50 (2-vCPU VM).  On their own, the curvature-term
-# and Einstein checks peak at 348 and 340 MB; n = 9 has 3.8 times the
+# whatever --max-degree is: C(18, 9) = 48620 coordinates at n = 9, where
+# verify at full degree takes 21-28 s and 600 MB peak RSS at --trials 2
+# (n = 8: 4-6 s and 268 MB; 2-vCPU VM).  On their own, the Einstein and
+# curvature-term checks peak at 470 MB there; n = 10 has 3.8 times the
 # coordinates.
-MAX_VERIFY_N = 8
+MAX_VERIFY_N = 9
 
 
 class SizeLimitError(CalabiLabError, ValueError):
@@ -199,6 +199,11 @@ def _tensor_from_input(data: dict) -> cv.AlgebraicCurvatureTensor:
             raise ValueError(f"component indices of entry {pos} must be whole numbers "
                              f"in 1..{d}, got {row!r}")
         i, j, k, l = (int(x) - 1 for x in idx)
+        if val != 0 and (i == j or k == l):
+            pair = "first pair (i = j)" if i == j else "second pair (k = l)"
+            raise ValueError(f"component entry {pos} sets R{tuple(int(x) for x in idx)} to "
+                             f"{val!r}, but R is antisymmetric in its {pair}, so that "
+                             f"component must be 0")
         for (a, b, sa) in ((i, j, 1.0), (j, i, -1.0)):
             for (cc, e, sc) in ((k, l, 1.0), (l, k, -1.0)):
                 value = sa * sc * val

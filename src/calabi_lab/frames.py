@@ -39,9 +39,13 @@ bases of the seven algebras that act (gl, so, sym^2 over the real frame;
 sym^2 V^{1,0}, Lambda^2 V^{1,0}, u(n), su(n) over the Z-frame) are one
 table, ``family_mats``, built from index arrays.  A stack acts through one
 gather table per degree (``derivation_table``): for every element and output
-set J, the signed source of each off-diagonal entry and the weight of a
-diagonal element.  The bases' tables are built once, on first use
-(``family_table``); every action is applied by ``apply_derivation``.
+set J, the source of each off-diagonal entry with its signed coefficient,
+and the weight of a diagonal element.  A (p,q)-form fills only the
+``C(n, p) C(n, q)`` block of its Z-frame coordinates, so the Z-frame bases
+act on that ``(I, J)`` grid (``act_on_grid``), through tables over
+Lambda(C^n) (``grid_table``); the real-frame bases act on all C(2n, k)
+coordinates (``family_table``).  The bases' tables are built once, on first
+use; every action is applied by ``apply_derivation``.
 """
 
 from __future__ import annotations
@@ -216,42 +220,44 @@ def _slots(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(rest, put, slot)
 
 
-def derivation_table(mats: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+def derivation_table(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather table of the derivation action of a stack of endomorphisms on
-    Lambda^k, for ``derivation_coords`` and ``apply_derivation``.
+    Lambda^k, for ``apply_derivation``.
 
     ``(L x)_J = -sum_{A in J, C} L[C, A] sign x[J with A -> C]``.  An entry
     ``L[C, A]`` off the diagonal sends ``x_{R + C}`` to ``J = R + A`` for each
     (k-1)-subset R that holds neither, with the sort sign
-    ``(-1)^(slot[R, A] + slot[R, C])`` (see ``_slots``); the diagonal adds the
-    weight ``-sum_{A in J} L[A, A]`` times x_J.  Returns ``(src, coef, rows,
-    weight)``: the t-th off-diagonal entry of element mu (in ``np.nonzero``
-    order) has the coefficient ``coef[t, mu] = -L[C, A]`` and reads position
-    ``src[t, mu, J]`` of the extended stack ``[x, -x, 0]``, so that the
-    source's sign is in its position and J's without a source read the 0
-    (a stack with no off-diagonal entry keeps one such slot); the elements
-    ``rows`` with diagonal entries have the ``(len(rows), N)`` ``weight``.
+    ``(-1)^(slot[R, A] + slot[R, C])`` (see ``_slots``); the diagonal
+    multiplies x_J by ``-sum_{A in J} L[A, A]``.  Returns ``(src, factor)``,
+    each ``(slots, m, N)``: the t-th off-diagonal entry of element mu (in
+    ``np.nonzero`` order) reads ``x[src[t, mu, J]]`` times
+    ``factor[t, mu, J]``, which is -L[C, A] with the sort sign, or 0 where J
+    has no source; the diagonal of an element takes the slot after its
+    entries and reads x_J itself.
     """
     m, d = mats.shape[:2]
     count = math.comb(d, k)
     diag = mats[:, np.arange(d), np.arange(d)]
-    rows = np.nonzero(np.any(diag, axis=1))[0]
-    weight = -(diag[rows] @ _subsets(d, k)[1].T)
     mu, c, a = np.nonzero(mats)
     mu, c, a = mu[c != a], c[c != a], a[c != a]
     rank = np.arange(len(mu)) - np.searchsorted(mu, mu)  # t of each entry
-    slots = np.max(rank, initial=0) + 1
-    coef = np.zeros((slots, m), dtype=mats.dtype)
-    coef[rank, mu] = -mats[mu, c, a]
-    # by (slot, element) and J, plus a spare column for the R that hold A
-    src = np.full((slots * m, count + 1), 2 * count, dtype=np.intp)
-    if k:
+    used = np.bincount(mu, minlength=m)  # the slots of each element's entries
+    has_diag = np.any(diag, axis=1)
+    rows = np.nonzero(has_diag)[0]
+    slots = max(int(np.max(used + has_diag, initial=0)), 1)
+    # by slot, element and J, plus a spare column for the R that hold A
+    src = np.zeros((slots, m, count + 1), dtype=np.intp)
+    factor = np.zeros((slots, m, count + 1), dtype=mats.dtype)
+    if k and len(mu):
         _, put, slot = _slots(d, k)
         put, slot = put.T.copy(), slot.T.copy()  # by index, then R
-        moved, odd = put[c], (slot[a] + slot[c]) % 2
-        src[(rank * m + mu)[:, None], put[a]] = np.where(moved < 0, 2 * count,
-                                                         moved + count * odd)
-    return np.ascontiguousarray(src[:, :count]).reshape(slots, m, count), coef, rows, weight
+        moved, at = put[c], (rank[:, None], mu[:, None], put[a])
+        src[at] = np.maximum(moved, 0)
+        odd = (slot[a] + slot[c]) % 2
+        factor[at] = np.where(moved < 0, 0.0, np.where(odd, 1.0, -1.0) * mats[mu, c, a][:, None])
+    src[used[rows], rows, :count] = np.arange(count)
+    factor[used[rows], rows, :count] = -(diag[rows] @ _subsets(d, k)[1].T)
+    return np.ascontiguousarray(src[:, :, :count]), np.ascontiguousarray(factor[:, :, :count])
 
 
 @lru_cache(maxsize=None)
@@ -261,45 +267,93 @@ def family_table(n: int, tag: str, k: int) -> tuple[np.ndarray, ...]:
     return _frozen(*derivation_table(family_mats(n, tag), k))
 
 
-def apply_derivation(table: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    """The action that a ``derivation_table`` describes on the ``(B, N)``
-    exterior coordinates x, as the ``(B, m, N)`` coordinates of each form's
-    actions: at most one gather and product per off-diagonal entry slot, and
-    the weights of the diagonal elements."""
-    src, coef, rows, weight = table
-    x = np.asarray(x)
-    dtype = np.result_type(coef, x, 1.0)
-    ext = np.concatenate([x, -x, np.zeros((len(x), 1))], axis=1, dtype=dtype)
-    out = np.take(ext, src[0], axis=1)
-    out *= coef[0][:, None]
-    part = np.empty_like(out)
+def apply_derivation(table: tuple[np.ndarray, np.ndarray], x: np.ndarray,
+                     axis: int = 1) -> np.ndarray:
+    """The action that a gather table (``derivation_table``, ``grid_table``)
+    describes on the coordinates along ``axis`` of the stack x, with the
+    element axis put before them: ``(B, N)`` coordinates give the
+    ``(B, m, N')`` coordinates of each form's actions, and trailing axes ride
+    along.  One gather and product per slot."""
+    src, factor = table
+    x = np.asarray(x, dtype=np.result_type(factor, x))
+    shape = factor.shape[1:] + (1,) * (x.ndim - axis - 1)  # factors over the trailing axes
+    out = x.take(src[0], axis=axis)
+    out *= factor[0].reshape(shape)
+    part = np.empty_like(out) if len(src) > 1 else None
     for t in range(1, len(src)):
         # the sources are in range: mode "clip" only spares take a buffer
-        np.take(ext, src[t], axis=1, out=part, mode="clip")
-        part *= coef[t][:, None]
+        x.take(src[t], axis=axis, out=part, mode="clip")
+        part *= factor[t].reshape(shape)
         out += part
-    if len(rows):
-        out[:, rows] += weight * x[:, None, :]
     return out
 
 
-def derivation_coords(mats: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """Derivation action of a stack of endomorphisms on a stack of k-forms, in
-    orthonormal exterior coordinates.
+# the Z-frame bases with entries in the conj-Z columns only, M = mats[:, :n, n:]:
+# they send (p,q)-forms to (p-1,q+1)-forms; u and su keep the bidegree
+HAT_TAGS = ("sym2_10", "lambda2_10")
 
-    ``mats`` has shape ``(m, d, d)`` and ``x`` holds the ``(B, C(d, k))``
-    coordinates ``x_J = sqrt(k!) T[J]`` of the forms over the sorted
-    k-subsets J; both are written in one frame, either one.  Returns the
-    ``(m, B, N)`` coordinates ``(L x)_J = -sum_{A in J, C} L[C, A] sign x[..]``
-    (see ``derivation_table``).  Their squared sum is the tensor norm of the
-    action, and their dot products are its Hermitian pairings.
 
-    The table is built for this call: the program acts only with the unitary
-    bases, whose tables are cached (``family_table``), and this entry serves
-    the tests.  An element costs one gather per off-diagonal entry, so act
-    with a sparse basis and mix the results rather than pass dense elements.
+@lru_cache(maxsize=None)
+def grid_table(n: int, tag: str, side: int, k: int) -> tuple[np.ndarray, ...]:
+    """Gather table over Lambda^k(C^n) of one side of the Z-frame basis
+    ``tag`` acting on the (p,q) grid (see ``act_on_grid``), for
+    ``apply_derivation``; built on first use and read-only.
+
+    For u and su, ``block_diag(-c, c^T)`` acts as ``D_p(-c) (x) 1 + 1 (x)
+    D_q(c^T)``: side 0 is the ``derivation_table`` of the Z block at k = p,
+    side 1 that of the conj-Z block at k = q, whose sort signs are those of
+    Lambda^q(C^n), as the J indices all sit p slots further on.  A hat
+    element M acts as ``(-1)^p sum_{c,a} M[c, a] Rm_p[c] Y Rm_{q+1}[a]``, with
+    ``Rm_k[c]`` the signed removal of c from the k-subsets that hold it:
+    side 1 at k = q + 1 (one element per a) sends the (q+1)-subsets J' that
+    hold a, at slot s, to the source ``J' minus a`` with sign (-1)^s; side 0
+    at k = p reads, for each entry ``M[c, a]`` and (p-1)-subset I' without
+    c, row ``I' plus c`` (sign (-1)^slot, see ``_slots``) of the a-th stack
+    that side 1 made, laid out as ``I n + a``.
     """
-    return apply_derivation(derivation_table(mats, k), x).transpose(1, 0, 2)
+    mats = family_mats(n, tag)
+    if tag not in HAT_TAGS:
+        block = slice(None, n) if side == 0 else slice(n, None)
+        return _frozen(*derivation_table(mats[:, block, block], k))
+    count, source = math.comb(n, k), math.comb(n, k - 1)
+    rest, put, slot = _slots(n, k)
+    if side == 1:
+        src = np.zeros((1, n, count), dtype=np.intp)
+        factor = np.zeros((1, n, count))
+        subsets, at = _subsets(n, k)[0], np.arange(count)[:, None]
+        src[0, subsets, at] = rest
+        factor[0, subsets, at] = 1 - 2 * (np.arange(k) % 2)
+        return _frozen(src, factor)
+    mu, c, a = np.nonzero(mats[:, :n, n:])
+    rank = np.arange(len(mu)) - np.searchsorted(mu, mu)  # t of each entry
+    src = np.zeros((np.max(rank, initial=0) + 1, len(mats), source), dtype=np.intp)
+    factor = np.zeros(src.shape, dtype=mats.dtype)
+    moved = put.T[c]  # the row I' plus c, for each entry and (k-1)-subset I'
+    e, r = np.nonzero(moved >= 0)  # I' lacks c
+    src[rank[e], mu[e], r] = moved[e, r] * n + a[e]  # the rows I n + a of side 1
+    factor[rank[e], mu[e], r] = ((-1) ** k * mats[mu[e], c[e], n + a[e]]
+                                 * (1 - 2 * (slot.T[c][e, r] % 2)))
+    return _frozen(src, factor)
+
+
+def act_on_grid(n: int, tag: str, p: int, q: int, y: np.ndarray) -> np.ndarray:
+    """The unitary basis of a Z-frame algebra acting on (p,q)-forms, given by
+    their Z-frame exterior coordinates on the (p,q) block: the grid
+    ``y[B, I, J]`` of the coordinate at ``I + (n + J)``, over the sorted p-
+    and q-subsets of ``0..n-1``.  Returns the ``(B, m, N)`` coordinates of
+    the actions on the image block, I-major in the same way: (p,q) for u and
+    su, (p-1,q+1) for the ``HAT_TAGS`` (N = 0 when p = 0 or q = n).  The
+    tables (``grid_table``) are over Lambda(C^n), not Lambda^{p+q}(C^{2n})."""
+    b = len(y)
+    if tag in HAT_TAGS:
+        if p == 0 or q == n:
+            return np.zeros((b, len(family_mats(n, tag)), 0), dtype=complex)
+        cols = apply_derivation(grid_table(n, tag, 1, q + 1), y, axis=2)  # [B, I, a, J']
+        out = apply_derivation(grid_table(n, tag, 0, p), cols.reshape(b, -1, cols.shape[-1]))
+    else:
+        out = apply_derivation(grid_table(n, tag, 0, p), y)
+        out += apply_derivation(grid_table(n, tag, 1, q), y, axis=2).transpose(0, 2, 1, 3)
+    return out.reshape(out.shape[:2] + (math.prod(out.shape[2:]),))
 
 
 @lru_cache(maxsize=None)
@@ -598,12 +652,19 @@ class RealForm:
 
     def coords(self, frame: str = "z") -> np.ndarray:
         """Orthonormal exterior coordinates of phi + conj(phi) (of phi when
-        p = q), as ``FormPQ.coords``."""
+        p = q), as ``FormPQ.coords``.  The real-frame ones follow from the
+        Z-frame ones by ``coords_z_to_e``, whose every product and sum keeps
+        their conjugation symmetry exactly, so their imaginary parts are
+        exactly 0 (for p = q, when phi is exactly self-conjugate, as
+        ``symmetrize`` makes it)."""
         if frame not in self._coords:
-            x = self.phi.coords(frame)
-            if self.p != self.q:
-                x = x + self.phi.conjugate().coords(frame)
-                x.flags.writeable = False
+            if frame == "e":
+                x = coords_z_to_e(self.coords("z")[None], self.convention, self.degree)[0]
+            else:
+                x = self.phi.coords(frame)
+                if self.p != self.q:
+                    x = x + self.phi.conjugate().coords(frame)
+            x.flags.writeable = False
             self._coords[frame] = x
         return self._coords[frame]
 

@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from calabi_lab.frames import EndoC, FormPQ, FrameError, RealForm
+from calabi_lab.frames import (EndoC, FormPQ, FrameError, RealForm, apply_derivation,
+                               derivation_table)
 
 
 def derivation_action(mat: np.ndarray, arr: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -22,6 +23,21 @@ def derivation_action(mat: np.ndarray, arr: np.ndarray, k: int | None = None) ->
     for slot in range(arr.ndim - k, arr.ndim):
         out -= np.moveaxis(np.tensordot(arr, mat, axes=(slot, 0)), -1, slot)
     return out
+
+
+def derivation_coords(mats: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """Derivation action of a stack of endomorphisms on a stack of k-forms, in
+    orthonormal exterior coordinates, through a gather table built for the
+    call (the package acts only with the cached tables of its bases).
+
+    ``mats`` has shape ``(m, d, d)`` and ``x`` holds the ``(B, C(d, k))``
+    coordinates ``x_J = sqrt(k!) T[J]`` of the forms over the sorted
+    k-subsets J; both are written in one frame, either one.  Returns the
+    ``(m, B, N)`` coordinates ``(L x)_J = -sum_{A in J, C} L[C, A] sign x[..]``
+    (see ``frames.derivation_table``).  Their squared sum is the tensor norm
+    of the action, and their dot products are its Hermitian pairings.
+    """
+    return apply_derivation(derivation_table(mats, k), x).transpose(1, 0, 2)
 
 
 def act_dense(endo: EndoC, dense: np.ndarray) -> np.ndarray:

@@ -67,13 +67,22 @@ def test_tracer_and_the_shared_parser(capsys):
 
 
 def test_clear_caches_empties_the_family_tables():
-    """The benchmark's cold operations rebuild the derivation tables: a call
-    fills ``frames.family_table``, ``spans.clear_caches`` empties it, and the
-    cached arrays are read-only, as every caller shares them."""
+    """The benchmark's cold operations rebuild the derivation tables: calls
+    fill ``frames.family_table`` (the real-frame bases) and
+    ``frames.grid_table`` (the Z-frame bases on the (p,q) grid),
+    ``spans.clear_caches`` empties both, and the cached arrays are
+    read-only, as every caller shares them."""
     from calabi_lab import weitzenboeck as wz
 
-    wz.phi_g(frames.FormPQ.generator(frames.FrameConvention(2), (1,), (2,)), "su")
-    assert frames.family_table.cache_info().currsize > 0
-    assert not any(arr.flags.writeable for arr in frames.family_table(2, "su", 2))
+    conv = frames.FrameConvention(2)
+    wz.phi_g(frames.FormPQ.generator(conv, (1,), (2,)), "su")
+    wz.phi_g(frames.FormPQ.generator(conv, (1,), (2,)), "sym2_10")
+    wz.phi_g(frames.RealForm.symmetrize(frames.FormPQ.generator(conv, (1,), ())), "so")
+    for cache in (frames.family_table, frames.grid_table):
+        assert cache.cache_info().currsize > 0
+    for table in (frames.family_table(2, "so", 1), frames.grid_table(2, "su", 0, 1),
+                  frames.grid_table(2, "sym2_10", 0, 1), frames.grid_table(2, "sym2_10", 1, 2)):
+        assert not any(arr.flags.writeable for arr in table)
     _spans().clear_caches()
-    assert frames.family_table.cache_info().currsize == 0
+    for cache in (frames.family_table, frames.grid_table):
+        assert cache.cache_info().currsize == 0

@@ -399,6 +399,27 @@ def test_file_components_that_set_one_component_twice_exit_2(entries, tmp_path, 
         _assert_usage_error(argv, capsys, "component entries 0 and 1 set R(")
 
 
+@pytest.mark.parametrize("entry,message", [
+    ([1, 1, 2, 2, 1.0], "component entry 0 sets R(1, 1, 2, 2) to 1.0, but R is antisymmetric "
+                        "in its first pair (i = j)"),
+    ([1, 2, 2, 2, -0.5], "component entry 0 sets R(1, 2, 2, 2) to -0.5, but R is antisymmetric "
+                         "in its second pair (k = l)"),
+])
+def test_file_components_with_a_repeated_pair_index_exit_2(entry, message, tmp_path, capsys):
+    """An entry whose antisymmetric pair repeats an index (i = j or k = l)
+    with a nonzero value would set that component to both v and -v; it is
+    refused by entry, with 1-based indices."""
+    path = tmp_path / "comp.json"
+    path.write_text(json.dumps({"kind": "components", "n": 1, "entries": [entry]}))
+    for argv in (["spectrum", "--space", f"file:{path}"],
+                 ["certify", "--space", f"file:{path}"]):
+        _assert_usage_error(argv, capsys, message)
+    path.write_text(json.dumps({"kind": "components", "n": 1,
+                                "entries": [[1, 2, 1, 2, 1.0], entry[:4] + [0.0]]}))
+    assert main(["spectrum", "--space", f"file:{path}", "--format", "json"]) == 0
+    capsys.readouterr()
+
+
 def test_file_components_accept_equal_repeats(tmp_path, capsys):
     # the same value, given again directly or through the pair symmetries
     path = tmp_path / "comp.json"

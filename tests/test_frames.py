@@ -30,7 +30,6 @@ from calabi_lab.frames import (
     _z_layout,
     apply_derivation,
     change_pairs,
-    derivation_coords,
     family_mats,
     family_table,
     kaehler_bivector,
@@ -38,7 +37,7 @@ from calabi_lab.frames import (
     project_primitive,
 )
 from calabi_lab.weitzenboeck import estimate_bound
-from dense_reference import _perm_sign, act_dense, evaluate_form, wedge_dense
+from dense_reference import _perm_sign, act_dense, derivation_coords, evaluate_form, wedge_dense
 
 RNG = np.random.default_rng(2024)
 
@@ -609,7 +608,9 @@ def test_verify_feeds_the_kernel_sparse_stacks(monkeypatch):
 
 def test_verify_acts_only_through_the_cached_family_tables(monkeypatch):
     """No program path builds a gather table per call: from empty caches,
-    every table verify builds is a miss of the family_table cache."""
+    every derivation table verify builds is a miss of the family_table or
+    grid_table cache (grid_table gathers the hat tables from ``_slots``
+    itself), and a second run on the filled caches builds no table."""
     import sys
 
     from calabi_lab import frames
@@ -623,10 +624,65 @@ def test_verify_acts_only_through_the_cached_family_tables(monkeypatch):
         return build(mats, k)
 
     frames.family_table.cache_clear()
+    frames.grid_table.cache_clear()
     monkeypatch.setattr(frames, "derivation_table", counted)
     run_verify_suite(3, 2, 0, max_degree=3)
-    assert callers and set(callers) == {"family_table"}
-    assert len(callers) == frames.family_table.cache_info().misses
+    assert set(callers) == {"family_table", "grid_table"}
+    assert callers.count("family_table") == frames.family_table.cache_info().misses
+    grid_misses = frames.grid_table.cache_info().misses
+    assert 0 < callers.count("grid_table") < grid_misses
+    built = len(callers)
+    run_verify_suite(3, 2, 0, max_degree=3)
+    assert len(callers) == built
+    assert frames.grid_table.cache_info().misses == grid_misses
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_grid_actions_match_the_full_coordinate_tables(n):
+    """The Z-frame bases act on the (p,q) grid as their ``family_table`` over
+    all C(2n, k) Z-frame coordinates acts: for every family and every (p,q),
+    the reference is 0 off the image block, ``act_on_grid`` gives its
+    coordinates on the block, and ``phi_g`` of a FormPQ and of a RealForm
+    (both pieces when p != q) has its Gram matrix, all to 1e-15 of the
+    scale; ``norm_phi_g_batch`` over the forms of one degree, mixed
+    bidegrees and both kinds in one batch, gives the reference norms."""
+    from calabi_lab.frames import HAT_TAGS, act_on_grid
+    from calabi_lab.weitzenboeck import norm_phi_g_batch, phi_g
+
+    rng = np.random.default_rng(700 + n)
+    conv = FrameConvention(n)
+    for tag in ("sym2_10", "lambda2_10", "u", "su"):
+        by_degree = {}
+        for p in range(n + 1):
+            for q in range(n + 1):
+                size = math.comb(n, p) * math.comb(n, q)
+                coeffs = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+                forms = [FormPQ.from_coefficient_vector(conv, p, q, c) for c in coeffs]
+                x = np.array([f.coords("z") for f in forms])
+                ref = apply_derivation(family_table(n, tag, p + q), x)
+                image = (p - 1, q + 1) if tag in HAT_TAGS else (p, q)
+                pos = (_z_layout(n, *image)[0] if image[0] >= 0 and image[1] <= n
+                       else np.zeros(0, dtype=np.intp))
+                off = np.ones(ref.shape[2], dtype=bool)
+                off[pos] = False
+                assert not np.any(ref[:, :, off]), (tag, p, q)
+                grid = x[:, _z_layout(n, p, q)[0]].reshape(3, math.comb(n, p), math.comb(n, q))
+                got = act_on_grid(n, tag, p, q, grid)
+                assert got.shape == ref[:, :, pos].shape
+                scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+                assert np.max(np.abs(got - ref[:, :, pos]), initial=0.0) <= 1e-15 * scale
+                for form in (forms[0], RealForm.symmetrize(forms[1])):
+                    want = apply_derivation(family_table(n, tag, p + q), form.coords("z")[None])[0]
+                    parts = phi_g(form, tag)
+                    gram, want_gram = parts.conj() @ parts.T, want.conj() @ want.T
+                    scale = max(1.0, float(np.max(np.abs(want_gram), initial=0.0)))
+                    assert np.max(np.abs(gram - want_gram), initial=0.0) <= 1e-15 * scale, (tag, p, q)
+                    forms_k, norms_k = by_degree.setdefault(p + q, ([], []))
+                    forms_k.append(form)
+                    norms_k.append(float(np.sum(np.abs(want) ** 2)))
+        for forms_k, norms_k in by_degree.values():
+            got = norm_phi_g_batch(tag, conv, forms_k)
+            assert np.max(np.abs(got - norms_k)) <= 1e-14 * max(1.0, max(norms_k))
 
 
 def contract_each_slot(arr, mat, k=None):

@@ -26,7 +26,6 @@ from calabi_lab.frames import (
     RealForm,
     dense_conj,
     dense_z_to_e,
-    derivation_coords,
     lambda11_basis_labels,
     sym2_basis_labels,
 )
@@ -63,7 +62,7 @@ from calabi_lab.weitzenboeck import (
     ricl_via_kaehler_su,
     stress_search,
 )
-from dense_reference import act_dense, alternate, derivation_action
+from dense_reference import act_dense, alternate, derivation_action, derivation_coords
 
 RNG = np.random.default_rng(99)
 
@@ -350,6 +349,38 @@ def test_pair_table_composes_two_annihilations(d):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_oracle_works_real_stacks_in_float64(n):
+    """A real stack (float, or complex with every imaginary part exactly 0)
+    takes the float64 path and comes back real; next to one complex form it
+    takes the complex path.  The two agree to 1e-15 of the size of the frame
+    sum's terms, d max|R| max|x| (Ric_L cancels to rounding at the top
+    degree), on a Kaehler and a general Riemannian tensor at every degree.
+    The real-frame coordinates of random primitive real forms have imaginary
+    parts exactly 0, so the oracle works them in float64."""
+    rng = np.random.default_rng(4000 + n)
+    conv = FrameConvention(n)
+    d = conv.dim
+    for t in (random_kaehler(n, 70 + n), random_riemannian(conv, 80 + n)):
+        for k in range(d + 1):
+            size = math.comb(d, k)
+            x = rng.normal(size=(4, size))
+            real = ricl_bruteforce(t, x, k)
+            assert real.dtype == np.float64
+            assert np.array_equal(ricl_bruteforce(t, x + 0j, k), real)
+            mixed = np.concatenate([x, rng.normal(size=(1, size)) + 1j * rng.normal(size=(1, size))])
+            complex_path = ricl_bruteforce(t, mixed, k)[:4]
+            assert complex_path.dtype == np.complex128 and not np.any(complex_path.imag)
+            scale = d * float(np.max(np.abs(t.components))) * float(np.max(np.abs(x)))
+            assert np.max(np.abs(complex_path.real - real)) <= 1e-15 * scale, k
+    for p in range(n + 1):
+        for q in range(p + 1):
+            if 1 <= p + q <= n:
+                psi = random_primitive_real(conv, p, q, rng)
+                assert not np.any(psi.coords("e").imag)
+                assert ricl_bruteforce(t, psi.coords("e")[None], p + q).dtype == np.float64
+
+
 def test_oracle_slices_give_the_one_slice_output(monkeypatch):
     """A batch cut into slices gives exactly the output of one slice."""
     n, k = 3, 3
@@ -405,26 +436,26 @@ def test_eigen_route_slices_give_the_one_slice_output(monkeypatch):
     lam = ricci(te).einstein_lambda
     su_spec = restrict_su(kaehler_operator(te), ricci(te)).spectrum()
     whole = (ricl_via_calabi_batch(spec, conv, forms), ricl_via_kaehler_su(lam, su_spec, forms))
-    size = math.comb(2 * n, p + q)
+    size = math.comb(n, p) * math.comb(n, q)  # the (p,q) grid, larger than the (p-1,q+1) one
     per_form = max(len(family_mats(n, "sym2_10")), len(family_mats(n, "u"))) * size
     assert len(forms) * per_form <= wz._SLICE_ENTRIES
-    monkeypatch.setattr(wz, "_SLICE_ENTRIES", 3 * per_form)  # slices of 3, 3, 1
+    # slices of 3, 3, 1 for the 16 u elements, of 4, 3 for the 10 sym2_10 ones
+    monkeypatch.setattr(wz, "_SLICE_ENTRIES", 3 * per_form)
     assert np.array_equal(ricl_via_calabi_batch(spec, conv, forms), whole[0])
     assert np.array_equal(ricl_via_kaehler_su(lam, su_spec, forms), whole[1])
 
 
 def test_eigen_route_peak_memory_is_bounded_by_the_slice(monkeypatch):
-    """A degree-6 batch at n = 6 that takes three slices allocates at most six
-    complex stacks of one slice's actions (4.5 here: the kernel's gathers and
-    accumulators, the action and its mix); the whole batch as one slice
-    allocates more (10 here)."""
+    """A (3,3) batch at n = 6 that takes three slices allocates at most four
+    complex stacks of the basis actions on one slice's (p,q) grid (2.7 here:
+    the kernel's gathers and accumulators on the grid and its (2,4) image,
+    the action and its mix); the whole batch as one slice allocates more
+    (5.7 here)."""
     n, p, q = 6, 3, 3
     conv = FrameConvention(n)
     forms = _random_forms(conv, p, q, 24, np.random.default_rng(6))
-    for f in forms:
-        f.coords("z")
     spec = calabi_from_tensor(random_kaehler(n, 6)).spectrum()
-    per_form = len(family_mats(n, "sym2_10")) * math.comb(2 * n, p + q)
+    per_form = len(family_mats(n, "sym2_10")) * math.comb(n, p) * math.comb(n, q)
 
     def peak(entries):
         monkeypatch.setattr(wz, "_SLICE_ENTRIES", entries)
@@ -436,14 +467,15 @@ def test_eigen_route_peak_memory_is_bounded_by_the_slice(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    bound = 6 * 16 * 8 * per_form
+    bound = 4 * 16 * 8 * per_form
     assert peak(8 * per_form) <= bound  # three slices of 8
     assert peak(len(forms) * per_form) > bound
 
 
 def test_oracle_is_independent_of_the_eigen_route_kernels(monkeypatch):
-    """The oracle runs with the Z-frame derivation kernel, its index tables
-    and the algebra bases of the eigenvalue routes made to fail."""
+    """The oracle runs with the Z-frame derivation kernel, its index and
+    grid tables and the algebra bases of the eigenvalue routes made to fail
+    (on real forms, so through its float64 path)."""
     n = 3
     conv = FrameConvention(n)
     t = random_kaehler(n, 4)
@@ -454,8 +486,8 @@ def test_oracle_is_independent_of_the_eigen_route_kernels(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the oracle used an eigenvalue-route kernel")
 
-    for name in ("derivation_coords", "derivation_table", "family_table", "apply_derivation",
-                 "_slots", "family_mats"):
+    for name in ("derivation_table", "family_table", "grid_table", "act_on_grid",
+                 "apply_derivation", "_slots", "family_mats"):
         monkeypatch.setattr(frames, name, never)
         if hasattr(wz, name):
             monkeypatch.setattr(wz, name, never)
@@ -601,13 +633,14 @@ def test_r2_gl_identity_general_riemannian():
     conv = FrameConvention(2)
     for seed in range(5):
         t = random_riemannian(conv, seed)
-        for p in (1, 2, 3):
-            x = random_real_pform(conv, p, rng)
-            out = check_r2_gl_identity(t, x, p)
+        forms = [(random_real_pform(conv, p, rng), p) for p in (1, 2, 3)]
+        outs = check_r2_gl_identity(t, forms)
+        assert len(outs) == len(forms)
+        for out in outs:
             assert out["residual"] < 1e-10
     # p = 1: both sides vanish
     x = random_real_pform(conv, 1, rng)
-    out = check_r2_gl_identity(random_riemannian(conv, 100), x, 1)
+    [out] = check_r2_gl_identity(random_riemannian(conv, 100), [(x, 1)])
     assert abs(out["rhs"]) == 0.0
 
 
@@ -616,9 +649,10 @@ def test_ricl_r2_split_and_translation():
     conv = FrameConvention(2)
     for seed in range(5):
         t = random_riemannian(conv, 50 + seed)
-        for p in (1, 2, 3):
-            x = random_real_pform(conv, p, rng)
-            out = check_ricl_r2_split(t, x, p)
+        forms = [(random_real_pform(conv, p, rng), p) for p in (1, 2, 3)]
+        outs = check_ricl_r2_split(t, forms)
+        assert len(outs) == len(forms)
+        for out in outs:
             assert out["residual_split"] < 1e-9
             assert out["residual_translation"] < 1e-9
 
