@@ -352,7 +352,8 @@ def act_on_grid(n: int, tag: str, p: int, q: int, y: np.ndarray) -> np.ndarray:
         out = apply_derivation(grid_table(n, tag, 0, p), cols.reshape(b, -1, cols.shape[-1]))
     else:
         out = apply_derivation(grid_table(n, tag, 0, p), y)
-        out += apply_derivation(grid_table(n, tag, 1, q), y, axis=2).transpose(0, 2, 1, 3)
+        if q:  # a derivation is 0 on Lambda^0
+            out += apply_derivation(grid_table(n, tag, 1, q), y, axis=2).transpose(0, 2, 1, 3)
     return out.reshape(out.shape[:2] + (math.prod(out.shape[2:]),))
 
 
