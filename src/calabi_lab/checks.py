@@ -23,7 +23,8 @@ from .frames import (
     FormPQ,
     FrameConvention,
     RealForm,
-    lefschetz_adjoint,
+    _lefschetz_coeffs,
+    _removal,
 )
 from .spectral import k_test, weight_principle
 
@@ -176,72 +177,109 @@ def check_curvature_term(n: int, trials: int, seed: int, max_degree: int = 4) ->
     for (p, q) in pairs:
         for _ in range(3):
             forms[p + q].append(wz.random_primitive_real(conv, p, q, rng))
+    # the oracle's input, the same for every tensor
+    coords = [wz.oracle_coords(same_degree) for same_degree in forms.values()]
     worst = 0.0
     for _ in range(trials):
         t = ms.random_kaehler(n, int(rng.integers(2 ** 31)))
         spec = cv.calabi_from_tensor(t).spectrum()
-        for same_degree in forms.values():
-            bf = wz.ricl_pairing_batch(t, same_degree)
+        for same_degree, (x, k) in zip(forms.values(), coords):
+            bf = wz.ricl_pairing_coords(t, x, k)
             ec = wz.ricl_via_calabi_batch(spec, conv, same_degree)
             worst = max(worst, float(np.max(np.abs(bf - ec) / np.maximum(1.0, np.abs(bf)))))
     return _record("curvature_term_via_calabi", "curvature-term-via-calabi-eigenvalues",
                    worst, TOL_EIGEN, trials=trials)
 
 
+def _insertion_norms(n: int, p: int, q: int, coeffs: np.ndarray) -> np.ndarray:
+    """``sum_{a,b} |iota(conj Z_b) iota(Z_a) phi|^2`` for a ``(B, C(n, p) C(n, q))``
+    stack of (p,q) generator coefficients, as ``sum_{a,b} |R_a C R_b^T|^2``
+    on each coefficient grid C with the removals R_a of ``frames._removal``
+    on its rows and columns, in slices of at most ``_SLICE_ENTRIES`` entries.
+
+    Taking a out of I and b out of J sends Z^(I, J) to +-Z^(I - a, J - b)
+    and no two generators to the same one, so the signs drop out of the
+    norm.  The double interior product carries the factor sqrt(k(k-1)) of
+    the orthonormal exterior coordinates, as the oracle's pair annihilation
+    does.  It is 0 for p = 0 or q = 0."""
+    out = np.zeros(len(coeffs))
+    if p < 1 or q < 1:
+        return out
+    rows = _removal(n, p).reshape(-1, math.comb(n, p))  # (a, I - a) by I
+    cols = _removal(n, q).reshape(-1, math.comb(n, q))
+    grid = coeffs.reshape(len(coeffs), rows.shape[1], cols.shape[1])
+    step = max(1, wz._SLICE_ENTRIES // (len(rows) * len(cols)))
+    for lo in range(0, len(grid), step):
+        part = grid[lo:lo + step]
+        # real and imaginary parts as real stacks: every (a, b) block at once
+        every = rows @ np.stack([part.real, part.imag]) @ cols.T
+        out[lo:lo + step] = np.sum(every ** 2, axis=(0, 2, 3))
+    return out
+
+
 def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     """Insertion-norm identity, the hat-norm identity with and without the
     Lefschetz correction, the su-norm identity, and the u-decomposition.
 
-    The insertion norm ``sum_{a,b} |iota(conj Z_b) iota(Z_a) phi|^2`` goes
-    through the oracle's pair annihilation on the Z-frame coordinates: it
-    maps x_J to ``+-x_J`` at ``J minus {J_s, J_t}``, which is sqrt(k(k-1))
-    times the coordinates of the double interior product, so its squared
-    norm carries the factor k(k-1) of the identity.  Frame indices below n
-    are the Z_a and the rest the conj Z_b, so the sum runs over the pairs
-    a < n <= b.
+    Each sample of a bidegree (p,q) draws, in this order, the coefficients
+    of a (p,q)-form phi, a random primitive real form and the coefficients
+    of an element L of u(n).  All of a bidegree's samples are drawn first
+    and then checked as one batch: the insertion norm of each phi on its
+    coefficient grid (``_insertion_norms``), the hat norms of the real
+    forms psi = phi + conj(phi) through ``norm_phi_g_batch``, Lambda psi on
+    the stacked coefficients, the su norms of the primitive pieces through
+    ``norm_phi_g_batch`` and their u actions through one ``_actions`` pass,
+    consumed slice by slice.
     """
     rng = _rng(seed, 7)
     conv = FrameConvention(n)
-    first, second = np.triu_indices(2 * n, 1)  # the pairs, in pair-stack order
-    mixed = (first < n) & (second >= n)
     worst = 0.0
     count = max(trials // 5, 5)
     for (p, q) in _pairs(n, max_degree):
         k = p + q
-        for _ in range(count):
+        size = math.comb(n, p) * math.comb(n, q)
+        phis = np.zeros((count, size), dtype=complex)
+        prims, cmats = [], np.zeros((count, n, n), dtype=complex)
+        for i in range(count):
             # (re, im) by generator
-            raw = rng.standard_normal((math.comb(n, p) * math.comb(n, q), 2))
-            phi = FormPQ.from_coefficient_vector(conv, p, q, raw[:, 0] + 1j * raw[:, 1])
-            if k >= 2:
-                twice = wz._pair_annihilate(phi.coords("z")[None], 2 * n, k)[0]
-                ins = float(np.sum(np.abs(twice[mixed]) ** 2))
-                target = p * q * phi.norm_sq()
-                worst = max(worst, abs(ins - target) / max(1.0, target))
-            psi = RealForm.symmetrize(phi)
-            hat2 = wz.norm_phi_g(psi, "sym2_10")
-            lam = lefschetz_adjoint(psi.phi)
-            lam_sq = lam.norm_sq() * (2.0 if p != q else 1.0)
-            expect = 0.25 * (k * (n + 1) - 2 * p * q) * psi.norm_sq()
-            if k >= 2:
-                expect -= lam_sq / (2 * k * (k - 1))
-            worst = max(worst, abs(hat2 - expect) / max(1.0, abs(expect)))
+            raw = rng.standard_normal((size, 2))
+            phis[i] = raw[:, 0] + 1j * raw[:, 1]
+            prims.append(wz.random_primitive_real(conv, p, q, rng).phi)
+            cmats[i] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
-            prim = wz.random_primitive_real(conv, p, q, rng).phi
-            su2 = wz.norm_phi_g(prim, "su")
-            expect_su = (2 * p * q + k * (n + 1 - k) - (p - q) ** 2 / n) * prim.norm_sq()
-            worst = max(worst, abs(su2 - expect_su) / max(1.0, abs(expect_su)))
-            u_fam = wz.phi_g(prim, "u")
-            u2 = float(np.sum(np.abs(u_fam) ** 2))
+        # the insertion norm is 0 = pq |phi|^2 when p or q is 0
+        target = p * q * np.sum(np.abs(phis) ** 2, axis=1)
+        ins = _insertion_norms(n, p, q, phis)
+        worst = max(worst, float(np.max(np.abs(ins - target) / np.maximum(1.0, target))))
+
+        psis = [RealForm.symmetrize(FormPQ.from_coefficient_vector(conv, p, q, v)) for v in phis]
+        hat2 = wz.norm_phi_g_batch("sym2_10", conv, psis)
+        expect = 0.25 * (k * (n + 1) - 2 * p * q) * np.array([psi.norm_sq() for psi in psis])
+        if p >= 1 and q >= 1:
+            coeffs = np.array([psi.phi.coefficient_vector() for psi in psis])
+            lam = _lefschetz_coeffs(n, p, q, coeffs)
+            lam_sq = np.sum(np.abs(lam) ** 2, axis=1) * (2.0 if p != q else 1.0)
+            expect -= lam_sq / (2 * k * (k - 1))
+        worst = max(worst, float(np.max(np.abs(hat2 - expect) / np.maximum(1.0, np.abs(expect)))))
+
+        prim_sq = np.array([prim.norm_sq() for prim in prims])
+        su2 = wz.norm_phi_g_batch("su", conv, prims)
+        expect_su = (2 * p * q + k * (n + 1 - k) - (p - q) ** 2 / n) * prim_sq
+        worst = max(worst, float(np.max(np.abs(su2 - expect_su)
+                                        / np.maximum(1.0, np.abs(expect_su)))))
+        u2, om2, lhs = np.zeros(count), np.zeros(count), np.zeros(count)
+        for owner, u_fam in wz._actions(n, "u", prims, n * n):
+            u2[owner] = np.sum(np.abs(u_fam) ** 2, axis=(1, 2))
             # omega = i sum_a u_{(a, a)}, the diagonal elements of the u basis
-            om2 = float(np.sum(np.abs(np.sum(u_fam[::n + 1], axis=0)) ** 2))
-            worst = max(worst, abs(u2 - (om2 / n + su2)) / max(1.0, u2))
+            om2[owner] = np.sum(np.abs(np.sum(u_fam[:, ::n + 1], axis=1)) ** 2, axis=1)
             # |L phi|^2 <= (p+q) |L|_u^2 |phi|^2 for L in u(n); L is
             # sum_ab cmat[a, b] Z_a ^ conj(Z_b), so L phi mixes the u actions
-            cmat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            L = EndoC.from_lambda11(conv, cmat)
-            lhs = float(np.sum(np.abs(cmat.reshape(-1) @ u_fam) ** 2))
-            bound = k * L.norm_u_sq() * prim.norm_sq()
-            worst = max(worst, max(lhs - bound, 0.0) / max(1.0, bound))
+            mixed = np.einsum("bm,bmj->bj", cmats[owner].reshape(len(owner), -1), u_fam)
+            lhs[owner] = np.sum(np.abs(mixed) ** 2, axis=1)
+        worst = max(worst, float(np.max(np.abs(u2 - (om2 / n + su2)) / np.maximum(1.0, u2))))
+        l_sq = np.array([EndoC.from_lambda11(conv, c).norm_u_sq() for c in cmats])
+        bound = k * l_sq * prim_sq
+        worst = max(worst, float(np.max(np.maximum(lhs - bound, 0.0) / np.maximum(1.0, bound))))
     return _record("norm_identities", "insertion-hat-su-norm-identities", worst, TOL_DIRECT)
 
 

@@ -825,12 +825,18 @@ def lefschetz_adjoint(phi: FormPQ) -> FormPQ:
     (Lambda phi)(v_1..v_{k-2}) = -i k(k-1) sum_a phi(Z_a, conj Z_a, v_1, ..);
     the sort signs of taking a out of I and J cancel the interleave signs of
     Z^(I, J) and Z^(I - a, J - a), which leaves the sign-free grid contraction."""
-    conv, k = phi.convention, phi.degree
-    if phi.p < 1 or phi.q < 1:
-        return FormPQ(conv, max(phi.p - 1, 0), max(phi.q - 1, 0))
-    vec = _sandwich(_removal(conv.n, phi.p), _removal(conv.n, phi.q), phi.coefficient_vector())
-    return FormPQ.from_coefficient_vector(conv, phi.p - 1, phi.q - 1,
-                                          -1.0j * math.sqrt(k * (k - 1)) * vec)
+    conv, p, q = phi.convention, phi.p, phi.q
+    if p < 1 or q < 1:
+        return FormPQ(conv, max(p - 1, 0), max(q - 1, 0))
+    return FormPQ.from_coefficient_vector(
+        conv, p - 1, q - 1, _lefschetz_coeffs(conv.n, p, q, phi.coefficient_vector()))
+
+
+def _lefschetz_coeffs(n: int, p: int, q: int, coeffs: np.ndarray) -> np.ndarray:
+    """``lefschetz_adjoint`` on (p,q) generator coefficients (last axis, any
+    leading axes), p, q >= 1: the (p-1,q-1) coefficients of Lambda."""
+    k = p + q
+    return -1.0j * math.sqrt(k * (k - 1)) * _sandwich(_removal(n, p), _removal(n, q), coeffs)
 
 
 @lru_cache(maxsize=None)

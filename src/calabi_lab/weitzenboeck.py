@@ -217,6 +217,16 @@ def _coords(forms, frame: str) -> tuple[np.ndarray, int]:
 _SLICE_ENTRIES = 1 << 22
 
 
+def _oracle_stack(x: np.ndarray) -> np.ndarray:
+    """A coordinate stack as the oracle works it: float64 when it is real
+    (float, or complex with every imaginary part exactly 0, as real forms
+    have), complex otherwise."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x) and np.any(x.imag):
+        return np.asarray(x, dtype=complex)
+    return np.ascontiguousarray(x.real, dtype=float)
+
+
 def _real_matmul(op: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``op @ a`` for a real matrix op; a complex stack goes through its float
     view, so that each product acts on its real and imaginary parts at once."""
@@ -246,11 +256,7 @@ def ricl_bruteforce(t: AlgebraicCurvatureTensor, x: np.ndarray, k: int) -> np.nd
     """
     r = t.components
     d = r.shape[0]
-    x = np.asarray(x)
-    if np.iscomplexobj(x) and np.any(x.imag):
-        x = np.asarray(x, dtype=complex)
-    else:
-        x = np.ascontiguousarray(x.real, dtype=float)
+    x = _oracle_stack(x)
     out = np.zeros_like(x)
     if k == 0:
         return out
@@ -350,7 +356,20 @@ def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention, forms) -> np.nd
 def ricl_pairing_batch(t: AlgebraicCurvatureTensor, forms) -> np.ndarray:
     """Vectorized brute-force g(Ric_L psi, conj psi) over a sequence of forms or
     a stack of dense real-frame forms."""
+    return ricl_pairing_coords(t, *oracle_coords(forms))
+
+
+def oracle_coords(forms) -> tuple[np.ndarray, int]:
+    """The ``(B, C(2n, k))`` real-frame coordinates of a sequence of forms of
+    one degree, or of a stack of dense real-frame forms, as the oracle works
+    them (``_oracle_stack``), and the degree k."""
     x, k = _coords(forms, "e")
+    return _oracle_stack(x), k
+
+
+def ricl_pairing_coords(t: AlgebraicCurvatureTensor, x: np.ndarray, k: int) -> np.ndarray:
+    """``ricl_pairing_batch`` from the ``oracle_coords`` of the forms, for a
+    caller that pairs the same forms with several tensors."""
     return np.real(np.sum(ricl_bruteforce(t, x, k) * x.conj(), axis=1))
 
 
@@ -456,16 +475,17 @@ def _pairing_value(op: np.ndarray, n: int, tag: str, x: np.ndarray, p: int) -> f
     return float(np.sum(op * gram.T))
 
 
-def _curvature_contraction(r: np.ndarray, x: np.ndarray, p: int) -> float:
+def _curvature_contraction(pairs: np.ndarray, d: int, x: np.ndarray, p: int) -> float:
     """``sum R_ijkl <i_j i_i x, i_l i_k x>`` with ``i`` the oracle's
-    annihilation on the real-frame coordinates x of a p-form phi, summed over
-    the index pairs i < j, k < l with ``_pair_matrix(r)``.  Each annihilation
-    carries sqrt of the degree it acts on, so this is
-    ``p(p-1) sum R_ijkl phi_{ijI} phi_{klI}`` in dense components."""
+    annihilation on the real-frame coordinates x of a p-form phi over d frame
+    vectors, summed over the index pairs i < j, k < l with the pair matrix
+    ``pairs = _pair_matrix(R)``.  Each annihilation carries sqrt of the
+    degree it acts on, so this is ``p(p-1) sum R_ijkl phi_{ijI} phi_{klI}``
+    in dense components."""
     if p < 2:
         return 0.0
-    twice = _pair_annihilate(x[None], r.shape[0], p)[0]  # [(i, j), ...]
-    return float(np.real(np.sum((_pair_matrix(r).T @ twice) * twice.conj())))
+    twice = _pair_annihilate(x[None], d, p)[0]  # [(i, j), ...]
+    return float(np.real(np.sum((pairs.T @ twice) * twice.conj())))
 
 
 def _ricci_contraction(ric: np.ndarray, x: np.ndarray, p: int) -> float:
@@ -481,14 +501,16 @@ def check_r2_gl_identity(t: AlgebraicCurvatureTensor,
                          forms: Sequence[tuple[np.ndarray, int]]) -> list[dict]:
     """g(R2(phi^gl), phi^gl) = -(p(p-1)/2) sum R_ijkl phi_{ijI} phi_{klI}, for
     each pair ``(x, p)`` of the real-frame coordinates x of a p-form phi (as
-    ``random_real_pform`` returns them) and its degree; R2 over gl is built
-    once for all of them.  One record per form, in order."""
+    ``random_real_pform`` returns them) and its degree; R2 over gl and the
+    pair matrix of R are built once for all of them.  One record per form,
+    in order."""
     n = t.convention.n
     r2_gl = _tensor_square(t.components, family_mats(n, "gl"), R2_SLOTS)
+    pairs = _pair_matrix(t.components)
     out = []
     for x, p in forms:
         lhs = _pairing_value(r2_gl, n, "gl", x, p)
-        rhs = -0.5 * _curvature_contraction(t.components, x, p)
+        rhs = -0.5 * _curvature_contraction(pairs, t.convention.dim, x, p)
         scale = max(1.0, abs(lhs), abs(rhs))
         out.append({"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs) / scale})
     return out
@@ -567,38 +589,51 @@ def estimate_bound(s: EndoC, psi: RealForm) -> EstimateResult:
 def _sym2_scores(parts: np.ndarray, hats: np.ndarray) -> np.ndarray:
     """|S psi|^2 for the sym^2 V^{1,0} elements S with hat matrices ``hats``
     (n_s, n, n), from the actions ``parts`` of the unit basis on psi (the
-    ``phi_g`` of the sym2_10 family): ``c* G c`` over the unit-basis
-    coordinates c of S, against the Gram matrix G of those actions."""
-    gram = parts.conj() @ parts.T
-    a, b = np.array(sym2_basis_labels(hats.shape[1])).T - 1
-    c = hats[:, a, b] * np.where(a == b, 1.0, math.sqrt(2.0))
-    return np.real(np.sum(c.conj() * (c @ gram.T), axis=1))
+    ``phi_g`` of the sym2_10 family), through their Gram matrix."""
+    return _gram_scores(parts.conj() @ parts.T, hats)
+
+
+def _gram_scores(gram: np.ndarray, hats: np.ndarray) -> np.ndarray:
+    """``c* G c`` over the unit-basis coordinates c of each sym^2 V^{1,0}
+    element S with hat matrix in ``hats`` (..., n_s, n, n), against the Gram
+    matrix ``G[i, j] = <u_j psi, u_i psi>`` (..., m, m) of the unit basis
+    actions on psi: |S psi|^2, shape (..., n_s)."""
+    a, b = np.array(sym2_basis_labels(hats.shape[-1])).T - 1
+    c = hats[..., a, b] * np.where(a == b, 1.0, math.sqrt(2.0))
+    return np.real(np.sum(c.conj() * (c @ np.swapaxes(gram, -1, -2)), axis=-1))
 
 
 def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: int,
                       rng: np.random.Generator) -> dict:
     """Random-pair stress test of the main estimate: n_psi primitive real forms
     against n_s symmetric elements each.  Returns violation counts and the
-    largest ratio lhs/bound observed."""
+    largest ratio lhs/bound observed.
+
+    Each sample draws psi and then its n_s hat matrices, in that order.  The
+    Gram matrices of the sym2_10 basis actions on every psi come from one
+    pass of ``_actions`` (their trace is the hat norm), and every sample is
+    scored and bounded as one array."""
     n = conv.n
     denom = (p + q) * (n + 1) - 2 * p * q
     cmin = _min_constant(p, q)
-    violations = 0
-    max_ratio = 0.0
-    for _ in range(n_psi):
-        psi = random_primitive_real(conv, p, q, rng)
-        psi_norm = psi.norm_sq()
-        parts = phi_g(psi, "sym2_10")
-        hat_norm = float(np.sum(np.abs(parts) ** 2))
-        hats = rng.normal(size=(n_s, n, n)) + 1j * rng.normal(size=(n_s, n, n))
-        hats = (hats + hats.transpose(0, 2, 1)) / 2.0
-        norms = _sym2_scores(parts, hats)
-        s_norms = np.sum(np.abs(hats.reshape(n_s, -1)) ** 2, axis=1)
-        bound = (0.5 + cmin) * s_norms * psi_norm
-        bound_prim = (2.0 + 4.0 * cmin) / denom * s_norms * hat_norm
-        tight = np.minimum(bound, bound_prim)
-        violations += int(np.sum(norms > tight + ESTIMATE_TOL * np.maximum(1.0, tight)))
-        max_ratio = max(max_ratio, float(np.max(norms / np.maximum(bound, 1e-300))))
+    psis, hats = [], np.zeros((n_psi, n_s, n, n), dtype=complex)
+    for i in range(n_psi):
+        psis.append(random_primitive_real(conv, p, q, rng))
+        h = rng.normal(size=(n_s, n, n)) + 1j * rng.normal(size=(n_s, n, n))
+        hats[i] = (h + h.transpose(0, 2, 1)) / 2.0
+    m = len(family_mats(n, "sym2_10"))
+    gram = np.zeros((n_psi, m, m), dtype=complex)
+    for owner, acted in _actions(n, "sym2_10", psis, m):
+        gram[owner] += acted.conj() @ acted.transpose(0, 2, 1)
+    norms = _gram_scores(gram, hats)
+    hat_norms = np.trace(gram, axis1=1, axis2=2).real[:, None]
+    psi_norms = np.array([psi.norm_sq() for psi in psis])[:, None]
+    s_norms = np.sum(np.abs(hats.reshape(n_psi, n_s, -1)) ** 2, axis=2)
+    bound = (0.5 + cmin) * s_norms * psi_norms
+    bound_prim = (2.0 + 4.0 * cmin) / denom * s_norms * hat_norms
+    tight = np.minimum(bound, bound_prim)
+    violations = int(np.sum(norms > tight + ESTIMATE_TOL * np.maximum(1.0, tight)))
+    max_ratio = float(np.max(norms / np.maximum(bound, 1e-300), initial=0.0))
     return {"violations": violations, "samples": n_psi * n_s, "max_ratio": max_ratio}
 
 

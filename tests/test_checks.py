@@ -2,6 +2,7 @@
 sensitivity to a wrong spectrum."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from calabi_lab import checks
 from calabi_lab import curvature as cv
 from calabi_lab import model_spaces as ms
 from calabi_lab import weitzenboeck as wz
-from calabi_lab.frames import FrameConvention
+from calabi_lab.frames import FormPQ, FrameConvention
+from norm_identities_reference import check_norm_identities_per_form, insertion_norm_by_pairs
 
 
 def _eigen_expansion_loop(spec, n):
@@ -94,3 +96,59 @@ def test_kaehler_structure_fails_on_a_wrong_spectrum(n, monkeypatch):
         assert checks.check_kaehler_structure(n, 10, 7)["status"] == "fail"
     _negate_one_eigenvalue(monkeypatch)
     assert checks.check_kaehler_structure(n, 10, 7)["status"] == "fail"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_norm_identities_match_the_per_form_loop(n):
+    """The batched check against the per-form loop it replaced, on the same
+    draws: the same status, and residuals that differ only in rounding."""
+    for seed in (9001, 1, 42):
+        rec = checks.check_norm_identities(n, 2, seed, max_degree=n)
+        ref = check_norm_identities_per_form(n, 2, seed, max_degree=n)
+        assert rec["status"] == ref["status"] == "pass"
+        assert abs(rec["residual"] - ref["residual"]) <= 1e-14
+
+
+def test_norm_identities_match_the_per_form_loop_one_form_per_slice(monkeypatch):
+    """With slices of one form each, as the largest bidegrees get at n = 9,
+    every batched step (the insertion norms, the u actions, the hat and su
+    norms) is consumed over several slices and still matches the loop."""
+    ref = check_norm_identities_per_form(4, 2, 9001, max_degree=4)
+    monkeypatch.setattr(wz, "_SLICE_ENTRIES", 1)
+    rec = checks.check_norm_identities(4, 2, 9001, max_degree=4)
+    assert rec["status"] == ref["status"] == "pass"
+    assert abs(rec["residual"] - ref["residual"]) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_grid_insertion_norm_matches_the_pair_annihilation(n):
+    """``_insertion_norms`` on the coefficient grid against the oracle's pair
+    annihilation of the Z-frame coordinates, read at the mixed pairs, for
+    every (p,q) with p + q <= n, to 1e-14 relative."""
+    conv = FrameConvention(n)
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            rng = np.random.default_rng([700, n, p, q])
+            size = len(FormPQ(conv, p, q).coefficient_vector())
+            coeffs = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+            got = checks._insertion_norms(n, p, q, coeffs)
+            want = np.array([insertion_norm_by_pairs(FormPQ.from_coefficient_vector(conv, p, q, c))
+                             for c in coeffs])
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want))
+
+
+def test_norm_identities_act_once_per_family_and_bidegree(monkeypatch):
+    """Regression guard for the batching: one ``check_norm_identities`` run
+    at n = 4 (one slice per bidegree) acts with each family on each
+    bidegree once, not once per sample."""
+    calls = Counter()
+    act = wz.act_on_grid
+
+    def counted(n, tag, p, q, y):
+        calls[tag, p, q] += 1
+        return act(n, tag, p, q, y)
+
+    monkeypatch.setattr(wz, "act_on_grid", counted)
+    assert checks.check_norm_identities(4, 2, 9001)["status"] == "pass"
+    assert {tag for tag, _, _ in calls} == {"sym2_10", "su", "u"}
+    assert max(calls.values()) == 1

@@ -39,6 +39,7 @@ from calabi_lab.weitzenboeck import (
     _exterior_coords,
     _pair_annihilate,
     _pair_create,
+    _pair_matrix,
     _ricci_contraction,
     _sym2_scores,
     achievability_endo,
@@ -564,6 +565,21 @@ def test_sym2_gram_scores_match_direct_action(n):
         assert abs(out["max_ratio"] - ratio) <= 1e-12 * ratio
 
 
+def test_estimate_sampling_is_the_same_over_one_form_slices(monkeypatch):
+    """estimate_sampling's Gram matrices are summed over the slices of its
+    ``_actions`` pass: with one form per slice, and the two pieces of each
+    p != q form in different slices, its figures stay those of one slice."""
+    conv = FrameConvention(4)
+    for (p, q) in [(2, 1), (2, 2), (3, 1)]:
+        want = estimate_sampling(conv, p, q, 3, 20, np.random.default_rng([801, p, q]))
+        with monkeypatch.context() as patch:
+            patch.setattr(wz, "_SLICE_ENTRIES", 1)
+            got = estimate_sampling(conv, p, q, 3, 20, np.random.default_rng([801, p, q]))
+        assert got["violations"] == want["violations"] == 0
+        assert got["samples"] == want["samples"] == 60
+        assert abs(got["max_ratio"] - want["max_ratio"]) <= 1e-14 * want["max_ratio"]
+
+
 def test_chsc_curvature_term_closed_form():
     # Calabi = Id: the curvature term is half of ((p+q)(n+1) - 2pq) |psi|^2
     rng = np.random.default_rng(5)
@@ -863,7 +879,7 @@ def test_real_pform_contractions_match_dense_components(n):
         assert np.max(np.abs(x - _exterior_coords(dense[None])[0])) <= 1e-12
         want_r = 0.0 if p < 2 else p * (p - 1) * float(np.sum(
             np.tensordot(r, dense, axes=((0, 1), (0, 1))) * dense))
-        got_r = _curvature_contraction(r, x, p)
+        got_r = _curvature_contraction(_pair_matrix(r), conv.dim, x, p)
         assert abs(got_r - want_r) <= 1e-12 * max(1.0, abs(want_r))
         want_ric = p * float(np.sum(np.tensordot(ric, dense, axes=(0, 0)) * dense))
         got_ric = _ricci_contraction(ric, x, p)
