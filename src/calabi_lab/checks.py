@@ -177,14 +177,16 @@ def check_curvature_term(n: int, trials: int, seed: int, max_degree: int = 4) ->
     for (p, q) in pairs:
         for _ in range(3):
             forms[p + q].append(wz.random_primitive_real(conv, p, q, rng))
-    # the oracle's input, the same for every tensor
-    coords = [wz.oracle_coords(same_degree) for same_degree in forms.values()]
+    # the oracle's Gram matrices of the forms, the same for every tensor
+    grams = [wz.oracle_grams(x, conv.dim, k)
+             for x, k in map(wz.oracle_coords, forms.values())]
     worst = 0.0
     for _ in range(trials):
         t = ms.random_kaehler(n, int(rng.integers(2 ** 31)))
         spec = cv.calabi_from_tensor(t).spectrum()
-        for same_degree, (x, k) in zip(forms.values(), coords):
-            bf = wz.ricl_pairing_coords(t, x, k)
+        mats = wz.oracle_matrices(t)
+        for same_degree, g in zip(forms.values(), grams):
+            bf = wz.ricl_pairing_grams(mats, g)
             ec = wz.ricl_via_calabi_batch(spec, conv, same_degree)
             worst = max(worst, float(np.max(np.abs(bf - ec) / np.maximum(1.0, np.abs(bf)))))
     return _record("curvature_term_via_calabi", "curvature-term-via-calabi-eigenvalues",
@@ -342,16 +344,17 @@ def check_einstein_identities(n: int, trials: int, seed: int, max_degree: int = 
         ksu = cv.restrict_su(k_op, ric)
         worst = max(worst, abs(float(np.trace(ksu.matrix).real) - (n - 1) * lam) / scale)
         spec = ksu.spectrum()
+        mats = wz.oracle_matrices(t)
         forms = defaultdict(list)
         for (p, q) in _pairs(n, max_degree):
             forms[p + q].append(wz.random_primitive_real(conv, p, q, rng).phi)
         for same_degree in forms.values():
-            bf = wz.ricl_pairing_batch(t, same_degree)
+            bf = wz.ricl_pairing_coords(mats, *wz.oracle_coords(same_degree))
             ke = wz.ricl_via_kaehler_su(lam, spec, same_degree)
             worst = max(worst, float(np.max(np.abs(bf - ke) / np.maximum(1.0, np.abs(bf)))))
         # (n,0)-forms: curvature term = (scal/2) |phi|^2
         top = FormPQ.generator(conv, tuple(range(1, n + 1)), ())
-        bf = wz.ricl_pairing(t, top).real
+        bf = float(wz.ricl_pairing_coords(mats, *wz.oracle_coords(top))[0])
         worst = max(worst, abs(bf - 0.5 * ric.scal * top.norm_sq()) / max(1.0, abs(bf)))
     return _record("einstein_identities", "einstein-restricted-spectrum-identities",
                    worst, TOL_EIGEN)

@@ -52,12 +52,12 @@ USAGE_ERROR = 2
 # building a random tensor peaks at 613 MB) on a 2-vCPU VM.
 MAX_N = 16
 # Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
-# whatever --max-degree is: C(18, 9) = 48620 coordinates at n = 9, where
-# verify at full degree takes 21-28 s and 600 MB peak RSS at --trials 2
-# (n = 8: 4-6 s and 268 MB; 2-vCPU VM).  On their own, the Einstein and
-# curvature-term checks peak at 470 MB there; n = 10 has 3.8 times the
+# whatever --max-degree is: C(20, 10) = 184756 coordinates at n = 10, where
+# verify at full degree takes 95-110 s and 923 MB peak RSS at --trials 2
+# (n = 9: about 20 s and 560 MB; 2-vCPU VM).  The norm-identity check sets
+# that peak, on top of the cached tables; n = 11 has 3.8 times the
 # coordinates.
-MAX_VERIFY_N = 9
+MAX_VERIFY_N = 10
 
 
 class SizeLimitError(CalabiLabError, ValueError):

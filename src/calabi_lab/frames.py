@@ -184,10 +184,12 @@ def _subset_rank(d: int, subsets: np.ndarray) -> np.ndarray:
     k = subsets.shape[-1]
     binom = np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(d + 1)],
                      dtype=np.intp)
-    prev = np.concatenate([np.full(subsets.shape[:-1] + (1,), -1, dtype=np.intp),
-                           subsets[..., :-1]], axis=-1)
-    width = k - np.arange(k)
-    return np.sum(binom[d - 1 - prev, width] - binom[d - subsets, width], axis=-1)
+    rank = np.zeros(subsets.shape[:-1], dtype=np.intp)
+    prev = -1
+    for i in range(k):  # slot by slot, so that no temporary holds every slot
+        rank += binom[d - 1 - prev, k - i] - binom[d - subsets[..., i], k - i]
+        prev = subsets[..., i]
+    return rank
 
 
 @lru_cache(maxsize=None)
@@ -357,6 +359,13 @@ def act_on_grid(n: int, tag: str, p: int, q: int, y: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:2] + (math.prod(out.shape[2:]),))
 
 
+# the entries of the pair blocks that ``_pair_mixing`` codes: stay, by whether
+# J holds a (1) and a + n (2); cross, 1 + (sign < 0) from a, 3 + (sign < 0)
+# from a + n, 0 when J holds both or neither
+_STAY = np.array([1.0, _S, -1.0j * _S, -1.0j])
+_CROSS = np.concatenate([[0.0], _S * np.array([1.0, -1.0]), 1.0j * _S * np.array([1.0, -1.0])])
+
+
 @lru_cache(maxsize=None)
 def _pair_mixing(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frame change of Lambda^k, factored over the pairs {a, a+n}.
@@ -368,24 +377,25 @@ def _pair_mixing(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of a, a+n, the image keeps J or moves that index to the other one, which
     lands and signs as ``_slots`` says.  Returns ``(partner, stay, cross)``,
     each ``(n, C(2n, k))``: pair a maps coordinates by
-    ``y_J = stay[a, J] x_J + cross[a, J] x_{partner[a, J]}``.
+    ``y_J = _STAY[stay[a, J]] x_J + _CROSS[cross[a, J]] x_{partner[a, J]}``.
+    The entries are codes into those two value tables (int8, partner
+    int32), and the slot table is not kept, so that little stays cached at
+    large n.
     """
     d = 2 * n
     subsets, occupied = _subsets(d, k)
-    low, high = occupied[:, :n].T, occupied[:, n:].T
-    stay = np.where(low & high, -1.0j,  # det of the block
-                    np.where(low, _S, np.where(high, -1.0j * _S, 1.0)))
-    partner = np.tile(np.arange(len(subsets)), (n, 1))
-    cross = np.zeros((n, len(subsets)), dtype=complex)
+    stay = np.ascontiguousarray((occupied[:, :n] + 2 * occupied[:, n:]).T, dtype=np.int8)
+    partner = np.tile(np.arange(len(subsets), dtype=np.int32), (n, 1))
+    cross = np.zeros((n, len(subsets)), dtype=np.int8)
     if k:
-        rest, put, slot = _slots(d, k)
+        rest, put, slot = _slots.__wrapped__(d, k)
         other = (subsets + n) % d  # the pair partner of each index
         moved = put[rest, other]
         single = moved >= 0  # J holds one index of the pair, not both
-        sign = np.where((np.arange(k) + slot[rest, other]) % 2, -1.0, 1.0)[single]
+        negative = ((np.arange(k) + slot[rest, other]) % 2)[single]
         pair, where = subsets[single] % n, np.nonzero(single)[0]
         partner[pair, where] = moved[single]
-        cross[pair, where] = np.where(subsets[single] < n, _S * sign, 1.0j * _S * sign)
+        cross[pair, where] = np.where(subsets[single] < n, 1, 3) + negative
     return _frozen(partner, stay, cross)
 
 
@@ -394,9 +404,13 @@ def coords_z_to_e(x: np.ndarray, conv: FrameConvention, k: int) -> np.ndarray:
     stack: the coordinate form of ``dense_z_to_e``, applied one pair of frame
     indices at a time (see ``_pair_mixing``)."""
     partner, stay, cross = _pair_mixing(conv.n, k)
-    y = np.asarray(x, dtype=complex)
-    for a in range(conv.n):
-        y = stay[a] * y + cross[a] * y[:, partner[a]]
+    y = np.array(x, dtype=complex)
+    for a in range(conv.n):  # in place: y and one gathered stack
+        moved = y[:, partner[a]]
+        moved *= _CROSS[cross[a]]
+        y *= _STAY[stay[a]]
+        y += moved
+        del moved
     return y
 
 

@@ -24,7 +24,7 @@ def insertion_norm_by_pairs(phi: FormPQ) -> float:
         return 0.0
     first, second = np.triu_indices(2 * n, 1)  # the pairs, in pair-stack order
     mixed = (first < n) & (second >= n)
-    twice = wz._pair_annihilate(phi.coords("z")[None], 2 * n, k)[0]
+    twice = wz._interior(phi.coords("z")[None], 2 * n, k, 2)[0]
     return float(np.sum(np.abs(twice[mixed]) ** 2))
 
 

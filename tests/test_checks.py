@@ -98,6 +98,20 @@ def test_kaehler_structure_fails_on_a_wrong_spectrum(n, monkeypatch):
     assert checks.check_kaehler_structure(n, 10, 7)["status"] == "fail"
 
 
+def test_verify_pairs_without_building_the_oracle_field(monkeypatch):
+    """The checks pair through the oracle's matrices, directly or through
+    the Gram matrices of forms that several tensors pair with, and never
+    build Ric_L phi: the suite passes with ``ricl_bruteforce`` made to
+    fail."""
+    def never(*args, **kwargs):
+        raise AssertionError("a check built Ric_L phi")
+
+    monkeypatch.setattr(wz, "ricl_bruteforce", never)
+    records = checks.run_verify_suite(4, 2, 1)
+    assert len(records) == len(checks.CHECKS)
+    assert all(r["status"] == "pass" for r in records)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_norm_identities_match_the_per_form_loop(n):
     """The batched check against the per-form loop it replaced, on the same

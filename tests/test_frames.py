@@ -20,7 +20,10 @@ from calabi_lab.frames import (
     dense_conj,
     dense_e_to_z,
     dense_z_to_e,
+    _CROSS,
+    _STAY,
     _conjugation,
+    _frozen,
     _generators,
     _pair_mixing,
     _primitive_part,
@@ -824,10 +827,14 @@ def _assert_same_tables(got, ref):
 
 def test_move_tables_match_per_index_references():
     """The gathers from the slot table give the per-index builders' tables
-    byte for byte, signed zeros included."""
+    byte for byte, signed zeros included; the frame change's are decoded
+    from their value tables."""
     for n in range(1, 7):
         for k in range(2 * n + 1):
-            _assert_same_tables(_pair_mixing(n, k), _pair_mixing_reference(n, k))
+            partner, stay, cross = _pair_mixing(n, k)
+            assert not any(arr.flags.writeable for arr in (partner, stay, cross))
+            decoded = _frozen(partner.astype(np.intp), _STAY[stay], _CROSS[cross])
+            _assert_same_tables(decoded, _pair_mixing_reference(n, k))
     for n in range(1, 8):
         for p in range(1, n + 1):
             _assert_same_tables([_removal(n, p)], [_removal_reference(n, p)])

@@ -33,14 +33,12 @@ from calabi_lab.model_spaces import chsc, random_kaehler, random_kaehler_einstei
 from calabi_lab.spectral import eigensystem
 from calabi_lab.weitzenboeck import (
     NotSymmetric,
-    _annihilate,
+    _contract,
     _create,
-    _curvature_contraction,
     _exterior_coords,
-    _pair_annihilate,
+    _interior,
     _pair_create,
     _pair_matrix,
-    _ricci_contraction,
     _sym2_scores,
     achievability_endo,
     achievability_form,
@@ -52,12 +50,17 @@ from calabi_lab.weitzenboeck import (
     family_mats,
     normal_form,
     norm_phi_g,
+    oracle_coords,
+    oracle_grams,
+    oracle_matrices,
     phi_g,
     random_primitive_real,
     random_real_pform,
     ricl_bruteforce,
     ricl_pairing,
     ricl_pairing_batch,
+    ricl_pairing_coords,
+    ricl_pairing_grams,
     ricl_via_calabi,
     ricl_via_calabi_batch,
     ricl_via_kaehler_su,
@@ -105,10 +108,10 @@ def ricl_double_annihilation(t, x, k):
     b = x.shape[0]
     if k == 0:
         return np.zeros_like(x)
-    once = _annihilate(x, d, k)
+    once = _interior(x, d, k, 1)
     coef = np.trace(r, axis1=1, axis2=2) @ once
     if k >= 2:
-        twice = _annihilate(once.reshape(b * d, -1), d, k - 1)  # [b*j, d, ...]
+        twice = _interior(once.reshape(b * d, -1), d, k - 1, 1)  # [b*j, d, ...]
         pair = r.transpose(0, 2, 1, 3).reshape(d * d, d * d) @ twice.reshape(b, d * d, -1)
         coef = coef + _create(pair.reshape(b * d, d, -1), d, k - 1).reshape(b, d, -1)
     return -_create(coef, d, k)
@@ -331,17 +334,17 @@ def test_annihilation_table_matches_dict_reference():
 
 @pytest.mark.parametrize("d", [2, 4, 7])
 def test_pair_table_composes_two_annihilations(d):
-    """The pair annihilation equals iota(e_j) iota(e_i) through ``_annihilate``
-    twice, at the pairs i < j, exactly; the twice-annihilated stack is
+    """The pair annihilation equals iota(e_j) iota(e_i) through the single
+    ``_interior`` twice, at the pairs i < j, exactly; the twice-annihilated stack is
     antisymmetric in (i, j), so it holds nothing more.  The pair creation is
     its transpose."""
     rng = np.random.default_rng(d)
     i, j = np.triu_indices(d, 1)
     for k in range(2, d + 1):
         x = rng.normal(size=(3, math.comb(d, k))) + 1j * rng.normal(size=(3, math.comb(d, k)))
-        once = _annihilate(x, d, k)
-        twice = _annihilate(once.reshape(3 * d, -1), d, k - 1).reshape(3, d, d, -1)
-        pairs = _pair_annihilate(x, d, k)
+        once = _interior(x, d, k, 1)
+        twice = _interior(once.reshape(3 * d, -1), d, k - 1, 1).reshape(3, d, d, -1)
+        pairs = _interior(x, d, k, 2)
         assert np.array_equal(pairs, twice[:, i, j])
         assert np.array_equal(twice, -twice.transpose(0, 2, 1, 3))
         y = rng.normal(size=pairs.shape) + 1j * rng.normal(size=pairs.shape)
@@ -419,6 +422,108 @@ def test_oracle_peak_memory_is_bounded_by_the_slice(monkeypatch):
     assert 2 * 16 * len(x) * per_form > 2 * bound
 
 
+def _pairing_stacks(d, k, rng):
+    """Four real stacks, four complex ones, and the real ones next to one
+    complex form (which the oracle works on its complex path)."""
+    size = math.comb(d, k)
+    real = rng.normal(size=(4, size))
+    cplx = rng.normal(size=(4, size)) + 1j * rng.normal(size=(4, size))
+    return [real, cplx, np.concatenate([real + 0j, cplx[:1]])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pairings_match_the_bruteforce_field(n):
+    """The direct and the Gram pairing equal g(Ric_L x, conj x) from the full
+    ``ricl_bruteforce`` field, on a Kaehler and a general Riemannian tensor,
+    at every degree, on real, complex and mixed stacks, to 1e-12 of
+    max(1, |value|)."""
+    rng = np.random.default_rng(5000 + n)
+    conv = FrameConvention(n)
+    d = conv.dim
+    for t in (random_kaehler(n, 110 + n), random_riemannian(conv, 120 + n)):
+        mats = oracle_matrices(t)
+        for k in range(d + 1):
+            for stack in _pairing_stacks(d, k, rng):
+                x = wz._oracle_stack(stack)
+                want = np.real(np.sum(ricl_bruteforce(t, x, k) * x.conj(), axis=1))
+                scale = np.maximum(1.0, np.abs(want))
+                assert np.all(np.abs(ricl_pairing_coords(mats, x, k) - want) <= 1e-12 * scale), k
+                got = ricl_pairing_grams(mats, oracle_grams(x, d, k))
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), k
+
+
+def test_pairings_chunked_over_subsets_equal_the_whole(monkeypatch):
+    """With ``_SLICE_ENTRIES`` below one form's pair stack, each form is
+    paired over runs of the (k-2)-subsets, and the direct and Gram pairings
+    equal the one-piece ones up to the order of the sums over the runs
+    (1e-13 of max(1, |value|)); the Gram matrices are symmetric."""
+    n, k = 4, 6
+    d = 2 * n
+    rng = np.random.default_rng(12)
+    mats = oracle_matrices(random_kaehler(n, 12))
+    per_form = math.comb(d, 2) * math.comb(d, k - 2)
+    for stack in _pairing_stacks(d, k, rng):
+        x = wz._oracle_stack(stack)
+        assert len(x) * per_form <= wz._SLICE_ENTRIES
+        whole = ricl_pairing_coords(mats, x, k), oracle_grams(x, d, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(wz, "_SLICE_ENTRIES", per_form // 3)  # runs of 23 of 70 subsets
+            direct, grams = ricl_pairing_coords(mats, x, k), oracle_grams(x, d, k)
+        scale = np.maximum(1.0, np.abs(whole[0]))
+        assert np.all(np.abs(direct - whole[0]) <= 1e-13 * scale)
+        assert np.all(np.abs(ricl_pairing_grams(mats, grams) - whole[0]) <= 1e-13 * scale)
+        for g, w in zip(grams, whole[1]):
+            assert np.array_equal(g, g.transpose(0, 2, 1))
+            assert np.max(np.abs(g - w)) <= 1e-13 * max(1.0, float(np.max(np.abs(w))))
+
+
+def test_pairing_peak_memory_is_bounded_within_one_form(monkeypatch):
+    """One top-degree form at n = 6 whose pair stack is five times the slice
+    is paired over runs of subsets: directly and through its Gram matrices,
+    it allocates at most two slice stacks (the run's stack and its product)
+    and the run's gathered entries, besides the input; its whole pair stack
+    with one product would allocate more than twice that bound."""
+    n, k = 6, 6
+    d = 2 * n
+    t = random_kaehler(n, 6)
+    mats = oracle_matrices(t)
+    x = np.random.default_rng(6).normal(size=(1, math.comb(d, k)))
+    rows, cols = math.comb(d, 2), math.comb(d, k - 2)
+    monkeypatch.setattr(wz, "_SLICE_ENTRIES", rows * cols // 5)
+    width = wz._SLICE_ENTRIES // rows
+    gathered = width * math.comb(d - k + 2, 2)  # the run's entries, and their indices
+    bound = 2 * 8 * wz._SLICE_ENTRIES + 3 * 8 * gathered + 3 * x.nbytes
+    ricl_pairing_coords(mats, x, k)  # fill the table caches
+    for pair in (lambda: ricl_pairing_coords(mats, x, k),
+                 lambda: ricl_pairing_grams(mats, oracle_grams(x, d, k))):
+        tracemalloc.start()
+        try:
+            pair()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+    assert 2 * 8 * rows * cols > 2 * bound
+
+
+def test_sequence_coords_match_the_forms_own():
+    """The coordinates of a sequence of forms, scattered from their blocks
+    (with one conjugation gather per group of real forms), equal each form's
+    own coordinates exactly, in both frames, for FormPQ and RealForm of
+    every bidegree of one degree."""
+    rng = np.random.default_rng(13)
+    conv = FrameConvention(3)
+    for k in range(1, 5):
+        forms = []
+        for p in range(max(0, k - 3), min(k, 3) + 1):
+            phi = random_form(conv, p, k - p, rng)
+            forms += [phi, RealForm.symmetrize(phi), random_form(conv, p, k - p, rng)]
+        for frame in ("z", "e"):
+            x, degree = wz._coords(forms, frame)
+            assert degree == k
+            assert np.array_equal(x, np.array([f.coords(frame) for f in forms]))
+
+
 def _random_forms(conv, p, q, count, rng):
     size = math.comb(conv.n, p) * math.comb(conv.n, q)
     return [FormPQ.from_coefficient_vector(conv, p, q, rng.normal(size=size) + 1j * rng.normal(size=size))
@@ -474,9 +579,10 @@ def test_eigen_route_peak_memory_is_bounded_by_the_slice(monkeypatch):
 
 
 def test_oracle_is_independent_of_the_eigen_route_kernels(monkeypatch):
-    """The oracle runs with the Z-frame derivation kernel, its index and
-    grid tables and the algebra bases of the eigenvalue routes made to fail
-    (on real forms, so through its float64 path)."""
+    """The oracle, direct and through the Gram matrices, runs with the
+    Z-frame derivation kernel, its index and grid tables and the algebra
+    bases of the eigenvalue routes made to fail (on real forms, so through
+    its float64 path)."""
     n = 3
     conv = FrameConvention(n)
     t = random_kaehler(n, 4)
@@ -495,6 +601,11 @@ def test_oracle_is_independent_of_the_eigen_route_kernels(monkeypatch):
     got = ricl_pairing_batch(t, forms)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
     assert [ricl_pairing(t, f).real for f in forms] == want
+    same = [f for f in forms if (f.p, f.q) == (2, 1)]
+    x, k = oracle_coords(same)
+    got = ricl_pairing_grams(oracle_matrices(t), oracle_grams(x, conv.dim, k))
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - [want[0], want[2]])) <= 1e-12 * scale
 
 
 def _primitive_pairs(n):
@@ -879,8 +990,8 @@ def test_real_pform_contractions_match_dense_components(n):
         assert np.max(np.abs(x - _exterior_coords(dense[None])[0])) <= 1e-12
         want_r = 0.0 if p < 2 else p * (p - 1) * float(np.sum(
             np.tensordot(r, dense, axes=((0, 1), (0, 1))) * dense))
-        got_r = _curvature_contraction(_pair_matrix(r), conv.dim, x, p)
+        got_r = _contract(_pair_matrix(r).T, x[None], conv.dim, p, 2)[0]
         assert abs(got_r - want_r) <= 1e-12 * max(1.0, abs(want_r))
         want_ric = p * float(np.sum(np.tensordot(ric, dense, axes=(0, 0)) * dense))
-        got_ric = _ricci_contraction(ric, x, p)
+        got_ric = _contract(ric, x[None], conv.dim, p, 1)[0]
         assert abs(got_ric - want_ric) <= 1e-12 * max(1.0, abs(want_ric))
