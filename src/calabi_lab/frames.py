@@ -20,12 +20,18 @@ relies on:
   monomial in the canonical interleaved order divided by ``sqrt((p+q)!)``.
   One cached table, ``_generators``, lists them I-major by the index arrays
   ``(I, n + J)`` with their interleave signs; coordinates, dense components
-  and single generators are all read from it;
+  and single generators are all read from it.  Forms hold their
+  coefficients and nothing derived from them;
 * computations read a k-form through its orthonormal exterior coordinates
   ``x_J = sqrt(k!) T[J]`` over the sorted k-subsets J of frame indices, in
-  the Z-frame or the real frame, built straight from the coefficients.
-  Dense ``(2n)^k`` components (``to_dense`` / ``from_dense``) are the
-  boundary to the dense references of the tests;
+  the Z-frame or the real frame.  One builder, ``_coords``, makes them for
+  a form, a sequence of forms of one degree or a dense stack: a sequence
+  goes as one coefficient stack per bidegree and kind (``_blocks``, which
+  also feeds the grid actions), scattered to the Z-frame and changed to
+  the real frame as one stack (``coords_z_to_e``); a dense stack is
+  gathered at its sorted components (``_dense_positions``).  Dense
+  ``(2n)^k`` components (``to_dense`` / ``from_dense``) are the boundary to
+  the dense references of the tests;
 * one slot table, ``_slots``, says where a sorted index set lands, with its
   sort sign, when an index leaves it or is replaced; the derivation,
   frame-change and Lefschetz tables are gathers from it;
@@ -35,12 +41,12 @@ relies on:
 
 Endomorphisms act on covariant tensors as derivations,
 ``(L T)(x_1, .., x_k) = - sum_i T(x_1, .., L x_i, .., x_k)``.  The unitary
-bases of the seven algebras that act (gl, so, sym^2 over the real frame;
-sym^2 V^{1,0}, Lambda^2 V^{1,0}, u(n), su(n) over the Z-frame) are one
-table, ``family_mats``, built from index arrays.  A stack acts through one
-gather table per degree (``derivation_table``): for every element and output
-set J, the source of each off-diagonal entry with its signed coefficient,
-and the weight of a diagonal element.  A (p,q)-form fills only the
+bases of the six algebras that act (gl, so, sym^2 over the real frame;
+sym^2 V^{1,0}, u(n), su(n) over the Z-frame) are one table,
+``family_mats``, built from index arrays.  A stack acts through one gather
+table per degree (``derivation_table``): for every element and output set
+J, the source of each off-diagonal entry with its signed coefficient, and
+the weight of a diagonal element.  A (p,q)-form fills only the
 ``C(n, p) C(n, q)`` block of its Z-frame coordinates, so the Z-frame bases
 act on that ``(I, J)`` grid (``act_on_grid``), through tables over
 Lambda(C^n) (``grid_table``); the real-frame bases act on all C(2n, k)
@@ -52,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -290,11 +297,6 @@ def apply_derivation(table: tuple[np.ndarray, np.ndarray], x: np.ndarray,
     return out
 
 
-# the Z-frame bases with entries in the conj-Z columns only, M = mats[:, :n, n:]:
-# they send (p,q)-forms to (p-1,q+1)-forms; u and su keep the bidegree
-HAT_TAGS = ("sym2_10", "lambda2_10")
-
-
 @lru_cache(maxsize=None)
 def grid_table(n: int, tag: str, side: int, k: int) -> tuple[np.ndarray, ...]:
     """Gather table over Lambda^k(C^n) of one side of the Z-frame basis
@@ -305,7 +307,9 @@ def grid_table(n: int, tag: str, side: int, k: int) -> tuple[np.ndarray, ...]:
     D_q(c^T)``: side 0 is the ``derivation_table`` of the Z block at k = p,
     side 1 that of the conj-Z block at k = q, whose sort signs are those of
     Lambda^q(C^n), as the J indices all sit p slots further on.  A hat
-    element M acts as ``(-1)^p sum_{c,a} M[c, a] Rm_p[c] Y Rm_{q+1}[a]``, with
+    element M of sym2_10, whose entries lie in the conj-Z columns only
+    (M = mats[:, :n, n:]), sends (p,q)-forms to (p-1,q+1)-forms and acts as
+    ``(-1)^p sum_{c,a} M[c, a] Rm_p[c] Y Rm_{q+1}[a]``, with
     ``Rm_k[c]`` the signed removal of c from the k-subsets that hold it:
     side 1 at k = q + 1 (one element per a) sends the (q+1)-subsets J' that
     hold a, at slot s, to the source ``J' minus a`` with sign (-1)^s; side 0
@@ -314,7 +318,7 @@ def grid_table(n: int, tag: str, side: int, k: int) -> tuple[np.ndarray, ...]:
     that side 1 made, laid out as ``I n + a``.
     """
     mats = family_mats(n, tag)
-    if tag not in HAT_TAGS:
+    if tag != "sym2_10":
         block = slice(None, n) if side == 0 else slice(n, None)
         return _frozen(*derivation_table(mats[:, block, block], k))
     count, source = math.comb(n, k), math.comb(n, k - 1)
@@ -344,10 +348,10 @@ def act_on_grid(n: int, tag: str, p: int, q: int, y: np.ndarray) -> np.ndarray:
     ``y[B, I, J]`` of the coordinate at ``I + (n + J)``, over the sorted p-
     and q-subsets of ``0..n-1``.  Returns the ``(B, m, N)`` coordinates of
     the actions on the image block, I-major in the same way: (p,q) for u and
-    su, (p-1,q+1) for the ``HAT_TAGS`` (N = 0 when p = 0 or q = n).  The
+    su, (p-1,q+1) for sym2_10 (N = 0 when p = 0 or q = n).  The
     tables (``grid_table``) are over Lambda(C^n), not Lambda^{p+q}(C^{2n})."""
     b = len(y)
-    if tag in HAT_TAGS:
+    if tag == "sym2_10":
         if p == 0 or q == n:
             return np.zeros((b, len(family_mats(n, tag)), 0), dtype=complex)
         cols = apply_derivation(grid_table(n, tag, 1, q + 1), y, axis=2)  # [B, I, a, J']
@@ -490,7 +494,7 @@ class FormPQ:
     immutable.
     """
 
-    __slots__ = ("convention", "p", "q", "_vec", "_dense", "_coords")
+    __slots__ = ("convention", "p", "q", "_vec")
 
     def __init__(self, convention: FrameConvention, p: int, q: int):
         """The zero (p,q)-form."""
@@ -503,8 +507,6 @@ class FormPQ:
         vec = np.zeros(math.comb(n, p) * math.comb(n, q), dtype=complex)
         vec.flags.writeable = False
         self._vec = vec
-        self._dense = None
-        self._coords = {}
 
     @property
     def degree(self) -> int:
@@ -566,33 +568,15 @@ class FormPQ:
     def coords(self, frame: str = "z") -> np.ndarray:
         """Orthonormal exterior coordinates ``x_J = sqrt(k!) T[J]`` over the
         sorted k-subsets J of the Z-frame (``"z"``) or the real frame
-        (``"e"``), shape ``(C(2n, k),)``; read-only.
-
-        The Z-frame coordinates are a signed scatter of the coefficients (see
-        ``_z_layout``) and the real-frame ones follow by ``coords_z_to_e``.
-        """
-        if frame not in self._coords:
-            n, k = self.convention.n, self.degree
-            if frame == "z":
-                pos, sign = _z_layout(n, self.p, self.q)
-                x = np.zeros(math.comb(2 * n, k), dtype=complex)
-                x[pos] = sign * self._vec
-            elif frame == "e":
-                x = coords_z_to_e(self.coords("z")[None], self.convention, k)[0]
-            else:
-                raise FrameError(f"frame must be 'z' or 'e', got {frame!r}")
-            x.flags.writeable = False
-            self._coords[frame] = x
-        return self._coords[frame]
+        (``"e"``), shape ``(C(2n, k),)`` (see ``_coords``)."""
+        return _coords(self, frame)[0][0]
 
     # -- dense conversion -----------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
         """Covariant components over the Z-frame, shape (2n,)*(p+q)."""
-        if self._dense is None:
-            basis = generator_dense_basis(self.convention.n, self.p, self.q)
-            self._dense = np.tensordot(self._vec, basis, axes=(0, 0))
-        return self._dense
+        basis = generator_dense_basis(self.convention.n, self.p, self.q)
+        return np.tensordot(self._vec, basis, axes=(0, 0))
 
     @classmethod
     def from_dense(cls, convention: FrameConvention, p: int, q: int,
@@ -625,7 +609,7 @@ class RealForm:
     form must itself be self-conjugate, to SELF_CONJUGATE_TOL relative to |phi|.
     """
 
-    __slots__ = ("phi", "_dense", "_coords")
+    __slots__ = ("phi",)
 
     def __init__(self, phi: FormPQ):
         if phi.p == phi.q:
@@ -634,8 +618,6 @@ class RealForm:
             if math.sqrt(delta.norm_sq()) > SELF_CONJUGATE_TOL * scale:
                 raise FrameError("a (p,p) real form must be self-conjugate")
         self.phi = phi
-        self._dense = None
-        self._coords = {}
 
     @classmethod
     def symmetrize(cls, phi: FormPQ) -> "RealForm":
@@ -667,32 +649,81 @@ class RealForm:
 
     def coords(self, frame: str = "z") -> np.ndarray:
         """Orthonormal exterior coordinates of phi + conj(phi) (of phi when
-        p = q), as ``FormPQ.coords``.  The real-frame ones follow from the
-        Z-frame ones by ``coords_z_to_e``, whose every product and sum keeps
-        their conjugation symmetry exactly, so their imaginary parts are
-        exactly 0 (for p = q, when phi is exactly self-conjugate, as
-        ``symmetrize`` makes it)."""
-        if frame not in self._coords:
-            if frame == "e":
-                x = coords_z_to_e(self.coords("z")[None], self.convention, self.degree)[0]
-            else:
-                x = self.phi.coords(frame)
-                if self.p != self.q:
-                    x = x + self.phi.conjugate().coords(frame)
-            x.flags.writeable = False
-            self._coords[frame] = x
-        return self._coords[frame]
+        p = q), as ``FormPQ.coords``."""
+        return _coords(self, frame)[0][0]
 
     def to_dense(self) -> np.ndarray:
-        if self._dense is None:
-            d = self.phi.to_dense()
-            if self.p != self.q:
-                d = d + dense_conj(d, self.convention)
-            self._dense = d
-        return self._dense
+        d = self.phi.to_dense()
+        return d + dense_conj(d, self.convention) if self.p != self.q else d
 
     def __repr__(self) -> str:
         return f"RealForm(n={self.convention.n}, p={self.p}, q={self.q})"
+
+
+# ---------------------------------------------------------------------------
+# exterior coordinates
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _dense_positions(d: int, k: int) -> np.ndarray:
+    """The flat position of each sorted k-subset of ``0..d-1``, k >= 1, in a
+    dense ``(d,)*k`` tensor, in combinations order; read-only."""
+    return _frozen(np.ravel_multi_index(_subsets(d, k)[0].T, (d,) * k))[0]
+
+
+def _blocks(forms):
+    """The Z-frame exterior coordinates of a sequence of forms on their
+    pure-type blocks: yields ``(owner, p, q, y)`` for the forms of one
+    bidegree and kind, their indices and the ``(B, C(n, p) C(n, q))``
+    coordinates of their (p,q) pieces at the (p,q) generators (the
+    coefficients times their interleave signs, see ``_z_layout``), from one
+    stack of their coefficients.  A RealForm with p != q also yields its
+    conjugate (q,p) pieces, from one ``_conjugation`` gather of that stack."""
+    n = forms[0].convention.n
+    groups = defaultdict(list)  # (p, q, both pieces) -> [(form index, coefficients)]
+    for b, form in enumerate(forms):
+        real = isinstance(form, RealForm)
+        phi = form.phi if real else form  # a RealForm stores its (p,q) piece
+        groups[form.p, form.q, real and form.p != form.q].append((b, phi.coefficient_vector()))
+    for (p, q, both), items in groups.items():
+        owner = np.array([b for b, _ in items])
+        coeffs = np.array([vec for _, vec in items])
+        yield owner, p, q, _generators(n, p, q)[1] * coeffs
+        if both:
+            source, sign = _conjugation(n, p, q)
+            yield owner, q, p, _generators(n, q, p)[1] * sign * coeffs[:, source].conj()
+
+
+def _coords(forms, frame: str) -> tuple[np.ndarray, int]:
+    """``(B, N)`` orthonormal exterior coordinates ``x_J = sqrt(k!) T[J]``
+    over the sorted k-subsets J, in ``frame`` (``"z"`` or ``"e"``; any other
+    raises FrameError), and the degree k of:
+
+    * a ``FormPQ`` or ``RealForm`` (B = 1), or a sequence of them of one
+      degree: the Z-frame coordinates are scattered from their ``_blocks``
+      (see ``_z_layout``) and change frame as one stack, by
+      ``coords_z_to_e``, whose every product and sum keeps the conjugation
+      symmetry of a real form exactly, so that its real-frame coordinates
+      have imaginary parts exactly 0 (for p = q, when phi is exactly
+      self-conjugate, as ``RealForm.symmetrize`` makes it);
+    * a stack of dense alternating components in that frame, with a leading
+      batch axis: gathered at the sorted components, which is all it reads.
+    """
+    if frame not in ("z", "e"):
+        raise FrameError(f"frame must be 'z' or 'e', got {frame!r}")
+    if isinstance(forms, np.ndarray):
+        b, k = forms.shape[0], forms.ndim - 1
+        dense = np.asarray(forms, dtype=complex).reshape(b, -1)
+        if k == 0:
+            return dense, 0
+        return math.sqrt(math.factorial(k)) * dense[:, _dense_positions(forms.shape[1], k)], k
+    if isinstance(forms, (FormPQ, RealForm)):
+        forms = [forms]
+    conv, k = forms[0].convention, forms[0].degree
+    x = np.zeros((len(forms), math.comb(conv.dim, k)), dtype=complex)
+    for owner, p, q, y in _blocks(forms):
+        x[owner[:, None], _z_layout(conv.n, p, q)[0]] = y
+    return (coords_z_to_e(x, conv, k) if frame == "e" else x), k
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +831,8 @@ def family_mats(n: int, tag: str) -> np.ndarray:
 
     ``gl`` has the unit ``[j, i]`` for each (i, j) in row-major order;
     ``so`` and ``sym2_real`` are the antisymmetric and symmetric pair stacks
-    over the real frame, ``lambda2_10`` (Z_a ^ Z_b / sqrt2) and ``sym2_10``
-    (in ``sym2_basis_labels`` order) those into the conj-Z columns.  ``u`` is
+    over the real frame, and ``sym2_10`` (in ``sym2_basis_labels`` order)
+    the symmetric one into the conj-Z columns.  ``u`` is
     ``block_diag(-c, c^T)`` over the units c = E_ab of the bivectors
     Z_a ^ conj(Z_b) (half-trace convention, ``lambda11_basis_labels``
     order); ``su`` takes its off-diagonal elements, then the n-1 traceless
@@ -812,8 +843,8 @@ def family_mats(n: int, tag: str) -> np.ndarray:
         mats = np.eye(d * d).reshape(d * d, d, d).transpose(0, 2, 1)
     elif tag in ("so", "sym2_real"):
         mats = _pair_stack(d, -1.0 if tag == "so" else 1.0, d, 0, float)
-    elif tag in ("sym2_10", "lambda2_10"):
-        mats = _pair_stack(n, -1.0 if tag == "lambda2_10" else 1.0, d, n, complex)
+    elif tag == "sym2_10":
+        mats = _pair_stack(n, 1.0, d, n, complex)
     elif tag in ("u", "su"):
         c = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
         if tag == "su":

@@ -31,7 +31,6 @@ __all__ = [
     "partial_sum",
     "k_test",
     "weight_principle",
-    "takagi",
 ]
 
 HERMITIAN_TOL = 1e-10  # relative to max(1, max|H|), in require_hermitian
@@ -221,57 +220,3 @@ def weight_principle(s: Spectrum | Sequence[float], weights: Sequence[float],
         return WeightBound(True, kappa * total_weight, upsilon, report.partial_sum)
     return WeightBound(False, None, upsilon, report.partial_sum)
 
-
-# ---------------------------------------------------------------------------
-# Takagi factorization of complex symmetric matrices
-# ---------------------------------------------------------------------------
-
-def takagi(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Takagi factorization A = W diag(rho) W^T, rho >= 0 descending, W unitary.
-
-    Reduces to the real symmetric eigenproblem of [[X, Y], [Y, -X]] where
-    A = X + iY: an eigenpair (u; v) with eigenvalue rho gives the Takagi
-    vector w = u + iv with A conj(w) = rho w.
-    """
-    A = np.asarray(A, dtype=complex)
-    m = A.shape[0]
-    if A.shape != (m, m):
-        raise ValueError("takagi expects a square matrix")
-    scale = max(1.0, float(np.max(np.abs(A))) if m else 1.0)
-    if np.max(np.abs(A - A.T)) > 1e-10 * scale:
-        raise ValueError("takagi expects a complex symmetric matrix")
-    X, Y = A.real, A.imag
-    B = np.block([[X, Y], [Y, -X]])
-    spec = eigensystem(B, source="takagi")
-    vals = spec.eigenvalues[::-1]
-    vecs = spec.eigenvectors.real[:, ::-1]
-
-    # the doubled spectrum carries each singular value as a +/- pair; walk the
-    # candidates in descending eigenvalue order and keep a complex-orthonormal
-    # selection (near-zero pairs produce complex-parallel duplicates w, ~iw)
-    cols: list[np.ndarray] = []
-    rhos: list[float] = []
-    for i in range(2 * m):
-        if len(cols) == m:
-            break
-        w = vecs[:m, i] + 1.0j * vecs[m:, i]
-        for c in cols:
-            w = w - c * np.vdot(c, w)
-        nw = float(np.linalg.norm(w))
-        if nw > 1e-6:
-            cols.append(w / nw)
-            rhos.append(max(float(vals[i]), 0.0))
-    for basis_col in range(m):
-        # fill any remaining kernel directions from the standard basis
-        if len(cols) == m:
-            break
-        w = np.zeros(m, dtype=complex)
-        w[basis_col] = 1.0
-        for c in cols:
-            w = w - c * np.vdot(c, w)
-        nw = float(np.linalg.norm(w))
-        if nw > 1e-6:
-            cols.append(w / nw)
-            rhos.append(0.0)
-    W = np.column_stack(cols) if cols else np.zeros((m, 0))
-    return np.array(rhos), W

@@ -34,18 +34,20 @@ add.  The real-frame bases act on all C(2n, k) real-frame coordinates
 
 Forms enter the public functions as ``FormPQ`` / ``RealForm`` objects.  A
 sequence of them is worked from one coefficient stack per bidegree and kind
-(``_blocks``): the grids of the eigenvalue routes, and the exterior
-coordinates of the oracle, which are not kept on the forms.  The
+(``frames._blocks``): the grids of the eigenvalue routes, and the exterior
+coordinates of the oracle and the real-frame bases, which come from the one
+builder ``frames._coords`` and are not kept on the forms.  The
 general-Riemannian checks take the real-frame coordinates of
 ``random_real_pform`` directly.  Dense alternating components are accepted
 only as stacks with a leading batch axis, by the batched routes, and are
-gathered into all C(2n, k) coordinates once at entry.
+gathered into all C(2n, k) coordinates once at entry, by the same builder.
+Every action of a basis on forms, and every Gram matrix of those actions,
+goes through ``_actions``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,30 +58,29 @@ from .curvature import (R2_SLOTS, AlgebraicCurvatureTensor, _tensor_square, r1_r
                         ricci, su_complement)
 from .errors import CalabiLabError
 from .frames import (
-    HAT_TAGS,
     REAL_FRAME_TAGS,
     EndoC,
     FormPQ,
     FrameConvention,
     FrameError,
     RealForm,
-    _conjugation,
+    _blocks,
+    _coords,
+    _dense_positions,
     _frozen,
     _generators,
     _permutations,
     _subset_rank,
     _subsets,
-    _z_layout,
     act_on_grid,
     apply_derivation,
-    coords_z_to_e,
     family_mats,
     family_table,
     lefschetz_adjoint,
     project_primitive,
     sym2_basis_labels,
 )
-from .spectral import Spectrum, takagi
+from .spectral import Spectrum
 
 __all__ = [
     "EstimateResult",
@@ -96,7 +97,6 @@ __all__ = [
     "estimate_bound",
     "achievability_form",
     "achievability_endo",
-    "normal_form",
     "random_primitive_real",
     "random_real_pform",
     "stress_search",
@@ -121,7 +121,8 @@ def _annihilation_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     over d real frame vectors.
 
     Returns ``(flat, removed, rest, sign)``: the flat position of each sorted
-    k-subset J in a dense ``(d,)*k`` tensor, and for each J and slot s the
+    k-subset J in a dense ``(d,)*k`` tensor (``frames._dense_positions``, the
+    same table), and for each J and slot s the
     removed index ``removed[J, s] = J_s``, the position ``rest[J, s]`` of
     ``J minus J_s`` among the sorted (k-1)-subsets, and ``sign[J, s] = (-1)^s``,
     so that ``iota(e_{J_s}) e^J = (-1)^s e^{J minus J_s}``.
@@ -131,7 +132,7 @@ def _annihilation_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # slots but s
     rest = _subset_rank(d, removed[:, others])
     sign = np.broadcast_to((-1.0) ** np.arange(k), (count, k))  # one row in memory
-    return _frozen(np.ravel_multi_index(removed.T, (d,) * k), removed, rest, sign)
+    return (_dense_positions(d, k),) + _frozen(removed, rest, sign)
 
 
 def _create(y: np.ndarray, d: int, k: int) -> np.ndarray:
@@ -222,60 +223,6 @@ def _pair_matrix(s: np.ndarray) -> np.ndarray:
     s = s - s.transpose(1, 0, 2, 3)
     s = (s - s.transpose(0, 1, 3, 2)).reshape(d * d, d * d)
     return s[flat[:, None], flat]
-
-
-def _exterior_coords(dense_stack: np.ndarray) -> np.ndarray:
-    """Orthonormal exterior coordinates ``x_J = sqrt(k!) T[J]`` of a stack of
-    alternating k-tensors ``(B,) + (d,)*k`` in one frame, shape ``(B, C(d, k))``.
-    Precondition: the tensors are alternating, since only the sorted
-    components are read."""
-    b, k = dense_stack.shape[0], dense_stack.ndim - 1
-    if k == 0:
-        return dense_stack.reshape(b, 1)
-    flat = _annihilation_table(dense_stack.shape[1], k)[0]
-    return math.sqrt(math.factorial(k)) * dense_stack.reshape(b, -1)[:, flat]
-
-
-def _blocks(forms):
-    """The Z-frame exterior coordinates of a sequence of forms on their
-    pure-type blocks: yields ``(owner, p, q, y)`` for the forms of one
-    bidegree and kind, their indices and the ``(B, C(n, p) C(n, q))``
-    coordinates of their (p,q) pieces at the (p,q) generators (the
-    coefficients times their interleave signs, see ``frames._z_layout``),
-    from one stack of their coefficients.  A RealForm with p != q also
-    yields its conjugate (q,p) pieces, from one ``frames._conjugation``
-    gather of that stack."""
-    n = forms[0].convention.n
-    groups = defaultdict(list)  # (p, q, both pieces) -> [(form index, coefficients)]
-    for b, form in enumerate(forms):
-        real = isinstance(form, RealForm)
-        phi = form.phi if real else form  # a RealForm stores its (p,q) piece
-        groups[form.p, form.q, real and form.p != form.q].append((b, phi.coefficient_vector()))
-    for (p, q, both), items in groups.items():
-        owner = np.array([b for b, _ in items])
-        coeffs = np.array([vec for _, vec in items])
-        yield owner, p, q, _generators(n, p, q)[1] * coeffs
-        if both:
-            source, sign = _conjugation(n, p, q)
-            yield owner, q, p, _generators(n, q, p)[1] * sign * coeffs[:, source].conj()
-
-
-def _coords(forms, frame: str) -> tuple[np.ndarray, int]:
-    """``(B, N)`` exterior coordinates in ``frame`` ("z" or "e") and the degree
-    k of: a ``FormPQ`` or ``RealForm`` (B = 1); a sequence of them of one
-    degree, whose Z-frame coordinates are scattered from their ``_blocks``
-    and change frame as one stack, and are not kept on the forms; or a
-    stack of dense alternating components in that frame, with a leading
-    batch axis."""
-    if isinstance(forms, np.ndarray):
-        return _exterior_coords(np.asarray(forms, dtype=complex)), forms.ndim - 1
-    if isinstance(forms, (FormPQ, RealForm)):
-        forms = [forms]
-    conv, k = forms[0].convention, forms[0].degree
-    x = np.zeros((len(forms), math.comb(conv.dim, k)), dtype=complex)
-    for owner, p, q, y in _blocks(forms):
-        x[owner[:, None], _z_layout(conv.n, p, q)[0]] = y
-    return (coords_z_to_e(x, conv, k) if frame == "e" else x), k
 
 
 # forms per slice of the oracle and the eigenvalue routes: as many as keep every
@@ -526,9 +473,9 @@ def _actions(n: int, tag: str, forms, width: int):
 
     A Z-frame algebra acts on the (p,q) grid (``act_on_grid``), on the forms
     of one bidegree and kind at a time, whose grids come from one stack of
-    their coefficients (``_blocks``): a RealForm with p != q as its pieces on
-    (p,q) and (q,p), whose images lie in different bidegrees, so their norms
-    and Gram entries add over the slices.  The real-frame algebras act on all
+    their coefficients (``frames._blocks``): a RealForm with p != q as its
+    pieces on (p,q) and (q,p), whose images lie in different bidegrees, so
+    their norms and Gram entries add over the slices.  The real-frame algebras act on all
     C(2n, k) real-frame coordinates, as real p-forms have no bidegree.  Dense
     stacks also go through all C(2n, k) coordinates, in the algebra's frame:
     only the benchmark's acceptance loops and the criterion-2 test pass
@@ -545,7 +492,7 @@ def _actions(n: int, tag: str, forms, width: int):
         return
     for owner, p, q, y in _blocks(forms):
         grid = y.reshape(len(y), math.comb(n, p), math.comb(n, q))
-        image = (p - 1, q + 1) if tag in HAT_TAGS else (p, q)
+        image = (p - 1, q + 1) if tag == "sym2_10" else (p, q)
         size = max(y[0].size, math.comb(n, max(image[0], 0)) * math.comb(n, image[1]))
         step = max(1, _SLICE_ENTRIES // max(1, width * size))
         for lo in range(0, len(y), step):
@@ -560,14 +507,12 @@ def phi_g(phi: FormPQ | RealForm, tag: str) -> np.ndarray:
     coordinates.  The complex algebras act on the Z-frame grid of each
     pure-type piece (``frames.act_on_grid``), so N counts the coordinates of
     the image blocks, side by side for the two pieces of a RealForm with
-    p != q; norms and Gram matrices are those of the full coordinates.
+    p != q; norms and Gram matrices are those of the full coordinates.  These
+    are the slices of ``_actions``, concatenated.
     """
     n = phi.convention.n
-    if tag in REAL_FRAME_TAGS:
-        return apply_derivation(family_table(n, tag, phi.degree), phi.coords("e")[None])[0]
-    parts = [act_on_grid(n, tag, p, q, y.reshape(1, math.comb(n, p), math.comb(n, q)))[0]
-             for _, p, q, y in _blocks([phi])]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    slices = _actions(n, tag, [phi], len(family_mats(n, tag)))
+    return np.concatenate([acted[0] for _, acted in slices], axis=1)
 
 
 def norm_phi_g_batch(tag: str, conv: FrameConvention, forms) -> np.ndarray:
@@ -580,7 +525,7 @@ def norm_phi_g_batch(tag: str, conv: FrameConvention, forms) -> np.ndarray:
 
 
 def norm_phi_g(phi: FormPQ | RealForm, tag: str) -> float:
-    return float(_sq_sum(phi_g(phi, tag), axis=None))
+    return float(norm_phi_g_batch(tag, phi.convention, [phi])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -670,14 +615,15 @@ def estimate_bound(s: EndoC, psi: RealForm) -> EstimateResult:
     """|S psi|^2 against (1/2 + min(p,q,sqrt(pq)/2)) |S|^2 |psi|^2, and the
     |psi^{sym2 V^{1,0}}|^2-phrased variant when psi is primitive.
 
-    S must lie in sym^2 V^{1,0} (NotSymmetric otherwise); it acts through the
-    unit basis actions on psi, which also give the hat norm."""
+    S must lie in sym^2 V^{1,0} (NotSymmetric otherwise); it is scored
+    against the Gram matrix of the unit basis actions on psi, whose trace is
+    the hat norm."""
     if s.convention.n != psi.convention.n:
         raise FrameError("endomorphism and form live on different dimensions")
     _require_sym2_10(s, "estimate_bound")
     p, q = psi.p, psi.q
-    parts = phi_g(psi, "sym2_10")
-    lhs = float(_sym2_scores(parts, s.hat[None])[0])
+    gram = _sym2_grams([psi])[0]
+    lhs = float(_gram_scores(gram, s.hat[None])[0])
     s_norm = s.norm_sq()
     bound = (0.5 + _min_constant(p, q)) * s_norm * psi.norm_sq()
 
@@ -685,17 +631,32 @@ def estimate_bound(s: EndoC, psi: RealForm) -> EstimateResult:
     lam = lefschetz_adjoint(psi.phi)
     if lam.norm_sq() <= 1e-20 * max(1.0, psi.norm_sq()):
         denom = (p + q) * (psi.convention.n + 1) - 2 * p * q
-        hat_norm = float(np.sum(np.abs(parts) ** 2))
+        hat_norm = float(np.trace(gram).real)
         bound_prim = (2.0 + 4.0 * _min_constant(p, q)) / denom * s_norm * hat_norm
     scale = max(1.0, bound)
     return EstimateResult(lhs, bound, bound_prim, lhs <= bound + ESTIMATE_TOL * scale)
 
 
-def _sym2_scores(parts: np.ndarray, hats: np.ndarray) -> np.ndarray:
-    """|S psi|^2 for the sym^2 V^{1,0} elements S with hat matrices ``hats``
-    (n_s, n, n), from the actions ``parts`` of the unit basis on psi (the
-    ``phi_g`` of the sym2_10 family), through their Gram matrix."""
-    return _gram_scores(parts.conj() @ parts.T, hats)
+def _require_sym2_10(s: EndoC, caller: str) -> None:
+    """NotSymmetric unless S is an element of sym^2 V^{1,0}: zero outside its
+    hat block and a symmetric hat, both to 1e-12 of max(1, max|S|)."""
+    n = s.convention.n
+    off = s.matrix.copy()  # S outside the hat block, and hat - hat^T within it
+    off[:n, n:] = s.hat - s.hat.T
+    if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(s.matrix)))):
+        raise NotSymmetric(f"{caller} expects an element of sym^2 V^{{1,0}}")
+
+
+def _sym2_grams(psis) -> np.ndarray:
+    """The Gram matrices ``G[b, i, j] = <u_j psi_b, u_i psi_b>`` (B, m, m) of
+    the unit sym^2 V^{1,0} basis actions on a sequence of forms, summed over
+    the slices of ``_actions``; the trace of each is the hat norm."""
+    n = psis[0].convention.n
+    m = len(family_mats(n, "sym2_10"))
+    gram = np.zeros((len(psis), m, m), dtype=complex)
+    for owner, acted in _actions(n, "sym2_10", psis, m):
+        gram[owner] += acted.conj() @ acted.transpose(0, 2, 1)
+    return gram
 
 
 def _gram_scores(gram: np.ndarray, hats: np.ndarray) -> np.ndarray:
@@ -716,7 +677,7 @@ def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: in
 
     Each sample draws psi and then its n_s hat matrices, in that order.  The
     Gram matrices of the sym2_10 basis actions on every psi come from one
-    pass of ``_actions`` (their trace is the hat norm), and every sample is
+    ``_sym2_grams`` (their trace is the hat norm), and every sample is
     scored and bounded as one array."""
     n = conv.n
     denom = (p + q) * (n + 1) - 2 * p * q
@@ -726,10 +687,7 @@ def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: in
         psis.append(random_primitive_real(conv, p, q, rng))
         h = rng.normal(size=(n_s, n, n)) + 1j * rng.normal(size=(n_s, n, n))
         hats[i] = (h + h.transpose(0, 2, 1)) / 2.0
-    m = len(family_mats(n, "sym2_10"))
-    gram = np.zeros((n_psi, m, m), dtype=complex)
-    for owner, acted in _actions(n, "sym2_10", psis, m):
-        gram[owner] += acted.conj() @ acted.transpose(0, 2, 1)
+    gram = _sym2_grams(psis)
     norms = _gram_scores(gram, hats)
     hat_norms = np.trace(gram, axis1=1, axis2=2).real[:, None]
     psi_norms = np.array([psi.norm_sq() for psi in psis])[:, None]
@@ -781,35 +739,9 @@ def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
     best = 0.0
     for _ in range(restarts):
         psi = random_primitive_real(conv, p, q, rng)
-        parts = phi_g(psi, "sym2_10")
-        gram = (parts.conj() @ parts.T) / psi.norm_sq()
+        gram = _sym2_grams([psi])[0] / psi.norm_sq()
         best = max(best, float(np.linalg.eigvalsh(gram)[-1]))
     return best
-
-
-# ---------------------------------------------------------------------------
-# normal form of holomorphic symmetric elements
-# ---------------------------------------------------------------------------
-
-def _require_sym2_10(s: EndoC, caller: str) -> None:
-    """NotSymmetric unless S is an element of sym^2 V^{1,0}: zero outside its
-    hat block and a symmetric hat, both to 1e-12 of max(1, max|S|)."""
-    n = s.convention.n
-    off = s.matrix.copy()  # S outside the hat block, and hat - hat^T within it
-    off[:n, n:] = s.hat - s.hat.T
-    if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(s.matrix)))):
-        raise NotSymmetric(f"{caller} expects an element of sym^2 V^{{1,0}}")
-
-
-def normal_form(s: EndoC) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary frame and rho_1 >= .. >= rho_n >= 0 with S = sum rho_a Z'_a (x) Z'_a.
-
-    Column a of the returned matrix holds the Z-coordinates of Z'_a.
-    Raises NotSymmetric when the endomorphism is not a sym^2 V^{1,0} element.
-    """
-    _require_sym2_10(s, "normal_form")
-    rho, w = takagi(s.hat)
-    return w, rho
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from calabi_lab.frames import (
     kaehler_bivector,
     sym2_basis_labels,
 )
-from calabi_lab.frames import _primitive_part
+from calabi_lab.frames import _coords, _primitive_part
 from dense_reference import derivation_coords
 from test_frames import _lefschetz_matrix
 
@@ -315,7 +315,7 @@ def _soundness_sweep(t, cert, conv, rng, forms_per_pair=1000, spot_checks=20):
         coeffs = _primitive_part(conv.n, p, q, _coeff_stack(rng, conv.n, p, q, forms_per_pair))
         dense = _dense_stack(conv, p, q, coeffs)
         psi = dense + dense_conj(dense, conv, k=p + q)
-        norms = np.sum(np.abs(derivation_coords(mats, wz._exterior_coords(psi), p + q)) ** 2,
+        norms = np.sum(np.abs(derivation_coords(mats, _coords(psi, "z")[0], p + q)) ** 2,
                        axis=2)
         vals = 2.0 * (spec.eigenvalues @ norms)
         scales = np.maximum(1.0, 2.0 * (abs_vals @ norms))

@@ -10,7 +10,7 @@ from calabi_lab import frames
 from calabi_lab import weitzenboeck as wz
 from calabi_lab.frames import EndoC, FrameConvention, family_mats, lambda11_basis_labels
 
-TAGS = ("gl", "so", "sym2_real", "sym2_10", "lambda2_10", "u", "su")
+TAGS = ("gl", "so", "sym2_real", "sym2_10", "u", "su")
 
 
 def _real_gl_mats(d):
@@ -62,19 +62,6 @@ def _sym2_mats(conv):
     return out
 
 
-def _lambda2_10_mats(conv):
-    """Z_a ^ Z_b / sqrt2 (a < b): conj(Z_a) -> Z_b, conj(Z_b) -> -Z_a."""
-    out = []
-    for a in range(1, conv.n + 1):
-        for b in range(a + 1, conv.n + 1):
-            m = np.zeros((conv.dim, conv.dim), dtype=complex)
-            s = 1.0 / math.sqrt(2.0)
-            m[b - 1, conv.n + a - 1] = s
-            m[a - 1, conv.n + b - 1] = -s
-            out.append(m)
-    return out
-
-
 def _u_mats(conv):
     """Z_a ^ conj(Z_b) in the half-trace convention."""
     out = []
@@ -109,8 +96,7 @@ def reference_family(n, tag):
     real = {"gl": _real_gl_mats, "so": _real_so_mats, "sym2_real": _real_sym2_mats}
     if tag in real:
         return real[tag](conv.dim)
-    mats = {"sym2_10": _sym2_mats, "lambda2_10": _lambda2_10_mats,
-            "u": _u_mats, "su": _su_mats}[tag](conv)
+    mats = {"sym2_10": _sym2_mats, "u": _u_mats, "su": _su_mats}[tag](conv)
     if not mats:
         return np.zeros((0, conv.dim, conv.dim), dtype=complex)
     return np.array(mats)

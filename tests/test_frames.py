@@ -23,6 +23,7 @@ from calabi_lab.frames import (
     _CROSS,
     _STAY,
     _conjugation,
+    _coords,
     _frozen,
     _generators,
     _pair_mixing,
@@ -39,7 +40,7 @@ from calabi_lab.frames import (
     lefschetz_adjoint,
     project_primitive,
 )
-from calabi_lab.weitzenboeck import estimate_bound
+from calabi_lab.weitzenboeck import estimate_bound, norm_phi_g, norm_phi_g_batch, phi_g
 from dense_reference import _perm_sign, act_dense, derivation_coords, evaluate_form, wedge_dense
 
 RNG = np.random.default_rng(2024)
@@ -519,9 +520,15 @@ def _bidegrees(n, top=6):
 def test_coords_match_dense_route(n):
     """Generator (up to 8 per bidegree), random-form and real-form
     coordinates in both frames against the dense route to_dense ->
-    dense_z_to_e -> gather."""
+    dense_z_to_e -> gather: form by form, and for each degree as one mixed
+    sequence of every bidegree and both kinds.  At n <= 3 the real-frame
+    families of the random form and the real form (``phi_g`` and
+    ``norm_phi_g``) match the action on the gathered real-frame coordinates
+    to 1e-13 of the scale.  A frame other than "z" and "e" is refused for a
+    form, a sequence and a dense stack."""
     rng = np.random.default_rng(300 + n)
     conv = FrameConvention(n)
+    by_degree = {}
     for (p, q) in _bidegrees(n):
         size = _size(n, p, q)
         picked = rng.choice(size, size=min(8, size), replace=False)
@@ -538,8 +545,30 @@ def test_coords_match_dense_route(n):
             got = np.array([form.coords(frame) for form in forms])
             assert got.shape == (len(forms), math.comb(2 * n, p + q))
             assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        seq, stacks = by_degree.setdefault(p + q, ([], []))
+        seq += forms
+        stacks.append(dense)
+        if n <= 3:
+            for tag in ("gl", "so", "sym2_real"):
+                want = derivation_coords(family_mats(n, tag), refs["e"][-2:], p + q)
+                for form, ref in zip(forms[-2:], want.transpose(1, 0, 2)):
+                    scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+                    assert np.max(np.abs(phi_g(form, tag) - ref), initial=0.0) <= 1e-13 * scale
+                    norm = float(np.sum(np.abs(ref) ** 2))
+                    assert abs(norm_phi_g(form, tag) - norm) <= 1e-13 * max(1.0, norm)
+    for k, (seq, stacks) in by_degree.items():
+        dense = np.concatenate(stacks)
+        refs = {"z": _gather(dense), "e": _gather(dense_z_to_e(dense, conv, k))}
+        for frame, ref in refs.items():
+            got, degree = _coords(seq, frame)
+            assert degree == k
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    phi = random_form(conv, 1, 0, rng)
     with pytest.raises(FrameError):
-        random_form(conv, 1, 0, rng).coords("w")
+        phi.coords("w")
+    for forms in ([phi, RealForm.symmetrize(phi)], phi.to_dense()[None]):
+        with pytest.raises(FrameError):
+            _coords(forms, "w")
 
 
 def _dense_lefschetz_matrix(n, p, q):
@@ -568,7 +597,7 @@ def test_verify_builds_no_dense_form(monkeypatch):
     """verify runs on exterior coordinates alone: with the dense form
     constructors and the gather of dense stacks into coordinates disabled,
     every record of the suite still passes."""
-    from calabi_lab import frames, weitzenboeck
+    from calabi_lab import frames
     from calabi_lab.checks import run_verify_suite
 
     def dense(*args, **kwargs):
@@ -578,7 +607,7 @@ def test_verify_builds_no_dense_form(monkeypatch):
     monkeypatch.setattr(frames.RealForm, "to_dense", dense)
     monkeypatch.setattr(frames, "dense_z_to_e", dense)
     monkeypatch.setattr(frames, "generator_dense_basis", dense)
-    monkeypatch.setattr(weitzenboeck, "_exterior_coords", dense)
+    monkeypatch.setattr(frames, "_dense_positions", dense)
     start = time.perf_counter()
     records = run_verify_suite(4, 2, 5, max_degree=4)
     elapsed = time.perf_counter() - start
@@ -649,12 +678,11 @@ def test_grid_actions_match_the_full_coordinate_tables(n):
     (both pieces when p != q) has its Gram matrix, all to 1e-15 of the
     scale; ``norm_phi_g_batch`` over the forms of one degree, mixed
     bidegrees and both kinds in one batch, gives the reference norms."""
-    from calabi_lab.frames import HAT_TAGS, act_on_grid
-    from calabi_lab.weitzenboeck import norm_phi_g_batch, phi_g
+    from calabi_lab.frames import act_on_grid
 
     rng = np.random.default_rng(700 + n)
     conv = FrameConvention(n)
-    for tag in ("sym2_10", "lambda2_10", "u", "su"):
+    for tag in ("sym2_10", "u", "su"):
         by_degree = {}
         for p in range(n + 1):
             for q in range(n + 1):
@@ -663,7 +691,7 @@ def test_grid_actions_match_the_full_coordinate_tables(n):
                 forms = [FormPQ.from_coefficient_vector(conv, p, q, c) for c in coeffs]
                 x = np.array([f.coords("z") for f in forms])
                 ref = apply_derivation(family_table(n, tag, p + q), x)
-                image = (p - 1, q + 1) if tag in HAT_TAGS else (p, q)
+                image = (p - 1, q + 1) if tag == "sym2_10" else (p, q)
                 pos = (_z_layout(n, *image)[0] if image[0] >= 0 and image[1] <= n
                        else np.zeros(0, dtype=np.intp))
                 off = np.ones(ref.shape[2], dtype=bool)
@@ -844,7 +872,7 @@ def test_move_tables_match_per_index_references():
 # the gather kernel against the scatter reference
 # ---------------------------------------------------------------------------
 
-FAMILY_TAGS = ("gl", "so", "sym2_real", "sym2_10", "lambda2_10", "u", "su")
+FAMILY_TAGS = ("gl", "so", "sym2_real", "sym2_10", "u", "su")
 
 
 def scatter_derivation_coords(mats, x, k):

@@ -1,4 +1,4 @@
-"""Hermitian eigensolver, fractional k tests, weight principle, Takagi."""
+"""Hermitian eigensolver, fractional k tests, weight principle."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from calabi_lab.spectral import (
     _phase_fix,
     eigensystem,
     k_test,
-    takagi,
     weight_principle,
 )
 from request_reference import phase_fix_per_column
@@ -204,35 +203,3 @@ def test_weight_principle_refuses_failing_spectrum():
     assert not out.certified
     assert out.lower_bound is None
 
-
-def test_takagi_reconstruction_battery():
-    rng = np.random.default_rng(12)
-    for trial in range(120):
-        m = int(rng.integers(1, 7))
-        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        a = a + a.T
-        kind = trial % 5
-        if kind == 1:
-            u = rng.normal(size=m) + 1j * rng.normal(size=m)
-            a = np.outer(u, u)
-        elif kind == 2:
-            a = np.zeros((m, m), dtype=complex)
-        elif kind == 3:
-            w0, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-            d = np.abs(rng.normal(size=m))
-            d[: m // 2] *= 1e-11
-            a = w0 @ np.diag(d) @ w0.T
-        elif kind == 4:
-            w0, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-            a = w0 @ w0.T
-        rho, w = takagi(a)
-        scale = max(1.0, float(np.max(np.abs(a))))
-        assert np.all(rho >= 0)
-        assert np.all(np.diff(rho) <= 1e-9)
-        assert np.max(np.abs(w.conj().T @ w - np.eye(m))) < 1e-10
-        assert np.max(np.abs(w @ np.diag(rho) @ w.T - a)) < 1e-10 * scale
-
-
-def test_takagi_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        takagi(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -24,6 +24,7 @@ from calabi_lab.frames import (
     FormPQ,
     FrameConvention,
     RealForm,
+    _coords,
     dense_conj,
     dense_z_to_e,
     lambda11_basis_labels,
@@ -35,11 +36,11 @@ from calabi_lab.weitzenboeck import (
     NotSymmetric,
     _contract,
     _create,
-    _exterior_coords,
+    _gram_scores,
     _interior,
     _pair_create,
     _pair_matrix,
-    _sym2_scores,
+    _sym2_grams,
     achievability_endo,
     achievability_form,
     achievability_ratio,
@@ -48,7 +49,6 @@ from calabi_lab.weitzenboeck import (
     estimate_bound,
     estimate_sampling,
     family_mats,
-    normal_form,
     norm_phi_g,
     oracle_coords,
     oracle_grams,
@@ -230,11 +230,12 @@ def test_derivation_coords_match_dense_action(n):
         stack_e = dense_z_to_e(stack_z, conv, k)
         random_z = np.array([EndoC(conv, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
                              .matrix for _ in range(2)])
-        cases = [(family_mats(n, tag), stack_z) for tag in ("sym2_10", "lambda2_10", "u", "su")]
-        cases += [(family_mats(n, tag), stack_e) for tag in ("gl", "so", "sym2_real")]
-        cases += [(random_z, stack_z), (random_z, stack_e), (rng.normal(size=(2, d, d)), stack_e)]
-        for mats, stack in cases:
-            got = derivation_coords(mats, _exterior_coords(stack), k).transpose(1, 0, 2)
+        cases = [(family_mats(n, tag), stack_z, "z") for tag in ("sym2_10", "u", "su")]
+        cases += [(family_mats(n, tag), stack_e, "e") for tag in ("gl", "so", "sym2_real")]
+        cases += [(random_z, stack_z, "z"), (random_z, stack_e, "e"),
+                  (rng.normal(size=(2, d, d)), stack_e, "e")]
+        for mats, stack, frame in cases:
+            got = derivation_coords(mats, _coords(stack, frame)[0], k).transpose(1, 0, 2)
             ref = np.array([derivation_action(m, stack, k) for m in mats]).reshape(
                 len(mats), len(stack), d ** k).transpose(1, 0, 2)
             gram = got.conj() @ got.transpose(0, 2, 1)
@@ -245,7 +246,7 @@ def test_derivation_coords_match_dense_action(n):
             norms_ref = np.sum(np.abs(ref) ** 2, axis=2)
             assert np.max(np.abs(norms - norms_ref), initial=0.0) <= 1e-12 * scale
     x = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
-    for mats, _ in cases:
+    for mats, _, _ in cases:
         zero = derivation_coords(mats, x, 0)
         assert zero.shape == (len(mats), 3, 1) and not np.any(zero)
         got = derivation_coords(mats, x, d)
@@ -263,9 +264,9 @@ def test_curvature_term_on_mixed_degree_real_forms():
 
     dense = random_form(conv, 2, 0, rng).to_dense() + random_form(conv, 1, 1, rng).to_dense()
     dense = dense + dense_conj(dense, conv)
-    x = _exterior_coords(dense_z_to_e(dense, conv)[None])
+    x = _coords(dense_z_to_e(dense, conv)[None], "e")[0]
     bf = float(np.real(np.sum(ricl_bruteforce(t, x, 2) * x.conj())))
-    acted = derivation_coords(sym2_eigen_endos(conv, spec), _exterior_coords(dense[None]), 2)
+    acted = derivation_coords(sym2_eigen_endos(conv, spec), _coords(dense[None], "z")[0], 2)
     norms = np.sum(np.abs(acted[:, 0]) ** 2, axis=1)
     ec = 2.0 * float(np.dot(spec.eigenvalues, norms))
     assert abs(bf - ec) < 1e-9 * max(1.0, abs(bf))
@@ -282,10 +283,10 @@ def test_ricl_bruteforce_matches_dense_frame_sum(n):
     for k in range(min(conv.dim, 5) + 1):
         stack_e = dense_z_to_e(_kernel_test_forms(conv, k, rng), conv, k)
         for t in tensors:
-            x = _exterior_coords(stack_e)
+            x = _coords(stack_e, "e")[0]
             got = ricl_bruteforce(t, x, k)
             assert got.shape == (len(stack_e), math.comb(conv.dim, k))
-            ref = _exterior_coords(dense_ricl(t, stack_e))
+            ref = _coords(dense_ricl(t, stack_e), "e")[0]
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale
             single = np.array([ricl_bruteforce(t, row[None], k)[0] for row in x])
@@ -510,7 +511,9 @@ def test_sequence_coords_match_the_forms_own():
     """The coordinates of a sequence of forms, scattered from their blocks
     (with one conjugation gather per group of real forms), equal each form's
     own coordinates exactly, in both frames, for FormPQ and RealForm of
-    every bidegree of one degree."""
+    every bidegree of one degree.  Both come from ``frames._coords``; the
+    dense route is their independent reference, for such mixed sequences
+    too, in ``test_frames.test_coords_match_dense_route``."""
     rng = np.random.default_rng(13)
     conv = FrameConvention(3)
     for k in range(1, 5):
@@ -519,7 +522,7 @@ def test_sequence_coords_match_the_forms_own():
             phi = random_form(conv, p, k - p, rng)
             forms += [phi, RealForm.symmetrize(phi), random_form(conv, p, k - p, rng)]
         for frame in ("z", "e"):
-            x, degree = wz._coords(forms, frame)
+            x, degree = _coords(forms, frame)
             assert degree == k
             assert np.array_equal(x, np.array([f.coords(frame) for f in forms]))
 
@@ -667,7 +670,7 @@ def test_sym2_gram_scores_match_direct_action(n):
             mats = np.array([EndoC.from_sym_hat(conv, h).matrix for h in hats])
             direct = np.sum(np.abs(derivation_coords(mats, psi.coords("z")[None], p + q)) ** 2,
                             axis=(1, 2))
-            got = _sym2_scores(phi_g(psi, "sym2_10"), hats)
+            got = _gram_scores(_sym2_grams([psi])[0], hats)
             assert np.max(np.abs(got - direct) / direct) <= 1e-12
             s_norms = np.sum(np.abs(hats.reshape(20, -1)) ** 2, axis=1)
             ratio = max(ratio, float(np.max(direct / (
@@ -871,7 +874,7 @@ def test_estimate_bound_trivial_and_sampled():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_estimate_bound_scores_s_through_the_basis_actions(n):
     """|S psi|^2 from the unit-basis actions on psi equals the direct action
-    of S; an S outside sym^2 V^{1,0} is refused, by the test normal_form uses."""
+    of S; an S outside sym^2 V^{1,0} is refused."""
     conv = FrameConvention(n)
     rng = np.random.default_rng(60 + n)
     for p, q in [(1, 0), (1, 1), (2, 1)]:
@@ -888,8 +891,6 @@ def test_estimate_bound_scores_s_through_the_basis_actions(n):
         for bad in (s.matrix + np.eye(2 * n), s.matrix + skew):
             with pytest.raises(NotSymmetric, match="estimate_bound expects"):
                 estimate_bound(EndoC(conv, bad), psi)
-            with pytest.raises(NotSymmetric, match="normal_form expects"):
-                normal_form(EndoC(conv, bad))
 
 
 def test_achievability_family_attains_constant():
@@ -904,29 +905,6 @@ def test_achievability_family_attains_constant():
             expect = achievability_ratio(p, q) * s.norm_sq() * psi.norm_sq()
             assert abs(out.lhs - expect) < 1e-10 * max(1.0, expect)
             assert out.satisfied
-
-
-def test_normal_form():
-    conv = FrameConvention(4)
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        hat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        hat = (hat + hat.T) / 2
-        s = EndoC.from_sym_hat(conv, hat)
-        w, rho = normal_form(s)
-        assert np.all(rho >= 0)
-        scale = max(1.0, float(np.max(np.abs(hat))))
-        assert np.max(np.abs(w @ np.diag(rho) @ w.T - hat)) < 1e-10 * scale
-        assert np.max(np.abs(w.conj().T @ w - np.eye(4))) < 1e-10
-    # simple closed-form cases
-    conv2 = FrameConvention(2)
-    s = EndoC.from_sym_hat(conv2, np.diag([math.sqrt(2), 0.0]).astype(complex))
-    _, rho = normal_form(s)
-    np.testing.assert_allclose(rho, [math.sqrt(2), 0.0], atol=1e-12)
-    _, rho0 = normal_form(EndoC.from_sym_hat(conv2, np.zeros((2, 2), dtype=complex)))
-    np.testing.assert_allclose(rho0, 0.0)
-    with pytest.raises(NotSymmetric):
-        normal_form(EndoC(conv2, np.eye(4, dtype=complex)))
 
 
 def test_phi_g_unknown_tag():
@@ -987,7 +965,7 @@ def test_real_pform_contractions_match_dense_components(n):
         dense /= math.sqrt(float(np.sum(dense ** 2)))
         assert rng.bit_generator.state == replay.bit_generator.state
         assert x.shape == (math.comb(conv.dim, p),)
-        assert np.max(np.abs(x - _exterior_coords(dense[None])[0])) <= 1e-12
+        assert np.max(np.abs(x - _coords(dense[None], "e")[0][0])) <= 1e-12
         want_r = 0.0 if p < 2 else p * (p - 1) * float(np.sum(
             np.tensordot(r, dense, axes=((0, 1), (0, 1))) * dense))
         got_r = _contract(_pair_matrix(r).T, x[None], conv.dim, p, 2)[0]
