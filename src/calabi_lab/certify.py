@@ -31,6 +31,7 @@ __all__ = [
     "Certificate",
     "Verdict",
     "thresholds",
+    "bidegrees",
     "upsilon",
     "upsilon_exact",
     "gamma",
@@ -61,6 +62,11 @@ def _min_branch(p: int, q: int) -> tuple[tuple[int, int] | None, float]:
     if root is not None:
         return (root, 2), root / 2.0
     return None, math.sqrt(p * q) / 2.0
+
+
+def bidegrees(n: int) -> list[tuple[int, int]]:
+    """The bidegrees (p, q) with 1 <= p + q <= n, p-major with q ascending."""
+    return [(p, q) for p in range(n + 1) for q in range(n + 1 - p) if p + q >= 1]
 
 
 def upsilon(n: int, p: int, q: int) -> float:
@@ -112,26 +118,14 @@ def upsilon_ge_half_n(n: int, p: int, q: int) -> bool:
 
 def upsilon_min_holds(n: int) -> bool:
     """Upsilon_{p,q} >= n/2 for every 1 <= p + q <= n, exactly."""
-    return all(
-        upsilon_ge_half_n(n, p, q)
-        for p in range(0, n + 1)
-        for q in range(0, n + 1 - p)
-        if 1 <= p + q
-    )
+    return all(upsilon_ge_half_n(n, p, q) for (p, q) in bidegrees(n))
 
 
 def gamma_reduction_violations(n: int) -> list[tuple[int, int]]:
     """Pairs with 1 <= p+q <= n where Gamma_{p,q} < n/2 + 1 (exact)."""
-    bad = []
-    for p in range(0, n + 1):
-        for q in range(0, n + 1 - p):
-            if p + q < 1:
-                continue
-            # num/den < (n+2)/2  <=>  2 num < (n+2) den, with den > 0
-            num, den = _gamma_terms(n, p, q)
-            if 2 * num < (n + 2) * den:
-                bad.append((p, q))
-    return bad
+    terms = {c: _gamma_terms(n, *c) for c in bidegrees(n)}
+    # num/den < (n+2)/2  <=>  2 num < (n+2) den, with den > 0
+    return [c for c, (num, den) in terms.items() if 2 * num < (n + 2) * den]
 
 
 @dataclass(frozen=True)
@@ -206,15 +200,13 @@ def _certify(mode: str, spec: Spectrum, n: int, threshold_of, eps: float) -> Cer
 
     at_k: dict[float, Verdict] = {}
     verdicts: dict[tuple[int, int], Verdict] = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if p + q < 1 or p + q > n:
-                continue
-            k = min(float(threshold_of(p, q)), float(m))
-            if k not in at_k:
-                total = partial_sum(vals, k)
-                at_k[k] = Verdict(_status(total, eps_scale), k, total, "direct")
-            verdicts[(p, q)] = at_k[k]
+    direct = bidegrees(n)
+    for (p, q) in direct:
+        k = min(float(threshold_of(p, q)), float(m))
+        if k not in at_k:
+            total = partial_sum(vals, k)
+            at_k[k] = Verdict(_status(total, eps_scale), k, total, "direct")
+        verdicts[(p, q)] = at_k[k]
     # Serre duality fills p+q > n from (n-p, n-q); (n,n) pairs with the
     # constants and is never subject to vanishing, so it gets no verdict
     for p in range(n + 1):
@@ -224,12 +216,7 @@ def _certify(mode: str, spec: Spectrum, n: int, threshold_of, eps: float) -> Cer
             src = verdicts[(n - p, n - q)]
             verdicts[(p, q)] = Verdict(src.status, src.k, src.partial_sum, "serre-dual")
 
-    summary = all(
-        verdicts[(p, q)].status == "vanishes"
-        for p in range(n + 1)
-        for q in range(n + 1)
-        if 1 <= p + q <= n
-    )
+    summary = all(verdicts[c].status == "vanishes" for c in direct)
     return Certificate(mode, n, tuple(vals.tolist()), verdicts, summary)
 
 

@@ -26,6 +26,7 @@ from .frames import (
     _lefschetz_coeffs,
     _removal,
 )
+from .report import record, verdict
 from .spectral import k_test, weight_principle
 
 TOL_DIRECT = 1e-10
@@ -39,14 +40,8 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
 
 
 def _record(name: str, anchor: str, residual: float, tol: float, **values) -> dict:
-    return {
-        "name": name,
-        "anchor": anchor,
-        "status": "pass" if residual <= tol else "fail",
-        "residual": float(residual),
-        "tolerance": tol,
-        "values": values,
-    }
+    return record(name, anchor, values, verdict(residual, tol),
+                  residual=float(residual), tolerance=tol)
 
 
 def _random_hermitian(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -55,8 +50,7 @@ def _random_hermitian(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def _pairs(n: int, max_degree: int) -> list[tuple[int, int]]:
-    return [(p, q) for p in range(n + 1) for q in range(p + 1)
-            if 1 <= p + q <= min(max_degree, n)]
+    return [(p, q) for (p, q) in ct.bidegrees(n) if p >= q and p + q <= max_degree]
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +410,7 @@ def stress_probe(n: int, seed: int, max_degree: int = 4) -> dict:
             # an eigenvalue that attains the cap can exceed it by a few ulps
             "within_cap": bool(best <= cap * (1.0 + 64 * np.finfo(float).eps)),
         }
-    return {
-        "name": "stress_search",
-        "anchor": "estimate-tightness-probe",
-        "status": "info",
-        "residual": None,
-        "tolerance": None,
-        "values": table,
-    }
+    return record("stress_search", "estimate-tightness-probe", table, tolerance=None)
 
 
 CHECKS = [

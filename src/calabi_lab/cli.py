@@ -41,7 +41,7 @@ from . import model_spaces as ms
 from .checks import run_verify_suite, stress_probe
 from .errors import CalabiLabError
 from .frames import FrameConvention
-from .report import make_envelope, to_csv, to_json, to_table, validate_report
+from .report import make_envelope, record, to_csv, to_json, to_table, validate_report, verdict
 from .spectral import HERMITIAN_TOL, eigensystem, partial_sum, sorted_eigenvalues
 
 USAGE_ERROR = 2
@@ -245,7 +245,7 @@ def _calabi_matrix_from_input(data: dict) -> np.ndarray:
     # can fail it (non-finite entries pass here and are refused there)
     on_diag = np.flatnonzero(rows == cols)
     peak = np.max(np.abs(z))
-    bad = on_diag[2.0 * np.abs(z[on_diag].imag) > HERMITIAN_TOL * np.maximum(1.0, peak)]
+    bad = on_diag[2.0 * np.abs(z[on_diag].imag) > HERMITIAN_TOL * peak]
     if len(bad):
         raise ValueError(f"{name(bad[0])} is on the diagonal, so it must be real, "
                          f"got {tri[bad[0]]!r}")
@@ -280,11 +280,10 @@ def cmd_verify(args) -> dict:
         records = run_verify_suite(args.n, args.trials, args.seed, max_degree=max_degree)
         if args.stress:
             records.append(stress_probe(args.n, args.seed, max_degree=max_degree))
-    if args.tol_scale != 1.0:
-        for r in records:
-            if r.get("residual") is not None and r.get("tolerance") is not None:
-                r["tolerance"] = r["tolerance"] * args.tol_scale
-                r["status"] = "pass" if r["residual"] <= r["tolerance"] else "fail"
+    for r in records:
+        if r["tolerance"] is not None:
+            r["tolerance"] *= args.tol_scale
+            r["status"] = verdict(r["residual"], r["tolerance"])
     config = {"n": args.n, "trials": args.trials, "seed": args.seed,
               "max_degree": max_degree, "tol_scale": args.tol_scale,
               "stress": bool(args.stress),
@@ -293,11 +292,7 @@ def cmd_verify(args) -> dict:
 
 
 def _ladder(n: int, m: int) -> list[float]:
-    ks = {1.0, n / 2.0, n / 2.0 + 1.0}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if 1 <= p + q <= n:
-                ks.add(ct.upsilon(n, p, q))
+    ks = {1.0, n / 2.0, n / 2.0 + 1.0, *(ct.upsilon(n, p, q) for (p, q) in ct.bidegrees(n))}
     # clamped before duplicates go: at n = 1, n/2 + 1 clamps onto k = 1
     return sorted({min(k, float(m)) for k in ks if k >= 1.0})
 
@@ -305,29 +300,17 @@ def _ladder(n: int, m: int) -> list[float]:
 def cmd_spectrum(args) -> dict:
     space = parse_space(args.space)
     n, spec, label = _space_to_spectrum(space)
-    records = [{
-        "name": "eigenvalues",
-        "anchor": "calabi-spectrum",
-        "status": "info",
-        "residual": None,
-        "values": {"space": label, "n": n,
-                   "eigenvalues": spec.eigenvalues.tolist()},
-    }]
+    records = [record("eigenvalues", "calabi-spectrum",
+                      {"space": label, "n": n, "eigenvalues": spec.eigenvalues.tolist()})]
     # the order is checked once; each rung is a bare partial sum (the
     # ladder's k lie in [1, m])
     vals = sorted_eigenvalues(spec)
     for k in _ladder(n, spec.size):
         total = partial_sum(vals, k)
-        records.append({
-            "name": f"k_test[{k:g}]",
-            "anchor": "fractional-partial-sum-test",
-            "status": "info",
-            "residual": None,
-            "values": {"k": k, "partial_sum": total,
-                       "nonneg": total >= 0.0, "positive": total > 0.0},
-        })
-    config = {"space": args.space}
-    return make_envelope("spectrum", config, records)
+        records.append(record(f"k_test[{k:g}]", "fractional-partial-sum-test",
+                              {"k": k, "partial_sum": total,
+                               "nonneg": total >= 0.0, "positive": total > 0.0}))
+    return make_envelope("spectrum", {"space": args.space}, records)
 
 
 def _require_bidegree_filter(args, n: int) -> None:
@@ -349,27 +332,13 @@ def cmd_thresholds(args) -> dict:
     for (p, q) in sorted(tb.upsilons):
         if not _keep(args, p, q):
             continue
-        exact = tb.upsilons_exact[(p, q)]
-        g = tb.gammas[(p, q)]
-        records.append({
-            "name": f"threshold[{p},{q}]",
-            "anchor": "vanishing-thresholds",
-            "status": "info",
-            "residual": None,
-            "values": {
-                "p": p, "q": q,
-                "upsilon": tb.upsilons[(p, q)],
-                "upsilon_exact": exact,
-                "gamma": g,
-            },
-        })
-    records.append({
-        "name": "upsilon_min",
-        "anchor": "threshold-lower-bound",
-        "status": "pass" if ct.upsilon_min_holds(args.n) else "fail",
-        "residual": None,
-        "values": {"claim": "upsilon >= n/2 for 1 <= p+q <= n"},
-    })
+        records.append(record(f"threshold[{p},{q}]", "vanishing-thresholds",
+                              {"p": p, "q": q, "upsilon": tb.upsilons[(p, q)],
+                               "upsilon_exact": tb.upsilons_exact[(p, q)],
+                               "gamma": tb.gammas[(p, q)]}))
+    records.append(record("upsilon_min", "threshold-lower-bound",
+                          {"claim": "upsilon >= n/2 for 1 <= p+q <= n"},
+                          "pass" if ct.upsilon_min_holds(args.n) else "fail"))
     return make_envelope("thresholds", {"n": args.n, "p": args.p, "q": args.q}, records)
 
 
@@ -392,28 +361,17 @@ def cmd_certify(args) -> dict:
         ksu = cv.restrict_su(cv.kaehler_operator(t), ric)
         cert = ct.certify_ke(ksu.spectrum(), n, eps=eps)
     _require_bidegree_filter(args, n)
-    records = [{
-        "name": "summary",
-        "anchor": "vanishing-certificate-summary",
-        "status": "info",
-        "residual": None,
-        "values": {"space": label, "mode": cert.mode, "n": cert.n,
-                   "summary_certified": cert.summary_certified,
-                   "eigenvalues": list(cert.eigenvalues),
-                   "notes": cert.notes},
-    }]
+    records = [record("summary", "vanishing-certificate-summary",
+                      {"space": label, "mode": cert.mode, "n": cert.n,
+                       "summary_certified": cert.summary_certified,
+                       "eigenvalues": list(cert.eigenvalues), "notes": cert.notes})]
     for (p, q) in sorted(cert.verdicts):
         if not _keep(args, p, q):
             continue
         v = cert.verdicts[(p, q)]
-        records.append({
-            "name": f"verdict[{p},{q}]",
-            "anchor": "per-bidegree-verdict",
-            "status": "info",
-            "residual": None,
-            "values": {"p": p, "q": q, "status": v.status, "k": v.k,
-                       "partial_sum": v.partial_sum, "provenance": v.provenance},
-        })
+        records.append(record(f"verdict[{p},{q}]", "per-bidegree-verdict",
+                              {"p": p, "q": q, "status": v.status, "k": v.k,
+                               "partial_sum": v.partial_sum, "provenance": v.provenance}))
     return make_envelope("certify", {"space": args.space, "mode": args.mode,
                                      "p": args.p, "q": args.q, "eps": eps}, records)
 

@@ -31,7 +31,8 @@ import numpy as np
 from .errors import CalabiLabError
 from .frames import (E_BLOCK, Z_BLOCK, FrameConvention, _frozen, change_pairs, family_mats,
                      lambda11_basis_labels, sym2_basis_labels)
-from .spectral import NotHermitian, Spectrum, eigensystem, require_finite, require_hermitian
+from .spectral import (NotHermitian, Spectrum, eigensystem, require_finite, require_hermitian,
+                       unit_scaled)
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -53,7 +54,7 @@ __all__ = [
     "inject_sign_bug",
 ]
 
-DEFAULT_TOL = 1e-10  # relative to max(1, max|R|), in validate_tensor and ricci
+DEFAULT_TOL = 1e-10  # relative to max|R|, in validate_tensor and ricci
 
 # internal mutation hook for the non-vacuousness test: when enabled,
 # calabi_from_tensor flips the sign of the (0, 0) entry of the assembled matrix
@@ -138,7 +139,7 @@ def validate_tensor(components: np.ndarray, convention: FrameConvention) -> Alge
     require_finite(r, "curvature tensor")
     # one work buffer holds each residual tensor in turn, then its absolute value
     buf = np.abs(r)
-    scale = max(1.0, float(buf.max()))
+    scale = float(buf.max())
     residuals: dict[str, float] = {}
 
     def worst() -> float:
@@ -343,11 +344,12 @@ def restrict_su(k_op: CurvatureOperatorMatrix, ric: RicciData) -> CurvatureOpera
     peak = float(np.max(np.abs(k_op.matrix)))
     scale = max(peak, abs(lam)) or 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = scale * float(np.linalg.norm(k_op.matrix / scale @ w - lam / scale * w))
+        resid = scale * float(np.linalg.norm(unit_scaled(k_op.matrix, scale) @ w
+                                             - lam / scale * w))
     if not math.isfinite(resid):
         raise ValueError(f"the Einstein residual overflows float64 (Kaehler operator entries "
                          f"up to {peak:.3g} in magnitude)")
-    if resid > 1e-8 * max(1.0, abs(lam)):
+    if resid > 1e-8 * scale:
         raise NotEinstein(f"Kaehler form is not an eigenvector (residual {resid:.3e})")
     b = su_complement(n)
     return CurvatureOperatorMatrix(
@@ -382,7 +384,7 @@ def r1_r2_operators(t: AlgebraicCurvatureTensor) -> tuple[CurvatureOperatorMatri
 
 def ricci(t: AlgebraicCurvatureTensor) -> RicciData:
     """Ricci contraction Ric_ij = sum_k R_kikj and Einstein detection, at
-    DEFAULT_TOL relative to max(1, max|Ric|)."""
+    DEFAULT_TOL relative to max|R|, so that a Ricci-flat tensor is Einstein."""
     with np.errstate(over="ignore", invalid="ignore"):
         ric = np.einsum("kikj->ij", t.components)
         scal = float(np.trace(ric))
@@ -391,7 +393,7 @@ def ricci(t: AlgebraicCurvatureTensor) -> RicciData:
     if not math.isfinite(resid):
         raise ValueError(f"the Ricci tensor overflows float64 (curvature tensor entries up "
                          f"to {float(np.max(np.abs(t.components))):.3g} in magnitude)")
-    einstein = lam if resid <= DEFAULT_TOL * max(1.0, float(np.max(np.abs(ric)))) else None
+    einstein = lam if resid <= DEFAULT_TOL * float(np.max(np.abs(t.components))) else None
     return RicciData(ric, scal, einstein)
 
 

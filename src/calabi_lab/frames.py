@@ -754,7 +754,7 @@ class EndoC:
         hat = np.asarray(hat, dtype=complex)
         if hat.shape != (conv.n, conv.n):
             raise FrameError("hat matrix must be n x n")
-        if np.max(np.abs(hat - hat.T)) > 1e-12 * max(1.0, np.max(np.abs(hat))):
+        if np.max(np.abs(hat - hat.T)) > 1e-12 * np.max(np.abs(hat)):
             raise FrameError("hat matrix must be complex symmetric")
         m = np.zeros((conv.dim, conv.dim), dtype=complex)
         m[: conv.n, conv.n:] = hat

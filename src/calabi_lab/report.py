@@ -21,6 +21,8 @@ from . import __version__
 SCHEMA_VERSION = 1
 
 __all__ = [
+    "record",
+    "verdict",
     "make_envelope",
     "to_json",
     "to_csv",
@@ -28,6 +30,19 @@ __all__ = [
     "validate_report",
     "thread_count",
 ]
+
+
+def verdict(residual: float, tolerance: float) -> str:
+    """The pass rule of a check record: pass iff the residual is within its
+    tolerance."""
+    return "pass" if residual <= tolerance else "fail"
+
+
+def record(name: str, anchor: str, values, status: str = "info", **measured) -> dict:
+    """A report record.  ``residual`` is None unless ``measured`` gives it;
+    ``measured`` adds any other measured field (a check's ``tolerance``)."""
+    return {"name": name, "anchor": anchor, "status": status, "residual": None,
+            **measured, "values": values}
 
 
 def make_envelope(command: str, config: dict, records: list[dict]) -> dict:

@@ -33,7 +33,7 @@ __all__ = [
     "weight_principle",
 ]
 
-HERMITIAN_TOL = 1e-10  # relative to max(1, max|H|), in require_hermitian
+HERMITIAN_TOL = 1e-10  # relative to max|H|, in require_hermitian
 WEIGHT_TOL = 1e-9  # weight_principle's test of its weights, relative
 
 
@@ -97,7 +97,7 @@ def require_hermitian(H: np.ndarray, what: str) -> float:
         raise NotHermitian("expected a nonempty matrix, got the empty 0 x 0 matrix")
     require_finite(H, what)
     peak = float(np.max(np.abs(H)))
-    if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * max(1.0, peak):
+    if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * peak:
         raise NotHermitian(f"{what} must be Hermitian within tolerance")
     return peak
 
@@ -111,7 +111,7 @@ def eigensystem(H: np.ndarray, source: str = "") -> Spectrum:
     H = np.asarray(H, dtype=complex)
     peak = require_hermitian(H, "matrix")
     unit = peak if peak > 0.0 else 1.0
-    A = H / unit
+    A = unit_scaled(H, unit)
     A = 0.5 * (A + A.conj().T)
     try:
         vals, vecs = np.linalg.eigh(A)
@@ -123,6 +123,15 @@ def eigensystem(H: np.ndarray, source: str = "") -> Spectrum:
         raise ValueError(f"the eigenvalues overflow float64 (matrix entries up to "
                          f"{peak:.3g} in magnitude)")
     return Spectrum(vals, _phase_fix(vecs), source)
+
+
+def unit_scaled(H: np.ndarray, unit: float) -> np.ndarray:
+    """H / unit for a real unit > 0.  numpy divides a complex H through 1/unit,
+    which overflows below 2^-1024; only then are both first multiplied by the
+    exact power of two 2^600, so every other quotient keeps numpy's bits."""
+    if math.isinf(1.0 / unit):
+        H, unit = H * 2.0 ** 600, unit * 2.0 ** 600
+    return H / unit
 
 
 def _phase_fix(V: np.ndarray) -> np.ndarray:

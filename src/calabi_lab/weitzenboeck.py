@@ -629,7 +629,7 @@ def estimate_bound(s: EndoC, psi: RealForm) -> EstimateResult:
 
     bound_prim = None
     lam = lefschetz_adjoint(psi.phi)
-    if lam.norm_sq() <= 1e-20 * max(1.0, psi.norm_sq()):
+    if lam.norm_sq() <= 1e-20 * psi.norm_sq():
         denom = (p + q) * (psi.convention.n + 1) - 2 * p * q
         hat_norm = float(np.trace(gram).real)
         bound_prim = (2.0 + 4.0 * _min_constant(p, q)) / denom * s_norm * hat_norm
@@ -639,11 +639,11 @@ def estimate_bound(s: EndoC, psi: RealForm) -> EstimateResult:
 
 def _require_sym2_10(s: EndoC, caller: str) -> None:
     """NotSymmetric unless S is an element of sym^2 V^{1,0}: zero outside its
-    hat block and a symmetric hat, both to 1e-12 of max(1, max|S|)."""
+    hat block and a symmetric hat, both to 1e-12 of max|S|."""
     n = s.convention.n
     off = s.matrix.copy()  # S outside the hat block, and hat - hat^T within it
     off[:n, n:] = s.hat - s.hat.T
-    if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(s.matrix)))):
+    if np.max(np.abs(off)) > 1e-12 * float(np.max(np.abs(s.matrix))):
         raise NotSymmetric(f"{caller} expects an element of sym^2 V^{{1,0}}")
 
 
@@ -728,20 +728,19 @@ def achievability_ratio(p: int, q: int) -> float:
 def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
                   restarts: int = 16) -> float:
     """Largest |S psi|^2 / (|S|^2 |psi|^2) over sym^2 V^{1,0} elements S, for a
-    fresh random primitive real psi per restart; returns the best ratio over
-    the restarts.  Only probes tightness; the maximum over psi is not sought.
+    fresh random primitive real psi per restart (restarts >= 1); returns the
+    best ratio over the restarts.  Only probes tightness; the maximum over psi is not sought.
 
     In the unit sym^2 coordinates c of S the ratio is the Rayleigh quotient
     c* G c / c* c, with G the Gram matrix of the basis actions on the unit
-    psi, so its maximum over S is the top eigenvalue of G.
+    psi, so its maximum over S is the top eigenvalue of G.  Every restart's
+    psi is drawn first; their Gram matrices come from one ``_sym2_grams``.
     """
     rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(restarts):
-        psi = random_primitive_real(conv, p, q, rng)
-        gram = _sym2_grams([psi])[0] / psi.norm_sq()
-        best = max(best, float(np.linalg.eigvalsh(gram)[-1]))
-    return best
+    psis = [random_primitive_real(conv, p, q, rng) for _ in range(restarts)]
+    norms = np.array([psi.norm_sq() for psi in psis])
+    gram = _sym2_grams(psis) / norms[:, None, None]
+    return float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
 
 
 # ---------------------------------------------------------------------------

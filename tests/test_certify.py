@@ -216,3 +216,9 @@ def test_certificates_match_per_cell_reference(n, monkeypatch):
     assert got == [certify(spec, n, eps=eps) for certify, spec, eps in runs]
     assert {v.status for cert in got for v in cert.verdicts.values()} == {
         "vanishes", "parallel-only", "not-certified"}
+
+
+def test_bidegrees_match_the_double_loop():
+    for n in range(0, 13):
+        old = [(p, q) for p in range(n + 1) for q in range(n + 1) if 1 <= p + q <= n]
+        assert ct.bidegrees(n) == old

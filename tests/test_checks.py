@@ -166,3 +166,13 @@ def test_norm_identities_act_once_per_family_and_bidegree(monkeypatch):
     assert checks.check_norm_identities(4, 2, 9001)["status"] == "pass"
     assert {tag for tag, _, _ in calls} == {"sym2_10", "su", "u"}
     assert max(calls.values()) == 1
+
+
+def test_pairs_keep_the_comprehension_order():
+    """``_pairs`` filters ``certify.bidegrees`` to p >= q and p + q <= the
+    degree, in the order of the comprehension it replaces, so that every
+    check draws its random forms in the same order."""
+    for n in range(1, 11):
+        for d in range(1, n + 1):
+            old = [(p, q) for p in range(n + 1) for q in range(p + 1) if 1 <= p + q <= min(d, n)]
+            assert checks._pairs(n, d) == old

@@ -1110,3 +1110,100 @@ def test_tensors_are_validated_only_where_input_enters(tmp_path, monkeypatch, ca
         assert main(argv + ["--format", "json"]) == 0
         capsys.readouterr()
         assert len(calls) == expected, argv
+
+
+def test_record_key_sets(capsys):
+    """spectrum, thresholds and certify records carry exactly name, anchor,
+    status, residual and values; verify's check records add a numeric
+    tolerance, and its --stress record a null one."""
+    plain = {"name", "anchor", "status", "residual", "values"}
+    for argv in (["spectrum", "--space", "quadric:n=3"], ["thresholds", "--n", "3"],
+                 ["certify", "--space", "chsc:n=2"],
+                 ["certify", "--space", "randomke:n=3,seed=4", "--mode", "ke"]):
+        assert main(argv + ["--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert records and all(set(r) == plain for r in records), argv
+    assert main(["verify", "--n", "2", "--trials", "2", "--stress", "--format", "json"]) == 0
+    *checks, stress = json.loads(capsys.readouterr().out)["records"]
+    for r in checks:
+        assert set(r) == plain | {"tolerance"}
+        assert type(r["tolerance"]) is float and type(r["residual"]) is float
+    assert stress["name"] == "stress_search"
+    assert set(stress) == plain | {"tolerance"} and stress["tolerance"] is None
+
+
+def _components_of(comp, n):
+    """A components payload of the array ``comp``: every nonzero R_ijkl with
+    i < j, k < l and (i, j) <= (k, l), so that no two entries meet through
+    the pair exchange."""
+    d = 2 * n
+    entries = [[i + 1, j + 1, k + 1, l + 1, float(comp[i, j, k, l])]
+               for i in range(d) for j in range(i + 1, d) for k in range(i, d)
+               for l in range(k + 1, d) if (i, j) <= (k, l) and comp[i, j, k, l] != 0.0]
+    return {"kind": "components", "n": n, "entries": entries}
+
+
+def _verdicts(argv, capsys):
+    """certify's per-bidegree statuses, or None when it exits 2."""
+    code = main(argv + ["--format", "json"])
+    out = capsys.readouterr().out
+    if code == 2:
+        return None
+    return {r["name"]: r["values"]["status"] for r in json.loads(out)["records"][1:]}
+
+
+SCALES = (1.0, 1e-12, 1e-200)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_hypotheses_are_tested_at_the_input_scale(scale, tmp_path, capsys):
+    """A tensor that fails its hypothesis at scale 1 fails it at every scale:
+    a non-Kaehler tensor in both modes, a non-Einstein one in KE mode, and a
+    Calabi matrix with a complex diagonal entry in spectrum and certify."""
+    from calabi_lab.curvature import random_riemannian
+    from calabi_lab.model_spaces import chsc, random_kaehler
+
+    bent = chsc(3).components + 0.3 * random_riemannian(FrameConvention(3), 4).components
+    comp = tmp_path / "bent.json"
+    comp.write_text(json.dumps(_components_of(scale * bent, 3)))
+    for mode in ("calabi", "ke"):
+        _assert_usage_error(["certify", "--space", f"file:{comp}", "--mode", mode], capsys,
+                            "requires a validated Kaehler tensor")
+    comp.write_text(json.dumps(_components_of(scale * random_kaehler(3, 5).components, 3)))
+    _assert_usage_error(["certify", "--space", f"file:{comp}", "--mode", "ke"], capsys,
+                        "requires an Einstein tensor")
+    tri = [[1.0, 0.1], [0.5, 0.25], [0.0, 0.0], [1.0, 0.0], [0.0, 0.1], [1.5, 0.0]]
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps({"kind": "calabi", "n": 2,
+                               "hermitian": [[scale * x for x in e] for e in tri]}))
+    for command in ("spectrum", "certify"):
+        _assert_usage_error([command, "--space", f"file:{cal}"], capsys,
+                            "is on the diagonal, so it must be real")
+
+
+@pytest.mark.parametrize("scale", SCALES[1:])
+def test_valid_tensors_keep_their_verdicts_at_small_scale(scale, tmp_path, capsys):
+    """Q4 and a Kaehler--Einstein tensor, given as file components, get the
+    verdicts of scale 1 in both modes."""
+    from calabi_lab.model_spaces import quadric, random_kaehler_einstein
+
+    for t in (quadric(4), random_kaehler_einstein(3, 9)):
+        for mode in ("calabi", "ke"):
+            got = []
+            for s in (1.0, scale):
+                path = tmp_path / f"t{s}.json"
+                path.write_text(json.dumps(_components_of(s * t.components, t.n)))
+                got.append(_verdicts(["certify", "--space", f"file:{path}", "--mode", mode],
+                                     capsys))
+            assert got[0] is not None and got[1] == got[0], (t.n, mode)
+
+
+def test_subnormal_spaces_are_solved(capsys):
+    """Subnormal curvature is solved, not reported as an overflow, and its
+    verdicts stay at parallel-only: no partial sum of rounding noise vanishes."""
+    assert main(["spectrum", "--space", "chsc:n=2,c=1e-320", "--format", "json"]) == 0
+    capsys.readouterr()
+    for argv in (["certify", "--space", "quadric:n=3,c=1e-320", "--mode", "ke"],
+                 ["certify", "--space", "quadric:n=4,c=1e-320"]):
+        got = _verdicts(argv, capsys)
+        assert got and set(got.values()) == {"parallel-only"}, argv

@@ -203,3 +203,15 @@ def test_weight_principle_refuses_failing_spectrum():
     assert not out.certified
     assert out.lower_bound is None
 
+
+
+@pytest.mark.parametrize("s", [1e-310, 1e-320, 5e-324])
+def test_eigensystem_at_subnormal_scale(s):
+    """A matrix of subnormal size, whose reciprocal peak overflows, has s
+    times the eigenvalues of its integer pattern, to within the rounding of
+    its entries: (m + 1) / 2 subnormal spacings for an m x m matrix."""
+    h0 = np.array([[2, 1 - 1j, 0], [1 + 1j, 3, 1], [0, 1, -1]])
+    spacing = np.nextafter(0.0, 1.0)
+    got = eigensystem(s * h0).eigenvalues
+    want = s * np.linalg.eigvalsh(h0)
+    assert np.all(np.abs(got - want) <= 2 * spacing)
