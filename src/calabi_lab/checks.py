@@ -57,7 +57,7 @@ def _pairs(n: int, max_degree: int) -> list[tuple[int, int]]:
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_validator(n: int, trials: int, seed: int) -> dict:
+def check_validator(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     rng = _rng(seed, 1)
     worst = 0.0
     for _ in range(max(trials // 10, 3)):
@@ -69,7 +69,7 @@ def check_validator(n: int, trials: int, seed: int) -> dict:
     return _record("tensor_validator", "curvature-symmetry-validation", worst, 1e-12)
 
 
-def check_roundtrip(n: int, trials: int, seed: int) -> dict:
+def check_roundtrip(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     rng = _rng(seed, 2)
     conv = FrameConvention(n)
     m = n * (n + 1) // 2
@@ -105,7 +105,7 @@ def _eigen_expansion(spec, n: int) -> np.ndarray:
             - np.einsum("vbi,vaj->abij", lam * vb, vb.conj()))
 
 
-def check_kaehler_structure(n: int, trials: int, seed: int) -> dict:
+def check_kaehler_structure(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     """Vanishing on Lambda^{2,0}, the exchange symmetry, and the mixed-pair
     eigen-expansion of the curvature endomorphisms."""
     rng = _rng(seed, 3)
@@ -137,7 +137,7 @@ def _real_pforms(conv: FrameConvention, rng: np.random.Generator) -> list[tuple[
     return [(wz.random_real_pform(conv, p, rng), p) for p in (1, 2, 3) if p <= conv.dim]
 
 
-def check_r2_gl(n: int, trials: int, seed: int) -> dict:
+def check_r2_gl(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     rng = _rng(seed, 4)
     conv = FrameConvention(n)
     worst = 0.0
@@ -149,7 +149,7 @@ def check_r2_gl(n: int, trials: int, seed: int) -> dict:
                    worst, TOL_DIRECT)
 
 
-def check_ricl_split(n: int, trials: int, seed: int) -> dict:
+def check_ricl_split(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     rng = _rng(seed, 5)
     conv = FrameConvention(n)
     worst = 0.0
@@ -299,7 +299,7 @@ def check_main_estimate(n: int, trials: int, seed: int, max_degree: int = 4) -> 
                    residual, TOL_DIRECT, violations=violations, samples=samples)
 
 
-def check_weight_principle(n: int, trials: int, seed: int) -> dict:
+def check_weight_principle(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     rng = _rng(seed, 9)
     m = n * (n + 1) // 2
     bad = 0
@@ -354,7 +354,7 @@ def check_einstein_identities(n: int, trials: int, seed: int, max_degree: int = 
                    worst, TOL_EIGEN)
 
 
-def check_thresholds(n: int, trials: int, seed: int) -> dict:
+def check_thresholds(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     from fractions import Fraction
 
     worst = 0.0
@@ -371,7 +371,7 @@ def check_thresholds(n: int, trials: int, seed: int) -> dict:
                    gamma_reduction_violations=ct.gamma_reduction_violations(n))
 
 
-def check_model_spaces(n: int, trials: int, seed: int) -> dict:
+def check_model_spaces(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     worst = 0.0
     nq = max(n, 2)
     tq = ms.quadric(nq)
@@ -413,6 +413,8 @@ def stress_probe(n: int, seed: int, max_degree: int = 4) -> dict:
     return record("stress_search", "estimate-tightness-probe", table, tolerance=None)
 
 
+# every check is called alike, fn(n, trials, seed, max_degree=...); those that
+# draw no forms ignore max_degree
 CHECKS = [
     check_validator,
     check_roundtrip,
@@ -437,9 +439,4 @@ def run_verify_suite(n: int, trials: int, seed: int, max_degree: int = 4) -> lis
     """
     from .report import parallel_map
 
-    def run(fn):
-        if "max_degree" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-            return fn(n, trials, seed, max_degree=max_degree)
-        return fn(n, trials, seed)
-
-    return parallel_map(run, CHECKS)
+    return parallel_map(lambda fn: fn(n, trials, seed, max_degree=max_degree), CHECKS)

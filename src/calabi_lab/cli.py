@@ -47,9 +47,13 @@ from .spectral import HERMITIAN_TOL, eigensystem, partial_sum, sorted_eigenvalue
 USAGE_ERROR = 2
 
 # Largest complex dimension accepted.  At n = 16 the dense real curvature
-# tensor (2n)^4 is 8.4 MB, one eigh solve of the 136 x 136 Calabi matrix takes
-# 7 ms and certify --mode ke peaks at 330 MB (n = 24: 42 MB and 33 ms, but
-# building a random tensor peaks at 613 MB) on a 2-vCPU VM.
+# tensor (2n)^4 is 8.4 MB and one eigh solve of the 136 x 136 Calabi matrix
+# takes 7 ms.  certify --mode calabi, which builds no tensor for a random
+# space, takes 25 ms at 42 MB peak RSS for random, 55 ms at 44 MB for randomke
+# and 85 ms at 75 MB for the quadric, which builds its raw tensor once;
+# --mode ke takes 105-150 ms at 82 MB (one process per request, 2-vCPU VM).
+# At n = 24 the tensor is 42 MB and the solve 33 ms, but building a random
+# tensor peaked at 613 MB.
 MAX_N = 16
 # Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
 # whatever --max-degree is: C(20, 10) = 184756 coordinates at n = 10, where
@@ -256,7 +260,8 @@ def _calabi_matrix_from_input(data: dict) -> np.ndarray:
 
 
 def _space_to_spectrum(space) -> tuple[int, np.ndarray, str]:
-    """Calabi spectrum of a space descriptor or file payload."""
+    """Calabi spectrum of a space descriptor or file payload, solved from the
+    Calabi matrix; only tensor components and products build a tensor."""
     if isinstance(space, dict):
         n = space["n"]
         if space["kind"] == "calabi":
@@ -264,8 +269,8 @@ def _space_to_spectrum(space) -> tuple[int, np.ndarray, str]:
             return n, spec, "file:calabi"
         t = _tensor_from_input(space)
         return n, cv.calabi_from_tensor(t).spectrum(), "file:components"
-    t = ms.build(space)
-    return space.complex_dim, cv.calabi_from_tensor(t).spectrum(), space.variant
+    spec = eigensystem(ms.calabi_matrix(space), source="calabi")
+    return space.complex_dim, spec, space.variant
 
 
 # ---------------------------------------------------------------------------

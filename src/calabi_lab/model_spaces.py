@@ -1,8 +1,11 @@
 """Curvature tensors of the reference geometries.  Each builder sets the
 symmetry flags by construction: validate_tensor checks input where it enters.
 
-Constant holomorphic sectional curvature comes straight from the operator
-correspondence (Calabi matrix = c * Id).  The complex quadric is built as the
+Each kind's Calabi matrix (calabi_matrix) is its one recipe: constant
+holomorphic sectional curvature is c * Id, and the random kinds are seeded
+Hermitian matrices, so certify and spectrum solve them directly, and build
+turns the same matrix into the tensor (the Calabi--Vesentini
+correspondence).  The complex quadric is built as the
 rank-2 symmetric space SO(n+2)/(SO(2) x SO(n)): curvature of the isotropy
 representation, R(X, Y, Z, W) = <[X, Y], [Z, W]> on the tangent block, with
 the invariant complex structure rotating the SO(2) factor, normalized so the
@@ -17,6 +20,7 @@ import numpy as np
 
 from .curvature import (
     AlgebraicCurvatureTensor,
+    CurvatureOperatorMatrix,
     calabi_block,
     calabi_from_tensor,
     ricci,
@@ -24,11 +28,12 @@ from .curvature import (
 )
 from .errors import CalabiLabError
 from .frames import FrameConvention, family_mats
-from .spectral import PositivityReport, Spectrum, k_test
+from .spectral import PositivityReport, Spectrum, eigensystem, k_test
 
 __all__ = [
     "SpaceDescriptor",
     "build",
+    "calabi_matrix",
     "chsc",
     "flat_torus",
     "product",
@@ -46,6 +51,8 @@ class EinsteinProjectionError(CalabiLabError, RuntimeError):
 
 # largest traceless Ricci entry of a random Calabi matrix left uncorrected
 EINSTEIN_TOL = 1e-10
+
+VARIANTS = ("chsc", "quadric", "flat", "random", "random_ke", "product")
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,7 @@ class SpaceDescriptor:
         return self.n
 
     def validate(self) -> None:
-        known = {"chsc", "quadric", "flat", "random", "random_ke", "product"}
-        if self.variant not in known:
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown space variant {self.variant!r}")
         if self.variant == "product":
             if len(self.factors) < 1:
@@ -99,11 +105,32 @@ def build(desc: SpaceDescriptor) -> AlgebraicCurvatureTensor:
     return product([build(f) for f in desc.factors])
 
 
+def calabi_matrix(desc: SpaceDescriptor) -> np.ndarray:
+    """The Calabi matrix (unit sym^2 basis) of the space ``desc``, made
+    without its real tensor; a product's is read off the product tensor."""
+    desc.validate()
+    n, m = desc.n, desc.n * (desc.n + 1) // 2
+    if desc.variant == "chsc":
+        return desc.c * np.eye(m)
+    if desc.variant == "flat":
+        return np.zeros((m, m))
+    if desc.variant == "random":
+        return _random_calabi(n, desc.seed)
+    if desc.variant == "random_ke":
+        return _random_ke_calabi(n, desc.seed)
+    if desc.variant == "quadric":
+        _, raw, top = _quadric_normalization(n)
+        return raw.matrix * (desc.c / top)
+    return calabi_from_tensor(build(desc)).matrix
+
+
+def _from_calabi(desc: SpaceDescriptor) -> AlgebraicCurvatureTensor:
+    return tensor_from_calabi(calabi_matrix(desc), FrameConvention(desc.n))
+
+
 def chsc(n: int, c: float = 1.0) -> AlgebraicCurvatureTensor:
     """Constant holomorphic sectional curvature c (Calabi operator = c Id)."""
-    conv = FrameConvention(n)
-    m = n * (n + 1) // 2
-    return tensor_from_calabi(c * np.eye(m), conv)
+    return _from_calabi(SpaceDescriptor("chsc", n=n, c=c))
 
 
 def flat_torus(n: int) -> AlgebraicCurvatureTensor:
@@ -149,17 +176,24 @@ def _quadric_raw(n: int) -> AlgebraicCurvatureTensor:
     return AlgebraicCurvatureTensor(conv, r, True, True)
 
 
+def _quadric_normalization(n: int) -> tuple[AlgebraicCurvatureTensor, CurvatureOperatorMatrix, float]:
+    """The raw quadric tensor, its Calabi matrix and that matrix's largest
+    eigenvalue, the one solve that normalizes the quadric."""
+    raw = _quadric_raw(n)
+    op = calabi_from_tensor(raw)
+    return raw, op, float(np.max(op.spectrum().eigenvalues))
+
+
 def quadric(n: int, scale: float = 1.0) -> AlgebraicCurvatureTensor:
     """Symmetric-space quadric, normalized by its largest Calabi eigenvalue
     and multiplied by scale (scale=-1 gives the sign-flipped dual tensor)."""
-    raw = _quadric_raw(n)
-    top = float(np.max(calabi_from_tensor(raw).spectrum().eigenvalues))
+    raw, _, top = _quadric_normalization(n)
     return raw.scaled(scale / top)
 
 
 def quadric_spectrum(n: int, scale: float = 1.0) -> tuple[Spectrum, PositivityReport]:
     """Calabi spectrum of the quadric and its fractional test at k = n/2."""
-    spec = calabi_from_tensor(quadric(n, scale)).spectrum()
+    spec = eigensystem(calabi_matrix(SpaceDescriptor("quadric", n=n, c=scale)), source="calabi")
     return spec, k_test(spec, n / 2.0)
 
 
@@ -181,7 +215,7 @@ def _random_calabi(n: int, seed: int) -> np.ndarray:
 
 def random_kaehler(n: int, seed: int) -> AlgebraicCurvatureTensor:
     """Kaehler tensor from a GUE-style random Hermitian Calabi matrix."""
-    return tensor_from_calabi(_random_calabi(n, seed), FrameConvention(n))
+    return _from_calabi(SpaceDescriptor("random", n=n, seed=seed))
 
 
 def _ricci_traceless_from_calabi(h: np.ndarray, n: int) -> np.ndarray:
@@ -199,26 +233,39 @@ def _calabi_matrix_from_hermitian(h: np.ndarray) -> np.ndarray:
     return np.einsum("mab,nab->mn", hats.conj(), h @ hats + hats @ h.T)
 
 
-def random_kaehler_einstein(n: int, seed: int) -> AlgebraicCurvatureTensor:
-    """Random Kaehler--Einstein curvature tensor: random_kaehler(n, seed) with
-    its traceless Ricci part h projected out in one step, through the
-    equivariant correction h -> (h Shat + Shat h^T), whose own traceless Ricci
-    part is alpha h by Schur (the traceless Hermitian matrices are
-    irreducible; alpha = (n + 2) / 2, taken as the Rayleigh quotient).
-
-    The Ricci block is linear in the Calabi matrix, so the projection runs on
-    the m x m matrix, and the tensor is built once, from the projected matrix.
-    """
-    calabi = _random_calabi(n, seed)
+def _einstein_projection(calabi: np.ndarray, n: int) -> np.ndarray:
+    """calabi with its traceless Ricci part h projected out in one step,
+    through the equivariant correction h -> (h Shat + Shat h^T), whose own
+    traceless Ricci part is alpha h by Schur (the traceless Hermitian
+    matrices are irreducible; alpha = (n + 2) / 2, taken as the Rayleigh
+    quotient).  The Ricci block is linear in the Calabi matrix, so the
+    projection runs on the m x m matrix."""
     h = _ricci_traceless_from_calabi(calabi, n)
-    if float(np.max(np.abs(h))) > EINSTEIN_TOL:
-        # the Ricci block is a Hermitian form; the derivation action needs the
-        # endomorphism convention, which is its conjugate
-        corr = _calabi_matrix_from_hermitian(h.conj())
-        hc = _ricci_traceless_from_calabi(corr, n)
-        alpha = float(np.real(np.sum(hc * h.conj()))) / float(np.sum(np.abs(h) ** 2))
-        calabi = calabi - corr / alpha
-    t = tensor_from_calabi(calabi, FrameConvention(n))
+    if float(np.max(np.abs(h))) <= EINSTEIN_TOL:
+        return calabi
+    # the Ricci block is a Hermitian form; the derivation action needs the
+    # endomorphism convention, which is its conjugate
+    corr = _calabi_matrix_from_hermitian(h.conj())
+    hc = _ricci_traceless_from_calabi(corr, n)
+    alpha = float(np.real(np.sum(hc * h.conj()))) / float(np.sum(np.abs(h) ** 2))
+    return calabi - corr / alpha
+
+
+def _random_ke_calabi(n: int, seed: int) -> np.ndarray:
+    """Calabi matrix of random_kaehler_einstein(n, seed): the projected
+    matrix of random_kaehler(n, seed), whose Ricci block must then be
+    Einstein."""
+    calabi = _einstein_projection(_random_calabi(n, seed), n)
+    if float(np.max(np.abs(_ricci_traceless_from_calabi(calabi, n)))) > EINSTEIN_TOL:
+        raise EinsteinProjectionError("projection finished but Einstein check failed "
+                                      "on the Calabi matrix")
+    return calabi
+
+
+def random_kaehler_einstein(n: int, seed: int) -> AlgebraicCurvatureTensor:
+    """Random Kaehler--Einstein curvature tensor, built once from the
+    projected Calabi matrix and checked again by the real Ricci contraction."""
+    t = _from_calabi(SpaceDescriptor("random_ke", n=n, seed=seed))
     if not ricci(t).is_einstein:
         raise EinsteinProjectionError("projection finished but Einstein check failed")
     return t

@@ -214,13 +214,14 @@ def weight_principle(s: Spectrum | Sequence[float], weights: Sequence[float],
         raise ValueError("one weight per eigenvalue required")
     if kappa > 0:
         raise ValueError("kappa must be <= 0")
-    scale = max(max_weight, 1.0)
-    if np.any(w < -WEIGHT_TOL * scale) or np.any(w > max_weight + WEIGHT_TOL * scale):
-        raise ValueError("weights must lie in [0, max_weight]")
-    if abs(float(np.sum(w)) - total_weight) > WEIGHT_TOL * max(total_weight, 1.0):
-        raise ValueError("weights must sum to total_weight")
     if max_weight <= 0:
         raise ValueError("max_weight must be positive")
+    # tested at the weights' own scale, so that scaling them changes no outcome
+    slack = WEIGHT_TOL * max_weight
+    if np.any(w < -slack) or np.any(w > max_weight + slack):
+        raise ValueError("weights must lie in [0, max_weight]")
+    if abs(float(np.sum(w)) - total_weight) > WEIGHT_TOL * abs(total_weight):
+        raise ValueError("weights must sum to total_weight")
     upsilon = total_weight / max_weight
     if upsilon > len(vals) + 1e-9:
         raise ValueError("total_weight / max_weight exceeds the spectrum size")

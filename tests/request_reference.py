@@ -2,7 +2,9 @@
 became array operations, kept as references that only the tests use: the
 per-column eigenvector phase fix, the Fraction-valued Upsilon, the per-cell
 certificate, the per-k k-test ladder and the per-entry Calabi file reader.
-``REFERENCE_LOOPS`` lists where each one plugs in."""
+``REFERENCE_LOOPS`` lists where each one plugs in.  ``space_to_spectrum_via_tensor``
+is the route that model-space requests took before they solved the Calabi
+matrix directly; it agrees with that route to rounding, not to the byte."""
 
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ import numpy as np
 
 from calabi_lab import certify as ct
 from calabi_lab import cli, spectral
+from calabi_lab import curvature as cv
+from calabi_lab import model_spaces as ms
 from calabi_lab.certify import Certificate, Verdict, _status
 from calabi_lab.spectral import k_test, partial_sum, sorted_eigenvalues
 
@@ -98,6 +102,13 @@ def calabi_matrix_per_entry(data: dict) -> np.ndarray:
             h[i, j] = complex(re, im)
             h[j, i] = complex(re, -im)
     return h
+
+
+def space_to_spectrum_via_tensor(space: ms.SpaceDescriptor):
+    """``cli._space_to_spectrum`` for a space descriptor through the real
+    (2n)^4 tensor: build it, then read the Calabi matrix back from it."""
+    t = ms.build(space)
+    return space.complex_dim, cv.calabi_from_tensor(t).spectrum(), space.variant
 
 
 # (module, name, reference) for monkeypatch.setattr

@@ -194,6 +194,19 @@ def test_weight_principle_refuses_bad_weights():
         weight_principle(vals, [0.5, 0.5, 0.5], 1.5, 1.0, kappa=0.5)  # kappa > 0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+def test_weight_principle_tests_weights_at_their_own_scale(scale):
+    """Weights that fail the range test at scale 1 fail it at every scale:
+    a weight 500 times max_weight below 0 is refused however small it is."""
+    vals = [-1.0, 0.5, 2.0]
+    with pytest.raises(ValueError, match=r"weights must lie in \[0, max_weight\]"):
+        weight_principle(vals, [-5e2 * scale, scale, scale], 2.0 * scale, scale)
+    with pytest.raises(ValueError, match="weights must sum to total_weight"):
+        weight_principle(vals, [0.5 * scale, scale, scale], 3.0 * scale, scale)
+    out = weight_principle(vals, [scale, 0.5 * scale, 0.5 * scale], 2.0 * scale, scale)
+    assert out.upsilon == 2.0 and out.partial_sum == -0.5
+
+
 def test_weight_principle_refuses_failing_spectrum():
     # weights concentrate max weight on the lowest eigenvector and the
     # spectrum fails Upsilon-nonnegativity
