@@ -42,16 +42,17 @@ from .checks import run_verify_suite, stress_probe
 from .errors import CalabiLabError
 from .frames import FrameConvention
 from .report import make_envelope, record, to_csv, to_json, to_table, validate_report, verdict
-from .spectral import HERMITIAN_TOL, eigensystem, partial_sum, sorted_eigenvalues
+from .spectral import HERMITIAN_TOL, Spectrum, eigensystem, partial_sum, sorted_eigenvalues
 
 USAGE_ERROR = 2
 
 # Largest complex dimension accepted.  At n = 16 the dense real curvature
 # tensor (2n)^4 is 8.4 MB and one eigh solve of the 136 x 136 Calabi matrix
-# takes 7 ms.  certify --mode calabi, which builds no tensor for a random
-# space, takes 25 ms at 42 MB peak RSS for random, 55 ms at 44 MB for randomke
-# and 85 ms at 75 MB for the quadric, which builds its raw tensor once;
-# --mode ke takes 105-150 ms at 82 MB (one process per request, 2-vCPU VM).
+# takes 7 ms.  certify --mode calabi, which builds no tensor for a model
+# space, takes 14 ms at 34 MB peak RSS for the quadric, 31 ms at 40 MB for
+# random and 35 ms at 42 MB for randomke; --mode ke, which builds the tensor
+# once for its Einstein test, takes 73 ms at 62 MB for the quadric and 117 ms
+# at 70 MB for randomke (one process per request, 2-vCPU VM).
 # At n = 24 the tensor is 42 MB and the solve 33 ms, but building a random
 # tensor peaked at 613 MB.
 MAX_N = 16
@@ -259,9 +260,9 @@ def _calabi_matrix_from_input(data: dict) -> np.ndarray:
     return h
 
 
-def _space_to_spectrum(space) -> tuple[int, np.ndarray, str]:
+def _space_to_spectrum(space) -> tuple[int, Spectrum, str]:
     """Calabi spectrum of a space descriptor or file payload, solved from the
-    Calabi matrix; only tensor components and products build a tensor."""
+    Calabi matrix; only tensor components build a tensor."""
     if isinstance(space, dict):
         n = space["n"]
         if space["kind"] == "calabi":
@@ -271,6 +272,29 @@ def _space_to_spectrum(space) -> tuple[int, np.ndarray, str]:
         return n, cv.calabi_from_tensor(t).spectrum(), "file:components"
     spec = eigensystem(ms.calabi_matrix(space), source="calabi")
     return space.complex_dim, spec, space.variant
+
+
+def _require_su(n: int) -> None:
+    if n < 2:
+        raise SizeLimitError(f"--mode ke needs complex dimension n >= 2, got n={n}: "
+                             f"su({n}) is zero-dimensional, so there is no spectrum to test")
+
+
+def _space_to_kaehler_su(space) -> tuple[int, Spectrum, str]:
+    """Spectrum of the Kaehler operator on su(n) of a space descriptor or file
+    payload.  A descriptor's operator is assembled from the Calabi block of
+    its Calabi matrix, and only its Einstein test builds the real tensor."""
+    if isinstance(space, dict):
+        t = _tensor_from_input(space)
+        n, label = t.n, f"file:{space['kind']}"
+        _require_su(n)
+        k_op, ric = cv.kaehler_operator(t), cv.ricci(t)
+    else:
+        n, label = space.complex_dim, space.variant
+        _require_su(n)
+        h = ms.calabi_matrix(space)
+        k_op, ric = cv.kaehler_from_block(cv.calabi_block(h, n)), ms.einstein_ricci(space, h)
+    return n, cv.restrict_su(k_op, ric).spectrum(), label
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +378,8 @@ def cmd_certify(args) -> dict:
         n, spec, label = _space_to_spectrum(space)
         cert = ct.certify_calabi(spec, n, eps=eps)
     else:
-        if isinstance(space, dict):
-            t, label = _tensor_from_input(space), f"file:{space['kind']}"
-        else:
-            t, label = ms.build(space), space.variant
-        n = t.convention.n
-        if n < 2:
-            raise SizeLimitError(f"--mode ke needs complex dimension n >= 2, got n={n}: "
-                                 f"su({n}) is zero-dimensional, so there is no spectrum to test")
-        ric = cv.ricci(t)
-        ksu = cv.restrict_su(cv.kaehler_operator(t), ric)
-        cert = ct.certify_ke(ksu.spectrum(), n, eps=eps)
+        n, spec, label = _space_to_kaehler_su(space)
+        cert = ct.certify_ke(spec, n, eps=eps)
     _require_bidegree_filter(args, n)
     records = [record("summary", "vanishing-certificate-summary",
                       {"space": label, "mode": cert.mode, "n": cert.n,

@@ -47,6 +47,7 @@ __all__ = [
     "tensor_from_calabi",
     "calabi_block",
     "kaehler_operator",
+    "kaehler_from_block",
     "restrict_su",
     "r1_r2_operators",
     "ricci",
@@ -300,13 +301,17 @@ def kaehler_operator(t: AlgebraicCurvatureTensor) -> CurvatureOperatorMatrix:
     """Kaehler operator matrix in the unit basis {Z_a ^ conj(Z_b)/sqrt2}."""
     if not t.kaehler_validated:
         raise NotKaehler("kaehler_operator requires a validated Kaehler tensor")
-    n = t.n
-    # qm[a, b, c, d] = R(Z_a, conj Z_b, Z_c, conj Z_d)
     z, zbar = Z_BLOCK[:1], Z_BLOCK[1:]
-    qm = change_pairs(t.components, (z, zbar, z, zbar))
-    mat4 = -qm.transpose(3, 2, 0, 1)
-    k = mat4.reshape(n * n, n * n)
-    return CurvatureOperatorMatrix("kaehler", k, lambda11_basis_labels(n))
+    return kaehler_from_block(change_pairs(t.components, (z, zbar, z, zbar)))
+
+
+def kaehler_from_block(qm: np.ndarray) -> CurvatureOperatorMatrix:
+    """Kaehler operator matrix in the unit basis {Z_a ^ conj(Z_b)/sqrt2} from
+    the block qm[a, b, c, d] = R(Z_a, conj Z_b, Z_c, conj Z_d), read off a
+    tensor (kaehler_operator) or a Calabi matrix (calabi_block)."""
+    n = qm.shape[0]
+    return CurvatureOperatorMatrix("kaehler", -qm.transpose(3, 2, 0, 1).reshape(n * n, n * n),
+                                   lambda11_basis_labels(n))
 
 
 def omega_coords(n: int) -> np.ndarray:

@@ -1,15 +1,19 @@
 """Curvature tensors of the reference geometries.  Each builder sets the
 symmetry flags by construction: validate_tensor checks input where it enters.
 
-Each kind's Calabi matrix (calabi_matrix) is its one recipe: constant
-holomorphic sectional curvature is c * Id, and the random kinds are seeded
-Hermitian matrices, so certify and spectrum solve them directly, and build
-turns the same matrix into the tensor (the Calabi--Vesentini
-correspondence).  The complex quadric is built as the
-rank-2 symmetric space SO(n+2)/(SO(2) x SO(n)): curvature of the isotropy
-representation, R(X, Y, Z, W) = <[X, Y], [Z, W]> on the tangent block, with
-the invariant complex structure rotating the SO(2) factor, normalized so the
-largest Calabi eigenvalue is 1.
+Each kind's Calabi matrix (calabi_matrix) is its one recipe, and certify
+(both modes) and spectrum solve it directly: constant holomorphic sectional
+curvature is c * Id, the random kinds are seeded Hermitian matrices, the
+normalized quadric is c (Id - d d^T / 2) with d the indicator of the
+diagonal labels (a, a), and a product's is the direct sum of its factors'
+matrices, zero on the mixed labels.  build turns the chsc and random
+matrices into their tensors (the Calabi--Vesentini correspondence).  The
+complex quadric keeps its own construction, as the rank-2 symmetric space
+SO(n+2)/(SO(2) x SO(n)): curvature of the isotropy representation,
+R(X, Y, Z, W) = <[X, Y], [Z, W]> on the tangent block, with the invariant
+complex structure rotating the SO(2) factor.  That raw tensor's Calabi
+matrix is 2 (Id - d d^T / 2), so halving it normalizes the largest Calabi
+eigenvalue to 1; the normalized spectrum is 1 (m - 1 times) and 1 - n/2.
 """
 
 from __future__ import annotations
@@ -20,14 +24,13 @@ import numpy as np
 
 from .curvature import (
     AlgebraicCurvatureTensor,
-    CurvatureOperatorMatrix,
+    RicciData,
     calabi_block,
-    calabi_from_tensor,
     ricci,
     tensor_from_calabi,
 )
 from .errors import CalabiLabError
-from .frames import FrameConvention, family_mats
+from .frames import FrameConvention, family_mats, sym2_basis_labels
 from .spectral import PositivityReport, Spectrum, eigensystem, k_test
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "build",
     "calabi_matrix",
     "chsc",
+    "einstein_ricci",
     "flat_torus",
     "product",
     "quadric",
@@ -107,7 +111,7 @@ def build(desc: SpaceDescriptor) -> AlgebraicCurvatureTensor:
 
 def calabi_matrix(desc: SpaceDescriptor) -> np.ndarray:
     """The Calabi matrix (unit sym^2 basis) of the space ``desc``, made
-    without its real tensor; a product's is read off the product tensor."""
+    without its real tensor."""
     desc.validate()
     n, m = desc.n, desc.n * (desc.n + 1) // 2
     if desc.variant == "chsc":
@@ -119,9 +123,34 @@ def calabi_matrix(desc: SpaceDescriptor) -> np.ndarray:
     if desc.variant == "random_ke":
         return _random_ke_calabi(n, desc.seed)
     if desc.variant == "quadric":
-        _, raw, top = _quadric_normalization(n)
-        return raw.matrix * (desc.c / top)
-    return calabi_from_tensor(build(desc)).matrix
+        d = np.array([a == b for a, b in sym2_basis_labels(n)], dtype=float)
+        return desc.c * (np.eye(m) - 0.5 * np.outer(d, d))
+    return _product_calabi(desc)
+
+
+def _product_calabi(desc: SpaceDescriptor) -> np.ndarray:
+    """Direct sum of the factors' Calabi matrices on the product's sym^2
+    labels: factor labels (a, b) sit at (a + offset, b + offset), and the
+    mixed labels, one index in each of two factors, are 0."""
+    labels = sym2_basis_labels(desc.complex_dim)
+    where = {label: nu for nu, label in enumerate(labels)}
+    h = np.zeros((len(labels),) * 2, dtype=complex)
+    offset = 0
+    for f in desc.factors:
+        idx = [where[a + offset, b + offset] for a, b in sym2_basis_labels(f.complex_dim)]
+        h[np.ix_(idx, idx)] = calabi_matrix(f)
+        offset += f.complex_dim
+    return h
+
+
+def einstein_ricci(desc: SpaceDescriptor, h: np.ndarray) -> RicciData:
+    """Ricci contraction of the real tensor whose Calabi matrix is h, the
+    calabi_matrix of ``desc``: the Einstein test of the Kaehler--Einstein
+    mode, at curvature.ricci's tolerance.  A random_ke space must pass it."""
+    ric = ricci(tensor_from_calabi(h, FrameConvention(desc.complex_dim)))
+    if desc.variant == "random_ke" and not ric.is_einstein:
+        raise EinsteinProjectionError("projection finished but Einstein check failed")
+    return ric
 
 
 def _from_calabi(desc: SpaceDescriptor) -> AlgebraicCurvatureTensor:
@@ -176,19 +205,11 @@ def _quadric_raw(n: int) -> AlgebraicCurvatureTensor:
     return AlgebraicCurvatureTensor(conv, r, True, True)
 
 
-def _quadric_normalization(n: int) -> tuple[AlgebraicCurvatureTensor, CurvatureOperatorMatrix, float]:
-    """The raw quadric tensor, its Calabi matrix and that matrix's largest
-    eigenvalue, the one solve that normalizes the quadric."""
-    raw = _quadric_raw(n)
-    op = calabi_from_tensor(raw)
-    return raw, op, float(np.max(op.spectrum().eigenvalues))
-
-
 def quadric(n: int, scale: float = 1.0) -> AlgebraicCurvatureTensor:
     """Symmetric-space quadric, normalized by its largest Calabi eigenvalue
-    and multiplied by scale (scale=-1 gives the sign-flipped dual tensor)."""
-    raw, _, top = _quadric_normalization(n)
-    return raw.scaled(scale / top)
+    (exactly 2 on the raw tensor) and multiplied by scale (scale=-1 gives
+    the sign-flipped dual tensor)."""
+    return _quadric_raw(n).scaled(scale / 2.0)
 
 
 def quadric_spectrum(n: int, scale: float = 1.0) -> tuple[Spectrum, PositivityReport]:

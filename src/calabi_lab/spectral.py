@@ -2,7 +2,8 @@
 weight principle for weighted eigenvalue sums.
 
 The eigensolver is LAPACK's Hermitian driver (numpy.linalg.eigh) on the
-matrix prescaled by max|H|.  Eigenvalues come out ascending, and each
+matrix prescaled by the power of two 2^e >= max|H|, so that scaling in and
+out is exact.  Eigenvalues come out ascending, and each
 eigenvector column is phase-fixed so its largest-magnitude entry (the first
 one, on a tie) is real positive: one argmax over |V| picks every column's
 pivot and one broadcast multiply applies the phases.  With BLAS pinned to
@@ -105,12 +106,13 @@ def require_hermitian(H: np.ndarray, what: str) -> float:
 def eigensystem(H: np.ndarray, source: str = "") -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix by LAPACK (numpy eigh).
 
-    The solve runs on H / max|H|, so that no norm overflows or underflows at
-    any finite scale; the eigenvalues are scaled back at the end.
+    The solve runs on H / 2^e with 2^e >= max|H| (e at most 1023), so that no
+    norm overflows or underflows at any finite scale; dividing by a power of
+    two and multiplying back is exact, so c * Id has the eigenvalue c.
     """
     H = np.asarray(H, dtype=complex)
     peak = require_hermitian(H, "matrix")
-    unit = peak if peak > 0.0 else 1.0
+    unit = math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
     A = unit_scaled(H, unit)
     A = 0.5 * (A + A.conj().T)
     try:

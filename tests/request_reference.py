@@ -3,8 +3,9 @@ became array operations, kept as references that only the tests use: the
 per-column eigenvector phase fix, the Fraction-valued Upsilon, the per-cell
 certificate, the per-k k-test ladder and the per-entry Calabi file reader.
 ``REFERENCE_LOOPS`` lists where each one plugs in.  ``space_to_spectrum_via_tensor``
-is the route that model-space requests took before they solved the Calabi
-matrix directly; it agrees with that route to rounding, not to the byte."""
+and ``space_to_kaehler_su_via_tensor`` are the routes that model-space
+requests took before they solved the Calabi matrix directly; they agree with
+those routes to rounding, not to the byte."""
 
 from __future__ import annotations
 
@@ -109,6 +110,16 @@ def space_to_spectrum_via_tensor(space: ms.SpaceDescriptor):
     (2n)^4 tensor: build it, then read the Calabi matrix back from it."""
     t = ms.build(space)
     return space.complex_dim, cv.calabi_from_tensor(t).spectrum(), space.variant
+
+
+def space_to_kaehler_su_via_tensor(space: ms.SpaceDescriptor):
+    """``cli._space_to_kaehler_su`` for a space descriptor through the real
+    (2n)^4 tensor: build it, contract its Ricci tensor, read the Kaehler
+    operator back from it and restrict that to su(n)."""
+    t = ms.build(space)
+    cli._require_su(t.n)
+    ksu = cv.restrict_su(cv.kaehler_operator(t), cv.ricci(t))
+    return t.n, ksu.spectrum(), space.variant
 
 
 # (module, name, reference) for monkeypatch.setattr

@@ -1,7 +1,8 @@
 """Model-space requests solve the Calabi matrix of each space directly
-(model_spaces.calabi_matrix): no real tensor for chsc, flat, random and
-randomke, one Calabi read of the raw quadric, and the same answers as the
-route through the (2n)^4 tensor, to rounding."""
+(model_spaces.calabi_matrix): calabi-mode certify and spectrum build no real
+tensor for any descriptor, KE mode builds one only for its Einstein test,
+and both give the same answers as the routes through the (2n)^4 tensor, to
+rounding."""
 
 import json
 import sys
@@ -13,9 +14,10 @@ from calabi_lab import cli, curvature, frames
 from calabi_lab import model_spaces as ms
 from calabi_lab.cli import main
 from calabi_lab.model_spaces import SpaceDescriptor
-from request_reference import space_to_spectrum_via_tensor
+from request_reference import space_to_kaehler_su_via_tensor, space_to_spectrum_via_tensor
 
 COMMANDS = (["certify"], ["spectrum"])
+KE = ["certify", "--mode", "ke"]
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -47,34 +49,69 @@ def test_model_space_requests_build_no_tensor(space, monkeypatch, capsys):
         assert code in (0, 1) and records, command
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_quadric_request_reads_the_raw_tensor_once(command, monkeypatch, capsys):
-    calls = []
-    original = curvature.calabi_from_tensor
+@pytest.mark.parametrize("space", ["quadric:n=4", "quadric:n=7,c=-2",
+                                   "product:[quadric:n=2;quadric:n=2]",
+                                   "product:[product:[quadric:n=2;quadric:n=2];quadric:n=2]",
+                                   "product:[flat:k=2;product:[flat:k=1;flat:k=3]]"])
+def test_quadric_and_product_requests_build_no_tensor(space, monkeypatch, capsys):
+    """No raw quadric, product tensor or frame change in either mode; in KE
+    mode one tensor is built from the Calabi matrix, for the Einstein test."""
+    def never(*args, **kwargs):
+        raise AssertionError("tensor built on the direct path")
 
-    def counted(t):
-        calls.append(t.n)
-        return original(t)
+    built = []
+    original, contract = curvature.tensor_from_calabi, curvature.ricci
 
-    _patch_everywhere(monkeypatch, original, counted)
-    for space, n in (("quadric:n=4", 4), ("quadric:n=7,c=-2", 7)):
-        calls.clear()
-        assert _run(command + ["--space", space], capsys)[0] in (0, 1)
-        assert calls == [n]
+    def einstein_tensor(h, conv):
+        built.append(original(h, conv))
+        return built[-1]
+
+    def einstein_test(t):
+        assert any(t is b for b in built), "Ricci contraction of another tensor"
+        return contract(t)
+
+    for name in ("_quadric_raw", "product", "build"):
+        _patch_everywhere(monkeypatch, getattr(ms, name), never)
+    _patch_everywhere(monkeypatch, frames.change_pairs, never)
+    _patch_everywhere(monkeypatch, original, einstein_tensor)
+    _patch_everywhere(monkeypatch, contract, einstein_test)
+    for command in COMMANDS:
+        code, records = _run(command + ["--space", space], capsys)
+        assert code in (0, 1) and records and built == [], command
+    code, records = _run(KE + ["--space", space], capsys)
+    assert code in (0, 1) and records and len(built) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
-@pytest.mark.parametrize("c", [1.0, -1.0, 1e-3, 1e3])
+@pytest.mark.parametrize("c", [1.0, -1.0, 1e-3, 1e3, 49.0, 0.1, 7.0, 1.7e308, -1e308, 1e-320])
 def test_chsc_spectrum_is_exactly_c(n, c, capsys):
-    code, records = _run(["spectrum", "--space", f"chsc:n={n},c={c!r}"], capsys)
-    eigenvalues = records[0]["values"]["eigenvalues"]
-    assert code in (0, 1) and len(eigenvalues) == n * (n + 1) // 2
-    assert all(v == c for v in eigenvalues)
+    """The power-of-two prescale of the eigensolve is exact at every scale,
+    subnormal c included."""
+    text = f"chsc:n={n},c={c!r}"
+    spec = cli._space_to_spectrum(cli.parse_space(text))[1]
+    assert spec.size == n * (n + 1) // 2 and all(v == c for v in spec.eigenvalues)
+    code, records = _run(["spectrum", "--space", text], capsys)
+    if abs(c) >= 1e308 and n > 1:
+        # a rung k > 1 sums past the float64 range, which is refused
+        assert code == 2 and records is None
+    else:
+        assert code in (0, 1) and records[0]["values"]["eigenvalues"] == spec.eigenvalues.tolist()
+
+
+PRODUCTS = ["product:[quadric:n=2;quadric:n=2]", "product:[chsc:n=1;chsc:n=1,c=2]",
+            "product:[chsc:n=2,c=1.3;random:n=4,seed=5]",
+            "product:[quadric:n=3;flat:k=1;randomke:n=3,seed=7]",
+            "product:[product:[quadric:n=2;quadric:n=2];quadric:n=2]",
+            "product:[product:[quadric:n=2,c=-2;chsc:n=1];flat:k=2]",
+            "product:[randomke:n=2,seed=3;product:[quadric:n=3,c=1e3;flat:k=2]]",
+            "product:[flat:k=2;product:[flat:k=1;flat:k=3]]"]
 
 
 def _sweep(kind):
     """Space descriptors of one kind over n in 1..8, 12, 16, c in
-    {1, -1, 1e-3, 1e3} and seeds {1, 7, 9001}."""
+    {1, -1, 1e-3, 1e3} and seeds {1, 7, 9001}, or PRODUCTS."""
+    if kind == "product":
+        return PRODUCTS
     ns = [n for n in (*range(1, 9), 12, 16) if kind != "quadric" or n >= 2]
     if kind in ("chsc", "quadric"):
         return [f"{kind}:n={n},c={c}" for n in ns for c in ("1", "-1", "1e-3", "1e3")]
@@ -109,19 +146,46 @@ def _assert_same_answer(got, want, scale):
         same(a, b, (a["name"],))
 
 
-@pytest.mark.parametrize("kind", ["chsc", "flat", "random", "randomke", "quadric"])
+def _answer(argv, capsys):
+    """(exit code, report records, or the error message on exit 2)."""
+    code = main(argv + ["--format", "json"])
+    out, err = capsys.readouterr()
+    return code, json.loads(out)["records"] if out else err
+
+
+@pytest.mark.parametrize("kind", ["chsc", "flat", "random", "randomke", "quadric", "product"])
 def test_direct_route_agrees_with_the_tensor_route(kind, monkeypatch, capsys):
+    """Both modes of certify, and spectrum, against the routes that build the
+    real tensor: the same exit code and error message, or the same answer."""
+    requests = (*COMMANDS, KE)
     direct = {}
     for space in _sweep(kind):
-        for command in COMMANDS:
-            direct[space, command[0]] = _run(command + ["--space", space], capsys)
+        for command in requests:
+            direct[space, tuple(command)] = _answer(command + ["--space", space], capsys)
     monkeypatch.setattr(cli, "_space_to_spectrum", space_to_spectrum_via_tensor)
-    for (space, command), (code, records) in direct.items():
-        ref_code, ref_records = _run([command, "--space", space], capsys)
+    monkeypatch.setattr(cli, "_space_to_kaehler_su", space_to_kaehler_su_via_tensor)
+    for (space, command), (code, got) in direct.items():
+        ref_code, want = _answer([*command, "--space", space], capsys)
         assert code == ref_code, (space, command)
-        eigenvalues = ref_records[0]["values"]["eigenvalues"]
+        if code == 2:
+            assert got == want, (space, command)
+            continue
+        eigenvalues = want[0]["values"]["eigenvalues"]
         scale = float(np.max(np.abs(eigenvalues)))
-        _assert_same_answer(records, ref_records, scale)
+        _assert_same_answer(got, want, scale)
+
+
+@pytest.mark.parametrize("variant", ["random", "random_ke", "chsc", "quadric"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kaehler_assembly_from_the_calabi_block_matches_the_tensor(variant, n):
+    """The one Kaehler assembly gives the same matrix on the Calabi block of
+    h as on the change_pairs block of the tensor built from h."""
+    h = ms.calabi_matrix(SpaceDescriptor(variant, n=n, c=-1.5, seed=n + 11))
+    got = curvature.kaehler_from_block(curvature.calabi_block(h, n)).matrix
+    t = curvature.tensor_from_calabi(h, frames.FrameConvention(n))
+    want = curvature.kaehler_operator(t).matrix
+    assert got.shape == want.shape == (n * n, n * n)
+    assert np.max(np.abs(got - want)) <= 1e-14 * float(np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("variant", ms.VARIANTS)

@@ -283,10 +283,18 @@ def test_certify_reports_eigensolver_convergence_failure(tmp_path, monkeypatch, 
 def test_certify_reports_einstein_projection_error(monkeypatch, capsys):
     from calabi_lab import model_spaces as ms
 
-    # the projected tensor fails the final Einstein check
-    monkeypatch.setattr(ms, "ricci", lambda t: RicciData(np.eye(2 * t.n), 2.0 * t.n, None))
+    # the tensor built from the projected Calabi matrix fails KE mode's
+    # Einstein test, the one Ricci contraction that mode runs
+    calls = []
+
+    def not_einstein(t):
+        calls.append(t.n)
+        return RicciData(np.eye(2 * t.n), 2.0 * t.n, None)
+
+    monkeypatch.setattr(ms, "ricci", not_einstein)
     _assert_usage_error(["certify", "--space", "randomke:n=3,seed=9", "--mode", "ke"],
                         capsys, "Einstein check failed")
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("space", ["chsc:n=1", "flat:k=1"])

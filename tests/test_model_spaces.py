@@ -16,6 +16,7 @@ from calabi_lab.model_spaces import (
     _ricci_traceless_from_calabi,
     SpaceDescriptor,
     build,
+    calabi_matrix,
     chsc,
     flat_torus,
     product,
@@ -95,6 +96,18 @@ def test_quadric_spectrum_structure():
         assert abs(rep.partial_sum) < 1e-10
         ric = ricci(quadric(n))
         assert ric.is_einstein and ric.einstein_lambda > 0
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_raw_quadric_calabi_matrix_is_closed_form(n):
+    """The raw bracket tensor's Calabi matrix is 2 (I - d d^T / 2), d the
+    indicator of the diagonal labels (a, a): its top eigenvalue is exactly 2,
+    the normalization that quadric divides by, and calabi_matrix's quadric
+    is the closed form over 2."""
+    d = np.array([a == b for a, b in sym2_basis_labels(n)], dtype=float)
+    want = 2.0 * (np.eye(len(d)) - 0.5 * np.outer(d, d))
+    assert np.max(np.abs(calabi_from_tensor(_quadric_raw(n)).matrix - want)) <= 1e-14
+    assert np.array_equal(calabi_matrix(SpaceDescriptor("quadric", n=n, c=3.0)), 1.5 * want)
 
 
 def test_quadric_two_is_product_of_lines():
