@@ -24,7 +24,7 @@ from .frames import (
     FrameConvention,
     RealForm,
     _lefschetz_coeffs,
-    _removal,
+    _slots,
 )
 from .report import record, verdict
 from .spectral import k_test, weight_principle
@@ -59,11 +59,13 @@ def _pairs(n: int, max_degree: int) -> list[tuple[int, int]]:
 
 def check_validator(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     rng = _rng(seed, 1)
+    # a Kaehler and a Riemannian seed per round, each stack validated at once
+    seeds = [int(rng.integers(2 ** 31)) for _ in range(2 * max(trials // 10, 3))]
+    kaehler = np.array([ms.random_kaehler(n, s).components for s in seeds[::2]])
     worst = 0.0
-    for _ in range(max(trials // 10, 3)):
-        t = ms.random_kaehler(n, int(rng.integers(2 ** 31)))
-        worst = max(worst, *cv.validate_tensor(t.components, t.convention).residuals.values())
-        r = cv.random_riemannian(FrameConvention(n), int(rng.integers(2 ** 31)))
+    for t in cv._validate_stack(kaehler, FrameConvention(n)):
+        worst = max(worst, *t.residuals.values())
+    for r in cv.random_riemannians(FrameConvention(n), seeds[1::2]):
         worst = max(worst, *(r.residuals[k] for k in
                              ("bianchi", "antisymmetry_first_pair", "pair_exchange")))
     return _record("tensor_validator", "curvature-symmetry-validation", worst, 1e-12)
@@ -131,57 +133,65 @@ def check_kaehler_structure(n: int, trials: int, seed: int, max_degree: int = 4)
                    worst, TOL_EIGEN)
 
 
-def _real_pforms(conv: FrameConvention, rng: np.random.Generator) -> list[tuple[np.ndarray, int]]:
-    """One random real unit p-form per degree p = 1, 2, 3 up to 2n, with its
-    degree, for the general-Riemannian identities."""
-    return [(wz.random_real_pform(conv, p, rng), p) for p in (1, 2, 3) if p <= conv.dim]
+def _real_pform_stacks(n: int, count: int, rng: np.random.Generator):
+    """``count`` random general-Riemannian tensors, the seed of each followed
+    by one random real unit p-form per degree p = 1, 2, 3 up to 2n, drawn in
+    that order; returns the tensors, built as one stack, and, per degree,
+    the pair of the ``(count, C(2n, p))`` stack of the forms' real-frame
+    coordinates and p."""
+    conv = FrameConvention(n)
+    degrees = [p for p in (1, 2, 3) if p <= conv.dim]
+    seeds, forms = [], []
+    for _ in range(count):
+        seeds.append(int(rng.integers(2 ** 31)))
+        forms.append([wz.random_real_pform(conv, p, rng) for p in degrees])
+    return (cv.random_riemannians(conv, seeds),
+            [(np.array(stack), p) for stack, p in zip(zip(*forms), degrees)])
 
 
 def check_r2_gl(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
-    rng = _rng(seed, 4)
-    conv = FrameConvention(n)
+    tensors, stacks = _real_pform_stacks(n, max(trials // 5, 5), _rng(seed, 4))
     worst = 0.0
-    for _ in range(max(trials // 5, 5)):
-        t = cv.random_riemannian(conv, int(rng.integers(2 ** 31)))
-        for out in wz.check_r2_gl_identity(t, _real_pforms(conv, rng)):
-            worst = max(worst, out["residual"])
+    for out in wz.check_r2_gl_identity(tensors, stacks):
+        worst = max(worst, out["residual"])
     return _record("r2_gl_contraction", "tensor-square-operator-gl-contraction",
                    worst, TOL_DIRECT)
 
 
 def check_ricl_split(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
-    rng = _rng(seed, 5)
-    conv = FrameConvention(n)
+    tensors, stacks = _real_pform_stacks(n, max(trials // 5, 5), _rng(seed, 5))
     worst = 0.0
-    for _ in range(max(trials // 5, 5)):
-        t = cv.random_riemannian(conv, int(rng.integers(2 ** 31)))
-        for out in wz.check_ricl_r2_split(t, _real_pforms(conv, rng)):
-            worst = max(worst, out["residual_split"], out["residual_translation"])
+    for out in wz.check_ricl_r2_split(tensors, stacks):
+        worst = max(worst, out["residual_split"], out["residual_translation"])
     return _record("ricl_r2_split", "lichnerowicz-term-splitting-and-translation",
                    worst, TOL_EIGEN)
 
 
 def check_curvature_term(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
     """The curvature term of a Kaehler tensor equals twice the eigenvalue-
-    weighted action norms, against the brute-force frame summation."""
+    weighted action norms, against the brute-force frame summation.
+
+    The forms are drawn first, then the tensors.  Each degree is then
+    worked alone: the oracle's Gram matrices of its forms once, and the
+    sym2_10 actions on them once, mixed for every tensor's spectrum."""
     rng = _rng(seed, 6)
     conv = FrameConvention(n)
-    pairs = _pairs(n, max_degree)
     forms = defaultdict(list)
-    for (p, q) in pairs:
-        for _ in range(3):
-            forms[p + q].append(wz.random_primitive_real(conv, p, q, rng))
-    # the oracle's Gram matrices of the forms, the same for every tensor
-    grams = [wz.oracle_grams(x, conv.dim, k)
-             for x, k in map(wz.oracle_coords, forms.values())]
+    for (p, q) in _pairs(n, max_degree):
+        forms[p + q] += wz.random_primitive_reals(conv, p, q, rng, 3)
+    # each tensor is kept as its spectrum and the oracle's matrices only
+    specs, mats = [], []
+    for seed_t in [int(rng.integers(2 ** 31)) for _ in range(trials)]:
+        t = ms.random_kaehler(n, seed_t)
+        specs.append(cv.calabi_from_tensor(t).spectrum())
+        mats.append(wz.oracle_matrices(t))
     worst = 0.0
-    for _ in range(trials):
-        t = ms.random_kaehler(n, int(rng.integers(2 ** 31)))
-        spec = cv.calabi_from_tensor(t).spectrum()
-        mats = wz.oracle_matrices(t)
-        for same_degree, g in zip(forms.values(), grams):
-            bf = wz.ricl_pairing_grams(mats, g)
-            ec = wz.ricl_via_calabi_batch(spec, conv, same_degree)
+    for same_degree in forms.values():
+        x, k = wz.oracle_coords(same_degree)
+        grams = wz.oracle_grams(x, conv.dim, k)
+        del x
+        for m, ec in zip(mats, wz.ricl_via_calabi_spectra(specs, conv, same_degree)):
+            bf = wz.ricl_pairing_grams(m, grams)
             worst = max(worst, float(np.max(np.abs(bf - ec) / np.maximum(1.0, np.abs(bf)))))
     return _record("curvature_term_via_calabi", "curvature-term-via-calabi-eigenvalues",
                    worst, TOL_EIGEN, trials=trials)
@@ -189,9 +199,11 @@ def check_curvature_term(n: int, trials: int, seed: int, max_degree: int = 4) ->
 
 def _insertion_norms(n: int, p: int, q: int, coeffs: np.ndarray) -> np.ndarray:
     """``sum_{a,b} |iota(conj Z_b) iota(Z_a) phi|^2`` for a ``(B, C(n, p) C(n, q))``
-    stack of (p,q) generator coefficients, as ``sum_{a,b} |R_a C R_b^T|^2``
-    on each coefficient grid C with the removals R_a of ``frames._removal``
-    on its rows and columns, in slices of at most ``_SLICE_ENTRIES`` entries.
+    stack of (p,q) generator coefficients, as ``sum_{a,b} |C[I' + a, J' + b]|^2``
+    on each coefficient grid C over the (p-1)-subsets I' without a and the
+    (q-1)-subsets J' without b: the rows ``I' + a`` are gathered for one a at
+    a time from the slot table (``frames._slots``), the columns ``J' + b`` for
+    every b at once, in slices of at most ``_SLICE_ENTRIES`` entries.
 
     Taking a out of I and b out of J sends Z^(I, J) to +-Z^(I - a, J - b)
     and no two generators to the same one, so the signs drop out of the
@@ -201,16 +213,36 @@ def _insertion_norms(n: int, p: int, q: int, coeffs: np.ndarray) -> np.ndarray:
     out = np.zeros(len(coeffs))
     if p < 1 or q < 1:
         return out
-    rows = _removal(n, p).reshape(-1, math.comb(n, p))  # (a, I - a) by I
-    cols = _removal(n, q).reshape(-1, math.comb(n, q))
-    grid = coeffs.reshape(len(coeffs), rows.shape[1], cols.shape[1])
-    step = max(1, wz._SLICE_ENTRIES // (len(rows) * len(cols)))
+    rows, cols = _slots(n, p)[1], _slots(n, q)[1]  # the rank of R plus a, by R and a
+    grid = coeffs.reshape(len(coeffs), math.comb(n, p), math.comb(n, q))
+    cols = cols[cols >= 0]
+    step = max(1, wz._SLICE_ENTRIES // (math.comb(n - 1, p - 1) * len(cols)))
     for lo in range(0, len(grid), step):
-        part = grid[lo:lo + step]
-        # real and imaginary parts as real stacks: every (a, b) block at once
-        every = rows @ np.stack([part.real, part.imag]) @ cols.T
-        out[lo:lo + step] = np.sum(every ** 2, axis=(0, 2, 3))
+        for a in range(n):
+            part = grid[lo:lo + step].take(rows[rows[:, a] >= 0, a], axis=1).take(cols, axis=2)
+            out[lo:lo + step] += wz._sq_sum(part, axis=(1, 2))
     return out
+
+
+def _u_norms(n: int, prims, cmats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """From one ``_actions`` pass of the u(n) basis over the forms, consumed
+    slice by slice: |u phi|^2, |omega phi|^2 and |L phi|^2 of each form, with L
+    the element of u(n) over its coefficients ``cmats``.  No slice outlives
+    the call, so none is alive in the caller's next step."""
+    u2, om2, lhs = (np.zeros(len(prims)) for _ in range(3))
+    for owner, u_fam in wz._actions(n, "u", prims, n * n):
+        # in runs of basis elements: no modulus or square stack the size of
+        # u_fam, which is 100 MB at n = 10
+        run = max(1, wz._SLICE_ENTRIES // (4 * len(owner) * u_fam.shape[2]))
+        u2[owner] = sum(np.sum(np.abs(u_fam[:, i:i + run]) ** 2, axis=(1, 2))
+                        for i in range(0, n * n, run))
+        # omega = i sum_a u_{(a, a)}, the diagonal elements of the u basis
+        om2[owner] = np.sum(np.abs(np.sum(u_fam[:, ::n + 1], axis=1)) ** 2, axis=1)
+        # |L phi|^2 <= (p+q) |L|_u^2 |phi|^2 for L in u(n); L is
+        # sum_ab cmat[a, b] Z_a ^ conj(Z_b), so L phi mixes the u actions
+        mixed = np.einsum("bm,bmj->bj", cmats[owner].reshape(len(owner), -1), u_fam)
+        lhs[owner] = np.sum(np.abs(mixed) ** 2, axis=1)
+    return u2, om2, lhs
 
 
 def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -> dict:
@@ -219,13 +251,14 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
 
     Each sample of a bidegree (p,q) draws, in this order, the coefficients
     of a (p,q)-form phi, a random primitive real form and the coefficients
-    of an element L of u(n).  All of a bidegree's samples are drawn first
-    and then checked as one batch: the insertion norm of each phi on its
+    of an element L of u(n) (``wz.random_primitive_reals`` around the
+    primitive forms).  All of a bidegree's samples are drawn first and then
+    checked as one batch: the insertion norm of each phi on its
     coefficient grid (``_insertion_norms``), the hat norms of the real
     forms psi = phi + conj(phi) through ``norm_phi_g_batch``, Lambda psi on
     the stacked coefficients, the su norms of the primitive pieces through
     ``norm_phi_g_batch`` and their u actions through one ``_actions`` pass,
-    consumed slice by slice.
+    consumed slice by slice (``_u_norms``).
     """
     rng = _rng(seed, 7)
     conv = FrameConvention(n)
@@ -235,13 +268,17 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
         k = p + q
         size = math.comb(n, p) * math.comb(n, q)
         phis = np.zeros((count, size), dtype=complex)
-        prims, cmats = [], np.zeros((count, n, n), dtype=complex)
-        for i in range(count):
-            # (re, im) by generator
-            raw = rng.standard_normal((size, 2))
+        cmats = np.zeros((count, n, n), dtype=complex)
+
+        def draw_phi(i: int) -> None:
+            raw = rng.standard_normal((size, 2))  # (re, im) by generator
             phis[i] = raw[:, 0] + 1j * raw[:, 1]
-            prims.append(wz.random_primitive_real(conv, p, q, rng).phi)
+
+        def draw_cmat(i: int) -> None:
             cmats[i] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+        prims = [prim.phi for prim in wz.random_primitive_reals(
+            conv, p, q, rng, count, before=draw_phi, after=draw_cmat)]
 
         # the insertion norm is 0 = pq |phi|^2 when p or q is 0
         target = p * q * np.sum(np.abs(phis) ** 2, axis=1)
@@ -263,15 +300,7 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
         expect_su = (2 * p * q + k * (n + 1 - k) - (p - q) ** 2 / n) * prim_sq
         worst = max(worst, float(np.max(np.abs(su2 - expect_su)
                                         / np.maximum(1.0, np.abs(expect_su)))))
-        u2, om2, lhs = np.zeros(count), np.zeros(count), np.zeros(count)
-        for owner, u_fam in wz._actions(n, "u", prims, n * n):
-            u2[owner] = np.sum(np.abs(u_fam) ** 2, axis=(1, 2))
-            # omega = i sum_a u_{(a, a)}, the diagonal elements of the u basis
-            om2[owner] = np.sum(np.abs(np.sum(u_fam[:, ::n + 1], axis=1)) ** 2, axis=1)
-            # |L phi|^2 <= (p+q) |L|_u^2 |phi|^2 for L in u(n); L is
-            # sum_ab cmat[a, b] Z_a ^ conj(Z_b), so L phi mixes the u actions
-            mixed = np.einsum("bm,bmj->bj", cmats[owner].reshape(len(owner), -1), u_fam)
-            lhs[owner] = np.sum(np.abs(mixed) ** 2, axis=1)
+        u2, om2, lhs = _u_norms(n, prims, cmats)
         worst = max(worst, float(np.max(np.abs(u2 - (om2 / n + su2)) / np.maximum(1.0, u2))))
         l_sq = np.array([EndoC.from_lambda11(conv, c).norm_u_sq() for c in cmats])
         bound = k * l_sq * prim_sq

@@ -58,8 +58,8 @@ USAGE_ERROR = 2
 MAX_N = 16
 # Largest n for verify, whose (n,0) Einstein check works on Lambda^n of R^2n
 # whatever --max-degree is: C(20, 10) = 184756 coordinates at n = 10, where
-# verify at full degree takes 95-110 s and 923 MB peak RSS at --trials 2
-# (n = 9: about 20 s and 560 MB; 2-vCPU VM).  The norm-identity check sets
+# verify at full degree takes 45-50 s and 858 MiB peak RSS at --trials 2
+# (n = 9: about 9 s and 371 MiB; 2-vCPU VM).  The norm-identity check sets
 # that peak, on top of the cached tables; n = 11 has 3.8 times the
 # coordinates.
 MAX_VERIFY_N = 10

@@ -52,6 +52,7 @@ __all__ = [
     "r1_r2_operators",
     "ricci",
     "random_riemannian",
+    "random_riemannians",
     "inject_sign_bug",
 ]
 
@@ -134,29 +135,43 @@ def validate_tensor(components: np.ndarray, convention: FrameConvention) -> Alge
     """
     # C order, so that the (2, n) splits of the J check below are views
     r = np.ascontiguousarray(components, dtype=float)
-    d, n = convention.dim, convention.n
+    d = convention.dim
     if r.shape != (d,) * 4:
         raise SymmetryViolation("shape", r.shape, float("nan"))
+    return _validate_stack(r[None], convention)[0]
+
+
+def _validate_stack(r: np.ndarray, convention: FrameConvention) -> list[AlgebraicCurvatureTensor]:
+    """``validate_tensor`` of each tensor of a C-ordered float ``(B, d, d, d,
+    d)`` stack, with one pass of each identity over the whole stack; each
+    tensor's residuals are maxima over its own entries, so they are those
+    of ``validate_tensor`` on it alone.  The tensors hold their slices of the
+    stack.  A pair-symmetry failure names the first failing tensor's worst
+    index."""
+    d, n = convention.dim, convention.n
     require_finite(r, "curvature tensor")
     # one work buffer holds each residual tensor in turn, then its absolute value
     buf = np.abs(r)
-    scale = float(buf.max())
-    residuals: dict[str, float] = {}
+    count = len(r)
+    scale = buf.reshape(count, -1).max(axis=1)
+    residuals: dict[str, np.ndarray] = {}
 
-    def worst() -> float:
-        return float(np.abs(buf, out=buf).max())
+    def worst() -> np.ndarray:
+        return np.abs(buf, out=buf).reshape(count, -1).max(axis=1)
 
-    for name, op, axes in (("antisymmetry_first_pair", np.add, (1, 0, 2, 3)),
-                           ("antisymmetry_second_pair", np.add, (0, 1, 3, 2)),
-                           ("pair_exchange", np.subtract, (2, 3, 0, 1))):
+    for name, op, axes in (("antisymmetry_first_pair", np.add, (0, 2, 1, 3, 4)),
+                           ("antisymmetry_second_pair", np.add, (0, 1, 2, 4, 3)),
+                           ("pair_exchange", np.subtract, (0, 3, 4, 1, 2))):
         op(r, r.transpose(axes), out=buf)
         residuals[name] = worst()
-        if residuals[name] > DEFAULT_TOL * scale:
-            idx = np.unravel_index(int(np.argmax(buf)), buf.shape)
-            raise SymmetryViolation(name, tuple(int(i) for i in idx), residuals[name])
+        failed = np.nonzero(residuals[name] > DEFAULT_TOL * scale)[0]
+        if len(failed):
+            b = failed[0]
+            idx = np.unravel_index(int(np.argmax(buf[b])), buf[b].shape)
+            raise SymmetryViolation(name, tuple(int(i) for i in idx), float(residuals[name][b]))
 
-    np.add(r, r.transpose(1, 2, 0, 3), out=buf)
-    np.add(buf, r.transpose(2, 0, 1, 3), out=buf)
+    np.add(r, r.transpose(0, 2, 3, 1, 4), out=buf)
+    np.add(buf, r.transpose(0, 3, 1, 2, 4), out=buf)
     residuals["bianchi"] = worst()
     bianchi_ok = residuals["bianchi"] <= DEFAULT_TOL * scale
 
@@ -165,17 +180,21 @@ def validate_tensor(components: np.ndarray, convention: FrameConvention) -> Alge
     # pair land in different halves
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
     pairs = {
-        "kaehler_first_pair": (r.reshape(2, n, 2, n, d * d), np.s_[::-1, :, ::-1], sign[..., None]),
-        "kaehler_second_pair": (r.reshape(d * d, 2, n, 2, n), np.s_[:, ::-1, :, ::-1], sign),
+        "kaehler_first_pair": (r.reshape(count, 2, n, 2, n, d * d), np.s_[:, ::-1, :, ::-1],
+                               sign[..., None]),
+        "kaehler_second_pair": (r.reshape(count, d * d, 2, n, 2, n), np.s_[:, :, ::-1, :, ::-1],
+                                sign),
     }
     for name, (view, swap, signs) in pairs.items():
         out = buf.reshape(view.shape)
         np.multiply(view[swap], signs, out=out)
         np.subtract(out, view, out=out)
         residuals[name] = worst()
-    kaehler_ok = bianchi_ok and max(
-        residuals["kaehler_first_pair"], residuals["kaehler_second_pair"]) <= DEFAULT_TOL * scale
-    return AlgebraicCurvatureTensor(convention, r, bianchi_ok, kaehler_ok, residuals)
+    kaehler_ok = bianchi_ok & (np.maximum(residuals["kaehler_first_pair"],
+                                          residuals["kaehler_second_pair"]) <= DEFAULT_TOL * scale)
+    return [AlgebraicCurvatureTensor(convention, r[b], bool(bianchi_ok[b]), bool(kaehler_ok[b]),
+                                     {name: float(res[b]) for name, res in residuals.items()})
+            for b in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +431,29 @@ def random_riemannian(convention: FrameConvention, seed) -> AlgebraicCurvatureTe
     A symmetric operator on Lambda^2 gives a tensor with the pair symmetries;
     removing its full antisymmetrization (the Lambda^4 part) enforces Bianchi.
     """
-    rng = np.random.default_rng(seed)
+    return random_riemannians(convention, [seed])[0]
+
+
+def random_riemannians(convention: FrameConvention, seeds) -> list[AlgebraicCurvatureTensor]:
+    """``random_riemannian`` of each seed, built and validated as one stack."""
     d = convention.dim
     i, j = np.triu_indices(d, 1)
-    m = rng.normal(size=(len(i), len(i)))
-    m = 0.5 * (m + m.T)
+    m = np.array([np.random.default_rng(seed).normal(size=(len(i), len(i))) for seed in seeds])
+    m = 0.5 * (m + m.transpose(0, 2, 1))
     # r[i, j, k, l] = m[mu, nu] for the pairs nu = (i, j), mu = (k, l), i < j,
-    # k < l, and antisymmetric in each pair
-    i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
-    r = np.zeros((d,) * 4)
-    r[i, j, k, l] = m.T
-    r[j, i, k, l] = -m.T
-    r[i, j, l, k] = -m.T
-    r[j, i, l, k] = m.T
-    bianchi_part = (r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)) / 3.0
-    return validate_tensor(r - bianchi_part, convention)
+    # k < l, and antisymmetric in each pair, on the (i d + j, k d + l) grid
+    ij, ji = (i * d + j)[:, None], (j * d + i)[:, None]
+    mt = m.transpose(0, 2, 1)
+    r = np.zeros((len(m), d * d, d * d))
+    r[:, ij, ij.T] = mt
+    r[:, ji, ij.T] = -mt
+    r[:, ij, ji.T] = -mt
+    r[:, ji, ji.T] = mt
+    r = r.reshape((len(m),) + (d,) * 4)
+    # r minus (r + r^(1,2,0,3) + r^(2,0,1,3)) / 3, in one work stack
+    out = r + r.transpose(0, 2, 3, 1, 4)
+    out += r.transpose(0, 3, 1, 2, 4)
+    out /= 3.0
+    np.subtract(r, out, out=out)
+    del r, m, mt
+    return _validate_stack(out, convention)

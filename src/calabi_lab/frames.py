@@ -36,8 +36,9 @@ relies on:
   sort sign, when an index leaves it or is replaced; the derivation,
   frame-change and Lefschetz tables are gathers from it;
 * the adjoint Lefschetz map contracts the grid ``C[I, J]`` of generator
-  coefficients without signs, ``-i sqrt(k(k-1)) sum_a R_a C R_a^T``, with
-  R_a taking a out of each sorted index set that holds it.
+  coefficients without signs,
+  ``-i sqrt(k(k-1)) sum_{a not in I', J'} C[I' + a, J' + a]``, one gather
+  per term from a table cached per (n, p, q) (``_lefschetz_table``).
 
 Endomorphisms act on covariant tensors as derivations,
 ``(L T)(x_1, .., x_k) = - sum_i T(x_1, .., L x_i, .., x_k)``.  The unitary
@@ -613,9 +614,12 @@ class RealForm:
 
     def __init__(self, phi: FormPQ):
         if phi.p == phi.q:
-            delta = phi - phi.conjugate()
+            # phi - conj(phi) on the coefficients, without the forms between
+            vec = phi.coefficient_vector()
+            source, sign = _conjugation(phi.convention.n, phi.p, phi.q)
+            delta = float(np.sum(np.abs(vec - sign * vec[source].conj()) ** 2))
             scale = math.sqrt(phi.norm_sq()) or 1.0
-            if math.sqrt(delta.norm_sq()) > SELF_CONJUGATE_TOL * scale:
+            if math.sqrt(delta) > SELF_CONJUGATE_TOL * scale:
                 raise FrameError("a (p,p) real form must be self-conjugate")
         self.phi = phi
 
@@ -881,27 +885,56 @@ def _lefschetz_coeffs(n: int, p: int, q: int, coeffs: np.ndarray) -> np.ndarray:
     """``lefschetz_adjoint`` on (p,q) generator coefficients (last axis, any
     leading axes), p, q >= 1: the (p-1,q-1) coefficients of Lambda."""
     k = p + q
-    return -1.0j * math.sqrt(k * (k - 1)) * _sandwich(_removal(n, p), _removal(n, q), coeffs)
+    return -1.0j * math.sqrt(k * (k - 1)) * _contract_pairs(_lefschetz_table(n, p, q, False), coeffs)
 
 
 @lru_cache(maxsize=None)
-def _removal(n: int, p: int) -> np.ndarray:
-    """The 0/1 maps R_a, a = 0..n-1, stacked ``(n, C(n, p-1), C(n, p))`` for
-    p >= 1: R_a sends each sorted p-subset of ``0..n-1`` that holds a to that
-    subset minus a; read-only."""
-    subsets, _ = _subsets(n, p)
-    table = np.zeros((n, math.comb(n, p - 1), len(subsets)))
-    table[subsets, _slots(n, p)[0], np.arange(len(subsets))[:, None]] = 1.0
-    return _frozen(table)[0]
+def _lefschetz_table(n: int, p: int, q: int, adjoint: bool) -> np.ndarray:
+    """Gather table of the sign-free Lefschetz contraction of (p,q) generator
+    coefficients, p, q >= 1, on their ``(I, J)`` grid C: to (p-1,q-1),
+    ``out[I', J'] = sum_{a not in I', J'} C[I' + a, J' + a]``, or with
+    ``adjoint`` its transpose from (p-1,q-1) back to (p,q),
+    ``out[I, J] = sum_{a in I and J} C'[I - a, J - a]``.
+
+    Row t of the ``(slots, N_out)`` table holds, for each output entry, the
+    flat source of its t-th term in increasing a, or ``N_in``, the position of
+    a zero appended to the source, where the entry has fewer terms.  The
+    moves come from ``_slots``: ``put`` adds a to a (p-1)-subset, ``rest``
+    takes the index at slot s out of a p-subset.  Read-only."""
+    maps = []
+    for side in (p, q):
+        rest, put, _ = _slots(n, side)
+        if adjoint:  # the rank of I minus a, by I and a; -1 when a is not in I
+            subsets = _subsets(n, side)[0]
+            put = np.full((len(subsets), n), -1, dtype=np.intp)
+            put[np.arange(len(subsets))[:, None], subsets] = rest
+        maps.append(put)
+    rows, cols = maps
+    width = math.comb(n, q - 1 if adjoint else q)  # of the source grid
+    size = math.comb(n, p - 1 if adjoint else p) * width
+    valid = ((rows[:, None, :] >= 0) & (cols[None, :, :] >= 0)).reshape(-1, n)
+    src = np.where(valid, (rows[:, None, :] * width + cols[None, :, :]).reshape(-1, n), size)
+    # each entry's terms first, in increasing a, then its padding
+    order = np.argsort(~valid, axis=1, kind="stable")[:, :int(np.max(np.sum(valid, axis=1)))]
+    return _frozen(np.ascontiguousarray(np.take_along_axis(src, order, axis=1).T))[0]
 
 
-def _sandwich(left: np.ndarray, right: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``sum_a left[a] C right[a]^T`` for coefficients on the last axis, read
-    as the grid C whose rows and columns are those of ``left[a]`` and
-    ``right[a]``, with the result flattened back the same way."""
-    lead = coeffs.shape[:-1]
-    grid = coeffs.reshape(lead + (1, left.shape[2], right.shape[2]))
-    return np.sum(left @ grid @ right.transpose(0, 2, 1), axis=-3).reshape(lead + (-1,))
+def _contract_pairs(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The contraction a ``_lefschetz_table`` describes, on coefficients on the
+    last axis (leading axes ride along): one gather and sum per slot, so
+    each entry adds its terms in increasing a, in the order of the dense 0/1
+    products ``sum_a R_a C R_a^T`` (R_a the removal of a), and the results
+    are theirs bit for bit.  A one-entry output (the trace of a (1,1)-form)
+    sums its terms with ``np.sum``, pairwise, as those products do."""
+    x = np.concatenate([coeffs, np.zeros(coeffs.shape[:-1] + (1,), dtype=coeffs.dtype)], axis=-1)
+    if table.shape[1] == 1:
+        return np.sum(x.take(table[:, 0], axis=-1), axis=-1, keepdims=True)
+    out = x.take(table[0], axis=-1)
+    part = np.empty_like(out) if len(table) > 1 else None
+    for row in table[1:]:
+        x.take(row, axis=-1, out=part, mode="clip")  # in range: "clip" spares a buffer
+        out += part
+    return out
 
 
 def _primitive_part(n: int, p: int, q: int, coeffs: np.ndarray) -> np.ndarray:
@@ -912,15 +945,16 @@ def _primitive_part(n: int, p: int, q: int, coeffs: np.ndarray) -> np.ndarray:
     ``k(k-1) r (n-k+r+1)`` on the piece L^r P^{p-r,q-r} of the Lefschetz
     decomposition, r = 0..min(p,q); the product of the factors
     ``I - Lambda* Lambda / eigenvalue`` over r >= 1 keeps the r = 0 piece,
-    ker(Lambda), alone.  Lambda* Lambda is k(k-1) times the R_a contraction
-    followed by its transpose, so the k(k-1) cancels.
+    ker(Lambda), alone.  Lambda* Lambda is k(k-1) times the sign-free
+    contraction followed by its transpose (``_lefschetz_table``), so the
+    k(k-1) cancels.
     """
     if p < 1 or q < 1:
         return coeffs
-    rp, rq = _removal(n, p), _removal(n, q)
+    down, up = _lefschetz_table(n, p, q, False), _lefschetz_table(n, p, q, True)
     k = p + q
     for r in range(1, min(p, q) + 1):
-        gram = _sandwich(rp.transpose(0, 2, 1), rq.transpose(0, 2, 1), _sandwich(rp, rq, coeffs))
+        gram = _contract_pairs(up, _contract_pairs(down, coeffs))
         coeffs = coeffs - gram / (r * (n - k + r + 1))
     return coeffs
 

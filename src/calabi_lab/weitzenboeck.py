@@ -65,11 +65,13 @@ from .frames import (
     FrameError,
     RealForm,
     _blocks,
+    _conjugation,
     _coords,
     _dense_positions,
     _frozen,
     _generators,
     _permutations,
+    _primitive_part,
     _subset_rank,
     _subsets,
     act_on_grid,
@@ -77,7 +79,6 @@ from .frames import (
     family_mats,
     family_table,
     lefschetz_adjoint,
-    project_primitive,
     sym2_basis_labels,
 )
 from .spectral import Spectrum
@@ -98,6 +99,7 @@ __all__ = [
     "achievability_form",
     "achievability_endo",
     "random_primitive_real",
+    "random_primitive_reals",
     "random_real_pform",
     "stress_search",
 ]
@@ -301,27 +303,30 @@ def oracle_matrices(t: AlgebraicCurvatureTensor) -> tuple[np.ndarray, np.ndarray
 
 
 def _interior_sum(x: np.ndarray, d: int, k: int, order: int, fn, out: np.ndarray) -> np.ndarray:
-    """Adds ``fn(A)`` into ``out[forms]`` over the ``_interior`` stacks A of
-    x (as float64, ``_float_view``) in pieces of at most ``_SLICE_ENTRIES``
-    entries, each a slice of the forms and a run of the (k - order)-subsets,
-    and returns out; nothing when k < order.  The runs of one slice cover
-    every subset once, so a sum over the stack's columns is the sum over
-    its pieces; a form whose stack exceeds the bound alone is split into
-    runs.  No piece is bound to a name, so none outlives its step."""
+    """Adds ``fn(A, forms)`` into ``out[forms]`` over the ``_interior`` stacks A
+    of x (as float64, ``_float_view``) in pieces of at most ``_SLICE_ENTRIES``
+    entries, each a slice ``forms`` of the forms and a run of the
+    (k - order)-subsets, and returns out; nothing when k < order.  The runs
+    of one slice cover every subset once, so a sum over the stack's columns
+    is the sum over its pieces; a form whose stack exceeds the bound alone
+    is split into runs.  No piece is bound to a name, so none outlives its
+    step."""
     if k < order:
         return out
     rows, cols = math.comb(d, order), math.comb(d, k - order)
     step = max(1, _SLICE_ENTRIES // (rows * cols))
     width = min(cols, max(1, _SLICE_ENTRIES // rows))
     for lo in range(0, x.shape[0], step):
+        forms = slice(lo, lo + step)
         for c in range(0, cols, width):
-            out[lo:lo + step] += fn(_float_view(_interior(x[lo:lo + step], d, k, order,
-                                                          slice(c, c + width))))
+            out[forms] += fn(_float_view(_interior(x[forms], d, k, order, slice(c, c + width))),
+                             forms)
     return out
 
 
 def _quadratic(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``sum (m @ a) * a`` of each stack in a, with one product stack."""
+    """``sum (m @ a) * a`` of each stack in a, with one product stack; m is
+    one matrix or one per stack."""
     ma = m @ a
     ma *= a
     return np.sum(ma, axis=(1, 2))
@@ -329,8 +334,11 @@ def _quadratic(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _contract(m: np.ndarray, x: np.ndarray, d: int, k: int, order: int) -> np.ndarray:
     """``Re sum (m @ A) * conj(A)`` over the ``_interior`` stack A of order
-    ``order`` of each form, shape (B,); 0 when k < order."""
-    return _interior_sum(x, d, k, order, lambda a: _quadratic(m, a), np.zeros(x.shape[0]))
+    ``order`` of each form, shape (B,), with one matrix m for every form or
+    a ``(B, ., .)`` stack of them, one per form; 0 when k < order."""
+    return _interior_sum(x, d, k, order,
+                         lambda a, forms: _quadratic(m if m.ndim == 2 else m[forms], a),
+                         np.zeros(x.shape[0]))
 
 
 def ricl_pairing_coords(mats: tuple[np.ndarray, np.ndarray], x: np.ndarray, k: int) -> np.ndarray:
@@ -351,7 +359,7 @@ def oracle_grams(x: np.ndarray, d: int, k: int) -> tuple[np.ndarray, np.ndarray]
     ``ricl_pairing_coords``, for the ``oracle_coords`` x of forms that several
     tensors pair with (``ricl_pairing_grams``): they do not depend on the
     tensor, and each is summed over the stack's pieces."""
-    g1, g2 = (_interior_sum(x, d, k, order, lambda a: a @ a.transpose(0, 2, 1),
+    g1, g2 = (_interior_sum(x, d, k, order, lambda a, _: a @ a.transpose(0, 2, 1),
                             np.zeros((x.shape[0],) + (math.comb(d, order),) * 2))
               for order in (1, 2))
     return g1, g2
@@ -429,7 +437,7 @@ def ricl_via_kaehler_su(lam: float, su_spec: Spectrum,
         raise ValueError("spectrum dimension does not match su(n)")
     mix = su_complement(n) @ su_spec.eigenvectors
     first = np.array([lam * (f.p - f.q) ** 2 / n * f.norm_sq() for f in forms])
-    terms = first + su_spec.eigenvalues @ _mixed_norms(conv, "u", mix, forms)
+    terms = first + su_spec.eigenvalues @ _mixed_norms(conv, "u", [mix], forms)[0]
     return float(terms[0]) if single else terms
 
 
@@ -440,25 +448,37 @@ def _sq_sum(z: np.ndarray, axis) -> np.ndarray:
     return np.sum(z * z, axis=axis)
 
 
-def _mixed_norms(conv: FrameConvention, tag: str, mix: np.ndarray, forms) -> np.ndarray:
+def _mixed_norms(conv: FrameConvention, tag: str, mixes: Sequence[np.ndarray],
+                 forms) -> list[np.ndarray]:
     """|Xi_nu psi_b|^2, shape (m', B), for the elements
     ``Xi_nu = sum_mu mix[mu, nu] u_mu`` over the unitary basis u_mu of a
-    Z-frame algebra, and a sequence of forms or a dense stack, as
-    ``_actions`` takes them.  The sparse basis acts once and its actions are
-    mixed, which costs far less than acting with the dense elements."""
-    out = np.zeros((mix.shape[1], len(forms)))
-    for owner, acted in _actions(conv.n, tag, forms, len(mix)):
-        out[:, owner] += _sq_sum(mix.T @ acted, axis=2).T
-    return out
+    Z-frame algebra, for each mix in ``mixes`` (all over that basis), and a
+    sequence of forms or a dense stack, as ``_actions`` takes them.  The
+    sparse basis acts once, for every mix, and its actions are mixed, which
+    costs far less than acting with the dense elements."""
+    outs = [np.zeros((mix.shape[1], len(forms))) for mix in mixes]
+    for owner, acted in _actions(conv.n, tag, forms, len(mixes[0])):
+        for mix, out in zip(mixes, outs):
+            out[:, owner] += _sq_sum(mix.T @ acted, axis=2).T
+    return outs
+
+
+def ricl_via_calabi_spectra(specs: Sequence[Spectrum], conv: FrameConvention,
+                            forms) -> list[np.ndarray]:
+    """``ricl_via_calabi_batch`` for each of several Calabi spectra on the
+    same forms, whose actions are computed once for all of them."""
+    for spec in specs:
+        _require_source(spec, "calabi")
+        if spec.size != conv.n * (conv.n + 1) // 2:
+            raise ValueError("spectrum dimension does not match sym^2 V^{1,0}")
+    norms = _mixed_norms(conv, "sym2_10", [spec.eigenvectors for spec in specs], forms)
+    return [2.0 * (spec.eigenvalues @ mixed) for spec, mixed in zip(specs, norms)]
 
 
 def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention, forms) -> np.ndarray:
     """Vectorized 2 sum sigma_nu |Sigma_nu psi|^2 over a sequence of forms or a
     stack of dense Z-frame forms."""
-    _require_source(spec, "calabi")
-    if spec.size != conv.n * (conv.n + 1) // 2:
-        raise ValueError("spectrum dimension does not match sym^2 V^{1,0}")
-    return 2.0 * (spec.eigenvalues @ _mixed_norms(conv, "sym2_10", spec.eigenvectors, forms))
+    return ricl_via_calabi_spectra([spec], conv, forms)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,63 +552,86 @@ def norm_phi_g(phi: FormPQ | RealForm, tag: str) -> float:
 # general-Riemannian identities
 # ---------------------------------------------------------------------------
 
-def _pairing_value(op: np.ndarray, n: int, tag: str, x: np.ndarray, p: int) -> float:
-    """sum_{ab} g(Op Xi_b, Xi_a) <Xi_b phi, Xi_a phi> over the unitary basis Xi
-    of the real-frame algebra ``tag``, for the real-frame coordinates x of a
-    p-form phi; ``op[a, b]`` is g(Op Xi_b, Xi_a)."""
-    parts = apply_derivation(family_table(n, tag, p), x[None])[0]
-    gram = (parts @ parts.conj().T).real
-    return float(np.sum(op * gram.T))
+# forms per slice of the real-frame Gram pairings: as many as keep the action
+# and Gram stacks within this many entries each (256 KB), which is one
+# form's at n = 6, so that pairing a stack of forms holds no more than
+# pairing one form there
+_GRAM_SLICE_ENTRIES = 1 << 15
 
 
-def check_r2_gl_identity(t: AlgebraicCurvatureTensor,
-                         forms: Sequence[tuple[np.ndarray, int]]) -> list[dict]:
-    """g(R2(phi^gl), phi^gl) = -(p(p-1)/2) sum R_ijkl phi_{ijI} phi_{klI}, for
-    each pair ``(x, p)`` of the real-frame coordinates x of a p-form phi (as
-    ``random_real_pform`` returns them) and its degree; R2 over gl and the
-    pair matrix of R are built once for all of them.  One record per form,
-    in order."""
-    n, d = t.convention.n, t.convention.dim
-    r2_gl = _tensor_square(t.components, family_mats(n, "gl"), R2_SLOTS)
-    # sum R_ijkl <i_j i_i x, i_l i_k x> over i < j, k < l: each interior
-    # product carries sqrt of the degree it acts on, so this is
-    # p(p-1) sum R_ijkl phi_{ijI} phi_{klI} in dense components
-    pairs = _pair_matrix(t.components).T
-    out = []
-    for x, p in forms:
-        lhs = _pairing_value(r2_gl, n, "gl", x, p)
-        rhs = -0.5 * float(_contract(pairs, x[None], d, p, 2)[0])
-        scale = max(1.0, abs(lhs), abs(rhs))
-        out.append({"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs) / scale})
+def _pairing_values(ops: np.ndarray, n: int, tag: str, x: np.ndarray, p: int) -> np.ndarray:
+    """sum_{ab} g(Op_b Xi_b, Xi_a) <Xi_b phi_b, Xi_a phi_b> over the unitary
+    basis Xi of the real-frame algebra ``tag``, for the ``(B, C(2n, p))``
+    real-frame coordinates x of p-forms phi_b and one operator per form,
+    ``ops[b, a, c] = g(Op_b Xi_c, Xi_a)``: the Gram matrices of the basis
+    actions, in slices of at most ``_GRAM_SLICE_ENTRIES`` action or Gram
+    entries, each paired with its forms' operators as it is made."""
+    table = family_table(n, tag, p)
+    out = np.empty(len(x))
+    m = table[0].shape[1]
+    step = max(1, _GRAM_SLICE_ENTRIES // (m * max(m, x.shape[1])))
+    for lo in range(0, len(x), step):
+        parts = apply_derivation(table, x[lo:lo + step])
+        gram = (parts @ parts.conj().transpose(0, 2, 1)).real
+        out[lo:lo + step] = np.sum(ops[lo:lo + step] * gram.transpose(0, 2, 1), axis=(1, 2))
     return out
 
 
-def check_ricl_r2_split(t: AlgebraicCurvatureTensor,
-                        forms: Sequence[tuple[np.ndarray, int]]) -> list[dict]:
+def check_r2_gl_identity(tensors: Sequence[AlgebraicCurvatureTensor],
+                         stacks: Sequence[tuple[np.ndarray, int]]) -> list[dict]:
+    """g(R2(phi^gl), phi^gl) = -(p(p-1)/2) sum R_ijkl phi_{ijI} phi_{klI}, for
+    each pair ``(x, p)`` of a ``(B, C(2n, p))`` stack x of the real-frame
+    coordinates of p-forms (as ``random_real_pform`` returns them) and its
+    degree, form b against tensor b.  R2 over gl and the pair matrix of each
+    tensor are built once for every stack; the left sides of a stack come
+    from ``_pairing_values``, and its right sides from one stacked
+    contraction.  One record per form, stack by stack."""
+    n, d = tensors[0].convention.n, tensors[0].convention.dim
+    r2_gl = np.array([_tensor_square(t.components, family_mats(n, "gl"), R2_SLOTS)
+                      for t in tensors])
+    # sum R_ijkl <i_j i_i x, i_l i_k x> over i < j, k < l: each interior
+    # product carries sqrt of the degree it acts on, so this is
+    # p(p-1) sum R_ijkl phi_{ijI} phi_{klI} in dense components; the
+    # transposes as views, since copies in C order would round the products
+    # differently
+    pairs = np.array([_pair_matrix(t.components) for t in tensors]).transpose(0, 2, 1)
+    out = []
+    for x, p in stacks:
+        lhs = _pairing_values(r2_gl, n, "gl", x, p)
+        rhs = -0.5 * _contract(pairs, x, d, p, 2)
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        out += [{"lhs": float(a), "rhs": float(b), "residual": float(r)}
+                for a, b, r in zip(lhs, rhs, np.abs(lhs - rhs) / scale)]
+    return out
+
+
+def check_ricl_r2_split(tensors: Sequence[AlgebraicCurvatureTensor],
+                        stacks: Sequence[tuple[np.ndarray, int]]) -> list[dict]:
     """(3/2) g(Ric_L phi, phi) = g(R2(phi^S2), phi^S2) + p sum R_ij phi_iI phi_jI,
     plus the translation g(R1(phi^so), phi^so) = g(Ric_L phi, phi), for each
-    pair ``(x, p)`` of the real-frame coordinates x of a p-form phi and its
-    degree; R1, R2 and the Ricci tensor are built once for all of them.  One
-    record per form, in order."""
-    n, d = t.convention.n, t.convention.dim
-    r1, r2 = r1_r2_operators(t)
-    ric = ricci(t).ricci
-    mats = oracle_matrices(t)
+    pair ``(x, p)`` of a ``(B, C(2n, p))`` stack x of the real-frame
+    coordinates of p-forms and its degree, form b against tensor b, as
+    ``check_r2_gl_identity`` stacks them; R1, R2, the Ricci tensor and the
+    oracle's matrices of each tensor are built once for every stack.  One
+    record per form, stack by stack."""
+    n, d = tensors[0].convention.n, tensors[0].convention.dim
+    r1, r2 = (np.array([op.matrix for op in ops])
+              for ops in zip(*(r1_r2_operators(t) for t in tensors)))
+    ric = np.array([ricci(t).ricci for t in tensors])
+    ric_o, pairs_o = (np.array(mats) for mats in zip(*(oracle_matrices(t) for t in tensors)))
     out = []
-    for x, p in forms:
-        ricl = float(ricl_pairing_coords(mats, x[None], p)[0])
+    for x, p in stacks:
+        ricl = -(_contract(ric_o, x, d, p, 1) + _contract(pairs_o, x, d, p, 2))
         lhs = 1.5 * ricl
         # p sum Ric_ij phi_iI phi_jI, as in check_r2_gl_identity
-        rhs = (_pairing_value(r2.matrix, n, "sym2_real", x, p)
-               + float(_contract(ric, x[None], d, p, 1)[0]))
-        scale = max(1.0, abs(lhs), abs(rhs))
-        r1_so = _pairing_value(r1.matrix, n, "so", x, p)
-        scale_so = max(1.0, abs(ricl), abs(r1_so))
-        out.append({
-            "ricl": ricl,
-            "residual_split": abs(lhs - rhs) / scale,
-            "residual_translation": abs(r1_so - ricl) / scale_so,
-        })
+        rhs = (_pairing_values(r2, n, "sym2_real", x, p)
+               + _contract(ric, x, d, p, 1))
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        r1_so = _pairing_values(r1, n, "so", x, p)
+        scale_so = np.maximum(1.0, np.maximum(np.abs(ricl), np.abs(r1_so)))
+        out += [{"ricl": float(v), "residual_split": float(a), "residual_translation": float(b)}
+                for v, a, b in zip(ricl, np.abs(lhs - rhs) / scale,
+                                   np.abs(r1_so - ricl) / scale_so)]
     return out
 
 
@@ -682,11 +725,13 @@ def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: in
     n = conv.n
     denom = (p + q) * (n + 1) - 2 * p * q
     cmin = _min_constant(p, q)
-    psis, hats = [], np.zeros((n_psi, n_s, n, n), dtype=complex)
-    for i in range(n_psi):
-        psis.append(random_primitive_real(conv, p, q, rng))
+    hats = np.zeros((n_psi, n_s, n, n), dtype=complex)
+
+    def draw_hats(i: int) -> None:
         h = rng.normal(size=(n_s, n, n)) + 1j * rng.normal(size=(n_s, n, n))
         hats[i] = (h + h.transpose(0, 2, 1)) / 2.0
+
+    psis = random_primitive_reals(conv, p, q, rng, n_psi, after=draw_hats)
     gram = _sym2_grams(psis)
     norms = _gram_scores(gram, hats)
     hat_norms = np.trace(gram, axis1=1, axis2=2).real[:, None]
@@ -737,7 +782,7 @@ def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
     psi is drawn first; their Gram matrices come from one ``_sym2_grams``.
     """
     rng = np.random.default_rng(seed)
-    psis = [random_primitive_real(conv, p, q, rng) for _ in range(restarts)]
+    psis = random_primitive_reals(conv, p, q, rng, restarts)
     norms = np.array([psi.norm_sq() for psi in psis])
     gram = _sym2_grams(psis) / norms[:, None, None]
     return float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
@@ -747,23 +792,57 @@ def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
 # samplers
 # ---------------------------------------------------------------------------
 
+def random_primitive_reals(conv: FrameConvention, p: int, q: int, rng: np.random.Generator,
+                           count: int, before=None, after=None) -> list[RealForm]:
+    """``count`` random real primitive forms in Lambda^{p,q} + Lambda^{q,p}.
+
+    Each form draws complex Gaussian coefficients on the (p,q) generators,
+    which are projected onto the primitive subspace and symmetrized; a form
+    whose projection is ~0 draws again, up to 16 times.  Sample i calls
+    ``before(i)`` before its form's first draw and ``after(i)`` after its
+    form's draw, when given, for the draws of other quantities that go with
+    it; they must store what they draw by i.  The draws are made first, in
+    that order, and projected as one stack.  A form that must draw again
+    sends the generator back to just after its draw: it draws again, then
+    ``after(i)`` and every later sample are drawn anew, so the draws are
+    those of ``count`` samples drawn and projected one by one.
+    """
+    n = conv.n
+    size = math.comb(n, p) * math.comb(n, q)
+    raw = np.empty((count, size, 2))
+    coeffs = np.empty((count, size), dtype=complex)
+    done = failed = 0  # forms accepted; failed draws of form ``done``
+    while done < count:
+        states = []  # the generator after each form's draw
+        for i in range(done, count):
+            if before is not None and (i > done or not failed):
+                before(i)
+            # (re, im) pairs in generator order: the scalar draws, in one call
+            raw[i] = rng.standard_normal((size, 2))
+            states.append(rng.bit_generator.state)
+            if after is not None:
+                after(i)
+        phi = _primitive_part(n, p, q, raw[done:, :, 0] + 1j * raw[done:, :, 1])
+        if p == q:  # RealForm.symmetrize: phi + conj(phi)
+            source, sign = _conjugation(n, p, q)
+            phi = phi + sign * phi[:, source].conj()
+        nonzero = np.sum(np.abs(phi) ** 2, axis=1) * (1.0 if p == q else 2.0) > 1e-8
+        keep = len(nonzero) if nonzero.all() else int(np.argmin(nonzero))
+        coeffs[done:done + keep] = phi[:keep]
+        if keep < len(nonzero):
+            rng.bit_generator.state = states[keep]
+            failed = failed + 1 if keep == 0 else 1
+            if failed == 16:
+                raise SamplingFailure(f"no nonzero primitive ({p},{q})-form found at n={n}")
+        done += keep
+    return [RealForm(FormPQ.from_coefficient_vector(conv, p, q, c)) for c in coeffs]
+
+
 def random_primitive_real(conv: FrameConvention, p: int, q: int,
                           rng: np.random.Generator) -> RealForm:
-    """Random real primitive form in Lambda^{p,q} + Lambda^{q,p}.
-
-    Complex Gaussian coefficients on the (p,q) generators, projected onto the
-    primitive subspace, then symmetrized.
-    """
-    size = math.comb(conv.n, p) * math.comb(conv.n, q)
-    for _ in range(16):
-        # (re, im) pairs in generator order: the scalar draws, in one call
-        raw = rng.standard_normal((size, 2))
-        phi = project_primitive(FormPQ.from_coefficient_vector(
-            conv, p, q, raw[:, 0] + 1j * raw[:, 1]))
-        real = RealForm.symmetrize(phi)
-        if real.norm_sq() > 1e-8:
-            return real
-    raise SamplingFailure(f"no nonzero primitive ({p},{q})-form found at n={conv.n}")
+    """One random real primitive form in Lambda^{p,q} + Lambda^{q,p}: the
+    count-1 case of ``random_primitive_reals``."""
+    return random_primitive_reals(conv, p, q, rng, 1)[0]
 
 
 def random_real_pform(conv: FrameConvention, p: int, rng: np.random.Generator) -> np.ndarray:

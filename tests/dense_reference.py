@@ -1,7 +1,8 @@
 """Dense ``(2n)^k`` references that only the tests use: the derivation action
 on full component arrays, the alternation and wedge of dense tensors,
-multilinear evaluation, and the tensor-square operators read entry by entry
-off the curvature tensor.  The package computes on exterior coordinates; these
+multilinear evaluation, the tensor-square operators read entry by entry
+off the curvature tensor, and the Lefschetz contraction as dense 0/1
+matrix products.  The package computes on exterior coordinates; these
 are the independent definitions its results are checked against."""
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from calabi_lab.frames import (EndoC, FormPQ, FrameError, RealForm, apply_derivation,
-                               derivation_table)
+from calabi_lab.frames import (EndoC, FormPQ, FrameError, RealForm, _subset_rank, _subsets,
+                               apply_derivation, derivation_table)
 
 
 def derivation_action(mat: np.ndarray, arr: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -111,3 +112,25 @@ def evaluate_form(phi: FormPQ | RealForm, args: Sequence[np.ndarray]) -> complex
     for vec in args:
         out = np.tensordot(np.asarray(vec, dtype=complex), out, axes=(0, 0))
     return complex(out)
+
+
+def removal(n: int, p: int) -> np.ndarray:
+    """The 0/1 maps R_a, a = 0..n-1, stacked ``(n, C(n, p-1), C(n, p))`` for
+    p >= 1: R_a sends each sorted p-subset of ``0..n-1`` that holds a to that
+    subset minus a, each remainder ranked on its own."""
+    subsets, _ = _subsets(n, p)
+    others = np.nonzero(~np.eye(p, dtype=bool))[1].reshape(p, p - 1)
+    table = np.zeros((n, math.comb(n, p - 1), len(subsets)))
+    table[subsets, _subset_rank(n, subsets[:, others]), np.arange(len(subsets))[:, None]] = 1.0
+    return table
+
+
+def sandwich(left: np.ndarray, right: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``sum_a left[a] C right[a]^T`` for coefficients on the last axis, read
+    as the grid C whose rows and columns are those of ``left[a]`` and
+    ``right[a]``, with the result flattened back the same way: with the
+    ``removal`` maps, the sign-free Lefschetz contraction of (p,q) generator
+    coefficients, and with their transposes its adjoint."""
+    lead = coeffs.shape[:-1]
+    grid = coeffs.reshape(lead + (1, left.shape[2], right.shape[2]))
+    return np.sum(left @ grid @ right.transpose(0, 2, 1), axis=-3).reshape(lead + (-1,))

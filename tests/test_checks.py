@@ -13,6 +13,8 @@ from calabi_lab import model_spaces as ms
 from calabi_lab import weitzenboeck as wz
 from calabi_lab.frames import FormPQ, FrameConvention
 from norm_identities_reference import check_norm_identities_per_form, insertion_norm_by_pairs
+from per_tensor_reference import (check_curvature_term_per_tensor, check_r2_gl_per_tensor,
+                                  check_ricl_split_per_tensor)
 
 
 def _eigen_expansion_loop(spec, n):
@@ -176,3 +178,37 @@ def test_pairs_keep_the_comprehension_order():
         for d in range(1, n + 1):
             old = [(p, q) for p in range(n + 1) for q in range(p + 1) if 1 <= p + q <= min(d, n)]
             assert checks._pairs(n, d) == old
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_checks_match_the_per_tensor_loops(n):
+    """The curvature-term, R2-gl and Ric_L-split checks, which stack each
+    check's samples, against the per-tensor loops they replaced, on the
+    same draws: the same status, and residuals that differ only in
+    rounding."""
+    pairs = [(checks.check_curvature_term, check_curvature_term_per_tensor),
+             (checks.check_r2_gl, check_r2_gl_per_tensor),
+             (checks.check_ricl_split, check_ricl_split_per_tensor)]
+    for seed in (9001, 1, 42):
+        for check, reference in pairs:
+            rec = check(n, 2, seed, max_degree=n)
+            ref = reference(n, 2, seed, max_degree=n)
+            assert rec["status"] == ref["status"] == "pass"
+            assert abs(rec["residual"] - ref["residual"]) <= 1e-14
+
+
+@pytest.mark.parametrize("trials", [2, 5])
+def test_curvature_term_acts_once_per_degree(trials, monkeypatch):
+    """Regression guard for the stacking: ``check_curvature_term`` acts with
+    the sym2_10 basis once per degree for all of its tensors, not once per
+    tensor."""
+    calls = Counter()
+    actions = wz._actions
+
+    def counted(n, tag, forms, width):
+        calls[tag, forms[0].degree] += 1
+        return actions(n, tag, forms, width)
+
+    monkeypatch.setattr(wz, "_actions", counted)
+    assert checks.check_curvature_term(4, trials, 9001)["status"] == "pass"
+    assert calls == {("sym2_10", k): 1 for k in range(1, 5)}

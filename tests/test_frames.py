@@ -27,8 +27,9 @@ from calabi_lab.frames import (
     _frozen,
     _generators,
     _pair_mixing,
+    _contract_pairs,
+    _lefschetz_table,
     _primitive_part,
-    _removal,
     _subset_rank,
     _subsets,
     _z_layout,
@@ -41,7 +42,8 @@ from calabi_lab.frames import (
     project_primitive,
 )
 from calabi_lab.weitzenboeck import estimate_bound, norm_phi_g, norm_phi_g_batch, phi_g
-from dense_reference import _perm_sign, act_dense, derivation_coords, evaluate_form, wedge_dense
+from dense_reference import (_perm_sign, act_dense, derivation_coords, evaluate_form, removal,
+                             sandwich, wedge_dense)
 
 RNG = np.random.default_rng(2024)
 
@@ -353,7 +355,7 @@ def test_conjugation_matches_multi_index_reference(n):
 
 def test_primitive_forms_build_no_dense_lambda():
     """Three primitive forms per bidegree at n = 7, from cold caches, trace
-    under 10 MB: Lambda is a contraction with the removal tables, not a
+    under 10 MB: Lambda is a gather from the Lefschetz tables, not a
     cached (C(n,p-1) C(n,q-1)) x (C(n,p) C(n,q)) matrix per bidegree."""
     from calabi_lab import frames
     from calabi_lab.weitzenboeck import random_primitive_real
@@ -837,14 +839,31 @@ def _pair_mixing_reference(n, k):
     return table
 
 
-def _removal_reference(n, p):
-    """Reference: the remainders of every subset ranked on their own."""
-    subsets, _ = _subsets(n, p)
-    others = np.nonzero(~np.eye(p, dtype=bool))[1].reshape(p, p - 1)
-    table = np.zeros((n, math.comb(n, p - 1), len(subsets)))
-    table[subsets, _subset_rank(n, subsets[:, others]), np.arange(len(subsets))[:, None]] = 1.0
-    table.flags.writeable = False
-    return table
+def _lefschetz_table_reference(n, p, q, adjoint):
+    """Reference: each output entry's sources listed index by index, a in
+    increasing order, padded with the source size."""
+    def ranks(k):
+        return {subset: i for i, subset in enumerate(itertools.combinations(range(n), k))}
+
+    out_p, out_q = (ranks(k - 1 if not adjoint else k) for k in (p, q))
+    src_p, src_q = (ranks(k if not adjoint else k - 1) for k in (p, q))
+    size = len(src_p) * len(src_q)
+    lists = []
+    for I in out_p:
+        for J in out_q:
+            terms = []
+            for a in range(n):
+                if adjoint and a in I and a in J:
+                    rows, cols = tuple(i for i in I if i != a), tuple(j for j in J if j != a)
+                elif not adjoint and a not in I and a not in J:
+                    rows, cols = tuple(sorted(I + (a,))), tuple(sorted(J + (a,)))
+                else:
+                    continue
+                terms.append(src_p[rows] * len(src_q) + src_q[cols])
+            lists.append(terms)
+    slots = max(len(terms) for terms in lists)
+    table = np.array([terms + [size] * (slots - len(terms)) for terms in lists], dtype=np.intp).T
+    return _frozen(np.ascontiguousarray(table))[0]
 
 
 def _assert_same_tables(got, ref):
@@ -863,9 +882,32 @@ def test_move_tables_match_per_index_references():
             assert not any(arr.flags.writeable for arr in (partner, stay, cross))
             decoded = _frozen(partner.astype(np.intp), _STAY[stay], _CROSS[cross])
             _assert_same_tables(decoded, _pair_mixing_reference(n, k))
-    for n in range(1, 8):
-        for p in range(1, n + 1):
-            _assert_same_tables([_removal(n, p)], [_removal_reference(n, p)])
+    for n in range(1, 7):
+        for p, q, adjoint in itertools.product(range(1, n + 1), range(1, n + 1), (False, True)):
+            _assert_same_tables([_lefschetz_table(n, p, q, adjoint)],
+                                [_lefschetz_table_reference(n, p, q, adjoint)])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_gathered_lefschetz_matches_the_dense_sandwich(n):
+    """Lambda and its adjoint as gathers equal the dense 0/1 products of the
+    removal maps byte for byte, for one form and for a stack, on every
+    (p,q) with p, q >= 1 and p + q <= n: each entry adds its terms in the
+    same order, pairwise for the one-entry trace of a (1,1)-form."""
+    for p in range(1, n):
+        for q in range(1, n + 1 - p):
+            rp, rq = removal(n, p), removal(n, q)
+            rng = np.random.default_rng([n, p, q])
+            for lead in [(), (3,)]:
+                for adjoint in (False, True):
+                    size = _size(n, p - adjoint, q - adjoint)
+                    coeffs = rng.normal(size=lead + (size,)) + 1j * rng.normal(size=lead + (size,))
+                    left, right = ((rp, rq) if not adjoint
+                                   else (rp.transpose(0, 2, 1), rq.transpose(0, 2, 1)))
+                    got = _contract_pairs(_lefschetz_table(n, p, q, adjoint), coeffs)
+                    want = sandwich(left, right, coeffs)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from calabi_lab.model_spaces import chsc, random_kaehler, random_kaehler_einstei
 from calabi_lab.spectral import eigensystem
 from calabi_lab.weitzenboeck import (
     NotSymmetric,
+    SamplingFailure,
     _contract,
     _create,
     _gram_scores,
@@ -55,6 +56,7 @@ from calabi_lab.weitzenboeck import (
     oracle_matrices,
     phi_g,
     random_primitive_real,
+    random_primitive_reals,
     random_real_pform,
     ricl_bruteforce,
     ricl_pairing,
@@ -67,6 +69,7 @@ from calabi_lab.weitzenboeck import (
     stress_search,
 )
 from dense_reference import act_dense, alternate, derivation_action, derivation_coords
+from per_tensor_reference import random_primitive_real_per_form
 
 RNG = np.random.default_rng(99)
 
@@ -761,30 +764,30 @@ def test_u_estimate_sampled():
 def test_r2_gl_identity_general_riemannian():
     rng = np.random.default_rng(9)
     conv = FrameConvention(2)
-    for seed in range(5):
-        t = random_riemannian(conv, seed)
-        forms = [(random_real_pform(conv, p, rng), p) for p in (1, 2, 3)]
-        outs = check_r2_gl_identity(t, forms)
-        assert len(outs) == len(forms)
-        for out in outs:
-            assert out["residual"] < 1e-10
+    tensors = [random_riemannian(conv, seed) for seed in range(5)]
+    forms = [[random_real_pform(conv, p, rng) for p in (1, 2, 3)] for _ in tensors]
+    stacks = [(np.array(stack), p) for p, stack in zip((1, 2, 3), zip(*forms))]
+    outs = check_r2_gl_identity(tensors, stacks)
+    assert len(outs) == 3 * len(tensors)
+    for out in outs:
+        assert out["residual"] < 1e-10
     # p = 1: both sides vanish
     x = random_real_pform(conv, 1, rng)
-    [out] = check_r2_gl_identity(random_riemannian(conv, 100), [(x, 1)])
+    [out] = check_r2_gl_identity([random_riemannian(conv, 100)], [(x[None], 1)])
     assert abs(out["rhs"]) == 0.0
 
 
 def test_ricl_r2_split_and_translation():
     rng = np.random.default_rng(10)
     conv = FrameConvention(2)
-    for seed in range(5):
-        t = random_riemannian(conv, 50 + seed)
-        forms = [(random_real_pform(conv, p, rng), p) for p in (1, 2, 3)]
-        outs = check_ricl_r2_split(t, forms)
-        assert len(outs) == len(forms)
-        for out in outs:
-            assert out["residual_split"] < 1e-9
-            assert out["residual_translation"] < 1e-9
+    tensors = [random_riemannian(conv, 50 + seed) for seed in range(5)]
+    forms = [[random_real_pform(conv, p, rng) for p in (1, 2, 3)] for _ in tensors]
+    stacks = [(np.array(stack), p) for p, stack in zip((1, 2, 3), zip(*forms))]
+    outs = check_ricl_r2_split(tensors, stacks)
+    assert len(outs) == 3 * len(tensors)
+    for out in outs:
+        assert out["residual_split"] < 1e-9
+        assert out["residual_translation"] < 1e-9
 
 
 def test_einstein_curvature_term_via_restricted_spectrum():
@@ -944,6 +947,102 @@ def test_stress_search_replays_restart_eigenvalues():
             assert abs(ratio - vals[-1]) <= 1e-12 * vals[-1]
         assert best == max(tops)
         assert best <= 0.5 + min(p, q, math.sqrt(p * q) / 2.0) + 1e-12
+
+
+def _interleaved(rng, log):
+    """Callbacks that draw other quantities around each form, logged by i."""
+    def before(i):
+        log[("before", i)] = rng.normal(size=3)
+
+    def after(i):
+        log[("after", i)] = rng.integers(2 ** 31, size=2)
+
+    return before, after
+
+
+def _per_form_samples(conv, p, q, rng, count, fail=None):
+    """Reference: ``count`` samples one by one, each its before draws, its
+    form (the per-form sampler) and its after draws; form ``fail`` first
+    spends one draw, as a projection that comes out 0 does."""
+    log = {}
+    before, after = _interleaved(rng, log)
+    forms = []
+    for i in range(count):
+        before(i)
+        if i == fail:
+            rng.standard_normal((math.comb(conv.n, p) * math.comb(conv.n, q), 2))
+        forms.append(random_primitive_real_per_form(conv, p, q, rng))
+        after(i)
+    return forms, log
+
+
+def _assert_same_samples(got, want):
+    (forms, log), (ref_forms, ref_log) = got, want
+    assert len(forms) == len(ref_forms)
+    for form, ref in zip(forms, ref_forms):
+        assert (form.p, form.q) == (ref.p, ref.q)
+        assert form.phi.coefficient_vector().tobytes() == ref.phi.coefficient_vector().tobytes()
+    assert log.keys() == ref_log.keys()
+    assert all(np.array_equal(log[key], ref_log[key]) for key in log)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_sampler_matches_the_per_form_draws(n):
+    """The stacked sampler returns bitwise the forms of the per-form draws,
+    alone and between other draws, and leaves the generator where they do."""
+    conv = FrameConvention(n)
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            for callbacks in (False, True):
+                rng, ref_rng = np.random.default_rng([n, p, q]), np.random.default_rng([n, p, q])
+                log = {}
+                before, after = _interleaved(rng, log) if callbacks else (None, None)
+                forms = random_primitive_reals(conv, p, q, rng, 4, before=before, after=after)
+                if callbacks:
+                    want = _per_form_samples(conv, p, q, ref_rng, 4)
+                else:
+                    want = ([random_primitive_real_per_form(conv, p, q, ref_rng)
+                             for _ in range(4)], {})
+                _assert_same_samples((forms, log), want)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("fail", [0, 2, 3])
+def test_stacked_sampler_draws_again_as_the_per_form_rule(fail, monkeypatch):
+    """With the projection of one form forced to 0 once, the sampler spends
+    exactly the draws of the per-form retry rule: that form draws again
+    right after, and its after draws and every later sample follow."""
+    n, p, q = 4, 2, 1
+    conv = FrameConvention(n)
+    project = wz._primitive_part
+    calls = []
+
+    def fail_once(n_, p_, q_, coeffs):
+        out = project(n_, p_, q_, coeffs)
+        if not calls:
+            out[fail] = 0.0
+        calls.append(len(coeffs))
+        return out
+
+    monkeypatch.setattr(wz, "_primitive_part", fail_once)
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    log = {}
+    before, after = _interleaved(rng, log)
+    forms = random_primitive_reals(conv, p, q, rng, 4, before=before, after=after)
+    _assert_same_samples((forms, log), _per_form_samples(conv, p, q, ref_rng, 4, fail=fail))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert calls == [4, 4 - fail]  # one stack, then the failed form and those after it
+
+
+def test_stacked_sampler_gives_up_after_sixteen_draws(monkeypatch):
+    monkeypatch.setattr(wz, "_primitive_part", lambda n, p, q, coeffs: 0.0 * coeffs)
+    conv = FrameConvention(3)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(SamplingFailure):
+        random_primitive_reals(conv, 1, 1, rng, 3)
+    for _ in range(16):
+        ref_rng.standard_normal((9, 2))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
