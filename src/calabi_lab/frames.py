@@ -664,6 +664,27 @@ class RealForm:
         return f"RealForm(n={self.convention.n}, p={self.p}, q={self.q})"
 
 
+@dataclass(frozen=True)
+class RealStack:
+    """Real forms of one bidegree as one stack: row b of ``coeffs`` is the
+    (p,q) piece phi_b that a RealForm stores (self-conjugate when p = q).
+    The main-estimate sampler's forms, which ``_blocks`` takes as one of
+    its stacks, so that the grid actions need no form object per row."""
+
+    convention: FrameConvention
+    p: int
+    q: int
+    coeffs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def norm_sq(self) -> np.ndarray:
+        """``RealForm.norm_sq`` of every row, with the same roundings."""
+        norms = np.sum(np.abs(self.coeffs) ** 2, axis=1)
+        return norms if self.p == self.q else 2.0 * norms
+
+
 # ---------------------------------------------------------------------------
 # exterior coordinates
 # ---------------------------------------------------------------------------
@@ -682,7 +703,12 @@ def _blocks(forms):
     coordinates of their (p,q) pieces at the (p,q) generators (the
     coefficients times their interleave signs, see ``_z_layout``), from one
     stack of their coefficients.  A RealForm with p != q also yields its
-    conjugate (q,p) pieces, from one ``_conjugation`` gather of that stack."""
+    conjugate (q,p) pieces (``_pieces``).  A ``RealStack`` is one such
+    stack, its rows in order."""
+    if isinstance(forms, RealStack):
+        yield from _pieces(forms.convention.n, forms.p, forms.q, np.arange(len(forms)),
+                           forms.coeffs, forms.p != forms.q)
+        return
     n = forms[0].convention.n
     groups = defaultdict(list)  # (p, q, both pieces) -> [(form index, coefficients)]
     for b, form in enumerate(forms):
@@ -690,12 +716,18 @@ def _blocks(forms):
         phi = form.phi if real else form  # a RealForm stores its (p,q) piece
         groups[form.p, form.q, real and form.p != form.q].append((b, phi.coefficient_vector()))
     for (p, q, both), items in groups.items():
-        owner = np.array([b for b, _ in items])
-        coeffs = np.array([vec for _, vec in items])
-        yield owner, p, q, _generators(n, p, q)[1] * coeffs
-        if both:
-            source, sign = _conjugation(n, p, q)
-            yield owner, q, p, _generators(n, q, p)[1] * sign * coeffs[:, source].conj()
+        yield from _pieces(n, p, q, np.array([b for b, _ in items]),
+                           np.array([vec for _, vec in items]), both)
+
+
+def _pieces(n: int, p: int, q: int, owner: np.ndarray, coeffs: np.ndarray, both: bool):
+    """The ``_blocks`` of one stack of (p,q) coefficients: its (p,q) pieces,
+    and with ``both`` (real forms with p != q) the conjugate (q,p) pieces
+    from one ``_conjugation`` gather of the stack."""
+    yield owner, p, q, _generators(n, p, q)[1] * coeffs
+    if both:
+        source, sign = _conjugation(n, p, q)
+        yield owner, q, p, _generators(n, q, p)[1] * sign * coeffs[:, source].conj()
 
 
 def _coords(forms, frame: str) -> tuple[np.ndarray, int]:

@@ -36,7 +36,9 @@ Forms enter the public functions as ``FormPQ`` / ``RealForm`` objects.  A
 sequence of them is worked from one coefficient stack per bidegree and kind
 (``frames._blocks``): the grids of the eigenvalue routes, and the exterior
 coordinates of the oracle and the real-frame bases, which come from the one
-builder ``frames._coords`` and are not kept on the forms.  The
+builder ``frames._coords`` and are not kept on the forms.  The main
+estimate's sampler keeps its forms as that stack (``frames.RealStack``),
+which goes through the same passes with no form object per row.  The
 general-Riemannian checks take the real-frame coordinates of
 ``random_real_pform`` directly.  Dense alternating components are accepted
 only as stacks with a leading batch axis, by the batched routes, and are
@@ -64,6 +66,7 @@ from .frames import (
     FrameConvention,
     FrameError,
     RealForm,
+    RealStack,
     _blocks,
     _conjugation,
     _coords,
@@ -487,9 +490,10 @@ def ricl_via_calabi_batch(spec: Spectrum, conv: FrameConvention, forms) -> np.nd
 
 def _actions(n: int, tag: str, forms, width: int):
     """The unitary basis of the tagged algebra acting on a sequence of forms
-    of one degree, or on a dense stack: yields, slice by slice, the indices
-    of the forms and the ``(B, m, N)`` coordinates of their actions.  A slice
-    keeps ``width`` stacks of them within ``_SLICE_ENTRIES`` entries.
+    of one degree, a ``RealStack`` or a dense stack: yields, slice by slice,
+    the indices of the forms and the ``(B, m, N)`` coordinates of their
+    actions.  A slice keeps ``width`` stacks of them within
+    ``_SLICE_ENTRIES`` entries.
 
     A Z-frame algebra acts on the (p,q) grid (``act_on_grid``), on the forms
     of one bidegree and kind at a time, whose grids come from one stack of
@@ -658,15 +662,16 @@ def estimate_bound(s: EndoC, psi: RealForm) -> EstimateResult:
     """|S psi|^2 against (1/2 + min(p,q,sqrt(pq)/2)) |S|^2 |psi|^2, and the
     |psi^{sym2 V^{1,0}}|^2-phrased variant when psi is primitive.
 
-    S must lie in sym^2 V^{1,0} (NotSymmetric otherwise); it is scored
+    S must lie in sym^2 V^{1,0} (NotSymmetric otherwise); the unit sym^2
+    coordinates of its hat's symmetric part (``_sym2_coords``) are scored
     against the Gram matrix of the unit basis actions on psi, whose trace is
     the hat norm."""
     if s.convention.n != psi.convention.n:
         raise FrameError("endomorphism and form live on different dimensions")
     _require_sym2_10(s, "estimate_bound")
     p, q = psi.p, psi.q
-    gram = _sym2_grams([psi])[0]
-    lhs = float(_gram_scores(gram, s.hat[None])[0])
+    gram = _sym2_grams(psi.convention.n, [psi])[0]
+    lhs = float(_gram_scores(gram, _sym2_coords(s.hat[None]))[0])
     s_norm = s.norm_sq()
     bound = (0.5 + _min_constant(p, q)) * s_norm * psi.norm_sq()
 
@@ -690,11 +695,11 @@ def _require_sym2_10(s: EndoC, caller: str) -> None:
         raise NotSymmetric(f"{caller} expects an element of sym^2 V^{{1,0}}")
 
 
-def _sym2_grams(psis) -> np.ndarray:
+def _sym2_grams(n: int, psis) -> np.ndarray:
     """The Gram matrices ``G[b, i, j] = <u_j psi_b, u_i psi_b>`` (B, m, m) of
-    the unit sym^2 V^{1,0} basis actions on a sequence of forms, summed over
-    the slices of ``_actions``; the trace of each is the hat norm."""
-    n = psis[0].convention.n
+    the unit sym^2 V^{1,0} basis actions on a sequence of forms or a
+    ``RealStack``, summed over the slices of ``_actions``; the trace of each
+    is the hat norm."""
     m = len(family_mats(n, "sym2_10"))
     gram = np.zeros((len(psis), m, m), dtype=complex)
     for owner, acted in _actions(n, "sym2_10", psis, m):
@@ -702,13 +707,35 @@ def _sym2_grams(psis) -> np.ndarray:
     return gram
 
 
-def _gram_scores(gram: np.ndarray, hats: np.ndarray) -> np.ndarray:
-    """``c* G c`` over the unit-basis coordinates c of each sym^2 V^{1,0}
-    element S with hat matrix in ``hats`` (..., n_s, n, n), against the Gram
-    matrix ``G[i, j] = <u_j psi, u_i psi>`` (..., m, m) of the unit basis
-    actions on psi: |S psi|^2, shape (..., n_s)."""
-    a, b = np.array(sym2_basis_labels(hats.shape[-1])).T - 1
-    c = hats[..., a, b] * np.where(a == b, 1.0, math.sqrt(2.0))
+@lru_cache(maxsize=None)
+def _sym2_unit_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit sym^2 V^{1,0} coordinates as a gather from a flattened n x n
+    matrix h: ``c_i = (h[ab_i] + h[ba_i]) * weight_i`` over the pairs
+    a <= b of ``sym2_basis_labels``, with ab = a n + b, ba = b n + a and
+    the weight 1/2 on the diagonal and sqrt2/2 off it.  These are the
+    coordinates of the symmetric part (h + h^T)/2: its diagonal entries and
+    sqrt2 times the entries above it.  Read-only."""
+    a, b = np.array(sym2_basis_labels(n)).T - 1
+    return _frozen(a * n + b, b * n + a, np.where(a == b, 0.5, math.sqrt(2.0) / 2.0))
+
+
+def _sym2_coords(h: np.ndarray) -> np.ndarray:
+    """The ``(..., m)`` unit sym^2 V^{1,0} coordinates of the symmetric parts
+    of a stack h of n x n matrices (..., n, n), complex or real
+    (``_sym2_unit_index``); of a symmetric hat matrix, its coordinates."""
+    ab, ba, weight = _sym2_unit_index(h.shape[-1])
+    flat = h.reshape(h.shape[:-2] + (-1,))
+    c = flat[..., ab]
+    c += flat[..., ba]
+    c *= weight
+    return c
+
+
+def _gram_scores(gram: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``c* G c`` over the unit-basis coordinates c (..., n_s, m) of sym^2
+    V^{1,0} elements S (``_sym2_coords``), against the Gram matrix
+    ``G[i, j] = <u_j psi, u_i psi>`` (..., m, m) of the unit basis actions
+    on psi: |S psi|^2, shape (..., n_s)."""
     return np.real(np.sum(c.conj() * (c @ np.swapaxes(gram, -1, -2)), axis=-1))
 
 
@@ -718,25 +745,32 @@ def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: in
     against n_s symmetric elements each.  Returns violation counts and the
     largest ratio lhs/bound observed.
 
-    Each sample draws psi and then its n_s hat matrices, in that order.  The
-    Gram matrices of the sym2_10 basis actions on every psi come from one
-    ``_sym2_grams`` (their trace is the hat norm), and every sample is
-    scored and bounded as one array."""
+    Each sample draws psi and then its n_s matrices h, in that order: the
+    real parts of all of them, then the imaginary parts, straight into one
+    buffer (the scalars of two ``rng.normal(size=(n_s, n, n))`` calls, in
+    their order).  Its S = (h + h^T)/2 are scored in their unit sym^2
+    coordinates c, read off the draws (``_sym2_coords``), so that
+    |S|^2 = sum |c|^2.  The psi stay the sampler's coefficient stack
+    (``_primitive_stack``, as a ``RealStack``), whose Gram matrices of the sym2_10 basis actions
+    come from one ``_sym2_grams`` (their trace is the hat norm), and every
+    sample is scored and bounded as one array."""
     n = conv.n
     denom = (p + q) * (n + 1) - 2 * p * q
     cmin = _min_constant(p, q)
-    hats = np.zeros((n_psi, n_s, n, n), dtype=complex)
+    raw = np.empty((n_psi, 2, n_s, n, n))  # each sample's real parts, then imaginary parts
 
     def draw_hats(i: int) -> None:
-        h = rng.normal(size=(n_s, n, n)) + 1j * rng.normal(size=(n_s, n, n))
-        hats[i] = (h + h.transpose(0, 2, 1)) / 2.0
+        rng.standard_normal(out=raw[i])
 
-    psis = random_primitive_reals(conv, p, q, rng, n_psi, after=draw_hats)
-    gram = _sym2_grams(psis)
-    norms = _gram_scores(gram, hats)
+    psis = RealStack(conv, p, q, _primitive_stack(conv, p, q, rng, n_psi, after=draw_hats))
+    gram = _sym2_grams(n, psis)
+    parts = _sym2_coords(raw)  # (n_psi, 2, n_s, m): the real parts of c, then the imaginary
+    c = np.empty((n_psi, n_s, parts.shape[-1]), dtype=complex)
+    c.real, c.imag = parts[:, 0], parts[:, 1]
+    norms = _gram_scores(gram, c)
     hat_norms = np.trace(gram, axis1=1, axis2=2).real[:, None]
-    psi_norms = np.array([psi.norm_sq() for psi in psis])[:, None]
-    s_norms = np.sum(np.abs(hats.reshape(n_psi, n_s, -1)) ** 2, axis=2)
+    psi_norms = psis.norm_sq()[:, None]
+    s_norms = np.sum(parts * parts, axis=(1, 3))  # sum |c|^2
     bound = (0.5 + cmin) * s_norms * psi_norms
     bound_prim = (2.0 + 4.0 * cmin) / denom * s_norms * hat_norms
     tight = np.minimum(bound, bound_prim)
@@ -779,12 +813,12 @@ def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
     In the unit sym^2 coordinates c of S the ratio is the Rayleigh quotient
     c* G c / c* c, with G the Gram matrix of the basis actions on the unit
     psi, so its maximum over S is the top eigenvalue of G.  Every restart's
-    psi is drawn first; their Gram matrices come from one ``_sym2_grams``.
+    psi is drawn first, into one ``RealStack``; their Gram matrices come
+    from one ``_sym2_grams``.
     """
     rng = np.random.default_rng(seed)
-    psis = random_primitive_reals(conv, p, q, rng, restarts)
-    norms = np.array([psi.norm_sq() for psi in psis])
-    gram = _sym2_grams(psis) / norms[:, None, None]
+    psis = RealStack(conv, p, q, _primitive_stack(conv, p, q, rng, restarts))
+    gram = _sym2_grams(conv.n, psis) / psis.norm_sq()[:, None, None]
     return float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
 
 
@@ -792,9 +826,11 @@ def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
 # samplers
 # ---------------------------------------------------------------------------
 
-def random_primitive_reals(conv: FrameConvention, p: int, q: int, rng: np.random.Generator,
-                           count: int, before=None, after=None) -> list[RealForm]:
-    """``count`` random real primitive forms in Lambda^{p,q} + Lambda^{q,p}.
+def _primitive_stack(conv: FrameConvention, p: int, q: int, rng: np.random.Generator,
+                     count: int, before=None, after=None) -> np.ndarray:
+    """``count`` random real primitive forms in Lambda^{p,q} + Lambda^{q,p},
+    as the ``(count, C(n, p) C(n, q))`` stack of the (p,q) coefficients that
+    a RealForm stores: the sampler, which ``random_primitive_reals`` wraps.
 
     Each form draws complex Gaussian coefficients on the (p,q) generators,
     which are projected onto the primitive subspace and symmetrized; a form
@@ -818,7 +854,7 @@ def random_primitive_reals(conv: FrameConvention, p: int, q: int, rng: np.random
             if before is not None and (i > done or not failed):
                 before(i)
             # (re, im) pairs in generator order: the scalar draws, in one call
-            raw[i] = rng.standard_normal((size, 2))
+            rng.standard_normal(out=raw[i])
             states.append(rng.bit_generator.state)
             if after is not None:
                 after(i)
@@ -835,7 +871,16 @@ def random_primitive_reals(conv: FrameConvention, p: int, q: int, rng: np.random
             if failed == 16:
                 raise SamplingFailure(f"no nonzero primitive ({p},{q})-form found at n={n}")
         done += keep
-    return [RealForm(FormPQ.from_coefficient_vector(conv, p, q, c)) for c in coeffs]
+    return coeffs
+
+
+def random_primitive_reals(conv: FrameConvention, p: int, q: int, rng: np.random.Generator,
+                           count: int, before=None, after=None) -> list[RealForm]:
+    """``count`` random real primitive forms in Lambda^{p,q} + Lambda^{q,p}:
+    the rows of ``_primitive_stack`` (its draws, callbacks and retry rule)
+    as RealForms."""
+    return [RealForm(FormPQ.from_coefficient_vector(conv, p, q, c))
+            for c in _primitive_stack(conv, p, q, rng, count, before, after)]
 
 
 def random_primitive_real(conv: FrameConvention, p: int, q: int,

@@ -41,6 +41,7 @@ from calabi_lab.weitzenboeck import (
     _interior,
     _pair_create,
     _pair_matrix,
+    _sym2_coords,
     _sym2_grams,
     achievability_endo,
     achievability_form,
@@ -654,6 +655,37 @@ def test_eigen_routes_match_dense_eigen_elements(n):
         assert abs(got_ke - want_ke[0]) <= 1e-12 * scale_ke
 
 
+def _replayed_estimate(conv, p, q, rng, n_psi, n_s, fail=None):
+    """Reference: estimate_sampling's samples drawn one by one, each its psi
+    (the per-form sampler; sample ``fail`` first spends one draw, as a
+    projection that comes out 0 does) and then its hats by the two
+    ``rng.normal`` calls, every S scored by its direct action on psi.
+    Returns the violation count, the largest ratio, and per sample psi, its
+    hats and their direct scores."""
+    n, k = conv.n, p + q
+    cmin = min(p, q, math.sqrt(p * q) / 2.0)
+    violations, ratio, samples = 0, 0.0, []
+    for i in range(n_psi):
+        if i == fail:
+            rng.standard_normal((math.comb(n, p) * math.comb(n, q), 2))
+        psi = random_primitive_real_per_form(conv, p, q, rng)
+        hats = rng.normal(size=(n_s, n, n)) + 1j * rng.normal(size=(n_s, n, n))
+        hats = (hats + hats.transpose(0, 2, 1)) / 2.0
+        mats = np.array([EndoC.from_sym_hat(conv, h).matrix for h in hats])
+        direct = np.sum(np.abs(derivation_coords(mats, psi.coords("z")[None], k)) ** 2,
+                        axis=(1, 2))
+        hat_norm = float(np.sum(np.abs(derivation_coords(
+            family_mats(n, "sym2_10"), psi.coords("z")[None], k)) ** 2))
+        s_norms = np.sum(np.abs(hats.reshape(n_s, -1)) ** 2, axis=1)
+        bound = (0.5 + cmin) * s_norms * psi.norm_sq()
+        tight = np.minimum(bound, (2.0 + 4.0 * cmin) / ((p + q) * (n + 1) - 2 * p * q)
+                           * s_norms * hat_norm)
+        violations += int(np.sum(direct > tight + 1e-10 * np.maximum(1.0, tight)))
+        ratio = max(ratio, float(np.max(direct / bound)))
+        samples.append((psi, hats, direct))
+    return violations, ratio, samples
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sym2_gram_scores_match_direct_action(n):
     """|S psi|^2 as c* G c against the Gram matrix of the unit-basis actions,
@@ -665,33 +697,63 @@ def test_sym2_gram_scores_match_direct_action(n):
         rng = np.random.default_rng([800, n, p, q])
         out = estimate_sampling(conv, p, q, n_psi=2, n_s=20, rng=rng)
         replay = np.random.default_rng([800, n, p, q])
-        ratio = 0.0
-        for _ in range(2):
-            psi = random_primitive_real(conv, p, q, replay)
-            hats = replay.normal(size=(20, n, n)) + 1j * replay.normal(size=(20, n, n))
-            hats = (hats + hats.transpose(0, 2, 1)) / 2.0
-            mats = np.array([EndoC.from_sym_hat(conv, h).matrix for h in hats])
-            direct = np.sum(np.abs(derivation_coords(mats, psi.coords("z")[None], p + q)) ** 2,
-                            axis=(1, 2))
-            got = _gram_scores(_sym2_grams([psi])[0], hats)
+        violations, ratio, samples = _replayed_estimate(conv, p, q, replay, 2, 20)
+        for psi, hats, direct in samples:
+            got = _gram_scores(_sym2_grams(n, [psi])[0], _sym2_coords(hats))
             assert np.max(np.abs(got - direct) / direct) <= 1e-12
-            s_norms = np.sum(np.abs(hats.reshape(20, -1)) ** 2, axis=1)
-            ratio = max(ratio, float(np.max(direct / (
-                (0.5 + min(p, q, math.sqrt(p * q) / 2.0)) * s_norms * psi.norm_sq()))))
-        assert out["violations"] == 0
+        assert out["violations"] == violations == 0
         assert abs(out["max_ratio"] - ratio) <= 1e-12 * ratio
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("fail", [0, 1, 2])
+@pytest.mark.parametrize("n, p, q", [(4, 2, 1), (3, 1, 1)])
+def test_estimate_sampling_keeps_its_stream_through_a_retry(n, p, q, fail, monkeypatch):
+    """With one psi's projection forced to 0 once, estimate_sampling draws
+    that psi again right after, then its hats and every later sample anew
+    (the hats into the buffer they were first drawn into): its figures and
+    the generator's final state are those of a replay that draws sample by
+    sample with the per-form retry rule and the ``rng.normal`` pair."""
+    conv = FrameConvention(n)
+    project = wz._primitive_part
+    calls = []
+
+    def fail_once(n_, p_, q_, coeffs):
+        out = project(n_, p_, q_, coeffs)
+        if not calls:
+            out[fail] = 0.0
+        calls.append(len(coeffs))
+        return out
+
+    monkeypatch.setattr(wz, "_primitive_part", fail_once)
+    rng, replay = np.random.default_rng([802, n, fail]), np.random.default_rng([802, n, fail])
+    out = estimate_sampling(conv, p, q, n_psi=3, n_s=20, rng=rng)
+    violations, ratio, _ = _replayed_estimate(conv, p, q, replay, 3, 20, fail=fail)
+    assert calls == [3, 3 - fail]
+    assert out["violations"] == violations == 0
+    assert out["samples"] == 60
+    assert abs(out["max_ratio"] - ratio) <= 1e-12 * ratio
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_estimate_sampling_is_the_same_over_one_form_slices(monkeypatch):
     """estimate_sampling's Gram matrices are summed over the slices of its
     ``_actions`` pass: with one form per slice, and the two pieces of each
-    p != q form in different slices, its figures stay those of one slice."""
+    p != q form in different slices, its figures stay those of one slice.
+    The grid actions are counted, so the slicing is seen to happen: one
+    call per piece, then one per form and piece."""
     conv = FrameConvention(4)
+    act = wz.act_on_grid
     for (p, q) in [(2, 1), (2, 2), (3, 1)]:
-        want = estimate_sampling(conv, p, q, 3, 20, np.random.default_rng([801, p, q]))
+        pieces = 1 if p == q else 2
+        counts = []
         with monkeypatch.context() as patch:
+            patch.setattr(wz, "act_on_grid", lambda *args: counts.append(1) or act(*args))
+            want = estimate_sampling(conv, p, q, 3, 20, np.random.default_rng([801, p, q]))
+            assert len(counts) == pieces
             patch.setattr(wz, "_SLICE_ENTRIES", 1)
             got = estimate_sampling(conv, p, q, 3, 20, np.random.default_rng([801, p, q]))
+            assert len(counts) == pieces + 3 * pieces
         assert got["violations"] == want["violations"] == 0
         assert got["samples"] == want["samples"] == 60
         assert abs(got["max_ratio"] - want["max_ratio"]) <= 1e-14 * want["max_ratio"]
