@@ -21,15 +21,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Spectrum, k_test, partial_sum, sorted_eigenvalues
+from .spectral import Spectrum, partial_sums, sorted_eigenvalues
 
 __all__ = [
     "ThresholdTable",
     "Certificate",
     "Verdict",
+    "Plan",
+    "plan",
     "thresholds",
     "bidegrees",
     "upsilon",
@@ -138,16 +141,22 @@ class ThresholdTable:
     gammas: dict[tuple[int, int], Fraction]
 
 
+@lru_cache(maxsize=None)
+def _threshold_values(n: int) -> tuple[tuple, ...]:
+    """The cells of ``thresholds(n)`` and their Upsilon, exact Upsilon and
+    Gamma, as tuples in that order: the one source of both the threshold
+    table and the certificate plans, built once per n."""
+    cells = tuple((p, q) for p in range(n + 1) for q in range(n + 1) if (p, q) != (0, 0))
+    return (cells, tuple(upsilon(n, *c) for c in cells),
+            tuple(upsilon_exact(n, *c) for c in cells), tuple(gamma(n, *c) for c in cells))
+
+
 def thresholds(n: int) -> ThresholdTable:
     if n < 1:
         raise ValueError("n must be >= 1")
-    cells = [(p, q) for p in range(n + 1) for q in range(n + 1) if (p, q) != (0, 0)]
-    return ThresholdTable(
-        n=n,
-        upsilons={c: upsilon(n, *c) for c in cells},
-        upsilons_exact={c: upsilon_exact(n, *c) for c in cells},
-        gammas={c: gamma(n, *c) for c in cells},
-    )
+    cells, ups, exact, gammas = _threshold_values(n)
+    return ThresholdTable(n=n, upsilons=dict(zip(cells, ups)),
+                          upsilons_exact=dict(zip(cells, exact)), gammas=dict(zip(cells, gammas)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +187,68 @@ class Certificate:
     notes: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class Plan:
+    """What the certificates and spectrum ladders of one (mode, n) share: all
+    that does not depend on the spectrum, the margin or the space.  Built
+    once per (mode, n) by ``plan`` and shared, so it holds tuples only.
+
+    ``ks`` are the distinct k = min(threshold, m) of the direct bidegrees,
+    in the order they first occur; ``direct`` pairs each bidegree with
+    1 <= p+q <= n, in bidegree order, with the index of its k; ``duals``
+    lists each (p, q) with n < p+q <= 2n-1 with its Serre-dual source
+    (n-p, n-q) and that source's k index.  ``note_k`` is the k of the
+    mode's note (n/2, or n/2 + 1 for ke, clamped to m), and ``records`` the
+    verdict cells in report order with their record names.  The calabi plan
+    also holds the rungs of the spectrum ladder and their record names.
+    """
+
+    mode: str
+    n: int
+    m: int
+    ks: tuple[float, ...]
+    direct: tuple[tuple[tuple[int, int], int], ...]
+    duals: tuple[tuple[tuple[int, int], tuple[int, int], int], ...]
+    note_k: float
+    records: tuple[tuple[tuple[int, int], str], ...]
+    upsilon_min: bool | None
+    violations: tuple[tuple[int, int], ...] | None
+    ladder: tuple[float, ...] = ()
+    ladder_names: tuple[str, ...] = ()
+
+
+@lru_cache(maxsize=None)
+def plan(mode: str, n: int) -> Plan:
+    """The read-only ``Plan`` of the certificates of mode calabi (spectrum
+    size n(n+1)/2, thresholds Upsilon) or ke (size n^2 - 1, thresholds
+    Gamma) at complex dimension n, built on first use."""
+    m = n * (n + 1) // 2 if mode == "calabi" else n * n - 1
+    if n < 1 or m < 1:
+        raise ValueError(f"no {mode} certificate at n={n}: its spectrum would be empty")
+    cells, ups, _, gammas = _threshold_values(n)
+    value = dict(zip(cells, ups if mode == "calabi" else gammas))
+    ks: dict[float, int] = {}
+    direct = []
+    for c in bidegrees(n):
+        k = min(float(value[c]), float(m))
+        direct.append((c, ks.setdefault(k, len(ks))))
+    slot = dict(direct)
+    # Serre duality fills p+q > n from (n-p, n-q); (n,n) pairs with the
+    # constants and is never subject to vanishing, so it gets no verdict
+    duals = tuple(((p, q), (n - p, n - q), slot[(n - p, n - q)])
+                  for p in range(n + 1) for q in range(n + 1) if n < p + q <= 2 * n - 1)
+    records = tuple((c, f"verdict[{c[0]},{c[1]}]") for c in sorted([*slot, *(d[0] for d in duals)]))
+    if mode == "calabi":
+        rungs = {1.0, n / 2.0, n / 2.0 + 1.0, *(value[c] for c in slot)}
+        # clamped before duplicates go: at n = 1, n/2 + 1 clamps onto k = 1
+        ladder = tuple(sorted({min(k, float(m)) for k in rungs if k >= 1.0}))
+        return Plan(mode, n, m, tuple(ks), tuple(direct), duals, min(n / 2.0, float(m)),
+                    records, upsilon_min_holds(n), None,
+                    ladder, tuple(f"k_test[{k:g}]" for k in ladder))
+    return Plan(mode, n, m, tuple(ks), tuple(direct), duals, min(n / 2.0 + 1.0, float(m)),
+                records, None, tuple(gamma_reduction_violations(n)))
+
+
 def _status(total: float, eps_scale: float) -> str:
     if total > eps_scale:
         return "vanishes"
@@ -186,38 +257,35 @@ def _status(total: float, eps_scale: float) -> str:
     return "not-certified"
 
 
-def _certify(mode: str, spec: Spectrum, n: int, threshold_of, eps: float) -> Certificate:
+def _certify(pl: Plan, spec: Spectrum, eps: float) -> Certificate:
+    """The certificate of spec under the plan pl, with the mode's notes."""
     # a negative margin would grant "vanishes" to a negative partial sum
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"strictness margin eps must be finite and >= 0, got {eps!r}")
-    # the order is checked once here, so each bidegree's k-test is a bare
-    # partial sum (thresholds are positive, and k is clamped to m), taken
-    # once per distinct k: (q,p) and the cells clamped to m share it
+    # the order is checked once here, so each k-test is a bare partial sum
+    # (thresholds are positive, and k is clamped to m), taken once per
+    # distinct k, the note's last
     vals = sorted_eigenvalues(spec)
-    m = len(vals)
-    scale = float(np.max(np.abs(vals))) if m else 0.0
+    scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
     eps_scale = eps * max(scale, 1e-300)
+    *totals, note = partial_sums(vals, (*pl.ks, pl.note_k))
 
-    at_k: dict[float, Verdict] = {}
-    verdicts: dict[tuple[int, int], Verdict] = {}
-    direct = bidegrees(n)
-    for (p, q) in direct:
-        k = min(float(threshold_of(p, q)), float(m))
-        if k not in at_k:
-            total = partial_sum(vals, k)
-            at_k[k] = Verdict(_status(total, eps_scale), k, total, "direct")
-        verdicts[(p, q)] = at_k[k]
-    # Serre duality fills p+q > n from (n-p, n-q); (n,n) pairs with the
-    # constants and is never subject to vanishing, so it gets no verdict
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if p + q <= n or p + q > 2 * n - 1:
-                continue
-            src = verdicts[(n - p, n - q)]
-            verdicts[(p, q)] = Verdict(src.status, src.k, src.partial_sum, "serre-dual")
-
-    summary = all(verdicts[c].status == "vanishes" for c in direct)
-    return Certificate(mode, n, tuple(vals.tolist()), verdicts, summary)
+    at_k = [Verdict(_status(t, eps_scale), k, t, "direct") for k, t in zip(pl.ks, totals)]
+    verdicts = {c: at_k[i] for c, i in pl.direct}
+    dual: dict[int, Verdict] = {}
+    for c, _, i in pl.duals:
+        if i not in dual:
+            v = at_k[i]
+            dual[i] = Verdict(v.status, v.k, v.partial_sum, "serre-dual")
+        verdicts[c] = dual[i]
+    summary = all(v.status == "vanishes" for v in at_k)
+    if pl.mode == "calabi":
+        notes = {"half_n_partial_sum": note, "upsilon_min_exact": pl.upsilon_min}
+    else:
+        notes = {"reduction_valid": not pl.violations,
+                 "reduction_violations": list(pl.violations),
+                 "half_plus_one_partial_sum": note}
+    return Certificate(pl.mode, pl.n, tuple(vals.tolist()), verdicts, summary, notes)
 
 
 def certify_calabi(spec: Spectrum, n: int, eps: float = STRICTNESS_EPS) -> Certificate:
@@ -229,13 +297,7 @@ def certify_calabi(spec: Spectrum, n: int, eps: float = STRICTNESS_EPS) -> Certi
     m = n * (n + 1) // 2
     if spec.size != m:
         raise ValueError(f"Calabi spectrum for n={n} must have size {m}, got {spec.size}")
-    cert = _certify("calabi", spec, n, lambda p, q: upsilon(n, p, q), eps)
-    half = k_test(spec, min(n / 2.0, float(m)))
-    cert.notes.update({
-        "half_n_partial_sum": half.partial_sum,
-        "upsilon_min_exact": upsilon_min_holds(n),
-    })
-    return cert
+    return _certify(plan("calabi", n), spec, eps)
 
 
 def certify_ke(spec: Spectrum, n: int, eps: float = STRICTNESS_EPS) -> Certificate:
@@ -250,13 +312,4 @@ def certify_ke(spec: Spectrum, n: int, eps: float = STRICTNESS_EPS) -> Certifica
     m = n * n - 1
     if spec.size != m:
         raise ValueError(f"su(n) spectrum for n={n} must have size {m}, got {spec.size}")
-    cert = _certify("ke", spec, n, lambda p, q: gamma(n, p, q), eps)
-    violations = gamma_reduction_violations(n)
-    k_half = min(n / 2.0 + 1.0, float(m))
-    shortcut = k_test(spec, k_half)
-    cert.notes.update({
-        "reduction_valid": not violations,
-        "reduction_violations": violations,
-        "half_plus_one_partial_sum": shortcut.partial_sum,
-    })
-    return cert
+    return _certify(plan("ke", n), spec, eps)

@@ -42,7 +42,7 @@ from .checks import run_verify_suite, stress_probe
 from .errors import CalabiLabError
 from .frames import FrameConvention
 from .report import make_envelope, record, to_csv, to_json, to_table, validate_report, verdict
-from .spectral import HERMITIAN_TOL, Spectrum, eigensystem, partial_sum, sorted_eigenvalues
+from .spectral import HERMITIAN_TOL, Spectrum, eigensystem, partial_sums, sorted_eigenvalues
 
 USAGE_ERROR = 2
 
@@ -320,12 +320,6 @@ def cmd_verify(args) -> dict:
     return make_envelope("verify", config, records)
 
 
-def _ladder(n: int, m: int) -> list[float]:
-    ks = {1.0, n / 2.0, n / 2.0 + 1.0, *(ct.upsilon(n, p, q) for (p, q) in ct.bidegrees(n))}
-    # clamped before duplicates go: at n = 1, n/2 + 1 clamps onto k = 1
-    return sorted({min(k, float(m)) for k in ks if k >= 1.0})
-
-
 def cmd_spectrum(args) -> dict:
     space = parse_space(args.space)
     n, spec, label = _space_to_spectrum(space)
@@ -333,10 +327,10 @@ def cmd_spectrum(args) -> dict:
                       {"space": label, "n": n, "eigenvalues": spec.eigenvalues.tolist()})]
     # the order is checked once; each rung is a bare partial sum (the
     # ladder's k lie in [1, m])
-    vals = sorted_eigenvalues(spec)
-    for k in _ladder(n, spec.size):
-        total = partial_sum(vals, k)
-        records.append(record(f"k_test[{k:g}]", "fractional-partial-sum-test",
+    plan = ct.plan("calabi", n)
+    totals = partial_sums(sorted_eigenvalues(spec), plan.ladder)
+    for k, name, total in zip(plan.ladder, plan.ladder_names, totals):
+        records.append(record(name, "fractional-partial-sum-test",
                               {"k": k, "partial_sum": total,
                                "nonneg": total >= 0.0, "positive": total > 0.0}))
     return make_envelope("spectrum", {"space": args.space}, records)
@@ -385,11 +379,11 @@ def cmd_certify(args) -> dict:
                       {"space": label, "mode": cert.mode, "n": cert.n,
                        "summary_certified": cert.summary_certified,
                        "eigenvalues": list(cert.eigenvalues), "notes": cert.notes})]
-    for (p, q) in sorted(cert.verdicts):
+    for (p, q), name in ct.plan(cert.mode, n).records:
         if not _keep(args, p, q):
             continue
         v = cert.verdicts[(p, q)]
-        records.append(record(f"verdict[{p},{q}]", "per-bidegree-verdict",
+        records.append(record(name, "per-bidegree-verdict",
                               {"p": p, "q": q, "status": v.status, "k": v.k,
                                "partial_sum": v.partial_sum, "provenance": v.provenance}))
     return make_envelope("certify", {"space": args.space, "mode": args.mode,

@@ -343,6 +343,13 @@ def grid_table(n: int, tag: str, side: int, k: int) -> tuple[np.ndarray, ...]:
     return _frozen(src, factor)
 
 
+# entries of a working stack: the grid actions add side 1 in runs of at most
+# this many, and the oracle and eigenvalue routes (weitzenboeck) take as many
+# forms per slice as keep every stack within it (64 MB complex; a benchmark
+# batch is one slice)
+_SLICE_ENTRIES = 1 << 22
+
+
 def act_on_grid(n: int, tag: str, p: int, q: int, y: np.ndarray) -> np.ndarray:
     """The unitary basis of a Z-frame algebra acting on (p,q)-forms, given by
     their Z-frame exterior coordinates on the (p,q) block: the grid
@@ -350,7 +357,10 @@ def act_on_grid(n: int, tag: str, p: int, q: int, y: np.ndarray) -> np.ndarray:
     and q-subsets of ``0..n-1``.  Returns the ``(B, m, N)`` coordinates of
     the actions on the image block, I-major in the same way: (p,q) for u and
     su, (p-1,q+1) for sym2_10 (N = 0 when p = 0 or q = n).  The
-    tables (``grid_table``) are over Lambda(C^n), not Lambda^{p+q}(C^{2n})."""
+    tables (``grid_table``) are over Lambda(C^n), not Lambda^{p+q}(C^{2n}).
+    For u and su, side 1 is made for runs of basis elements of at most
+    ``_SLICE_ENTRIES`` entries and added into side 0's output, so that the
+    call holds one output and one run."""
     b = len(y)
     if tag == "sym2_10":
         if p == 0 or q == n:
@@ -360,7 +370,11 @@ def act_on_grid(n: int, tag: str, p: int, q: int, y: np.ndarray) -> np.ndarray:
     else:
         out = apply_derivation(grid_table(n, tag, 0, p), y)
         if q:  # a derivation is 0 on Lambda^0
-            out += apply_derivation(grid_table(n, tag, 1, q), y, axis=2).transpose(0, 2, 1, 3)
+            src, factor = grid_table(n, tag, 1, q)
+            step = max(1, _SLICE_ENTRIES // max(1, y.size))
+            for a in range(0, src.shape[1], step):  # each run is freed before the next
+                out[:, a:a + step] += apply_derivation(
+                    (src[:, a:a + step], factor[:, a:a + step]), y, axis=2).transpose(0, 2, 1, 3)
     return out.reshape(out.shape[:2] + (math.prod(out.shape[2:]),))
 
 
@@ -622,6 +636,15 @@ class RealForm:
             if math.sqrt(delta) > SELF_CONJUGATE_TOL * scale:
                 raise FrameError("a (p,p) real form must be self-conjugate")
         self.phi = phi
+
+    @classmethod
+    def _symmetrized(cls, phi: FormPQ) -> "RealForm":
+        """The RealForm of a phi that its caller made self-conjugate exactly,
+        as ``c + sign * conj(c[source])`` over ``_conjugation`` when p = q,
+        without testing it again."""
+        form = cls.__new__(cls)
+        form.phi = phi
+        return form
 
     @classmethod
     def symmetrize(cls, phi: FormPQ) -> "RealForm":

@@ -126,6 +126,7 @@ _REQUIRED_TOP = {
     "config": dict, "records": list, "passed": bool,
 }
 _REQUIRED_RECORD = {"name": str, "anchor": str, "status": str}
+_STATUSES = ("pass", "fail", "info")
 
 
 def validate_report(obj: dict) -> list[str]:
@@ -137,16 +138,27 @@ def validate_report(obj: dict) -> list[str]:
         elif not isinstance(obj[key], typ):
             problems.append(f"key {key!r} has type {type(obj[key]).__name__}, wanted {typ.__name__}")
     for i, rec in enumerate(obj.get("records", [])):
-        if not isinstance(rec, dict):
-            problems.append(f"record {i} is not an object")
+        # a plain dict with str name, anchor and a valid status has no
+        # problem; only the others are examined key by key
+        if (type(rec) is dict and type(rec.get("name")) is str
+                and type(rec.get("anchor")) is str and type(rec.get("status")) is str
+                and rec["status"] in _STATUSES):
             continue
-        for key, typ in _REQUIRED_RECORD.items():
-            if key not in rec:
-                problems.append(f"record {i} missing {key!r}")
-            elif not isinstance(rec[key], typ):
-                problems.append(f"record {i} key {key!r} has wrong type")
-        if rec.get("status") not in ("pass", "fail", "info"):
-            problems.append(f"record {i} has invalid status {rec.get('status')!r}")
+        problems += _record_problems(i, rec)
+    return problems
+
+
+def _record_problems(i: int, rec) -> list[str]:
+    if not isinstance(rec, dict):
+        return [f"record {i} is not an object"]
+    problems = []
+    for key, typ in _REQUIRED_RECORD.items():
+        if key not in rec:
+            problems.append(f"record {i} missing {key!r}")
+        elif not isinstance(rec[key], typ):
+            problems.append(f"record {i} key {key!r} has wrong type")
+    if rec.get("status") not in _STATUSES:
+        problems.append(f"record {i} has invalid status {rec.get('status')!r}")
     return problems
 
 

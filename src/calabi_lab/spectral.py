@@ -30,6 +30,7 @@ __all__ = [
     "eigensystem",
     "sorted_eigenvalues",
     "partial_sum",
+    "partial_sums",
     "k_test",
     "weight_principle",
 ]
@@ -167,16 +168,26 @@ def partial_sum(vals: np.ndarray, k: float) -> float:
     0 < k <= len(vals); neither is checked here.  A sum beyond the float64
     range raises ValueError.
     """
-    whole = int(math.floor(k))
-    frac = k - whole
+    return partial_sums(vals, (k,))[0]
+
+
+def partial_sums(vals: np.ndarray, ks: Sequence[float]) -> list[float]:
+    """``partial_sum`` at each k of ks, under one errstate; a sum beyond the
+    float64 range raises ValueError at the first such k.  Each head goes to
+    np.add.reduce, the reduction np.sum makes, without np.sum's dispatch."""
+    totals = []
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(vals[:whole]))
-    if whole < len(vals) and frac > 0:
-        total += frac * float(vals[whole])
-    if not math.isfinite(total):
-        raise ValueError(f"the partial sum at k = {k:g} overflows float64 (eigenvalues up "
-                         f"to {float(np.max(np.abs(vals))):.3g} in magnitude)")
-    return total
+        for k in ks:
+            whole = int(math.floor(k))
+            frac = k - whole
+            total = float(np.add.reduce(vals[:whole]))
+            if whole < len(vals) and frac > 0:
+                total += frac * float(vals[whole])
+            if not math.isfinite(total):
+                raise ValueError(f"the partial sum at k = {k:g} overflows float64 (eigenvalues "
+                                 f"up to {float(np.max(np.abs(vals))):.3g} in magnitude)")
+            totals.append(total)
+    return totals
 
 
 def k_test(s: Spectrum | Sequence[float], k: float) -> PositivityReport:

@@ -67,6 +67,7 @@ from .frames import (
     FrameError,
     RealForm,
     RealStack,
+    _SLICE_ENTRIES,
     _blocks,
     _conjugation,
     _coords,
@@ -228,11 +229,6 @@ def _pair_matrix(s: np.ndarray) -> np.ndarray:
     s = s - s.transpose(1, 0, 2, 3)
     s = (s - s.transpose(0, 1, 3, 2)).reshape(d * d, d * d)
     return s[flat[:, None], flat]
-
-
-# forms per slice of the oracle and the eigenvalue routes: as many as keep every
-# stack within this many entries (64 MB complex); a benchmark batch is one slice
-_SLICE_ENTRIES = 1 << 22
 
 
 def _oracle_stack(x: np.ndarray) -> np.ndarray:
@@ -878,8 +874,9 @@ def random_primitive_reals(conv: FrameConvention, p: int, q: int, rng: np.random
                            count: int, before=None, after=None) -> list[RealForm]:
     """``count`` random real primitive forms in Lambda^{p,q} + Lambda^{q,p}:
     the rows of ``_primitive_stack`` (its draws, callbacks and retry rule)
-    as RealForms."""
-    return [RealForm(FormPQ.from_coefficient_vector(conv, p, q, c))
+    as RealForms, which are not tested for self-conjugacy again: the
+    sampler symmetrized each (p,p) row exactly."""
+    return [RealForm._symmetrized(FormPQ.from_coefficient_vector(conv, p, q, c))
             for c in _primitive_stack(conv, p, q, rng, count, before, after)]
 
 

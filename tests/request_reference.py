@@ -1,11 +1,16 @@
 """The per-item loops that the certify and spectrum requests ran before they
 became array operations, kept as references that only the tests use: the
 per-column eigenvector phase fix, the Fraction-valued Upsilon, the per-cell
-certificate, the per-k k-test ladder and the per-entry Calabi file reader.
-``REFERENCE_LOOPS`` lists where each one plugs in.  ``space_to_spectrum_via_tensor``
-and ``space_to_kaehler_su_via_tensor`` are the routes that model-space
-requests took before they solved the Calabi matrix directly; they agree with
-those routes to rounding, not to the byte."""
+certificate, the per-k k-test ladder, the per-entry Calabi file reader and
+the key-by-key report validation.  ``REFERENCE_LOOPS`` lists where each of
+the first five plugs in.  The thresholds reach a
+request through the cached per-(mode, n) plans of ``calabi_lab.certify``,
+so the Fraction Upsilon takes effect only once ``clear_plans`` has emptied
+them; the per-cell certificate reads nothing of its plan but the mode and n.
+``space_to_spectrum_via_tensor`` and ``space_to_kaehler_su_via_tensor`` are
+the routes that model-space requests took before they solved the Calabi
+matrix directly; they agree with those routes to rounding, not to the
+byte."""
 
 from __future__ import annotations
 
@@ -48,8 +53,12 @@ def upsilon_fraction(n: int, p: int, q: int) -> float:
     return float(Fraction(num) / (2 + 4 * exact))
 
 
-def certify_per_cell(mode, spec, n, threshold_of, eps) -> Certificate:
-    """``_certify`` with one threshold and one partial sum per bidegree."""
+def certify_per_cell(pl, spec, eps) -> Certificate:
+    """``_certify`` with one threshold and one partial sum per bidegree, each
+    threshold from ``ct.upsilon`` or ``ct.gamma`` and the notes from k-tests;
+    of the plan ``pl`` it reads only the mode and n."""
+    mode, n = pl.mode, pl.n
+    threshold_of = ct.upsilon if mode == "calabi" else ct.gamma
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"strictness margin eps must be finite and >= 0, got {eps!r}")
     vals = sorted_eigenvalues(spec)
@@ -62,7 +71,7 @@ def certify_per_cell(mode, spec, n, threshold_of, eps) -> Certificate:
         for q in range(n + 1):
             if p + q < 1 or p + q > n:
                 continue
-            k = min(float(threshold_of(p, q)), float(m))
+            k = min(float(threshold_of(n, p, q)), float(m))
             total = partial_sum(vals, k)
             verdicts[(p, q)] = Verdict(_status(total, eps_scale), k, total, "direct")
     for p in range(n + 1):
@@ -78,13 +87,27 @@ def certify_per_cell(mode, spec, n, threshold_of, eps) -> Certificate:
         for q in range(n + 1)
         if 1 <= p + q <= n
     )
-    return Certificate(mode, n, tuple(float(v) for v in vals), verdicts, summary)
+    if mode == "calabi":
+        notes = {"half_n_partial_sum": k_test(spec, min(n / 2.0, float(m))).partial_sum,
+                 "upsilon_min_exact": ct.upsilon_min_holds(n)}
+    else:
+        violations = ct.gamma_reduction_violations(n)
+        notes = {"reduction_valid": not violations, "reduction_violations": violations,
+                 "half_plus_one_partial_sum": k_test(spec, min(n / 2.0 + 1.0, float(m))).partial_sum}
+    return Certificate(mode, n, tuple(float(v) for v in vals), verdicts, summary, notes)
 
 
-def ladder_k_test(vals, k: float) -> float:
-    """One rung of the spectrum ladder as a full k-test, which checks the
-    order and k on every call."""
-    return k_test(vals, k).partial_sum
+def ladder_k_tests(vals, ks) -> list[float]:
+    """The rungs of the spectrum ladder as one full k-test each, which
+    checks the order and k on every call."""
+    return [k_test(vals, k).partial_sum for k in ks]
+
+
+def clear_plans() -> None:
+    """Empty the cached threshold values and certificate plans, so that the
+    next request builds them again, from whatever ``ct.upsilon`` is then."""
+    ct._threshold_values.cache_clear()
+    ct.plan.cache_clear()
 
 
 def calabi_matrix_per_entry(data: dict) -> np.ndarray:
@@ -127,6 +150,30 @@ REFERENCE_LOOPS = (
     (spectral, "_phase_fix", phase_fix_per_column),
     (ct, "upsilon", upsilon_fraction),
     (ct, "_certify", certify_per_cell),
-    (cli, "partial_sum", ladder_k_test),
+    (cli, "partial_sums", ladder_k_tests),
     (cli, "_calabi_matrix_from_input", calabi_matrix_per_entry),
 )
+
+
+def validate_report_per_key(obj: dict) -> list[str]:
+    """``report.validate_report`` as it tested every record key by key."""
+    from calabi_lab.report import _REQUIRED_RECORD, _REQUIRED_TOP
+
+    problems = []
+    for key, typ in _REQUIRED_TOP.items():
+        if key not in obj:
+            problems.append(f"missing top-level key {key!r}")
+        elif not isinstance(obj[key], typ):
+            problems.append(f"key {key!r} has type {type(obj[key]).__name__}, wanted {typ.__name__}")
+    for i, rec in enumerate(obj.get("records", [])):
+        if not isinstance(rec, dict):
+            problems.append(f"record {i} is not an object")
+            continue
+        for key, typ in _REQUIRED_RECORD.items():
+            if key not in rec:
+                problems.append(f"record {i} missing {key!r}")
+            elif not isinstance(rec[key], typ):
+                problems.append(f"record {i} key {key!r} has wrong type")
+        if rec.get("status") not in ("pass", "fail", "info"):
+            problems.append(f"record {i} has invalid status {rec.get('status')!r}")
+    return problems

@@ -7,6 +7,7 @@ here by path."""
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
 from calabi_lab import checks, cli, frames, report
@@ -86,3 +87,23 @@ def test_clear_caches_empties_the_family_tables():
     _spans().clear_caches()
     for cache in (frames.family_table, frames.grid_table):
         assert cache.cache_info().currsize == 0
+
+
+def test_clear_caches_empties_the_certificate_plans():
+    """certify and spectrum requests and a threshold table fill the plans
+    (``certify.plan``) and the threshold values they read
+    (``certify._threshold_values``); ``spans.clear_caches`` empties both, so
+    a cold operation builds them again."""
+    from calabi_lab import certify as ct
+
+    ct.plan.cache_clear()
+    ct._threshold_values.cache_clear()
+    for argv in (["certify", "--space", "chsc:n=3"], ["spectrum", "--space", "quadric:n=3"],
+                 ["certify", "--space", "randomke:n=3,seed=2", "--mode", "ke"]):
+        assert cli.main(argv + ["--out", os.devnull]) == 0
+    ct.thresholds(5)
+    assert ct.plan.cache_info().currsize == 2
+    assert ct._threshold_values.cache_info().currsize == 2
+    _spans().clear_caches()
+    assert ct.plan.cache_info().currsize == 0
+    assert ct._threshold_values.cache_info().currsize == 0

@@ -8,6 +8,7 @@ import pytest
 
 from calabi_lab import certify as ct
 from calabi_lab.certify import (
+    Certificate,
     certify_calabi,
     certify_ke,
     gamma,
@@ -20,7 +21,7 @@ from calabi_lab.certify import (
 from calabi_lab.curvature import calabi_from_tensor, kaehler_operator, restrict_su, ricci
 from calabi_lab.model_spaces import (chsc, quadric, quadric_spectrum, random_kaehler,
                                      random_kaehler_einstein)
-from calabi_lab.spectral import eigensystem, k_test
+from calabi_lab.spectral import Spectrum, eigensystem, k_test
 from request_reference import certify_per_cell, upsilon_fraction
 
 
@@ -222,3 +223,123 @@ def test_bidegrees_match_the_double_loop():
     for n in range(0, 13):
         old = [(p, q) for p in range(n + 1) for q in range(n + 1) if 1 <= p + q <= n]
         assert ct.bidegrees(n) == old
+
+
+def _old_ladder(n, m):
+    """The spectrum ladder as requests computed it before the plans."""
+    ks = {1.0, n / 2.0, n / 2.0 + 1.0, *(upsilon(n, p, q) for (p, q) in ct.bidegrees(n))}
+    return sorted({min(k, float(m)) for k in ks if k >= 1.0})
+
+
+@pytest.mark.parametrize("mode", ["calabi", "ke"])
+def test_plan_matches_per_cell_thresholds_and_serre_duality(mode):
+    """For every n <= 16, the plan's k of each direct bidegree is
+    min(float(threshold), m), its distinct k's are those k's, each Serre-dual
+    cell reads the k of (n-p, n-q), and the per-cell reference sends the
+    same cells to the same sources; its record names are the sorted verdict
+    cells, and the calabi plan's ladder is the per-request one."""
+    for n in range(1 if mode == "calabi" else 2, 17):
+        pl = ct.plan(mode, n)
+        m = n * (n + 1) // 2 if mode == "calabi" else n * n - 1
+        threshold = upsilon if mode == "calabi" else gamma
+        assert (pl.mode, pl.n, pl.m) == (mode, n, m)
+        assert [c for c, _ in pl.direct] == ct.bidegrees(n)
+        for (p, q), i in pl.direct:
+            assert pl.ks[i] == min(float(threshold(n, p, q)), float(m)), (n, p, q)
+        assert sorted(pl.ks) == sorted({pl.ks[i] for _, i in pl.direct})
+        slot = dict(pl.direct)
+        assert [c for c, _, _ in pl.duals] == [
+            (p, q) for p in range(n + 1) for q in range(n + 1) if n < p + q <= 2 * n - 1]
+        for (p, q), source, i in pl.duals:
+            assert source == (n - p, n - q) and i == slot[source]
+        # a spectrum whose partial sums differ at every k shows the reference's sources
+        vals = np.cumsum(np.arange(1.0, m + 1.0)) - m
+        ref = certify_per_cell(pl, Spectrum(vals, np.eye(m)), 0.0).verdicts
+        duals = {c: s for c, s, _ in pl.duals}
+        assert {c for c, v in ref.items() if v.provenance == "serre-dual"} == set(duals)
+        for c, s in duals.items():
+            assert (ref[c].k, ref[c].partial_sum) == (ref[s].k, ref[s].partial_sum)
+        assert pl.records == tuple((c, f"verdict[{c[0]},{c[1]}]") for c in sorted(ref))
+        if mode == "calabi":
+            assert list(pl.ladder) == _old_ladder(n, m)
+            assert pl.ladder_names == tuple(f"k_test[{k:g}]" for k in pl.ladder)
+            assert pl.upsilon_min == upsilon_min_holds(n) and pl.violations is None
+        else:
+            assert pl.violations == tuple(gamma_reduction_violations(n))
+            assert pl.upsilon_min is None and pl.ladder == ()
+
+
+def test_plans_are_read_only_and_shared():
+    pl = ct.plan("calabi", 5)
+    assert ct.plan("calabi", 5) is pl
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pl.ks = ()
+    assert all(isinstance(getattr(pl, f.name), (str, int, float, bool, tuple, type(None)))
+               for f in dataclasses.fields(pl))
+    for mode, n in (("calabi", 0), ("ke", 1)):
+        with pytest.raises(ValueError, match="empty"):
+            ct.plan(mode, n)
+
+
+def _random_spectra(m, rng):
+    """Sorted spectra of size m: Gaussian, Gaussian with exact zeros, all
+    zeros, and nonnegative."""
+    out = [np.sort(rng.normal(size=m))]
+    with_zeros = rng.normal(size=m)
+    with_zeros[rng.integers(m, size=max(1, m // 2))] = 0.0
+    out += [np.sort(with_zeros), np.zeros(m), np.sort(np.abs(rng.normal(size=m)))]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_certificates_of_random_spectra_match_per_cell_reference(n):
+    """Certificates from the plan equal the per-cell reference field by
+    field, notes included, on random spectra (with exact zeros among
+    them) at the default margin and at 0."""
+    rng = np.random.default_rng(300 + n)
+    for mode, certify in (("calabi", certify_calabi), ("ke", certify_ke)):
+        if mode == "ke" and n < 2:
+            continue
+        m = n * (n + 1) // 2 if mode == "calabi" else n * n - 1
+        for vals in _random_spectra(m, rng):
+            spec = Spectrum(vals, np.eye(m))
+            for eps in (ct.STRICTNESS_EPS, 0.0):
+                got = certify(spec, n, eps=eps)
+                want = certify_per_cell(ct.plan(mode, n), spec, eps)
+                for f in dataclasses.fields(Certificate):
+                    assert getattr(got, f.name) == getattr(want, f.name), (mode, n, f.name)
+                assert list(got.verdicts) == list(want.verdicts)
+
+
+def test_a_partial_sum_of_exactly_zero_is_parallel_only():
+    """At n = 2, Upsilon_{1,0} = 3/2, and the spectrum (-1, 2, 5) has the
+    partial sum -1 + 2/2 = 0 there exactly: parallel-only at every margin,
+    as in the per-cell reference."""
+    spec = Spectrum(np.array([-1.0, 2.0, 5.0]), np.eye(3))
+    for eps in (ct.STRICTNESS_EPS, 0.0):
+        got = certify_calabi(spec, 2, eps=eps)
+        assert got == certify_per_cell(ct.plan("calabi", 2), spec, eps)
+        assert got.verdicts[(1, 0)] == ct.Verdict("parallel-only", 1.5, 0.0, "direct")
+        assert got.verdicts[(2, 1)] == ct.Verdict("parallel-only", 1.5, 0.0, "serre-dual")
+
+
+def test_mutating_returned_lists_and_notes_changes_no_later_result():
+    """gamma_reduction_violations hands out a fresh list and every
+    certificate fresh notes: mutating them leaves the next ones as they were."""
+    spec = Spectrum(np.ones(3), np.eye(3))
+    first = certify_ke(spec, 2)
+    violations = gamma_reduction_violations(2)
+    violations.append((9, 9))
+    first.notes["reduction_violations"].append((7, 7))
+    first.notes["reduction_valid"] = True
+    first.verdicts.clear()
+    assert gamma_reduction_violations(2) == [(0, 2), (2, 0)]
+    again = certify_ke(spec, 2)
+    assert again.notes == {"reduction_valid": False, "reduction_violations": [(0, 2), (2, 0)],
+                           "half_plus_one_partial_sum": 2.0}
+    assert again.notes["reduction_violations"] is not first.notes["reduction_violations"]
+    assert len(again.verdicts) == 5 + 2
+    calabi = certify_calabi(Spectrum(np.ones(3), np.eye(3)), 2)
+    calabi.notes.clear()
+    assert certify_calabi(Spectrum(np.ones(3), np.eye(3)), 2).notes == {
+        "half_n_partial_sum": 1.0, "upsilon_min_exact": True}

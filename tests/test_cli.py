@@ -1020,7 +1020,7 @@ def test_spectrum_ladder_matches_per_k_k_test_reference(tmp_path, monkeypatch, c
     """Each rung of the spectrum ladder, a bare partial sum after one order
     check, reports what a full k-test per rung reported."""
     from calabi_lab import cli
-    from request_reference import ladder_k_test
+    from request_reference import ladder_k_tests
 
     path = tmp_path / "cal.json"
     path.write_text(json.dumps(_hermitian_payload(3, np.random.default_rng(5))))
@@ -1028,7 +1028,7 @@ def test_spectrum_ladder_matches_per_k_k_test_reference(tmp_path, monkeypatch, c
              for space in ("chsc:n=4,c=0.5", "quadric:n=5", "flat:k=2", "random:n=6,seed=3",
                            "quadric:n=3,c=-1", f"file:{path}")]
     got = _request_outputs(argvs, capsys)
-    monkeypatch.setattr(cli, "partial_sum", ladder_k_test)
+    monkeypatch.setattr(cli, "partial_sums", ladder_k_tests)
     assert got == _request_outputs(argvs, capsys)
     assert all(code == 0 for code, _, _ in got)
 
@@ -1048,8 +1048,12 @@ def test_request_outputs_match_reference_loops(tmp_path, monkeypatch, capsys):
     """certify (both modes) and spectrum requests over every kind of space
     give the same bytes as with every replaced per-item loop put back: the
     per-column phase fix, the Fraction Upsilon, the per-cell certificate,
-    the per-k ladder and the per-entry file reader."""
-    from request_reference import REFERENCE_LOOPS
+    the per-k ladder and the per-entry file reader.  The plans that the
+    first pass built are emptied once the references are in, so the second
+    pass builds its thresholds and ladders from the Fraction Upsilon."""
+    import request_reference
+    from calabi_lab import certify as ct
+    from request_reference import REFERENCE_LOOPS, clear_plans
 
     rng = np.random.default_rng(2024)
     files = []
@@ -1069,9 +1073,21 @@ def test_request_outputs_match_reference_loops(tmp_path, monkeypatch, capsys):
             argvs.append(["certify", "--space", space, "--mode", "ke", "--format", fmt])
     argvs.append(["thresholds", "--n", "6", "--format", "json"])
     got = _request_outputs(argvs, capsys)
+    fraction_calls = []
+
+    def upsilon_fraction(*args):
+        fraction_calls.append(args)
+        return request_reference.upsilon_fraction(*args)
+
     for owner, name, reference in REFERENCE_LOOPS:
         monkeypatch.setattr(owner, name, reference)
-    assert got == _request_outputs(argvs, capsys)
+    monkeypatch.setattr(ct, "upsilon", upsilon_fraction)
+    clear_plans()
+    try:
+        assert got == _request_outputs(argvs, capsys)
+        assert fraction_calls
+    finally:
+        clear_plans()  # the next user builds the plans from the package's own Upsilon
     assert len(argvs) >= 20 and all(code == 0 and out and not err for code, out, err in got)
 
 
@@ -1215,3 +1231,80 @@ def test_subnormal_spaces_are_solved(capsys):
                  ["certify", "--space", "quadric:n=4,c=1e-320"]):
         got = _verdicts(argv, capsys)
         assert got and set(got.values()) == {"parallel-only"}, argv
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "calabi_lab":
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_repeated_requests_print_what_a_first_request_prints(tmp_path, capsys):
+    """Requests at one n, over different spaces, margins and --p/--q, print
+    in one process, one after another and in either order, the bytes each
+    prints when it is made first on empty caches: the plans keep nothing of
+    a request.  A mutated certificate note or violation list changes none."""
+    from calabi_lab import certify as ct
+    from calabi_lab.spectral import Spectrum
+
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(_hermitian_payload(4, np.random.default_rng(44))))
+    argvs = [["certify", "--space", "chsc:n=4,c=0.5"],
+             ["certify", "--space", "quadric:n=4", "--eps", "0"],
+             ["certify", "--space", "random:n=4,seed=3", "--p", "1"],
+             ["certify", "--space", "randomke:n=4,seed=5", "--mode", "ke", "--q", "2"],
+             ["certify", "--space", "quadric:n=4", "--mode", "ke", "--eps", "1e-3",
+              "--p", "0", "--q", "3"],
+             ["certify", "--space", "quadric:n=4,c=1e-320", "--mode", "ke"],
+             ["certify", "--space", f"file:{path}", "--eps", "0.5"],
+             ["certify", "--space", "product:[chsc:n=2;quadric:n=2]", "--eps", "0.25"],
+             ["spectrum", "--space", "random:n=4,seed=2"],
+             ["spectrum", "--space", f"file:{path}"],
+             ["thresholds", "--n", "4", "--q", "1"]]
+    argvs = [argv + ["--format", fmt] for argv in argvs for fmt in ("json", "table")]
+    cold = []
+    for argv in argvs:
+        _clear_package_caches()
+        cold.append(_request_outputs([argv], capsys)[0])
+    assert all(code == 0 and out and not err for code, out, err in cold)
+    assert _request_outputs(argvs, capsys) == cold
+    assert _request_outputs(argvs[::-1], capsys) == cold[::-1]
+    ct.gamma_reduction_violations(4).append((9, 9))
+    cert = ct.certify_ke(Spectrum(np.zeros(15), np.eye(15)), 4)
+    cert.notes["reduction_violations"].append((8, 8))
+    cert.notes.clear()
+    assert _request_outputs(argvs, capsys) == cold
+
+
+class _Text(str):
+    pass
+
+
+class _Record(dict):
+    pass
+
+
+def test_report_validation_matches_the_key_by_key_reference(capsys):
+    """validate_report gives the per-key reference's problems, in its order,
+    for real reports and for malformed ones: missing, mistyped and extra
+    top-level keys, records that are no objects, lack keys, hold None, ints
+    or str subclasses, or carry an invalid status, and dict subclasses."""
+    from request_reference import validate_report_per_key
+
+    assert main(["certify", "--space", "quadric:n=3", "--format", "json"]) == 0
+    env = json.loads(capsys.readouterr().out)
+    good = {"name": "a", "anchor": "b", "status": "pass"}
+    records = [good, dict(good, status="fail"), dict(good, status="info", extra=1),
+               "text", None, 3, [good], {}, {"name": "a"}, dict(good, name=None),
+               dict(good, anchor=5), dict(good, status="ok"), dict(good, status=None),
+               dict(good, status=_Text("pass")), dict(good, name=_Text("a")),
+               dict(good, status=_Text("bad")), _Record(good), _Record(name=1),
+               {"status": "pass"}, dict(good, status=b"pass")]
+    cases = [env, {**env, "records": records}, {}, {"records": records[:5]},
+             {**env, "passed": 1, "tool": None, "schema_version": True},
+             {**env, "records": {"name": good}}, {**env, "records": ()}]
+    for obj in cases:
+        assert validate_report(obj) == validate_report_per_key(obj)
+    assert validate_report(env) == [] and len(validate_report(cases[1])) > 15

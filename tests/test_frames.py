@@ -970,3 +970,77 @@ def test_gather_kernel_matches_scatter_reference(n):
                 if tag is not None:
                     cached = apply_derivation(family_table(n, tag, k), x)
                     assert np.array_equal(cached.transpose(1, 0, 2), got)
+
+
+def _two_call_grid_action(n, tag, p, q, y):
+    """``act_on_grid`` for u and su as side 0 plus side 1 made whole, the
+    composition that the runs replace."""
+    from calabi_lab.frames import grid_table
+
+    out = apply_derivation(grid_table(n, tag, 0, p), y)
+    if q:
+        out += apply_derivation(grid_table(n, tag, 1, q), y, axis=2).transpose(0, 2, 1, 3)
+    return out.reshape(out.shape[:2] + (math.prod(out.shape[2:]),))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_action_runs_are_bitwise_the_two_call_composition(n, monkeypatch):
+    """Side 1 added in runs of basis elements gives the bits of side 1 made
+    whole and added once: at the default bound (one run) and at bounds of
+    one form's grid (one element per run) and of three of its grids."""
+    from calabi_lab import frames
+
+    rng = np.random.default_rng(90 + n)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            shape = (3, math.comb(n, p), math.comb(n, q))
+            y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for tag in ("u", "su"):
+                want = _two_call_grid_action(n, tag, p, q, y)
+                for bound in (frames._SLICE_ENTRIES, y.size, 3 * y.size):
+                    monkeypatch.setattr(frames, "_SLICE_ENTRIES", bound)
+                    got = frames.act_on_grid(n, tag, p, q, y)
+                    assert np.array_equal(got, want) and got.dtype == want.dtype, (tag, p, q, bound)
+
+
+@pytest.mark.parametrize("tag", ["u", "su"])
+def test_grid_action_holds_its_output_and_one_run(tag, monkeypatch):
+    """One (4,4)-form at n = 8, with runs of a quarter of the output: the
+    call peaks at most 1.6 times the output's bytes (side 1 made whole, as
+    before the runs, peaks at twice them)."""
+    from calabi_lab import frames
+
+    n, p, q = 8, 4, 4
+    rng = np.random.default_rng(8)
+    y = rng.normal(size=(1, 70, 70)) + 1j * rng.normal(size=(1, 70, 70))
+    frames.grid_table(n, tag, 0, p), frames.grid_table(n, tag, 1, q)  # cached tables are not counted
+    elements = len(family_mats(n, tag))
+    monkeypatch.setattr(frames, "_SLICE_ENTRIES", elements * y.size // 4)
+    tracemalloc.start()
+    try:
+        out = frames.act_on_grid(n, tag, p, q, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, elements, y.size)
+    assert peak <= 1.6 * out.nbytes
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (4, 2), (5, 2)])
+def test_sampled_pp_forms_are_exactly_self_conjugate(n, p):
+    """The sampler's (p,p) rows equal their conjugate bit for bit, the
+    invariant that lets ``random_primitive_reals`` skip RealForm's test; a
+    (p,p) form that is not self-conjugate is still refused by RealForm."""
+    from calabi_lab.weitzenboeck import _primitive_stack, random_primitive_reals
+
+    conv = FrameConvention(n)
+    source, sign = _conjugation(n, p, p)
+    rows = _primitive_stack(conv, p, p, np.random.default_rng(n), 8)
+    assert np.array_equal(rows, sign * rows[:, source].conj())
+    for form, row in zip(random_primitive_reals(conv, p, p, np.random.default_rng(n), 8), rows):
+        assert np.array_equal(form.phi.coefficient_vector(), row)
+        RealForm(form.phi)  # the full test passes too
+    bent = rows[0].copy()
+    bent[0] += (1 + 1j) * 1e-3 * float(np.max(np.abs(bent)))  # breaks c = +-conj(c) at least
+    with pytest.raises(FrameError, match="self-conjugate"):
+        RealForm(FormPQ.from_coefficient_vector(conv, p, p, bent))
