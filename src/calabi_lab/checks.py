@@ -26,6 +26,7 @@ from .frames import (
     _lefschetz_coeffs,
     _slots,
 )
+from .model_spaces import _random_hermitian, _rng
 from .report import record, verdict
 from .spectral import k_test, weight_principle
 
@@ -35,18 +36,9 @@ TOL_EIGEN = 1e-9
 __all__ = ["run_verify_suite", "CHECKS"]
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(tag)]))
-
-
 def _record(name: str, anchor: str, residual: float, tol: float, **values) -> dict:
     return record(name, anchor, values, verdict(residual, tol),
                   residual=float(residual), tolerance=tol)
-
-
-def _random_hermitian(rng: np.random.Generator, m: int) -> np.ndarray:
-    a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    return (a + a.conj().T) / 2.0
 
 
 def _pairs(n: int, max_degree: int) -> list[tuple[int, int]]:

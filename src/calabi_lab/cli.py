@@ -30,6 +30,7 @@ import contextlib
 import json
 import math
 import sys
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -81,10 +82,7 @@ class SpaceParseError(CalabiLabError, ValueError):
                          f"(in {text!r})")
 
 
-# space kind -> (descriptor variant, the parameters it reads); k is another name for n
-_KINDS = {"chsc": ("chsc", ("n", "c")), "quadric": ("quadric", ("n", "c")),
-          "flat": ("flat", ("n",)), "random": ("random", ("n", "seed")),
-          "randomke": ("random_ke", ("n", "seed"))}
+_KINDS = {name: (variant, reads) for variant, (name, reads, *_) in ms.KINDS.items()}
 
 
 def parse_space(text: str) -> ms.SpaceDescriptor | dict:
@@ -134,7 +132,7 @@ def _parse_space(whole: str, text: str, offset: int) -> ms.SpaceDescriptor | dic
     if head not in _KINDS:
         raise SpaceParseError(whole, offset, f"unknown space kind {head!r}")
     variant, reads = _KINDS[head]
-    params: dict[str, float] = {}
+    params: dict[str, float | int] = {}
     for chunk in rest.split(","):
         where, at = at, at + len(chunk) + 1
         if not chunk.strip():
@@ -149,19 +147,28 @@ def _parse_space(whole: str, text: str, offset: int) -> ms.SpaceDescriptor | dic
         if name in params:
             raise SpaceParseError(whole, where, f"{key} sets {name} a second time")
         try:
-            params[name] = float(val)
+            value = float(val)
         except ValueError:
             raise SpaceParseError(whole, where, f"non-numeric value in {chunk!r}") from None
-        if name in ("n", "seed") and not (params[name].is_integer() and params[name] >= 0):
+        if name in ("n", "seed") and (value := _whole_number(val, value)) is None:
             raise SpaceParseError(whole, where,
                                   f"{key} must be a whole number >= 0, got {val.strip()!r}")
-        if name == "c" and not math.isfinite(params[name]):
+        if name == "c" and not math.isfinite(value):
             raise SpaceParseError(whole, where, f"c must be a finite number, got {val.strip()!r}")
-    desc = ms.SpaceDescriptor(variant, n=int(params.get("n", 0)), c=params.get("c", 1.0),
-                              seed=int(params.get("seed", 0)))
+        params[name] = value
+    desc = ms.SpaceDescriptor(variant, **params)
     desc.validate()
     _require_size(desc.n)
     return desc
+
+
+def _whole_number(text: str, value: float) -> int | None:
+    """The whole number >= 0 that ``text`` spells, exactly (its float ``value`` rounds
+    above 2^53), or None.  Decimal, unlike Fraction, never expands an exponent."""
+    with contextlib.suppress(ArithmeticError):  # an exponent beyond Decimal's range
+        if value.is_integer() and (exact := Decimal(text)) >= 0 and exact == int(exact):
+            return int(exact)
+    return None
 
 
 def _load_input_file(path: str) -> dict:

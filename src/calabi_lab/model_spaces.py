@@ -1,14 +1,14 @@
 """Curvature tensors of the reference geometries.  Each builder sets the
 symmetry flags by construction: validate_tensor checks input where it enters.
 
-Each kind's Calabi matrix (calabi_matrix) is its one recipe, and certify
-(both modes) and spectrum solve it directly: constant holomorphic sectional
-curvature is c * Id, the random kinds are seeded Hermitian matrices, the
-normalized quadric is c (Id - d d^T / 2) with d the indicator of the
-diagonal labels (a, a), and a product's is the direct sum of its factors'
-matrices, zero on the mixed labels.  build turns the chsc and random
-matrices into their tensors (the Calabi--Vesentini correspondence).  The
-complex quadric keeps its own construction, as the rank-2 symmetric space
+KINDS has a row per kind.  A kind's Calabi matrix (calabi_matrix) is its one
+recipe, and certify (both modes) and spectrum solve it directly: constant
+holomorphic sectional curvature is c * Id, the random kinds are seeded
+Hermitian matrices, the normalized quadric is c (Id - d d^T / 2) with d the
+indicator of the diagonal labels (a, a), and a product's is the direct sum of
+its factors' matrices, zero on the mixed labels.  build turns the chsc and
+random matrices into their tensors (the Calabi--Vesentini correspondence).
+The complex quadric keeps its own construction, as the rank-2 symmetric space
 SO(n+2)/(SO(2) x SO(n)): curvature of the isotropy representation,
 R(X, Y, Z, W) = <[X, Y], [Z, W]> on the tangent block, with the invariant
 complex structure rotating the SO(2) factor.  That raw tensor's Calabi
@@ -56,16 +56,13 @@ class EinsteinProjectionError(CalabiLabError, RuntimeError):
 # largest traceless Ricci entry of a random Calabi matrix left uncorrected
 EINSTEIN_TOL = 1e-10
 
-VARIANTS = ("chsc", "quadric", "flat", "random", "random_ke", "product")
-
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """Recipe for a model curvature tensor.
 
-    variant: one of chsc, quadric, product, flat, random, random_ke.
-    ``c`` scales chsc and quadric; ``seed`` feeds the random variants;
-    ``factors`` holds the product descriptors.
+    variant: a key of KINDS.  ``c`` scales chsc and quadric; ``seed`` feeds
+    the random variants; ``factors`` holds the product descriptors.
     """
 
     variant: str
@@ -81,7 +78,7 @@ class SpaceDescriptor:
         return self.n
 
     def validate(self) -> None:
-        if self.variant not in VARIANTS:
+        if self.variant not in KINDS:
             raise ValueError(f"unknown space variant {self.variant!r}")
         if self.variant == "product":
             if len(self.factors) < 1:
@@ -96,36 +93,19 @@ class SpaceDescriptor:
 
 def build(desc: SpaceDescriptor) -> AlgebraicCurvatureTensor:
     desc.validate()
-    if desc.variant == "chsc":
-        return chsc(desc.n, desc.c)
-    if desc.variant == "quadric":
-        return quadric(desc.n, desc.c)
-    if desc.variant == "flat":
-        return flat_torus(desc.n)
-    if desc.variant == "random":
-        return random_kaehler(desc.n, desc.seed)
-    if desc.variant == "random_ke":
-        return random_kaehler_einstein(desc.n, desc.seed)
-    return product([build(f) for f in desc.factors])
+    return KINDS[desc.variant][3](desc)
 
 
 def calabi_matrix(desc: SpaceDescriptor) -> np.ndarray:
     """The Calabi matrix (unit sym^2 basis) of the space ``desc``, made
     without its real tensor."""
     desc.validate()
-    n, m = desc.n, desc.n * (desc.n + 1) // 2
-    if desc.variant == "chsc":
-        return desc.c * np.eye(m)
-    if desc.variant == "flat":
-        return np.zeros((m, m))
-    if desc.variant == "random":
-        return _random_calabi(n, desc.seed)
-    if desc.variant == "random_ke":
-        return _random_ke_calabi(n, desc.seed)
-    if desc.variant == "quadric":
-        d = np.array([a == b for a, b in sym2_basis_labels(n)], dtype=float)
-        return desc.c * (np.eye(m) - 0.5 * np.outer(d, d))
-    return _product_calabi(desc)
+    return KINDS[desc.variant][2](desc)
+
+
+def _quadric_calabi(desc: SpaceDescriptor) -> np.ndarray:
+    d = np.array([a == b for a, b in sym2_basis_labels(desc.n)], dtype=float)
+    return desc.c * (np.eye(len(d)) - 0.5 * np.outer(d, d))
 
 
 def _product_calabi(desc: SpaceDescriptor) -> np.ndarray:
@@ -141,6 +121,23 @@ def _product_calabi(desc: SpaceDescriptor) -> np.ndarray:
         h[np.ix_(idx, idx)] = calabi_matrix(f)
         offset += f.complex_dim
     return h
+
+
+# variant -> (--space name, the parameters it reads, Calabi matrix, real tensor);
+# k is another name for n.  Builders are looked up at call time, for tracers.
+KINDS = {
+    "chsc": ("chsc", ("n", "c"), lambda d: d.c * np.eye(d.n * (d.n + 1) // 2),
+             lambda d: chsc(d.n, d.c)),
+    "quadric": ("quadric", ("n", "c"), _quadric_calabi, lambda d: quadric(d.n, d.c)),
+    "flat": ("flat", ("n",), lambda d: np.zeros((d.n * (d.n + 1) // 2,) * 2),
+             lambda d: flat_torus(d.n)),
+    "random": ("random", ("n", "seed"), lambda d: _random_calabi(d.n, d.seed),
+               lambda d: random_kaehler(d.n, d.seed)),
+    "random_ke": ("randomke", ("n", "seed"), lambda d: _random_ke_calabi(d.n, d.seed),
+                  lambda d: random_kaehler_einstein(d.n, d.seed)),
+    "product": ("product", (), _product_calabi, lambda d: product([build(f) for f in d.factors])),
+}
+VARIANTS = tuple(KINDS)
 
 
 def einstein_ricci(desc: SpaceDescriptor, h: np.ndarray) -> RicciData:
@@ -226,12 +223,15 @@ def _rng(seed: int, *stream) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream)]))
 
 
-def _random_calabi(n: int, seed: int) -> np.ndarray:
-    """GUE-style random Hermitian Calabi matrix of random_kaehler(n, seed)."""
-    m = n * (n + 1) // 2
-    rng = _rng(seed, n, 0)
+def _random_hermitian(rng: np.random.Generator, m: int) -> np.ndarray:
+    """GUE-style random Hermitian m x m matrix."""
     a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     return (a + a.conj().T) / 2.0
+
+
+def _random_calabi(n: int, seed: int) -> np.ndarray:
+    """Calabi matrix of random_kaehler(n, seed)."""
+    return _random_hermitian(_rng(seed, n, 0), n * (n + 1) // 2)
 
 
 def random_kaehler(n: int, seed: int) -> AlgebraicCurvatureTensor:

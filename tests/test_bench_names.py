@@ -1,9 +1,10 @@
-"""The package names that the benchmark's span tracer wraps still exist.
+"""The package names that the benchmark's span tracer wraps, and the space
+variants that its workloads name, still exist.
 
-``bench/spans.py`` patches functions and methods by name, and its own tests
-are outside the default test paths, so a rename in the package would break
-the benchmark alone.  It imports only the standard library and is loaded
-here by path."""
+``bench/spans.py`` patches functions and methods by name, and
+``bench/workloads.py`` builds space descriptors from variant strings; their
+own tests are outside the default test paths, so a rename in the package
+would break the benchmark alone.  Both are loaded here by path."""
 
 import importlib
 import importlib.util
@@ -12,18 +13,18 @@ from pathlib import Path
 
 from calabi_lab import checks, cli, frames, report
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_span_layers_name_existing_package_attributes():
-    spans = _spans()
+    spans = _load("spans")
     for targets in spans.LAYERS.values():
         for modname, attr in targets:
             module = importlib.import_module(f"calabi_lab.{modname}")
@@ -35,9 +36,21 @@ def test_span_layers_name_existing_package_attributes():
     assert isinstance(vars(frames.FormPQ)["from_dense"], classmethod)
 
 
+def test_certify_sweep_descriptors_validate(tmp_path):
+    """Every space descriptor the certify-sweep requests name as their
+    recipe, at both sizes, is one that validate accepts."""
+    workloads = _load("workloads")
+    for tiny in (True, False):
+        reqs = workloads.CertifySweep(tiny=tiny).setup(7, tmp_path)
+        descs = [obj for _, (kind, obj) in reqs if kind != "matrix"]
+        assert descs
+        for desc in descs:
+            desc.validate()
+
+
 def test_span_check_layers_name_identity_checks():
     names = {fn.__name__ for fn in checks.CHECKS}
-    assert set(_spans().CHECK_LAYERS) <= names
+    assert set(_load("spans").CHECK_LAYERS) <= names
 
 
 def test_spans_patch_points_exist():
@@ -55,7 +68,7 @@ def test_tracer_and_the_shared_parser(capsys):
     assert cli.main(argv) == 0
     plain = capsys.readouterr().out
     layers, outputs = [], []
-    with _spans().Tracer() as tracer:
+    with _load("spans").Tracer() as tracer:
         for _ in range(2):
             start = len(tracer.spans)
             assert cli.main(argv) == 0
@@ -84,7 +97,7 @@ def test_clear_caches_empties_the_family_tables():
     for table in (frames.family_table(2, "so", 1), frames.grid_table(2, "su", 0, 1),
                   frames.grid_table(2, "sym2_10", 0, 1), frames.grid_table(2, "sym2_10", 1, 2)):
         assert not any(arr.flags.writeable for arr in table)
-    _spans().clear_caches()
+    _load("spans").clear_caches()
     for cache in (frames.family_table, frames.grid_table):
         assert cache.cache_info().currsize == 0
 
@@ -104,6 +117,6 @@ def test_clear_caches_empties_the_certificate_plans():
     ct.thresholds(5)
     assert ct.plan.cache_info().currsize == 2
     assert ct._threshold_values.cache_info().currsize == 2
-    _spans().clear_caches()
+    _load("spans").clear_caches()
     assert ct.plan.cache_info().currsize == 0
     assert ct._threshold_values.cache_info().currsize == 0

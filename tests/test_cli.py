@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import calabi_lab
+from calabi_lab import model_spaces as ms
 from calabi_lab.cli import SpaceParseError, main, parse_space
 from calabi_lab.curvature import RicciData
 from calabi_lab.frames import FrameConvention
@@ -35,17 +36,31 @@ def test_parse_space_grammar():
     assert nested.complex_dim == 3
 
 
-@pytest.mark.parametrize("bad", [
-    "bogus:n=1",
-    "chsc:n=zero",
-    "chsc:n",
-    "product:chsc:n=1",
-    "quadric:n=1",
-    "",
-])
-def test_parse_space_errors(bad):
-    with pytest.raises((SpaceParseError, ValueError)):
+PARSE_ERRORS = {
+    "bogus:n=1": "cannot parse space descriptor at position 0: unknown space kind 'bogus' "
+                 "(in 'bogus:n=1')",
+    "chsc:n=zero": "cannot parse space descriptor at position 5: non-numeric value in 'n=zero' "
+                   "(in 'chsc:n=zero')",
+    "chsc:n": "cannot parse space descriptor at position 5: expected key=value, got 'n' "
+              "(in 'chsc:n')",
+    "product:chsc:n=1": "cannot parse space descriptor at position 8: product factors must be "
+                        "bracketed, e.g. product:[chsc:n=1;flat:k=1] (in 'product:chsc:n=1')",
+    "quadric:n=0": "quadric needs n >= 1",
+    "quadric:n=1": "quadric needs n >= 2",
+    "flat:k=0": "flat needs n >= 1",
+    "chsc": "chsc needs n >= 1",
+    "": "cannot parse space descriptor at position 0: empty descriptor (in '')",
+}
+
+
+@pytest.mark.parametrize("bad", PARSE_ERRORS)
+def test_parse_space_errors(bad, capsys):
+    """Each refused descriptor raises, and exits 2 with its message verbatim."""
+    with pytest.raises((SpaceParseError, ValueError)) as err:
         parse_space(bad)
+    assert str(err.value) == PARSE_ERRORS[bad]
+    assert main(["certify", "--space", bad]) == 2
+    assert capsys.readouterr() == ("", f"error: {PARSE_ERRORS[bad]}\n")
 
 
 @pytest.mark.parametrize("bad,name", [
@@ -54,6 +69,9 @@ def test_parse_space_errors(bad):
     ("random:n=3,seed=1.5", "seed"),
     ("random:n=2,seed=-3", "seed"),
     ("randomke:n=2,seed=inf", "seed"),
+    ("chsc:n=1e400", "n"),
+    ("random:n=2,seed=2.0000000000000000001", "seed"),
+    ("random:n=2,seed=-1e-400", "seed"),
     ("product:[chsc:n=1;flat:k=0.5]", "k"),
 ])
 def test_parse_space_refuses_non_integral_parameters(bad, name, capsys):
@@ -62,6 +80,15 @@ def test_parse_space_refuses_non_integral_parameters(bad, name, capsys):
     with pytest.raises(SpaceParseError, match=f"{name} must be a whole number >= 0"):
         parse_space(bad)
     _assert_usage_error(["certify", "--space", bad], capsys, f"{name} must be a whole number")
+
+
+def test_parse_space_reads_whole_numbers_exactly():
+    """n and seed are the whole numbers typed, not their floats, which
+    round above 2^53: two seeds one float apart give two spaces."""
+    assert parse_space("random:n=2,seed=9007199254740993").seed == 2 ** 53 + 1
+    assert parse_space("random:n=2,seed=9007199254740992").seed == 2 ** 53
+    assert parse_space("random:n=2,seed=1e30").seed == 10 ** 30
+    assert parse_space("flat:k=2.0e0").n == 2
 
 
 def test_parse_space_error_reports_position():
@@ -127,7 +154,8 @@ def _documented_descriptors(tmp_path):
     requests (its module is loaded by path, as it lies outside the tests)."""
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")
-    found = re.findall(r"\b(?:chsc|quadric|flat|randomke|random|product):[^\s`'\"]+", readme)
+    names = sorted((name for name, *_ in ms.KINDS.values()), key=len, reverse=True)
+    found = re.findall(rf"\b(?:{'|'.join(names)}):[^\s`'\"]+", readme)
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   root / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -1062,7 +1090,9 @@ def test_request_outputs_match_reference_loops(tmp_path, monkeypatch, capsys):
         files[-1].write_text(json.dumps(_hermitian_payload(n, rng, integral=n == 4)))
     spaces = ["chsc:n=2,c=0.75", "quadric:n=3", "random:n=4,seed=11", "randomke:n=5,seed=12",
               "quadric:n=6", f"file:{files[0]}", f"file:{files[1]}",
-              "product:[chsc:n=1;quadric:n=2]"]
+              "product:[chsc:n=1;quadric:n=2]", "flat:k=2"]
+    kinds = {name for name, *_ in ms.KINDS.values()}
+    assert kinds <= {space.partition(":")[0] for space in spaces}
     einstein = {"chsc:n=2,c=0.75", "quadric:n=3", "randomke:n=5,seed=12", "quadric:n=6"}
     argvs = []
     for pos, space in enumerate(spaces):

@@ -73,14 +73,19 @@ def test_all_model_outputs_validate():
 
 
 def test_descriptor_validation():
-    with pytest.raises(ValueError):
-        SpaceDescriptor("nope", n=2).validate()
-    with pytest.raises(ValueError):
-        SpaceDescriptor("chsc", n=0).validate()
-    with pytest.raises(ValueError):
-        SpaceDescriptor("quadric", n=1).validate()
-    with pytest.raises(ValueError):
-        SpaceDescriptor("product").validate()
+    """validate refuses each bad descriptor with its message verbatim."""
+    for desc, message in [
+        (SpaceDescriptor("nope", n=2), "unknown space variant 'nope'"),
+        (SpaceDescriptor("sphere", n=3), "unknown space variant 'sphere'"),
+        (SpaceDescriptor("chsc", n=0), "chsc needs n >= 1"),
+        (SpaceDescriptor("quadric", n=0), "quadric needs n >= 1"),
+        (SpaceDescriptor("quadric", n=1), "quadric needs n >= 2"),
+        (SpaceDescriptor("product"), "product needs at least one factor"),
+        (SpaceDescriptor("product", factors=(SpaceDescriptor("flat"),)), "flat needs n >= 1"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            desc.validate()
+        assert str(err.value) == message
 
 
 def test_quadric_spectrum_structure():
