@@ -53,18 +53,16 @@ def _isqrt_exact(x: int) -> int | None:
     return r if r * r == x else None
 
 
-def _min_branch(p: int, q: int) -> tuple[tuple[int, int] | None, float]:
-    """min(p, q, sqrt(pq)/2) as (exact value a/b as (a, b) with b > 0, or
-    None, float value)."""
+def _min_branch(p: int, q: int) -> tuple[int, int] | None:
+    """min(p, q, sqrt(pq)/2) exactly, as a/b in the pair (a, b) with b > 0,
+    or None when it is the irrational sqrt(pq)/2."""
     if p == 0 or q == 0:
-        return (0, 1), 0.0
+        return 0, 1
     lo, hi = min(p, q), max(p, q)
     if hi >= 4 * lo:
-        return (lo, 1), float(lo)
+        return lo, 1
     root = _isqrt_exact(p * q)
-    if root is not None:
-        return (root, 2), root / 2.0
-    return None, math.sqrt(p * q) / 2.0
+    return None if root is None else (root, 2)
 
 
 def bidegrees(n: int) -> list[tuple[int, int]]:
@@ -73,17 +71,14 @@ def bidegrees(n: int) -> list[tuple[int, int]]:
 
 
 def upsilon(n: int, p: int, q: int) -> float:
-    exact, approx = _min_branch(p, q)
-    num = (p + q) * (n + 1) - 2 * p * q
+    exact = upsilon_exact(n, p, q)
     if exact is not None:
-        # num / (2 + 4 a/b), rounded once by the int / int division
-        a, b = exact
-        return num * b / (2 * b + 4 * a)
-    return num / (2.0 + 4.0 * approx)
+        return float(exact)  # the int / int division, rounded once
+    return ((p + q) * (n + 1) - 2 * p * q) / (2.0 + 4.0 * (math.sqrt(p * q) / 2.0))
 
 
 def upsilon_exact(n: int, p: int, q: int) -> Fraction | None:
-    exact, _ = _min_branch(p, q)
+    exact = _min_branch(p, q)
     if exact is None:
         return None
     a, b = exact
@@ -106,7 +101,7 @@ def gamma(n: int, p: int, q: int) -> Fraction:
 
 def upsilon_ge_half_n(n: int, p: int, q: int) -> bool:
     """Exact test of Upsilon_{p,q} >= n/2 (integer arithmetic throughout)."""
-    exact, _ = _min_branch(p, q)
+    exact = _min_branch(p, q)
     num = (p + q) * (n + 1) - 2 * p * q
     if exact is not None:
         # num / (2 + 4 a/b) >= n/2  <=>  2 num b >= n (2 b + 4 a), with b > 0

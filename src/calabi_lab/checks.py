@@ -241,16 +241,16 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
     """Insertion-norm identity, the hat-norm identity with and without the
     Lefschetz correction, the su-norm identity, and the u-decomposition.
 
-    Each sample of a bidegree (p,q) draws, in this order, the coefficients
-    of a (p,q)-form phi, a random primitive real form and the coefficients
-    of an element L of u(n) (``wz.random_primitive_reals`` around the
-    primitive forms).  All of a bidegree's samples are drawn first and then
-    checked as one batch: the insertion norm of each phi on its
-    coefficient grid (``_insertion_norms``), the hat norms of the real
-    forms psi = phi + conj(phi) through ``norm_phi_g_batch``, Lambda psi on
-    the stacked coefficients, the su norms of the primitive pieces through
-    ``norm_phi_g_batch`` and their u actions through one ``_actions`` pass,
-    consumed slice by slice (``_u_norms``).
+    Each bidegree (p,q) draws its samples as one stack per quantity, in this
+    order: the coefficients of every (p,q)-form phi, every random primitive
+    real form (``wz.random_primitive_reals``) and the coefficients of every
+    element L of u(n).  They are then checked as one batch: the insertion
+    norm of each phi on its coefficient grid (``_insertion_norms``), the hat
+    norms of the real forms psi = phi + conj(phi) through
+    ``norm_phi_g_batch``, Lambda psi on the stacked coefficients, the su
+    norms of the primitive pieces through ``norm_phi_g_batch`` and their u
+    actions through one ``_actions`` pass, consumed slice by slice
+    (``_u_norms``).
     """
     rng = _rng(seed, 7)
     conv = FrameConvention(n)
@@ -258,19 +258,11 @@ def check_norm_identities(n: int, trials: int, seed: int, max_degree: int = 4) -
     count = max(trials // 5, 5)
     for (p, q) in _pairs(n, max_degree):
         k = p + q
-        size = math.comb(n, p) * math.comb(n, q)
-        phis = np.zeros((count, size), dtype=complex)
-        cmats = np.zeros((count, n, n), dtype=complex)
-
-        def draw_phi(i: int) -> None:
-            raw = rng.standard_normal((size, 2))  # (re, im) by generator
-            phis[i] = raw[:, 0] + 1j * raw[:, 1]
-
-        def draw_cmat(i: int) -> None:
-            cmats[i] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-        prims = [prim.phi for prim in wz.random_primitive_reals(
-            conv, p, q, rng, count, before=draw_phi, after=draw_cmat)]
+        raw = rng.standard_normal((count, math.comb(n, p) * math.comb(n, q), 2))  # (re, im)
+        phis = raw[:, :, 0] + 1j * raw[:, :, 1]
+        prims = [prim.phi for prim in wz.random_primitive_reals(conv, p, q, rng, count)]
+        raw = rng.standard_normal((count, 2, n, n))  # real parts, then imaginary parts
+        cmats = raw[:, 0] + 1j * raw[:, 1]
 
         # the insertion norm is 0 = pq |phi|^2 when p or q is 0
         target = p * q * np.sum(np.abs(phis) ** 2, axis=1)

@@ -18,7 +18,9 @@ eigenvalue to 1; the normalized spectrum is 1 (m - 1 times) and 1 - n/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -85,10 +87,29 @@ class SpaceDescriptor:
                 raise ValueError("product needs at least one factor")
             for f in self.factors:
                 f.validate()
+        elif not _integer(self.n):
+            raise ValueError(f"{self.variant} needs an integer n, got {self.n!r}")
         elif self.n < 1:
             raise ValueError(f"{self.variant} needs n >= 1")
         if self.variant == "quadric" and self.n < 2:
             raise ValueError("quadric needs n >= 2")
+        if not (_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not _finite_real(self.c):
+            raise ValueError(f"c must be a finite real number, got {self.c!r}")
+
+
+def _integer(x) -> bool:
+    """An integer of any integral type but bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _finite_real(x) -> bool:
+    """A real number of any type but bool whose float is finite."""
+    try:
+        return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def build(desc: SpaceDescriptor) -> AlgebraicCurvatureTensor:

@@ -122,14 +122,12 @@ class SamplingFailure(CalabiLabError, RuntimeError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _annihilation_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _annihilation_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interior products on the orthonormal monomials of Lambda^k, k >= 1,
     over d real frame vectors.
 
-    Returns ``(flat, removed, rest, sign)``: the flat position of each sorted
-    k-subset J in a dense ``(d,)*k`` tensor (``frames._dense_positions``, the
-    same table), and for each J and slot s the
-    removed index ``removed[J, s] = J_s``, the position ``rest[J, s]`` of
+    Returns ``(removed, rest, sign)``: for each sorted k-subset J and slot s
+    the removed index ``removed[J, s] = J_s``, the position ``rest[J, s]`` of
     ``J minus J_s`` among the sorted (k-1)-subsets, and ``sign[J, s] = (-1)^s``,
     so that ``iota(e_{J_s}) e^J = (-1)^s e^{J minus J_s}``.
     """
@@ -138,13 +136,13 @@ def _annihilation_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # slots but s
     rest = _subset_rank(d, removed[:, others])
     sign = np.broadcast_to((-1.0) ** np.arange(k), (count, k))  # one row in memory
-    return (_dense_positions(d, k),) + _frozen(removed, rest, sign)
+    return _frozen(removed, rest, sign)
 
 
 def _create(y: np.ndarray, d: int, k: int) -> np.ndarray:
     """``sum_a e^a ^ y_a`` from a ``(B, d, N_{k-1})`` stack: the transposed
     scatter of ``_interior`` of order 1, returning ``(B, N_k)`` coordinates."""
-    _, removed, rest, sign = _annihilation_table(d, k)
+    removed, rest, sign = _annihilation_table(d, k)
     return np.sum(y[:, removed, rest] * sign, axis=2)
 
 
@@ -161,8 +159,8 @@ def _pair_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     removing J_s leaves J_t in slot t - 1.  Not cached: ``_column_table``
     keeps it regrouped, in fewer bytes.
     """
-    _, removed, once, _ = _annihilation_table(d, k)
-    _, _, twice, _ = _annihilation_table(d, k - 1)
+    removed, once, _ = _annihilation_table(d, k)
+    _, twice, _ = _annihilation_table(d, k - 1)
     s, t = np.triu_indices(k, 1)
     where = np.zeros((d, d), dtype=np.int32)
     where[np.triu_indices(d, 1)] = np.arange(math.comb(d, 2))
@@ -186,7 +184,7 @@ def _column_table(d: int, k: int, order: int) -> tuple[np.ndarray, np.ndarray, n
     entry up to d = 22).
     """
     if order == 1:
-        _, row, rest, sign = _annihilation_table(d, k)
+        row, rest, sign = _annihilation_table(d, k)
         sign = sign[0]
     else:
         row, rest, sign = _pair_table(d, k)
@@ -225,7 +223,7 @@ def _pair_matrix(s: np.ndarray) -> np.ndarray:
     2-subsets: a sum over all ordered pairs of a tensor against two
     antisymmetric ones equals the sum of this matrix over the sorted pairs."""
     d = s.shape[0]
-    flat = _annihilation_table(d, 2)[0]  # i d + j over the pairs i < j
+    flat = _dense_positions(d, 2)  # i d + j over the pairs i < j
     s = s - s.transpose(1, 0, 2, 3)
     s = (s - s.transpose(0, 1, 3, 2)).reshape(d * d, d * d)
     return s[flat[:, None], flat]
@@ -741,24 +739,19 @@ def estimate_sampling(conv: FrameConvention, p: int, q: int, n_psi: int, n_s: in
     against n_s symmetric elements each.  Returns violation counts and the
     largest ratio lhs/bound observed.
 
-    Each sample draws psi and then its n_s matrices h, in that order: the
-    real parts of all of them, then the imaginary parts, straight into one
-    buffer (the scalars of two ``rng.normal(size=(n_s, n, n))`` calls, in
-    their order).  Its S = (h + h^T)/2 are scored in their unit sym^2
-    coordinates c, read off the draws (``_sym2_coords``), so that
-    |S|^2 = sum |c|^2.  The psi stay the sampler's coefficient stack
-    (``_primitive_stack``, as a ``RealStack``), whose Gram matrices of the sym2_10 basis actions
+    The psi are drawn first, as one stack (``_primitive_stack``), and then
+    every sample's n_s matrices h, as one stack: per sample, the real parts
+    of its h, then their imaginary parts.  Each S = (h + h^T)/2 is scored
+    in its unit sym^2 coordinates c, read off the draws (``_sym2_coords``),
+    so that |S|^2 = sum |c|^2.  The psi stay the sampler's coefficient stack
+    (as a ``RealStack``), whose Gram matrices of the sym2_10 basis actions
     come from one ``_sym2_grams`` (their trace is the hat norm), and every
     sample is scored and bounded as one array."""
     n = conv.n
     denom = (p + q) * (n + 1) - 2 * p * q
     cmin = _min_constant(p, q)
-    raw = np.empty((n_psi, 2, n_s, n, n))  # each sample's real parts, then imaginary parts
-
-    def draw_hats(i: int) -> None:
-        rng.standard_normal(out=raw[i])
-
-    psis = RealStack(conv, p, q, _primitive_stack(conv, p, q, rng, n_psi, after=draw_hats))
+    psis = RealStack(conv, p, q, _primitive_stack(conv, p, q, rng, n_psi))
+    raw = rng.standard_normal((n_psi, 2, n_s, n, n))  # real parts, then imaginary parts
     gram = _sym2_grams(n, psis)
     parts = _sym2_coords(raw)  # (n_psi, 2, n_s, m): the real parts of c, then the imaginary
     c = np.empty((n_psi, n_s, parts.shape[-1]), dtype=complex)
@@ -823,37 +816,28 @@ def stress_search(conv: FrameConvention, p: int, q: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _primitive_stack(conv: FrameConvention, p: int, q: int, rng: np.random.Generator,
-                     count: int, before=None, after=None) -> np.ndarray:
+                     count: int) -> np.ndarray:
     """``count`` random real primitive forms in Lambda^{p,q} + Lambda^{q,p},
     as the ``(count, C(n, p) C(n, q))`` stack of the (p,q) coefficients that
     a RealForm stores: the sampler, which ``random_primitive_reals`` wraps.
 
     Each form draws complex Gaussian coefficients on the (p,q) generators,
     which are projected onto the primitive subspace and symmetrized; a form
-    whose projection is ~0 draws again, up to 16 times.  Sample i calls
-    ``before(i)`` before its form's first draw and ``after(i)`` after its
-    form's draw, when given, for the draws of other quantities that go with
-    it; they must store what they draw by i.  The draws are made first, in
-    that order, and projected as one stack.  A form that must draw again
-    sends the generator back to just after its draw: it draws again, then
-    ``after(i)`` and every later sample are drawn anew, so the draws are
-    those of ``count`` samples drawn and projected one by one.
+    whose projection is ~0 draws again, up to 16 times.  The forms are
+    drawn as one stack, in one call, and projected as one stack.  When row
+    ``keep`` comes out ~0, the generator goes back to the stack's start and
+    draws the rows up to and including it again, so that row and every
+    later one are drawn anew from there: the draws are those of ``count``
+    forms drawn and projected one by one.
     """
     n = conv.n
     size = math.comb(n, p) * math.comb(n, q)
-    raw = np.empty((count, size, 2))
+    raw = np.empty((count, size, 2))  # (re, im) pairs in generator order
     coeffs = np.empty((count, size), dtype=complex)
     done = failed = 0  # forms accepted; failed draws of form ``done``
     while done < count:
-        states = []  # the generator after each form's draw
-        for i in range(done, count):
-            if before is not None and (i > done or not failed):
-                before(i)
-            # (re, im) pairs in generator order: the scalar draws, in one call
-            rng.standard_normal(out=raw[i])
-            states.append(rng.bit_generator.state)
-            if after is not None:
-                after(i)
+        start = rng.bit_generator.state
+        rng.standard_normal(out=raw[done:])
         phi = _primitive_part(n, p, q, raw[done:, :, 0] + 1j * raw[done:, :, 1])
         if p == q:  # RealForm.symmetrize: phi + conj(phi)
             source, sign = _conjugation(n, p, q)
@@ -862,7 +846,8 @@ def _primitive_stack(conv: FrameConvention, p: int, q: int, rng: np.random.Gener
         keep = len(nonzero) if nonzero.all() else int(np.argmin(nonzero))
         coeffs[done:done + keep] = phi[:keep]
         if keep < len(nonzero):
-            rng.bit_generator.state = states[keep]
+            rng.bit_generator.state = start  # spend the draws up to row ``keep``'s again
+            rng.standard_normal(out=raw[done:done + keep + 1])
             failed = failed + 1 if keep == 0 else 1
             if failed == 16:
                 raise SamplingFailure(f"no nonzero primitive ({p},{q})-form found at n={n}")
@@ -871,13 +856,13 @@ def _primitive_stack(conv: FrameConvention, p: int, q: int, rng: np.random.Gener
 
 
 def random_primitive_reals(conv: FrameConvention, p: int, q: int, rng: np.random.Generator,
-                           count: int, before=None, after=None) -> list[RealForm]:
+                           count: int) -> list[RealForm]:
     """``count`` random real primitive forms in Lambda^{p,q} + Lambda^{q,p}:
-    the rows of ``_primitive_stack`` (its draws, callbacks and retry rule)
-    as RealForms, which are not tested for self-conjugacy again: the
+    the rows of ``_primitive_stack`` (one stack of draws, and its retry
+    rule) as RealForms, which are not tested for self-conjugacy again: the
     sampler symmetrized each (p,p) row exactly."""
     return [RealForm._symmetrized(FormPQ.from_coefficient_vector(conv, p, q, c))
-            for c in _primitive_stack(conv, p, q, rng, count, before, after)]
+            for c in _primitive_stack(conv, p, q, rng, count)]
 
 
 def random_primitive_real(conv: FrameConvention, p: int, q: int,

@@ -1,5 +1,6 @@
 """The package names that the benchmark's span tracer wraps, and the space
-variants that its workloads name, still exist.
+variants that its workloads name, still exist, and the workloads' set-up
+still runs on the package.
 
 ``bench/spans.py`` patches functions and methods by name, and
 ``bench/workloads.py`` builds space descriptors from variant strings; their
@@ -46,6 +47,20 @@ def test_certify_sweep_descriptors_validate(tmp_path):
         assert descs
         for desc in descs:
             desc.validate()
+
+
+def test_acceptance_loops_set_up_and_run(tmp_path):
+    """The acceptance-loops set-up samples its forms and tensors through the
+    package (the sampler, the dense forms and their frame change), and one
+    operation of each kind runs on them with every check passing."""
+    workloads = _load("workloads")
+    loops = workloads.AcceptanceLoops(tiny=True)
+    ops = loops.setup(9001, tmp_path)
+    first = {op[0]: op for op in reversed(ops)}
+    assert set(first) == {"curvature_term", "main_estimate"}
+    for op in first.values():
+        results = loops.run_op(op)
+        assert results and all(ok for ok, _, _ in results), op[0]
 
 
 def test_span_check_layers_name_identity_checks():

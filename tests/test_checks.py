@@ -12,7 +12,8 @@ from calabi_lab import curvature as cv
 from calabi_lab import model_spaces as ms
 from calabi_lab import weitzenboeck as wz
 from calabi_lab.frames import FormPQ, FrameConvention
-from norm_identities_reference import check_norm_identities_per_form, insertion_norm_by_pairs
+from norm_identities_reference import (check_norm_identities_per_form, insertion_norm_by_pairs,
+                                      norm_identity_draws)
 from per_tensor_reference import (check_curvature_term_per_tensor, check_r2_gl_per_tensor,
                                   check_ricl_split_per_tensor)
 
@@ -114,12 +115,54 @@ def test_verify_pairs_without_building_the_oracle_field(monkeypatch):
     assert all(r["status"] == "pass" for r in records)
 
 
+def _spy_on_norm_identity_samples(monkeypatch):
+    """Records, per bidegree, the samples ``check_norm_identities`` hands to
+    its steps: the phi coefficients (``_insertion_norms``), the primitive
+    forms (``norm_phi_g_batch`` of su) and the u(n) matrices (``_u_norms``)."""
+    seen = {"phis": [], "prims": [], "cmats": []}
+    insertion, batch, u_norms = checks._insertion_norms, wz.norm_phi_g_batch, checks._u_norms
+
+    def spy_insertion(n, p, q, coeffs):
+        seen["phis"].append(np.array(coeffs))
+        return insertion(n, p, q, coeffs)
+
+    def spy_batch(tag, conv, forms):
+        if tag == "su":
+            seen["prims"].append([f.coefficient_vector() for f in forms])
+        return batch(tag, conv, forms)
+
+    def spy_u_norms(n, prims, cmats):
+        seen["cmats"].append(np.array(cmats))
+        return u_norms(n, prims, cmats)
+
+    monkeypatch.setattr(checks, "_insertion_norms", spy_insertion)
+    monkeypatch.setattr(wz, "norm_phi_g_batch", spy_batch)
+    monkeypatch.setattr(checks, "_u_norms", spy_u_norms)
+    return seen
+
+
+def _assert_same_norm_identity_samples(seen, n, trials, seed, max_degree):
+    """The samples seen are bit for bit the reference's draws."""
+    draws = list(norm_identity_draws(n, trials, seed, max_degree))
+    assert [len(seen[key]) for key in seen] == [len(draws)] * 3
+    for (_, _, phis, prims, cmats), got_phis, got_prims, got_cmats in zip(
+            draws, seen["phis"], seen["prims"], seen["cmats"]):
+        assert got_phis.tobytes() == np.array(phis).tobytes()
+        assert np.array(got_prims).tobytes() == np.array(
+            [prim.coefficient_vector() for prim in prims]).tobytes()
+        assert got_cmats.tobytes() == np.array(cmats).tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_norm_identities_match_the_per_form_loop(n):
+def test_norm_identities_match_the_per_form_loop(n, monkeypatch):
     """The batched check against the per-form loop it replaced, on the same
-    draws: the same status, and residuals that differ only in rounding."""
+    draws: every sample bit for bit, the same status, and residuals that
+    differ only in rounding."""
     for seed in (9001, 1, 42):
-        rec = checks.check_norm_identities(n, 2, seed, max_degree=n)
+        with monkeypatch.context() as patch:
+            seen = _spy_on_norm_identity_samples(patch)
+            rec = checks.check_norm_identities(n, 2, seed, max_degree=n)
+        _assert_same_norm_identity_samples(seen, n, 2, seed, n)
         ref = check_norm_identities_per_form(n, 2, seed, max_degree=n)
         assert rec["status"] == ref["status"] == "pass"
         assert abs(rec["residual"] - ref["residual"]) <= 1e-14
@@ -128,10 +171,13 @@ def test_norm_identities_match_the_per_form_loop(n):
 def test_norm_identities_match_the_per_form_loop_one_form_per_slice(monkeypatch):
     """With slices of one form each, as the largest bidegrees get at n = 9,
     every batched step (the insertion norms, the u actions, the hat and su
-    norms) is consumed over several slices and still matches the loop."""
+    norms) is consumed over several slices, on every sample of the loop bit
+    for bit, and still matches the loop."""
     ref = check_norm_identities_per_form(4, 2, 9001, max_degree=4)
     monkeypatch.setattr(wz, "_SLICE_ENTRIES", 1)
+    seen = _spy_on_norm_identity_samples(monkeypatch)
     rec = checks.check_norm_identities(4, 2, 9001, max_degree=4)
+    _assert_same_norm_identity_samples(seen, 4, 2, 9001, 4)
     assert rec["status"] == ref["status"] == "pass"
     assert abs(rec["residual"] - ref["residual"]) <= 1e-14
 

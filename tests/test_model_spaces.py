@@ -73,7 +73,8 @@ def test_all_model_outputs_validate():
 
 
 def test_descriptor_validation():
-    """validate refuses each bad descriptor with its message verbatim."""
+    """validate refuses each bad descriptor with its message verbatim, and
+    so do calabi_matrix and build, which validate first."""
     for desc, message in [
         (SpaceDescriptor("nope", n=2), "unknown space variant 'nope'"),
         (SpaceDescriptor("sphere", n=3), "unknown space variant 'sphere'"),
@@ -82,10 +83,15 @@ def test_descriptor_validation():
         (SpaceDescriptor("quadric", n=1), "quadric needs n >= 2"),
         (SpaceDescriptor("product"), "product needs at least one factor"),
         (SpaceDescriptor("product", factors=(SpaceDescriptor("flat"),)), "flat needs n >= 1"),
+        (SpaceDescriptor("chsc", n=2.5), "chsc needs an integer n, got 2.5"),
+        (SpaceDescriptor("chsc", n=True), "chsc needs an integer n, got True"),
+        (SpaceDescriptor("random", n=2, seed=-1), "seed must be an integer >= 0, got -1"),
+        (SpaceDescriptor("chsc", n=2, c=math.nan), "c must be a finite real number, got nan"),
     ]:
-        with pytest.raises(ValueError) as err:
-            desc.validate()
-        assert str(err.value) == message
+        for call in (desc.validate, lambda: calabi_matrix(desc), lambda: build(desc)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
 
 
 def test_quadric_spectrum_structure():

@@ -324,7 +324,7 @@ def _annihilation_table_reference(d, k):
     rest = np.array([[where[key[:s] + key[s + 1:]] for s in range(k)] for key in subsets],
                     dtype=np.intp)
     sign = np.tile((-1.0) ** np.arange(k), (len(subsets), 1))
-    return np.ravel_multi_index(removed.T, (d,) * k), removed, rest, sign
+    return removed, rest, sign
 
 
 def test_annihilation_table_matches_dict_reference():
@@ -332,7 +332,8 @@ def test_annihilation_table_matches_dict_reference():
     dtype and entries), for every d <= 10 and k = 1..d."""
     for d in range(1, 11):
         for k in range(1, d + 1):
-            for got, want in zip(wz._annihilation_table(d, k), _annihilation_table_reference(d, k)):
+            for got, want in zip(wz._annihilation_table(d, k), _annihilation_table_reference(d, k),
+                                 strict=True):
                 assert got.dtype == want.dtype and got.shape == want.shape, (d, k)
                 assert np.array_equal(got, want), (d, k)
 
@@ -656,19 +657,16 @@ def test_eigen_routes_match_dense_eigen_elements(n):
 
 
 def _replayed_estimate(conv, p, q, rng, n_psi, n_s, fail=None):
-    """Reference: estimate_sampling's samples drawn one by one, each its psi
-    (the per-form sampler; sample ``fail`` first spends one draw, as a
-    projection that comes out 0 does) and then its hats by the two
-    ``rng.normal`` calls, every S scored by its direct action on psi.
-    Returns the violation count, the largest ratio, and per sample psi, its
-    hats and their direct scores."""
+    """Reference: estimate_sampling's psi drawn one by one (the per-form
+    sampler; psi ``fail`` first spends one draw, as a projection that comes
+    out 0 does), then each sample's hats by the two ``rng.normal`` calls,
+    every S scored by its direct action on psi.  Returns the violation
+    count, the largest ratio, and per sample psi, its hats and their direct
+    scores."""
     n, k = conv.n, p + q
     cmin = min(p, q, math.sqrt(p * q) / 2.0)
     violations, ratio, samples = 0, 0.0, []
-    for i in range(n_psi):
-        if i == fail:
-            rng.standard_normal((math.comb(n, p) * math.comb(n, q), 2))
-        psi = random_primitive_real_per_form(conv, p, q, rng)
+    for psi in _per_form_samples(conv, p, q, rng, n_psi, fail):
         hats = rng.normal(size=(n_s, n, n)) + 1j * rng.normal(size=(n_s, n, n))
         hats = (hats + hats.transpose(0, 2, 1)) / 2.0
         mats = np.array([EndoC.from_sym_hat(conv, h).matrix for h in hats])
@@ -710,22 +708,11 @@ def test_sym2_gram_scores_match_direct_action(n):
 @pytest.mark.parametrize("n, p, q", [(4, 2, 1), (3, 1, 1)])
 def test_estimate_sampling_keeps_its_stream_through_a_retry(n, p, q, fail, monkeypatch):
     """With one psi's projection forced to 0 once, estimate_sampling draws
-    that psi again right after, then its hats and every later sample anew
-    (the hats into the buffer they were first drawn into): its figures and
-    the generator's final state are those of a replay that draws sample by
-    sample with the per-form retry rule and the ``rng.normal`` pair."""
+    that psi and every later one anew, and then the hats: its figures and
+    the generator's final state are those of a replay that draws the psi
+    one by one with the per-form retry rule, then the hats."""
     conv = FrameConvention(n)
-    project = wz._primitive_part
-    calls = []
-
-    def fail_once(n_, p_, q_, coeffs):
-        out = project(n_, p_, q_, coeffs)
-        if not calls:
-            out[fail] = 0.0
-        calls.append(len(coeffs))
-        return out
-
-    monkeypatch.setattr(wz, "_primitive_part", fail_once)
+    calls = _fail_once(monkeypatch, fail)
     rng, replay = np.random.default_rng([802, n, fail]), np.random.default_rng([802, n, fail])
     out = estimate_sampling(conv, p, q, n_psi=3, n_s=20, rng=rng)
     violations, ratio, _ = _replayed_estimate(conv, p, q, replay, 3, 20, fail=fail)
@@ -1011,71 +998,21 @@ def test_stress_search_replays_restart_eigenvalues():
         assert best <= 0.5 + min(p, q, math.sqrt(p * q) / 2.0) + 1e-12
 
 
-def _interleaved(rng, log):
-    """Callbacks that draw other quantities around each form, logged by i."""
-    def before(i):
-        log[("before", i)] = rng.normal(size=3)
-
-    def after(i):
-        log[("after", i)] = rng.integers(2 ** 31, size=2)
-
-    return before, after
-
-
 def _per_form_samples(conv, p, q, rng, count, fail=None):
-    """Reference: ``count`` samples one by one, each its before draws, its
-    form (the per-form sampler) and its after draws; form ``fail`` first
-    spends one draw, as a projection that comes out 0 does."""
-    log = {}
-    before, after = _interleaved(rng, log)
+    """Reference: ``count`` forms drawn one by one by the per-form sampler;
+    form ``fail`` first spends one draw, as a projection that comes out 0
+    does."""
     forms = []
     for i in range(count):
-        before(i)
         if i == fail:
             rng.standard_normal((math.comb(conv.n, p) * math.comb(conv.n, q), 2))
         forms.append(random_primitive_real_per_form(conv, p, q, rng))
-        after(i)
-    return forms, log
+    return forms
 
 
-def _assert_same_samples(got, want):
-    (forms, log), (ref_forms, ref_log) = got, want
-    assert len(forms) == len(ref_forms)
-    for form, ref in zip(forms, ref_forms):
-        assert (form.p, form.q) == (ref.p, ref.q)
-        assert form.phi.coefficient_vector().tobytes() == ref.phi.coefficient_vector().tobytes()
-    assert log.keys() == ref_log.keys()
-    assert all(np.array_equal(log[key], ref_log[key]) for key in log)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_stacked_sampler_matches_the_per_form_draws(n):
-    """The stacked sampler returns bitwise the forms of the per-form draws,
-    alone and between other draws, and leaves the generator where they do."""
-    conv = FrameConvention(n)
-    for p in range(n + 1):
-        for q in range(n + 1 - p):
-            for callbacks in (False, True):
-                rng, ref_rng = np.random.default_rng([n, p, q]), np.random.default_rng([n, p, q])
-                log = {}
-                before, after = _interleaved(rng, log) if callbacks else (None, None)
-                forms = random_primitive_reals(conv, p, q, rng, 4, before=before, after=after)
-                if callbacks:
-                    want = _per_form_samples(conv, p, q, ref_rng, 4)
-                else:
-                    want = ([random_primitive_real_per_form(conv, p, q, ref_rng)
-                             for _ in range(4)], {})
-                _assert_same_samples((forms, log), want)
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("fail", [0, 2, 3])
-def test_stacked_sampler_draws_again_as_the_per_form_rule(fail, monkeypatch):
-    """With the projection of one form forced to 0 once, the sampler spends
-    exactly the draws of the per-form retry rule: that form draws again
-    right after, and its after draws and every later sample follow."""
-    n, p, q = 4, 2, 1
-    conv = FrameConvention(n)
+def _fail_once(monkeypatch, fail):
+    """Force the projection of row ``fail`` of the first stack to 0; returns
+    the list of the stack sizes projected."""
     project = wz._primitive_part
     calls = []
 
@@ -1087,11 +1024,46 @@ def test_stacked_sampler_draws_again_as_the_per_form_rule(fail, monkeypatch):
         return out
 
     monkeypatch.setattr(wz, "_primitive_part", fail_once)
+    return calls
+
+
+def _assert_same_forms(forms, want):
+    assert len(forms) == len(want)
+    for form, ref in zip(forms, want):
+        assert (form.p, form.q) == (ref.p, ref.q)
+        assert form.phi.coefficient_vector().tobytes() == ref.phi.coefficient_vector().tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_sampler_matches_the_per_form_draws(n, monkeypatch):
+    """The stacked sampler returns bitwise the forms of the per-form draws,
+    as a stack and one at a time, and leaves the generator where they do;
+    also with the projection of one form of the stack forced to 0 once."""
+    conv = FrameConvention(n)
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            for fail in (None, (n + p + q) % 4):
+                rng, ref_rng = np.random.default_rng([n, p, q]), np.random.default_rng([n, p, q])
+                with monkeypatch.context() as patch:
+                    calls = [] if fail is None else _fail_once(patch, fail)
+                    forms = random_primitive_reals(conv, p, q, rng, 4)
+                forms.append(random_primitive_real(conv, p, q, rng))
+                _assert_same_forms(forms, _per_form_samples(conv, p, q, ref_rng, 5, fail))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert calls == ([] if fail is None else [4, 4 - fail])
+
+
+@pytest.mark.parametrize("fail", [0, 2, 3])
+def test_stacked_sampler_draws_again_as_the_per_form_rule(fail, monkeypatch):
+    """With the projection of one form forced to 0 once, the sampler spends
+    exactly the draws of the per-form retry rule: that form and every later
+    one are drawn again, as one stack."""
+    n, p, q = 4, 2, 1
+    conv = FrameConvention(n)
+    calls = _fail_once(monkeypatch, fail)
     rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-    log = {}
-    before, after = _interleaved(rng, log)
-    forms = random_primitive_reals(conv, p, q, rng, 4, before=before, after=after)
-    _assert_same_samples((forms, log), _per_form_samples(conv, p, q, ref_rng, 4, fail=fail))
+    forms = random_primitive_reals(conv, p, q, rng, 4)
+    _assert_same_forms(forms, _per_form_samples(conv, p, q, ref_rng, 4, fail=fail))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert calls == [4, 4 - fail]  # one stack, then the failed form and those after it
 
